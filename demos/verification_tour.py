@@ -8,12 +8,17 @@ means the identity held, 1 means it failed, 2 means bad input.
 import json
 import os
 import subprocess
+import sys
 import tempfile
 
 from hallq import Budget, BudgetError, hall_count
 from hallq.hall import budget_from_env
 from hallq.quiver import CyclicQuiver, ModuleIso
 from hallq.verify import CAMPAIGNS, SABOTAGE_MODES, CampaignConfig
+
+# The command line through this interpreter, so the demo also runs from a
+# source checkout without the installed console script.
+HALLQ = [sys.executable, "-m", "hallq"]
 
 
 def main():
@@ -39,13 +44,13 @@ def main():
 
     print()
     print("== the same campaigns through the command line ==")
-    cmd = ["hallq", "verify", "invariance", "--n", "3", "--trials", "2", "--seed", "0"]
+    cmd = HALLQ + ["verify", "invariance", "--n", "3", "--trials", "2", "--seed", "0"]
     run = subprocess.run(cmd, capture_output=True, text=True)
     report = json.loads(run.stdout)["report"]
     print("$ hallq verify invariance --n 3 --trials 2 --seed 0")
     print(f"exit {run.returncode}, campaign={report['campaign']}, ok={report['ok']}")
 
-    cmd = ["hallq", "verify", "invariance", "--n", "3", "--trials", "2",
+    cmd = HALLQ + ["verify", "invariance", "--n", "3", "--trials", "2",
            "--seed", "0", "--sabotage", "include-delta"]
     run = subprocess.run(cmd, capture_output=True, text=True)
     print("$ hallq verify invariance ... --sabotage include-delta")
@@ -54,14 +59,14 @@ def main():
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         json.dump({"charges": [["2", "1"], ["-2", "1"], ["1", "2"]]}, fh)
         path = fh.name
-    run = subprocess.run(["hallq", "stables", "--config", path],
+    run = subprocess.run(HALLQ + ["stables", "--config", path],
                          capture_output=True, text=True)
     stables = json.loads(run.stdout)["report"]["stables"]
     print(f"$ hallq stables --config charges.json")
     print(f"exit {run.returncode}, stable objects: {stables}")
     os.unlink(path)
 
-    run = subprocess.run(["hallq", "stables", "--n", "3"],
+    run = subprocess.run(HALLQ + ["stables", "--n", "3"],
                          capture_output=True, text=True)
     print("$ hallq stables --n 3")
     print(f"exit {run.returncode}: {run.stderr.strip()}")

@@ -26,9 +26,9 @@ from .stability import (NotDiscreteError, StabilityFunction, ZeroChargeError,
                         stable_indecomposables_up_to, stable_objects,
                         translate_function)
 from .torus import (TorusElement, apply_translate, convolve, dilog,
-                    dilog_coefficient, ez, ez_delta, integrate,
-                    integrate_iso_sum, ordered_product, torus_diff,
-                    torus_inverse)
+                    dilog_coefficient, ez, ez_delta, ez_factors, integrate,
+                    integrate_iso_sum, integrate_modules, ordered_product,
+                    torus_diff, torus_inverse)
 
 __version__ = "0.1.0"
 
@@ -41,8 +41,9 @@ __all__ = [
     "apply_translate", "charge_of", "charge_of_indec", "charge_of_module",
     "check_discrete", "check_integration_homomorphism", "convolve",
     "count_automorphisms", "delta_stable_via_ci", "dilog",
-    "dilog_coefficient", "ez", "ez_delta", "hall_count", "hn_filtration",
-    "hom_ext_oracle", "integrate", "integrate_iso_sum", "interpolate_hall",
+    "dilog_coefficient", "ez", "ez_delta", "ez_factors", "hall_count",
+    "hn_filtration", "hom_ext_oracle", "integrate", "integrate_iso_sum",
+    "integrate_modules", "interpolate_hall",
     "is_semistable", "is_stable", "iso_class_of", "ordered_product",
     "perturb_to_ambient_discrete", "phase_cmp", "phase_eq", "phase_le",
     "phase_lt", "random_discrete", "random_restricted_discrete", "realize",

@@ -136,21 +136,21 @@ def _build_config(args, require_z_or_seed: bool = False) -> CampaignConfig:
     if args.primes is not None:
         primes = _parse_primes(args.primes)
     try:
-        cfg = CampaignConfig(
-            n=int(n),
-            truncation=pick(args.trunc, "truncation", None),
-            trials=int(pick(args.trials, "trials", 10)),
-            seed=int(seed if seed is not None else 0),
-            bound=int(pick(args.bound, "bound", 8)),
-            explicit_z=explicit_z,
-            primes=tuple(int(p) for p in primes),
-            max_total=int(file_cfg.get("max_total", 4)),
-            sabotage=pick(args.sabotage, "sabotage", None),
-            verbose=args.verbose,
-        )
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad configuration value: {err}")
-    return cfg
+        primes = tuple(primes)
+    except TypeError:
+        raise ConfigError(f"primes must be a list of integers, got {primes!r}")
+    return CampaignConfig(
+        n=n,
+        truncation=pick(args.trunc, "truncation", None),
+        trials=pick(args.trials, "trials", 10),
+        seed=seed if seed is not None else 0,
+        bound=pick(args.bound, "bound", 8),
+        explicit_z=explicit_z,
+        primes=primes,
+        max_total=file_cfg.get("max_total", 4),
+        sabotage=pick(args.sabotage, "sabotage", None),
+        verbose=args.verbose,
+    )
 
 
 def _dispatch(args) -> Tuple[bool, dict]:

@@ -89,7 +89,7 @@ class GaussianRational:
         return f"({frac_str(self.re)}) + ({frac_str(self.im)})*i"
 
 
-def _require_phase_domain(z: GaussianRational) -> None:
+def require_phase_domain(z: GaussianRational) -> None:
     # admissible: im > 0, or im == 0 with re > 0 (phase in [0, pi))
     if z.im > 0:
         return
@@ -105,8 +105,8 @@ def phase_cmp(z: GaussianRational, w: GaussianRational) -> int:
     arg(z) < arg(w) holds exactly when the cross product
     re(z)*im(w) - im(z)*re(w) is positive.
     """
-    _require_phase_domain(z)
-    _require_phase_domain(w)
+    require_phase_domain(z)
+    require_phase_domain(w)
     c = z.cross(w)
     if c > 0:
         return -1
@@ -333,12 +333,6 @@ class LaurentPoly:
             return Fraction(self._ints[i], self._den)
         return Fraction(0)
 
-    @property
-    def leading(self) -> Fraction:
-        if not self._ints:
-            return Fraction(0)
-        return Fraction(self._ints[-1], self._den)
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -373,14 +367,6 @@ class LaurentPoly:
         return LaurentPoly(self.t_low + other.t_low,
                            _iconv(self._ints, other._ints),
                            self._den * other._den)
-
-    def scaled(self, c: Rat) -> "LaurentPoly":
-        f = Fraction(c)
-        if f == 0 or self.is_zero:
-            return _LP_ZERO
-        return LaurentPoly(self.t_low,
-                           [x * f.numerator for x in self._ints],
-                           self._den * f.denominator)
 
     def shifted(self, k: int) -> "LaurentPoly":
         if self.is_zero or k == 0:
@@ -533,14 +519,6 @@ class RationalFunction:
         return RF_ZERO
 
     @staticmethod
-    def one() -> "RationalFunction":
-        return RF_ONE
-
-    @staticmethod
-    def of(num: LaurentPoly, den: LaurentPoly = _LP_ONE) -> "RationalFunction":
-        return RationalFunction(num, den)
-
-    @staticmethod
     def constant(c: Rat) -> "RationalFunction":
         return RationalFunction(LaurentPoly.constant(c))
 
@@ -553,10 +531,6 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == _LP_ONE
 
     # -- arithmetic -------------------------------------------------------
 

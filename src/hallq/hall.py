@@ -79,7 +79,7 @@ def budget_from_env(base: Budget = DEFAULT_BUDGET) -> Budget:
     raise ValueError(f"cannot parse {ENV_BUDGET}={raw!r}; expected 'total,prime'")
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     d = 2
@@ -92,7 +92,7 @@ def _is_prime(p: int) -> bool:
 
 def next_prime(p: int) -> int:
     k = p + 1
-    while not _is_prime(k):
+    while not is_prime(k):
         k += 1
     return k
 
@@ -220,7 +220,7 @@ def _identity(d: int) -> Matrix:
 def realize(q: CyclicQuiver, m: ModuleIso, p: int) -> FiniteFieldRep:
     """Block-diagonal matrix model: one basis vector per composition
     factor, arrow maps shifting each chain one step toward its socle."""
-    if p and not _is_prime(p):
+    if p and not is_prime(p):
         raise ValueError(f"{p} is not prime")
     n = q.n
     counter = [0] * n
@@ -286,17 +286,13 @@ def iso_class_of(rep: FiniteFieldRep) -> ModuleIso:
         return H[(q.vertex(j), m)]
 
     parts = []
-    check = [0] * rep.n
     for j in range(1, rep.n + 1):
         for m in range(1, total + 1):
             mult = h(j, m) - h(j + 1, m - 1) - h(j, m + 1) + h(j + 1, m)
             if mult < 0:
                 raise RuntimeError("negative multiplicity; classification broke")
-            for _ in range(mult):
-                parts.append(q.R(j, m))
-                for k in range(m):
-                    check[(j - 1 + k) % rep.n] += 1
-    if tuple(check) != rep.dims:
+            parts.extend([q.R(j, m)] * mult)
+    if q.dim_of(parts) != rep.dims:
         raise RuntimeError("classification does not fill the dimension vector")
     return ModuleIso.of(*parts)
 
@@ -365,7 +361,7 @@ def count_automorphisms(q: CyclicQuiver, m: ModuleIso, p: int,
         raise BudgetError(
             f"count_automorphisms budget is total<={budget.aut_total}, "
             f"p<={budget.aut_prime}; use aut_poly for larger inputs")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     rep = realize(q, m, p)
     rows, ncols = _intertwiner_system(rep, rep)
@@ -518,7 +514,7 @@ def hall_count(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso, big: ModuleIso,
         raise BudgetError(
             f"hall_count budget is total<={budget.hall_total}, "
             f"p<={budget.hall_prime} (override via {ENV_BUDGET})")
-    if not _is_prime(p):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     for l, m, c in submodule_census(q.n, big, p):
         if l == sub and m == quo:
@@ -638,9 +634,8 @@ def check_integration_homomorphism(q: CyclicQuiver, left: ModuleIso,
         polys.append(phi)
         if not phi.coeffs:
             continue
-        chi = q.euler_form(d_total, d_total)
-        num = phi.as_laurent().shifted(chi)
-        lhs = lhs + RationalFunction(num, q.aut_poly(big))
+        weight = integrate(q, big, total).coefficient(d_total)
+        lhs = lhs + RationalFunction(phi.as_laurent()) * weight
     prod = convolve(integrate(q, left, total), integrate(q, right, total),
                     twist_sign=twist_sign)
     rhs = prod.coefficient(d_total)

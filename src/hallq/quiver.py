@@ -13,9 +13,8 @@ antisymmetrisation lambda vanishes against the cyclic vector delta.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .exact import LaurentPoly
 
@@ -127,9 +126,6 @@ class CyclicQuiver:
     def delta(self) -> DimVector:
         return (1,) * self.n
 
-    def zero_dim(self) -> DimVector:
-        return (0,) * self.n
-
     def R(self, socle: int, length: int) -> Indecomposable:
         return Indecomposable(self.vertex(socle), length)
 
@@ -137,14 +133,12 @@ class CyclicQuiver:
         return self.R(i, 1)
 
     def dim_of_indec(self, r: Indecomposable) -> DimVector:
-        v = [0] * self.n
-        for j in range(r.length):
-            v[(r.socle - 1 + j) % self.n] += 1
-        return tuple(v)
+        return self.dim_of((r,))
 
-    def dim_of(self, m: ModuleIso) -> DimVector:
+    def dim_of(self, m: Iterable[Indecomposable]) -> DimVector:
+        """Dimension vector of a module, or of any list of its summands."""
         v = [0] * self.n
-        for r in m.summands:
+        for r in m:
             for j in range(r.length):
                 v[(r.socle - 1 + j) % self.n] += 1
         return tuple(v)
@@ -247,10 +241,6 @@ class CyclicQuiver:
         """(tau d)_j = d_{j+1 mod n}; dim(tau M) = tau(dim M)."""
         n = self.n
         return tuple(d[(j + 1) % n] for j in range(n))
-
-    def translate_dim_inv(self, d: DimVector) -> DimVector:
-        n = self.n
-        return tuple(d[(j - 1) % n] for j in range(n))
 
     # -- enumeration ------------------------------------------------------------
 

@@ -18,10 +18,10 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .exact import (GaussianRational, PhaseDomainError, phase_cmp, phase_eq,
-                    phase_le, phase_lt)
+                    phase_le, phase_lt, require_phase_domain)
 from .quiver import CyclicQuiver, DimVector, Indecomposable, ModuleIso
 
 
@@ -48,9 +48,7 @@ class StabilityFunction:
         if self.n < 2 or len(self.charges) != self.n:
             raise ValueError("need one charge per vertex, n >= 2")
         for z in self.charges:
-            if z.im > 0 or (z.im == 0 and z.re > 0):
-                continue
-            raise PhaseDomainError(f"charge {z} has no phase in [0, pi)")
+            require_phase_domain(z)
 
     @property
     def quiver(self) -> CyclicQuiver:

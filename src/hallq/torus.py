@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .exact import LaurentPoly, RationalFunction, RF_ONE, RF_ZERO
+from .exact import (GaussianRational, LaurentPoly, RationalFunction, RF_ONE,
+                    RF_ZERO)
 from .quiver import CyclicQuiver, DimVector, Indecomposable, ModuleIso
-from .stability import (StabilityFunction, StableObjectReport, charge_of,
-                        charge_of_indec, is_semistable, phase_eq,
-                        stable_objects)
+from .stability import (StabilityFunction, charge_of, charge_of_indec,
+                        is_semistable, phase_eq, stable_objects)
 
 
 class TorusElement:
@@ -126,15 +126,12 @@ class TorusElement:
         return TorusElement(int(data["n"]), int(data["truncation"]), terms)
 
 
-def _lambda(d: DimVector, e: DimVector, n: int) -> int:
-    return sum(d[a] * (e[(a + 1) % n] - e[a - 1]) for a in range(n))
-
-
 def convolve(a: TorusElement, b: TorusElement, twist_sign: int = 1) -> TorusElement:
     """Graded product; twist_sign = -1 deliberately flips the twist and is
     only used by sabotage checks."""
     a._check_compatible(b)
     n, bound = a.n, a.truncation
+    lam = CyclicQuiver(n).lambda_form
     out: Dict[DimVector, RationalFunction] = {}
     b_items = [(e, sum(e), c) for e, c in b.terms.items()]
     for d, ca in a.terms.items():
@@ -143,7 +140,7 @@ def convolve(a: TorusElement, b: TorusElement, twist_sign: int = 1) -> TorusElem
             if td + te > bound:
                 continue
             c = ca * cb
-            k = _lambda(d, e, n) * twist_sign
+            k = lam(d, e) * twist_sign
             if k:
                 c = c.shifted(k)
             f = tuple(x + y for x, y in zip(d, e))
@@ -159,6 +156,7 @@ def torus_inverse(a: TorusElement) -> TorusElement:
     of an invertible series is the truncation of its inverse.
     """
     n, bound = a.n, a.truncation
+    lam = CyclicQuiver(n).lambda_form
     c0 = a.constant_term
     if c0.is_zero:
         raise ZeroDivisionError("constant term is zero; no inverse")
@@ -183,7 +181,7 @@ def torus_inverse(a: TorusElement) -> TorusElement:
                     if ce is None:
                         continue
                     term = cd * ce
-                    k = _lambda(d, e, n)
+                    k = lam(d, e)
                     if k:
                         term = term.shifted(k)
                     acc = acc + term
@@ -241,30 +239,34 @@ def dilog(n: int, truncation: int, d: DimVector) -> TorusElement:
     return TorusElement(n, truncation, terms)
 
 
+def integrate_modules(q: CyclicQuiver, truncation: int,
+                      modules: Iterable[ModuleIso]) -> TorusElement:
+    """Sum of the images t^chi(dM,dM) / |Aut M|(q) * y^(dim M) over the
+    given iso classes; classes above the truncation bound drop out."""
+    acc: Dict[DimVector, RationalFunction] = {}
+    for m in modules:
+        d = q.dim_of(m)
+        if sum(d) > truncation:
+            continue
+        c = RationalFunction(LaurentPoly.t_power(q.euler_form(d, d)), q.aut_poly(m))
+        s = acc.get(d)
+        acc[d] = c if s is None else s + c
+    return TorusElement(q.n, truncation, acc)
+
+
 def integrate(q: CyclicQuiver, m: ModuleIso, truncation: int) -> TorusElement:
     """Image of the iso class M: t^chi(dM,dM) / |Aut M|(q) * y^(dim M)."""
-    d = q.dim_of(m)
-    if sum(d) > truncation:
-        return TorusElement.zero(q.n, truncation)
-    chi = q.euler_form(d, d)
-    coeff = RationalFunction(LaurentPoly.t_power(chi), q.aut_poly(m))
-    return TorusElement.monomial(q.n, truncation, d, coeff)
+    return integrate_modules(q, truncation, [m])
 
 
 def integrate_iso_sum(q: CyclicQuiver, truncation: int,
                       keep: Optional[Callable[[ModuleIso], bool]] = None) -> TorusElement:
     """Sum of integrate over every iso class of total dim <= truncation
     passing the filter.  The zero class contributes the unit."""
-    acc: Dict[DimVector, RationalFunction] = {}
-    for m in q.enumerate_iso_classes(truncation):
-        if keep is not None and not keep(m):
-            continue
-        d = q.dim_of(m)
-        chi = q.euler_form(d, d)
-        c = RationalFunction(LaurentPoly.t_power(chi), q.aut_poly(m))
-        s = acc.get(d)
-        acc[d] = c if s is None else s + c
-    return TorusElement(q.n, truncation, acc)
+    modules: Iterable[ModuleIso] = q.enumerate_iso_classes(truncation)
+    if keep is not None:
+        modules = (m for m in modules if keep(m))
+    return integrate_modules(q, truncation, modules)
 
 
 def ordered_product(factors: Iterable[TorusElement], n: int, truncation: int) -> TorusElement:
@@ -274,27 +276,27 @@ def ordered_product(factors: Iterable[TorusElement], n: int, truncation: int) ->
     return acc
 
 
-def ez(z: StabilityFunction, truncation: int,
-       report: Optional[StableObjectReport] = None) -> TorusElement:
+def ez_factors(z: StabilityFunction, truncation: int, include_delta: bool = False
+               ) -> Tuple[List[DimVector], List[TorusElement]]:
+    """Dimension vectors and dilogarithms of the stable objects, phases
+    strictly decreasing; the delta-stable one only with include_delta."""
+    report = stable_objects(z)
+    dims = [z.quiver.dim_of_indec(r) for r in report.stables
+            if include_delta or r != report.delta_stable]
+    return dims, [dilog(z.n, truncation, d) for d in dims]
+
+
+def ez(z: StabilityFunction, truncation: int) -> TorusElement:
     """Dilogarithm product over stable objects of dimension != delta,
     phases strictly decreasing left to right."""
-    if report is None:
-        report = stable_objects(z)
-    q = z.quiver
-    factors = [dilog(z.n, truncation, q.dim_of_indec(r))
-               for r in report.stables if r != report.delta_stable]
-    return ordered_product(factors, z.n, truncation)
+    return ordered_product(ez_factors(z, truncation)[1], z.n, truncation)
 
 
-def delta_phase_indecomposables(z: StabilityFunction, truncation: int) -> List[Indecomposable]:
-    """Semistable uniserials whose phase equals the phase of Z(delta)."""
-    q = z.quiver
-    gamma = charge_of(z, q.delta)
-    out = []
-    for r in q.enumerate_indecomposables(truncation):
-        if phase_eq(charge_of_indec(z, r), gamma) and is_semistable(z, r):
-            out.append(r)
-    return out
+def phase_indecomposables(z: StabilityFunction, truncation: int,
+                          phase: GaussianRational) -> List[Indecomposable]:
+    """Semistable uniserials of length <= truncation with the given phase."""
+    return [r for r in z.quiver.enumerate_indecomposables(truncation)
+            if phase_eq(charge_of_indec(z, r), phase) and is_semistable(z, r)]
 
 
 def multisets_with_budget(parts: List[Indecomposable], budget: int,
@@ -313,35 +315,18 @@ def multisets_with_budget(parts: List[Indecomposable], budget: int,
     yield from extend(0, budget, [])
 
 
-def ez_delta(z: StabilityFunction, truncation: int) -> TorusElement:
-    """Integration of the delta-phase subcategory: the sum of integrate
-    over all semistables of phase gamma (direct sums included)."""
-    q = z.quiver
-    parts = delta_phase_indecomposables(z, truncation)
-    acc: Dict[DimVector, RationalFunction] = {}
-    for m in multisets_with_budget(parts, truncation, lambda r: r.length):
-        d = q.dim_of(m)
-        chi = q.euler_form(d, d)
-        c = RationalFunction(LaurentPoly.t_power(chi), q.aut_poly(m))
-        s = acc.get(d)
-        acc[d] = c if s is None else s + c
-    return TorusElement(q.n, truncation, acc)
-
-
 def semistable_phase_factor(z: StabilityFunction, truncation: int,
-                            phase: "GaussianRational") -> TorusElement:
-    """Integration of one phase subcategory, built from first principles."""
-    q = z.quiver
-    parts = [r for r in q.enumerate_indecomposables(truncation)
-             if phase_eq(charge_of_indec(z, r), phase) and is_semistable(z, r)]
-    acc: Dict[DimVector, RationalFunction] = {}
-    for m in multisets_with_budget(parts, truncation, lambda r: r.length):
-        d = q.dim_of(m)
-        chi = q.euler_form(d, d)
-        c = RationalFunction(LaurentPoly.t_power(chi), q.aut_poly(m))
-        s = acc.get(d)
-        acc[d] = c if s is None else s + c
-    return TorusElement(q.n, truncation, acc)
+                            phase: GaussianRational) -> TorusElement:
+    """Integration of one phase subcategory: the sum of integrate over
+    all semistables of that phase, direct sums included."""
+    parts = phase_indecomposables(z, truncation, phase)
+    return integrate_modules(z.quiver, truncation,
+                             multisets_with_budget(parts, truncation, lambda r: r.length))
+
+
+def ez_delta(z: StabilityFunction, truncation: int) -> TorusElement:
+    """Integration of the delta-phase subcategory."""
+    return semistable_phase_factor(z, truncation, charge_of(z, z.quiver.delta))
 
 
 def torus_diff(a: TorusElement, b: TorusElement,

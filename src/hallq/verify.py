@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .exact import GaussianRational, phase_cmp, phase_eq
 from .hall import (CATALOG_BUDGET, budget_from_env,
-                   check_integration_homomorphism, interpolate_hall)
+                   check_integration_homomorphism, interpolate_hall, is_prime)
 from .quiver import CyclicQuiver, DimVector, ModuleIso
 from .stability import (NotDiscreteError, StabilityFunction,
                         charge_of_indec, delta_stable_via_ci,
@@ -29,7 +29,7 @@ from .stability import (NotDiscreteError, StabilityFunction,
                         random_restricted_discrete,
                         stable_indecomposables_up_to, stable_objects)
 from .torus import (TorusElement, apply_translate, convolve, dilog, ez,
-                    ez_delta, integrate_iso_sum, ordered_product,
+                    ez_delta, ez_factors, integrate_iso_sum, ordered_product,
                     semistable_phase_factor, torus_diff, torus_inverse)
 
 
@@ -60,11 +60,25 @@ class CampaignConfig:
     sabotage: Optional[str] = None
     verbose: bool = False
 
+    def __post_init__(self):
+        for key in ("n", "truncation", "trials", "seed", "bound", "max_total"):
+            value = getattr(self, key)
+            if type(value) is not int and not (key == "truncation" and value is None):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if any(type(p) is not int for p in self.primes):
+            raise ConfigError(f"primes must be integers, got {list(self.primes)!r}")
+
     def check(self, campaign: Optional[str] = None) -> "CampaignConfig":
         if self.n < 2:
             raise ConfigError("n must be at least 2")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if self.bound < 1:
+            raise ConfigError("bound must be at least 1")
+        if (len(self.primes) < 2 or len(set(self.primes)) != len(self.primes)
+                or not all(is_prime(p) for p in self.primes)):
+            raise ConfigError(f"primes must be at least two distinct primes, "
+                              f"got {list(self.primes)}")
         cfg = self
         if cfg.truncation is None:
             cfg = replace(cfg, truncation=2 * cfg.n)
@@ -78,6 +92,10 @@ class CampaignConfig:
                 raise ConfigError(
                     f"unknown sabotage mode {cfg.sabotage!r} for "
                     f"{campaign!r}; allowed: {', '.join(allowed) or 'none'}")
+            if cfg.n == 2 and cfg.sabotage in ("flip-twist", "reverse-order"):
+                raise ConfigError(
+                    f"sabotage mode {cfg.sabotage!r} cannot fail at n = 2: the "
+                    f"twist form vanishes there (λ ≡ 0), so the torus is commutative")
         return cfg
 
 
@@ -96,6 +114,21 @@ def _diff_limit(cfg: CampaignConfig) -> Optional[int]:
     return None if cfg.verbose else 20
 
 
+def _finish(payload: dict, witness: list) -> Tuple[bool, dict]:
+    payload["witness"] = witness
+    payload["ok"] = not witness
+    return not witness, payload
+
+
+def _first_mismatch(products: List[TorusElement], cfg: CampaignConfig) -> list:
+    """Witness for the first trial whose product differs from trial 0."""
+    for i in range(1, len(products)):
+        if products[i] != products[0]:
+            return [{"trials": [0, i],
+                     "diff": torus_diff(products[0], products[i], _diff_limit(cfg))}]
+    return []
+
+
 def _base(cfg: CampaignConfig, campaign: str) -> dict:
     return {
         "campaign": campaign,
@@ -104,7 +137,6 @@ def _base(cfg: CampaignConfig, campaign: str) -> dict:
         "seed": cfg.seed,
         "trials": cfg.trials,
         "sabotage": cfg.sabotage,
-        "witness": [],
     }
 
 
@@ -121,24 +153,21 @@ def campaign_stables(cfg: CampaignConfig) -> Tuple[bool, dict]:
         report = stable_objects(z)
     except NotDiscreteError as err:
         a, b = err.witness
-        payload["witness"] = [{
+        return _finish(payload, [{
             "reason": "equal phases",
             "pair": [[a.socle, a.length], [b.socle, b.length]],
-        }]
-        payload["ok"] = False
-        return False, payload
+        }])
     via_runs = delta_stable_via_ci(z)
-    agreed = via_runs == report.delta_stable
     payload.update(report.to_json(z))
     payload["delta_via_runs"] = [via_runs.socle, via_runs.length]
-    payload["ok"] = agreed
-    if not agreed:
-        payload["witness"] = [{
+    witness = []
+    if via_runs != report.delta_stable:
+        witness.append({
             "reason": "vertex-run location disagrees with brute force",
             "pair": [[via_runs.socle, via_runs.length],
                      [report.delta_stable.socle, report.delta_stable.length]],
-        }]
-    return agreed, payload
+        })
+    return _finish(payload, witness)
 
 
 def campaign_stable_properties(cfg: CampaignConfig) -> Tuple[bool, dict]:
@@ -165,29 +194,12 @@ def campaign_stable_properties(cfg: CampaignConfig) -> Tuple[bool, dict]:
         if bad:
             bad["trial"] = i
             witness.append(bad)
-    payload["witness"] = witness
-    payload["ok"] = not witness
-    return not witness, payload
+    return _finish(payload, witness)
 
 
 # ----------------------------------------------------------------------
 # Invariance of the stable-object product
 # ----------------------------------------------------------------------
-
-def _ez_factors(z: StabilityFunction, truncation: int,
-                include_delta: bool = False) -> Tuple[List[DimVector], List[TorusElement]]:
-    report = stable_objects(z)
-    q = z.quiver
-    dims: List[DimVector] = []
-    factors: List[TorusElement] = []
-    for r in report.stables:
-        if r == report.delta_stable and not include_delta:
-            continue
-        d = q.dim_of_indec(r)
-        dims.append(d)
-        factors.append(dilog(z.n, truncation, d))
-    return dims, factors
-
 
 def campaign_invariance(cfg: CampaignConfig) -> Tuple[bool, dict]:
     cfg = cfg.check("invariance")
@@ -198,7 +210,7 @@ def campaign_invariance(cfg: CampaignConfig) -> Tuple[bool, dict]:
     orders = []
     for i in range(cfg.trials):
         z = _z_for_trial(cfg, i)
-        dims, factors = _ez_factors(
+        dims, factors = ez_factors(
             z, cfg.truncation,
             include_delta=(cfg.sabotage == "include-delta" and i == 0))
         if cfg.sabotage == "reverse-order" and i == 0:
@@ -207,17 +219,7 @@ def campaign_invariance(cfg: CampaignConfig) -> Tuple[bool, dict]:
         orders.append([list(d) for d in dims])
     payload["factor_orders"] = orders
     payload["element_sha256"] = _element_digest(products[0])
-    witness = []
-    for i in range(1, cfg.trials):
-        if products[i] != products[0]:
-            witness.append({
-                "trials": [0, i],
-                "diff": torus_diff(products[0], products[i], _diff_limit(cfg)),
-            })
-            break
-    payload["witness"] = witness
-    payload["ok"] = not witness
-    return not witness, payload
+    return _finish(payload, _first_mismatch(products, cfg))
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +230,7 @@ def campaign_cyclic(cfg: CampaignConfig) -> Tuple[bool, dict]:
     cfg = cfg.check("cyclic")
     payload = _base(cfg, "cyclic")
     z = _z_for_trial(cfg, 0)
-    dims, factors = _ez_factors(z, cfg.truncation)
+    dims, factors = ez_factors(z, cfg.truncation)
     if cfg.sabotage == "drop-factor":
         dims, factors = dims[:-1], factors[:-1]
     element = ordered_product(factors, cfg.n, cfg.truncation)
@@ -243,9 +245,7 @@ def campaign_cyclic(cfg: CampaignConfig) -> Tuple[bool, dict]:
                 "diff": torus_diff(element, rotated, _diff_limit(cfg)),
             })
             break
-    payload["witness"] = witness
-    payload["ok"] = not witness
-    return not witness, payload
+    return _finish(payload, witness)
 
 
 # ----------------------------------------------------------------------
@@ -291,9 +291,7 @@ def campaign_hn_identity(cfg: CampaignConfig) -> Tuple[bool, dict]:
             })
         if witness:
             break
-    payload["witness"] = witness
-    payload["ok"] = not witness
-    return not witness, payload
+    return _finish(payload, witness)
 
 
 # ----------------------------------------------------------------------
@@ -336,8 +334,8 @@ def campaign_pentagon(cfg: CampaignConfig) -> Tuple[bool, dict]:
     for attempt in range(200):
         z1, z2 = _pentagon_candidates(cfg.n, attempt)
         try:
-            dims1, facs1 = _ez_factors(z1, cfg.truncation)
-            dims2, facs2 = _ez_factors(z2, cfg.truncation)
+            dims1, facs1 = ez_factors(z1, cfg.truncation)
+            dims2, facs2 = ez_factors(z2, cfg.truncation)
         except (NotDiscreteError, RuntimeError):
             continue
         k = 0
@@ -386,9 +384,7 @@ def campaign_pentagon(cfg: CampaignConfig) -> Tuple[bool, dict]:
                         "diff": torus_diff(bad, left, limit)})
     elif left != right:
         witness.append({"comparison": "simple-root identity", "diff": torus_diff(left, right, limit)})
-    payload["witness"] = witness
-    payload["ok"] = not witness
-    return not witness, payload
+    return _finish(payload, witness)
 
 
 # ----------------------------------------------------------------------
@@ -422,16 +418,8 @@ def campaign_jacobian(cfg: CampaignConfig) -> Tuple[bool, dict]:
     if not witness:
         payload["factor_orders"] = orders
         payload["element_sha256"] = _element_digest(products[0])
-        for i in range(1, len(products)):
-            if products[i] != products[0]:
-                witness.append({
-                    "trials": [0, i],
-                    "diff": torus_diff(products[0], products[i], _diff_limit(cfg)),
-                })
-                break
-    payload["witness"] = witness
-    payload["ok"] = not witness
-    return not witness, payload
+        witness = _first_mismatch(products, cfg)
+    return _finish(payload, witness)
 
 
 # ----------------------------------------------------------------------
@@ -463,9 +451,7 @@ def campaign_integration(cfg: CampaignConfig) -> Tuple[bool, dict]:
         if witness:
             break
     payload["pairs_checked"] = checked
-    payload["witness"] = witness
-    payload["ok"] = not witness
-    return not witness, payload
+    return _finish(payload, witness)
 
 
 # ----------------------------------------------------------------------
@@ -483,8 +469,7 @@ def hall_table(cfg: CampaignConfig, sub: ModuleIso, quo: ModuleIso) -> Tuple[boo
     payload["L"] = sub.to_json()
     payload["M"] = quo.to_json()
     payload["polynomials"] = [t.to_json() for t in table]
-    payload["ok"] = True
-    return True, payload
+    return _finish(payload, [])
 
 
 def hn_report(cfg: CampaignConfig, module: ModuleIso) -> Tuple[bool, dict]:
@@ -496,8 +481,7 @@ def hn_report(cfg: CampaignConfig, module: ModuleIso) -> Tuple[bool, dict]:
     payload["module"] = module.to_json()
     payload["strata"] = [{"subquotient": m.to_json(),
                           "charge": c.to_json()} for m, c in strata]
-    payload["ok"] = True
-    return True, payload
+    return _finish(payload, [])
 
 
 def ez_report(cfg: CampaignConfig) -> Tuple[bool, dict]:
@@ -507,8 +491,7 @@ def ez_report(cfg: CampaignConfig) -> Tuple[bool, dict]:
     payload = _base(cfg, "ez")
     payload["charges"] = z.to_json()["charges"]
     payload["element"] = element.to_json()
-    payload["ok"] = True
-    return True, payload
+    return _finish(payload, [])
 
 
 CAMPAIGNS = {

@@ -13,12 +13,11 @@ from hallq.exact import (
     rf_eq,
 )
 from hallq.quiver import CyclicQuiver, ModuleIso
-from hallq.stability import StabilityFunction, random_discrete, stable_objects
+from hallq.stability import StabilityFunction, charge_of, random_discrete
 from hallq.torus import (
     TorusElement,
     apply_translate,
     convolve,
-    delta_phase_indecomposables,
     dilog,
     dilog_coefficient,
     ez,
@@ -27,6 +26,7 @@ from hallq.torus import (
     integrate_iso_sum,
     multisets_with_budget,
     ordered_product,
+    phase_indecomposables,
     semistable_phase_factor,
     torus_diff,
     torus_inverse,
@@ -324,8 +324,7 @@ def z_ref():
 
 def test_ez_skips_the_delta_factor():
     z = z_ref()
-    report = stable_objects(z)
-    factors = ez(z, 6, report=report)
+    factors = ez(z, 6)
     # support below delta excludes multiples of (1,1,1) except 0
     assert factors.coefficient((1, 1, 1)) != RF_ZERO  # cross terms still land there
     assert factors.constant_term == RF_ONE
@@ -333,7 +332,7 @@ def test_ez_skips_the_delta_factor():
 
 def test_delta_phase_indecomposables():
     z = z_ref()
-    parts = delta_phase_indecomposables(z, 6)
+    parts = phase_indecomposables(z, 6, charge_of(z, Q3.delta))
     assert parts == [Q3.R(3, 3), Q3.R(3, 6)]
 
 

@@ -1,10 +1,15 @@
 """Tests for the verification campaigns and the command-line driver."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import hallq
 from hallq.cli import build_parser, main, parse_module
 from hallq.exact import GaussianRational
 from hallq.quiver import CyclicQuiver, ModuleIso
@@ -51,6 +56,21 @@ def test_config_rejects_bad_values():
         CampaignConfig(truncation=0).check()
     with pytest.raises(ConfigError):
         CampaignConfig(n=2, explicit_z=Z_REF).check()
+
+
+def test_config_rejects_bad_primes():
+    for primes in ((2,), (2, 2), (2, 4), (1, 3)):
+        with pytest.raises(ConfigError):
+            CampaignConfig(primes=primes).check()
+
+
+def test_config_rejects_non_integers():
+    for key, value in (("n", 2.7), ("trials", True), ("truncation", "6"),
+                       ("bound", 3.0), ("seed", None)):
+        with pytest.raises(ConfigError):
+            CampaignConfig(**{key: value})
+    with pytest.raises(ConfigError):
+        CampaignConfig(primes=(2, 3.0))
 
 
 def test_config_rejects_unknown_sabotage():
@@ -202,6 +222,18 @@ def test_sabotage_integration_flip_twist():
     assert not ok
 
 
+@pytest.mark.parametrize("campaign,mode", [
+    ("hn-identity", "flip-twist"),
+    ("integration", "flip-twist"),
+    ("invariance", "reverse-order"),
+])
+def test_sabotage_that_cannot_fail_at_n2_is_refused(campaign, mode):
+    # lambda vanishes at n = 2, so the torus is commutative and these
+    # modes would leave every comparison intact
+    with pytest.raises(ConfigError, match="λ ≡ 0"):
+        CampaignConfig(n=2, sabotage=mode).check(campaign)
+
+
 # ----------------------------------------------------------------------
 # Module expression parsing
 # ----------------------------------------------------------------------
@@ -277,6 +309,52 @@ def test_cli_verify_sabotage_exits_one(capsys):
                            "--sabotage", "reverse-order")
     assert code == 1
     assert json.loads(out)["report"]["ok"] is False
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "hn-identity", "--sabotage", "flip-twist"], 2),
+    (["verify", "integration", "--sabotage", "flip-twist"], 2),
+    (["verify", "invariance", "--sabotage", "reverse-order"], 2),
+    (["verify", "invariance", "--sabotage", "include-delta"], 1),
+    (["verify", "cyclic", "--sabotage", "drop-factor"], 1),
+])
+def test_cli_sabotage_at_n2(capsys, argv, code):
+    got, _, err = run_cli(capsys, *argv, "--n", "2", "--trunc", "4",
+                          "--trials", "2")
+    assert got == code
+    if code == 2:
+        assert "λ ≡ 0" in err
+
+
+@pytest.mark.parametrize("primes", ["2,2", "2,4", "3"])
+def test_cli_bad_primes_exit_two_without_traceback(primes):
+    run = subprocess.run(
+        [sys.executable, "-m", "hallq", "hall", "S1", "S1", "--n", "2",
+         "--primes", primes],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(hallq.__file__).parents[1])))
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert "primes" in run.stderr
+
+
+@pytest.mark.parametrize("data,key", [
+    ({"truncation": "6"}, "truncation"),
+    ({"n": 2.7}, "n"),
+    ({"trials": True}, "trials"),
+    ({"primes": "2,3"}, "primes"),
+])
+def test_cli_config_values_must_be_integers(capsys, tmp_path, data, key):
+    cfg = write_config(tmp_path, **data)
+    code, _, err = run_cli(capsys, "verify", "invariance", "--config", cfg)
+    assert code == 2
+    assert key in err
+
+
+def test_cli_bound_must_be_positive(capsys):
+    code, _, err = run_cli(capsys, "ez", "--seed", "0", "--bound", "0")
+    assert code == 2
+    assert "bound" in err and "randrange" not in err
 
 
 def test_cli_verify_bad_sabotage_exits_two(capsys):

@@ -1,7 +1,9 @@
 """Command-line driver.
 
 Exit codes: 0 all assertions pass, 1 a mathematical comparison failed
-(report carries a witness), 2 invalid input, configuration, or budget.
+(report carries a witness), 2 invalid input, configuration, or budget,
+3 an internal fault (one ``internal error:`` line on stderr, no
+traceback).
 Reports are canonical JSON with sorted keys; wall-clock time lives in a
 separate top-level field so the "report" subtree is byte-stable per
 seed.
@@ -17,13 +19,19 @@ import time
 from fractions import Fraction
 from typing import Optional, Tuple
 
+from .exact import PhaseDomainError
 from .hall import BudgetError, InterpolationError
 from .quiver import CyclicQuiver, ModuleIso
-from .stability import StabilityFunction
+from .stability import NotDiscreteError, StabilityFunction
 from .verify import (CAMPAIGNS, CampaignConfig, ConfigError, campaign_stables,
                      ez_report, hall_table, hn_report)
 
 _MODULE_TOKEN = re.compile(r"^(?:[Ss](\d+)|[Rr](\d+),(\d+))$")
+
+# Exceptions that mean the input is at fault (exit 2); NotDiscreteError
+# is raised for explicit charges with two stable objects of equal phase.
+INPUT_ERRORS = (ConfigError, BudgetError, InterpolationError, PhaseDomainError,
+                NotDiscreteError)
 
 
 def parse_module(text: str, q: CyclicQuiver) -> ModuleIso:
@@ -39,6 +47,8 @@ def parse_module(text: str, q: CyclicQuiver) -> ModuleIso:
                 f"cannot parse module {token!r}; use S<i>, R<i>,<l>, '+', or '0'")
         if m.group(1) is not None:
             parts.append(q.simple(int(m.group(1))))
+        elif int(m.group(3)) < 1:
+            raise ConfigError(f"module {token.strip()!r} has length 0; lengths are positive")
         else:
             parts.append(q.R(int(m.group(2)), int(m.group(3))))
     return ModuleIso.of(*parts)
@@ -56,6 +66,8 @@ def _parse_charges(raw) -> StabilityFunction:
         pairs = [(Fraction(re_), Fraction(im)) for re_, im in raw]
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad charges entry: {err}")
+    if len(pairs) < 2:
+        raise ConfigError(f"charges need one entry per vertex, n >= 2; got {len(pairs)}")
     return StabilityFunction.of(pairs)
 
 
@@ -157,12 +169,12 @@ def _dispatch(args) -> Tuple[bool, dict]:
     if args.command == "stables":
         return campaign_stables(_build_config(args, require_z_or_seed=True))
     if args.command == "hn":
-        cfg = _build_config(args)
+        cfg = _build_config(args).check()
         return hn_report(cfg, parse_module(args.module, CyclicQuiver(cfg.n)))
     if args.command == "ez":
         return ez_report(_build_config(args))
     if args.command == "hall":
-        cfg = _build_config(args)
+        cfg = _build_config(args).check()
         q = CyclicQuiver(cfg.n)
         return hall_table(cfg, parse_module(args.left, q),
                           parse_module(args.right, q))
@@ -176,9 +188,13 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         ok, payload = _dispatch(args)
-    except (ConfigError, BudgetError, InterpolationError, ValueError) as err:
+    except INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        # a broken invariant is the program's fault, not the input's
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
     elapsed = time.perf_counter() - started
     text = json.dumps({"report": payload, "timing_seconds": round(elapsed, 6)},
                       sort_keys=True, indent=2)

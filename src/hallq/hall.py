@@ -31,6 +31,10 @@ from .torus import convolve, integrate
 Matrix = Tuple[Tuple[int, ...], ...]
 
 
+class ConfigError(ValueError):
+    """Invalid configuration; mapped to exit code 2 by the CLI."""
+
+
 class BudgetError(ValueError):
     """An oracle call exceeded its enumeration budget."""
 
@@ -76,7 +80,7 @@ def budget_from_env(base: Budget = DEFAULT_BUDGET) -> Budget:
             return base.widened(parts[0], parts[1])
     except ValueError:
         pass
-    raise ValueError(f"cannot parse {ENV_BUDGET}={raw!r}; expected 'total,prime'")
+    raise ConfigError(f"cannot parse {ENV_BUDGET}={raw!r}; expected 'total,prime'")
 
 
 def is_prime(p: int) -> bool:

@@ -19,8 +19,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .exact import GaussianRational, phase_cmp, phase_eq
-from .hall import (CATALOG_BUDGET, budget_from_env,
-                   check_integration_homomorphism, interpolate_hall, is_prime)
+from .hall import (CATALOG_BUDGET, ENV_BUDGET, BudgetError, ConfigError,
+                   budget_from_env, check_integration_homomorphism,
+                   interpolate_hall, is_prime)
 from .quiver import CyclicQuiver, DimVector, ModuleIso
 from .stability import (NotDiscreteError, StabilityFunction,
                         charge_of_indec, delta_stable_via_ci,
@@ -33,8 +34,23 @@ from .torus import (TorusElement, apply_translate, convolve, dilog, ez,
                     semistable_phase_factor, torus_diff, torus_inverse)
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; mapped to exit code 2 by the CLI."""
+# Cap on the keys of a truncated torus, C(D + n, n) dimension vectors of
+# total <= D; ez(6, 12) needs 18,564.  Checked by the commands that build
+# torus elements before they build any.
+TORUS_KEY_BUDGET = 20_000
+TORUS_COMMANDS = ("ez", "invariance", "cyclic", "hn-identity", "pentagon", "jacobian")
+
+
+def _torus_key_count(n: int, truncation: int) -> Optional[int]:
+    """C(truncation + n, n), or None once the partial binomials
+    C(truncation + n, k), k <= min(n, truncation), pass TORUS_KEY_BUDGET
+    squared, so that absurd sizes are refused without big arithmetic."""
+    keys = 1
+    for k in range(1, min(n, truncation) + 1):
+        keys = keys * (truncation + n + 1 - k) // k
+        if keys > TORUS_KEY_BUDGET ** 2:
+            return None
+    return keys
 
 
 SABOTAGE_MODES: Dict[str, Tuple[str, ...]] = {
@@ -84,6 +100,13 @@ class CampaignConfig:
             cfg = replace(cfg, truncation=2 * cfg.n)
         if cfg.truncation < 1:
             raise ConfigError("truncation must be at least 1")
+        if campaign in TORUS_COMMANDS:
+            keys = _torus_key_count(cfg.n, cfg.truncation)
+            if keys is None or keys > TORUS_KEY_BUDGET:
+                shown = keys if keys is not None else f"more than {TORUS_KEY_BUDGET ** 2}"
+                raise BudgetError(
+                    f"truncation {cfg.truncation} at n = {cfg.n} needs {shown} "
+                    f"torus keys; the budget is {TORUS_KEY_BUDGET}")
         if cfg.explicit_z is not None and cfg.explicit_z.n != cfg.n:
             raise ConfigError("explicit stability function has the wrong n")
         if cfg.sabotage is not None:
@@ -431,6 +454,9 @@ def campaign_integration(cfg: CampaignConfig) -> Tuple[bool, dict]:
     payload = _base(cfg, "integration")
     q = CyclicQuiver(cfg.n)
     budget = budget_from_env(CATALOG_BUDGET)
+    if cfg.max_total > budget.hall_total:
+        raise BudgetError(f"max_total {cfg.max_total} exceeds the Hall budget "
+                          f"total {budget.hall_total} (override via {ENV_BUDGET})")
     twist = -1 if cfg.sabotage == "flip-twist" else 1
     classes = list(q.enumerate_iso_classes(cfg.max_total))
     checked = 0
@@ -485,7 +511,7 @@ def hn_report(cfg: CampaignConfig, module: ModuleIso) -> Tuple[bool, dict]:
 
 
 def ez_report(cfg: CampaignConfig) -> Tuple[bool, dict]:
-    cfg = cfg.check()
+    cfg = cfg.check("ez")
     z = _z_for_trial(cfg, 0)
     element = ez(z, cfg.truncation)
     payload = _base(cfg, "ez")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hallq import exact
 from hallq.exact import (
     GaussianRational,
     LaurentPoly,
@@ -27,6 +28,8 @@ from hallq.exact import (
     rf_mul,
     rf_neg,
 )
+from hallq.quiver import CyclicQuiver
+from hallq.torus import dilog_coefficient
 
 
 def g(re, im):
@@ -306,3 +309,88 @@ def test_rf_eq_matches_pointwise_evaluation():
         else:
             assert vals_a != vals_b
         checked += 1
+
+
+# ----------------------------------------------------------------------
+# Heuristic gcd with cofactors against the PRS oracle
+# ----------------------------------------------------------------------
+
+def _oracle_cofactors(a, b):
+    g = exact._ipoly_gcd(a, b)
+    return g, exact._iexact_div(a, g), exact._iexact_div(b, g)
+
+
+def _check_cofactors(a, b):
+    got = exact._igcd_cofactors(a, b)
+    assert got == _oracle_cofactors(a, b)
+    g, ca, cb = got
+    assert exact._iconv(g, ca) == a
+    assert exact._iconv(g, cb) == b
+    return got
+
+
+# integer polynomials with nonzero constant and leading terms, as
+# RationalFunction hands them to the kernel
+int_poly = st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=5).map(
+    tuple).filter(lambda p: p[0] != 0 and p[-1] != 0)
+
+
+@given(int_poly, int_poly, int_poly)
+def test_igcd_cofactors_matches_prs_on_shared_factor(f, a, b):
+    fa, fb = exact._iconv(f, a), exact._iconv(f, b)
+    g, _, _ = _check_cofactors(fa, fb)
+    exact._iexact_div(g, exact._iprimitive(f))  # raises unless f divides the gcd
+
+
+def test_igcd_cofactors_one_coefficient_inputs():
+    for a, b in [((5,), (1, 2, 3)), ((-3, 1, 2), (-4,)), ((-4,), (6,))]:
+        assert _check_cofactors(a, b) == ((1,), a, b)
+
+
+def test_igcd_cofactors_coprime_and_negative_leading():
+    assert _check_cofactors((1, 1), (2, 1)) == ((1,), (1, 1), (2, 1))
+    assert _check_cofactors((1, 0, 1), (1, 1))[0] == (1,)
+    # -(t + 1)(t + 2) and (t + 1)(3 - t): gcd t + 1, signs stay on the cofactors
+    a = exact._iconv((-1, -1), (2, 1))
+    b = exact._iconv((1, 1), (3, -1))
+    assert _check_cofactors(a, b) == ((1, 1), (-2, -1), (3, -1))
+    # content is kept on the cofactors, not on the primitive gcd
+    assert _check_cofactors((6, 6), (-4, -4)) == ((1, 1), (6,), (-4,))
+
+
+def _occurring_denominators():
+    # products of (q^k - 1), the dilogarithm denominators prod_j (q^m - q^j)
+    # for m <= 8, and |Aut M|(q) for the iso classes of total <= 4 at n = 3
+    q_minus_1 = [LaurentPoly.from_q_coeffs([-1] + [0] * (k - 1) + [1]) for k in range(1, 7)]
+    dens = []
+    prod = LaurentPoly.one()
+    for p in q_minus_1:
+        prod = prod * p
+        dens.append(prod)
+    dens += [q_minus_1[1] * q_minus_1[1] * q_minus_1[2], q_minus_1[0] * q_minus_1[3]]
+    dens += [dilog_coefficient(m).den for m in range(1, 9)]
+    quiver = CyclicQuiver(3)
+    dens += [quiver.aut_poly(m) for m in quiver.enumerate_iso_classes(4)]
+    return sorted({d._ints for d in dens})
+
+
+def test_igcd_cofactors_on_occurring_denominators(monkeypatch):
+    calls = []
+    oracle = exact._ipoly_gcd
+    monkeypatch.setattr(exact, "_ipoly_gcd", lambda a, b: calls.append(1) or oracle(a, b))
+    dens = _occurring_denominators()
+    got = {(a, b): exact._igcd_cofactors(a, b) for a in dens for b in dens}
+    assert not calls  # the heuristic decided every pair
+    monkeypatch.setattr(exact, "_ipoly_gcd", oracle)
+    for (a, b), result in got.items():
+        assert result == _oracle_cofactors(a, b)
+    assert any(len(g) > 1 for g, _, _ in got.values())
+
+
+def test_igcd_cofactors_fallback_gets_the_prs_answer(monkeypatch):
+    monkeypatch.setattr(exact, "_HEU_GCD_TRIES", 0)
+    a = exact._iconv((-1, 0, 1), (1, 1, 1))
+    b = exact._iconv((-1, 0, 1), (2, -3))
+    assert _check_cofactors(a, b) == ((-1, 0, 1), (1, 1, 1), (2, -3))
+    for d in _occurring_denominators()[:6]:
+        _check_cofactors(d, exact._iconv(d, (3, -1)))

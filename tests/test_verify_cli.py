@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,12 +13,14 @@ import pytest
 import hallq
 from hallq.cli import build_parser, main, parse_module
 from hallq.exact import GaussianRational
+from hallq.hall import BudgetError
 from hallq.quiver import CyclicQuiver, ModuleIso
 from hallq.stability import StabilityFunction
 from hallq.verify import (
     CampaignConfig,
     ConfigError,
     SABOTAGE_MODES,
+    TORUS_KEY_BUDGET,
     campaign_cyclic,
     campaign_hn_identity,
     campaign_integration,
@@ -431,3 +434,94 @@ def test_cli_flag_overrides_config_file(capsys, tmp_path):
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+# ----------------------------------------------------------------------
+# Exit codes: bad input is 2, an internal fault is 3
+# ----------------------------------------------------------------------
+
+NON_DISCRETE = [["1", "1"], ["1", "1"], ["1", "1"]]
+
+
+@pytest.mark.parametrize("argv,config,env", [
+    (["ez"], {"charges": NON_DISCRETE}, None),
+    (["verify", "cyclic"], {"charges": NON_DISCRETE}, None),
+    (["hn", "--n", "1", "--module", "S1"], None, None),
+    (["hall", "--n", "1", "S1", "S1"], None, None),
+    (["hn", "--seed", "0", "--module", "R1,0"], None, None),
+    (["hall", "R1,0", "S1"], None, None),
+    (["stables"], {"charges": [["1", "1"]]}, None),
+    (["stables"], {"charges": [["1", "-1"], ["1", "1"], ["1", "1"]]}, None),
+    (["hall", "S1", "S1"], None, "abc"),
+])
+def test_cli_bad_input_exits_two(capsys, monkeypatch, tmp_path, argv, config, env):
+    if config is not None:
+        argv = argv + ["--config", write_config(tmp_path, **config)]
+    if env is not None:
+        monkeypatch.setenv("HALLQ_BUDGET_OVERRIDE", env)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "internal error" not in err
+
+
+def test_cli_internal_fault_exits_three(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("dimension vectors do not add up")
+
+    monkeypatch.setattr("hallq.verify.ez_factors", broken)
+    code, out, err = run_cli(capsys, "verify", "cyclic", "--n", "3", "--trunc", "4")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: ValueError: dimension vectors do not add up\n"
+
+
+# ----------------------------------------------------------------------
+# Budgets checked before any work
+# ----------------------------------------------------------------------
+
+def _refuse_work(monkeypatch, *names):
+    def reached(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    for name in names:
+        monkeypatch.setattr(f"hallq.verify.{name}", reached)
+
+
+def test_cli_integration_above_hall_budget_refused_up_front(capsys, monkeypatch, tmp_path):
+    _refuse_work(monkeypatch, "check_integration_homomorphism")
+    cfg = write_config(tmp_path, max_total=9)
+    started = time.perf_counter()
+    code, _, err = run_cli(capsys, "verify", "integration", "--n", "3", "--config", cfg)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "max_total 9" in err and "Traceback" not in err
+
+
+def test_integration_budget_override_widens_the_up_front_check(monkeypatch):
+    monkeypatch.setattr("hallq.verify.check_integration_homomorphism",
+                        lambda *args, **kwargs: (True, {}))
+    monkeypatch.setenv("HALLQ_BUDGET_OVERRIDE", "5,13")
+    ok, payload = campaign_integration(CampaignConfig(n=2, max_total=5))
+    assert ok and payload["pairs_checked"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["ez"], ["verify", "invariance"], ["verify", "cyclic"],
+    ["verify", "hn-identity"], ["verify", "pentagon"], ["verify", "jacobian"],
+])
+def test_cli_torus_key_budget_refused_up_front(capsys, monkeypatch, argv):
+    # C(24 + 4, 4) = 20,475 keys, just over the cap
+    _refuse_work(monkeypatch, "_z_for_trial", "ez", "ez_factors", "dilog",
+                 "integrate_iso_sum", "ordered_product", "random_restricted_discrete")
+    code, _, err = run_cli(capsys, *argv, "--n", "4", "--trunc", "24")
+    assert code == 2
+    assert "20475 torus keys" in err
+
+
+def test_torus_key_budget_bounds():
+    assert TORUS_KEY_BUDGET == 20_000
+    CampaignConfig(n=6, truncation=12).check("ez")  # 18,564 keys
+    CampaignConfig(n=10).check()  # hall tables have no torus cap
+    CampaignConfig(n=10).check("stables")
+    with pytest.raises(BudgetError, match="more than"):
+        CampaignConfig(n=10 ** 6, truncation=2 * 10 ** 6).check("ez")

@@ -3,7 +3,7 @@
 Matrix realizations of modules, a Hom/Ext dimension solver, exhaustive
 automorphism counting, submodule enumeration behind the counts
 F_{L,M}^N (submodules of N isomorphic to L with quotient isomorphic to
-M), Lagrange interpolation of the counting polynomials in q, and the
+M), Newton interpolation of the counting polynomials in q, and the
 check that integration intertwines the counting product with the
 twisted torus product.
 
@@ -13,6 +13,16 @@ bottom k basis vectors of a uniserial chain is exactly its length-k
 subobject.  Iso types of subs and quotients are recovered from the
 numbers dim Hom(R(i,l), X), which determine multiplicities through a
 finite difference in (socle, length).
+
+For a submodule U of N and the arrow composite C = C_{j,m} from the top
+vertex of R(j,m) to vertex j-1, those numbers depend on one vertex's
+subspace each:
+
+    dim Hom(R(j,m), U)   = dim(U_top ∩ ker C),
+    dim Hom(R(j,m), N/U) = dim ker C + dim(im C ∩ U_{j-1}) - dim U_top.
+
+So the census reads every sub and quotient type off per-subspace
+signatures, with no linear algebra per submodule.
 """
 
 from __future__ import annotations
@@ -269,20 +279,15 @@ def _hom_profile(rep: FiniteFieldRep, max_len: int) -> Dict[Tuple[int, int], int
     return H
 
 
-def iso_class_of(rep: FiniteFieldRep) -> ModuleIso:
-    """Recover the iso type from Hom dimensions out of the uniserials.
+def _classify(n: int, dims: DimVector, H: Dict[Tuple[int, int], int]) -> ModuleIso:
+    """The iso type with dimension vector `dims` whose Hom dimensions out
+    of the uniserials are H[(j, m)] = dim Hom(R(j, m), X), for socles
+    j = 1..n and lengths m <= sum(dims) + 1.
 
     mult(j, m) = H(j,m) - H(j+1,m-1) - H(j,m+1) + H(j+1,m), a second
     difference that isolates the summand R(j, m).
     """
-    total = sum(rep.dims)
-    if total == 0:
-        return ModuleIso.zero()
-    q = CyclicQuiver(rep.n)
-    if all(not any(any(row) for row in mat) for mat in rep.maps):
-        parts = [q.simple(v + 1) for v in range(rep.n) for _ in range(rep.dims[v])]
-        return ModuleIso.of(*parts)
-    H = _hom_profile(rep, total + 1)
+    q = CyclicQuiver(n)
 
     def h(j: int, m: int) -> int:
         if m <= 0:
@@ -290,15 +295,27 @@ def iso_class_of(rep: FiniteFieldRep) -> ModuleIso:
         return H[(q.vertex(j), m)]
 
     parts = []
-    for j in range(1, rep.n + 1):
-        for m in range(1, total + 1):
+    for j in range(1, n + 1):
+        for m in range(1, sum(dims) + 1):
             mult = h(j, m) - h(j + 1, m - 1) - h(j, m + 1) + h(j + 1, m)
             if mult < 0:
                 raise RuntimeError("negative multiplicity; classification broke")
             parts.extend([q.R(j, m)] * mult)
-    if q.dim_of(parts) != rep.dims:
+    if q.dim_of(parts) != dims:
         raise RuntimeError("classification does not fill the dimension vector")
     return ModuleIso.of(*parts)
+
+
+def iso_class_of(rep: FiniteFieldRep) -> ModuleIso:
+    """Recover the iso type from Hom dimensions out of the uniserials."""
+    total = sum(rep.dims)
+    if total == 0:
+        return ModuleIso.zero()
+    if all(not any(any(row) for row in mat) for mat in rep.maps):
+        q = CyclicQuiver(rep.n)
+        parts = [q.simple(v + 1) for v in range(rep.n) for _ in range(rep.dims[v])]
+        return ModuleIso.of(*parts)
+    return _classify(rep.n, rep.dims, _hom_profile(rep, total + 1))
 
 
 # ----------------------------------------------------------------------
@@ -482,6 +499,31 @@ def _sub_quotient_reps(rep: FiniteFieldRep,
 
 
 @lru_cache(maxsize=None)
+def _subspace_index(dim: int, p: int) -> Tuple[Tuple[Matrix, ...], Dict[Matrix, int]]:
+    """Every subspace of F_p^dim by its reduced echelon basis, the zero
+    space first and the whole space last, and the position of each."""
+    bases = tuple(basis for k in range(dim + 1) for basis, _ in _subspaces(dim, k, p))
+    return bases, {basis: i for i, basis in enumerate(bases)}
+
+
+@lru_cache(maxsize=None)
+def _meet_dim(dim: int, p: int, a: int, b: int) -> int:
+    """dim(S_a ∩ S_b) for subspaces of F_p^dim numbered by `_subspace_index`."""
+    bases = _subspace_index(dim, p)[0]
+    if a == 0 or b == 0:
+        return 0
+    if len(bases[a]) == dim or len(bases[b]) == dim:
+        return min(len(bases[a]), len(bases[b]))
+    return len(bases[a]) + len(bases[b]) - _rank_mod(bases[a] + bases[b], dim, p)
+
+
+def _sorted_census(tally: Dict[Tuple[ModuleIso, ModuleIso], int]
+                   ) -> Tuple[Tuple[ModuleIso, ModuleIso, int], ...]:
+    return tuple((l, m, c) for (l, m), c in sorted(
+        tally.items(), key=lambda kv: (kv[0][0].to_json(), kv[0][1].to_json())))
+
+
+@lru_cache(maxsize=None)
 def submodule_census(n: int, big: ModuleIso, p: int
                      ) -> Tuple[Tuple[ModuleIso, ModuleIso, int], ...]:
     """Classify every submodule of the realization of `big` over F_p.
@@ -489,7 +531,108 @@ def submodule_census(n: int, big: ModuleIso, p: int
     Returns (sub type, quotient type, count) triples covering all
     subspace dimension vectors at once, so one sweep answers every
     F_{L,M}^big query at this prime.
+
+    Subspaces are numbered per vertex.  The kernels and images of the
+    composites C_{j,m} of `_hom_profile` are numbered too, and a subspace's
+    signature is the tuple of its meet dimensions with the whole space
+    and with each of those.  Invariance, A_v(U_v) inside U_{v-1}, and the
+    signatures are table lookups filled on first use; the identities in
+    the module docstring turn each distinct tuple of signatures into the
+    Hom profiles of sub and quotient, classified once.
     """
+    rep = realize(CyclicQuiver(n), big, p)
+    dims = rep.dims
+    bases = [_subspace_index(d, p)[0] for d in dims]
+
+    def span(v: int, rows) -> int:
+        return _subspace_index(dims[v], p)[1][_rref_mod(rows, dims[v], p)[0]]
+
+    # meets[v]: the subspaces of V_v whose meets with U_v make up U_v's
+    # signature, each with its slot there; the whole space is slot 0
+    meets: List[Dict[int, int]] = [{len(b) - 1: 0} for b in bases]
+
+    def slot(v: int, s: int) -> int:
+        return meets[v].setdefault(s, len(meets[v]))
+
+    # (j, m, top vertex, dim ker C, slot of ker C, vertex j-1, slot of im C)
+    comps = []
+    for j0 in range(n):
+        comp = rep.maps[j0]
+        target = (j0 - 1) % n
+        for m in range(1, sum(dims) + 2):
+            top = (j0 + m - 1) % n
+            if any(any(row) for row in comp):
+                kernel = _nullspace_mod(comp, dims[top], p)
+                image = [[row[c] for row in comp] for c in range(dims[top])]
+                comps.append((j0 + 1, m, top, len(kernel), slot(top, span(top, kernel)),
+                              target, slot(target, span(target, image))))
+            else:
+                comps.append((j0 + 1, m, top, dims[top], 0, target, slot(target, 0)))
+            nxt = (j0 + m) % n
+            comp = _mat_mul(comp, rep.maps[nxt], dims[nxt], p)
+
+    # images[v][u]: the subspace A_v(U_v) of V_{v-1}, U_v subspace u of V_v
+    images: List[List[int]] = []
+    for v in range(n):
+        amap, w = rep.maps[v], (v - 1) % n
+        if not any(any(row) for row in amap):
+            images.append([0] * len(bases[v]))
+            continue
+        images.append([span(w, [[sum(a * x for a, x in zip(arow, vec)) % p
+                                 for arow in amap] for vec in basis])
+                       for basis in bases[v]])
+
+    def inside(w: int, a: int, b: int) -> bool:
+        return _meet_dim(dims[w], p, a, b) == len(bases[w][a])
+
+    by_image: List[Dict[int, List[int]]] = [{} for _ in range(n)]
+    for v in range(n):
+        for u, a in enumerate(images[v]):
+            by_image[v].setdefault(a, []).append(u)
+    allowed: List[Dict[int, List[int]]] = [{} for _ in range(n)]
+
+    def landing_in(v: int, b: int) -> List[int]:
+        """The U_v with A_v(U_v) inside subspace b of V_{v-1}."""
+        if b not in allowed[v]:
+            w = (v - 1) % n
+            allowed[v][b] = [u for a, us in by_image[v].items() if inside(w, a, b)
+                             for u in us]
+        return allowed[v][b]
+
+    signatures: List[Dict[int, tuple]] = [{} for _ in range(n)]
+
+    def signature(v: int, u: int) -> tuple:
+        if u not in signatures[v]:
+            signatures[v][u] = tuple(_meet_dim(dims[v], p, u, s) for s in meets[v])
+        return signatures[v][u]
+
+    chains = [(u,) for u in range(len(bases[0]))]
+    for v in range(1, n):
+        chains = [c + (u,) for c in chains for u in landing_in(v, c[-1])]
+    tally: Dict[tuple, int] = {}
+    for chain in chains:
+        if inside(n - 1, images[0][chain[0]], chain[-1]):
+            key = tuple(signature(v, u) for v, u in enumerate(chain))
+            tally[key] = tally.get(key, 0) + 1
+
+    census: Dict[Tuple[ModuleIso, ModuleIso], int] = {}
+    for key, count in tally.items():
+        h_sub, h_quo = {}, {}
+        for j, m, top, dim_ker, ker_slot, target, im_slot in comps:
+            h_sub[(j, m)] = key[top][ker_slot]
+            h_quo[(j, m)] = dim_ker + key[target][im_slot] - key[top][0]
+        sub_dims = tuple(sig[0] for sig in key)
+        pair = (_classify(n, sub_dims, h_sub),
+                _classify(n, tuple(d - s for d, s in zip(dims, sub_dims)), h_quo))
+        census[pair] = census.get(pair, 0) + count
+    return _sorted_census(census)
+
+
+def _submodule_census_reference(n: int, big: ModuleIso, p: int
+                                ) -> Tuple[Tuple[ModuleIso, ModuleIso, int], ...]:
+    """`submodule_census` the slow way, kept as the oracle of its tests:
+    restrict and project the arrow maps onto every invariant subspace
+    tuple and classify sub and quotient with `iso_class_of`."""
     q = CyclicQuiver(n)
     rep = realize(q, big, p)
     tally: Dict[Tuple[ModuleIso, ModuleIso], int] = {}
@@ -502,8 +645,7 @@ def submodule_census(n: int, big: ModuleIso, p: int
                 continue
             key = (iso_class_of(pair[0]), iso_class_of(pair[1]))
             tally[key] = tally.get(key, 0) + 1
-    return tuple((l, m, c) for (l, m), c in sorted(
-        tally.items(), key=lambda kv: (kv[0][0].to_json(), kv[0][1].to_json())))
+    return _sorted_census(tally)
 
 
 def hall_count(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso, big: ModuleIso,
@@ -556,6 +698,8 @@ class HallPolynomial:
 
 
 def _lagrange(points: Sequence[Tuple[int, int]]) -> List[Fraction]:
+    """Rational coefficients of the fit, the oracle of `_newton`; it
+    also formats the coefficients of a fit that is not integral."""
     coeffs = [Fraction(0)] * len(points)
     for i, (xi, yi) in enumerate(points):
         term = [Fraction(yi)]
@@ -569,6 +713,35 @@ def _lagrange(points: Sequence[Tuple[int, int]]) -> List[Fraction]:
             term = nxt
         for k, c in enumerate(term):
             coeffs[k] += c
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _newton(points: Sequence[Tuple[int, int]]) -> Optional[List[int]]:
+    """Coefficients, constant term first and without trailing zeros, of
+    the polynomial through `points` (distinct integer nodes), or None when
+    one of them is not an integer.
+
+    Divided differences of an integer polynomial at integer nodes are
+    integers and the Newton basis has integer coefficients, so the fit is
+    integral exactly when every division here is exact.
+    """
+    xs = [x for x, _ in points]
+    dd = [y for _, y in points]
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - 1, level - 1, -1):
+            quot, rem = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - level])
+            if rem:
+                return None
+            dd[i] = quot
+    coeffs = [dd[-1]]
+    for c, x in zip(dd[-2::-1], xs[-2::-1]):
+        # coeffs <- coeffs * (q - x) + c
+        coeffs = [0] + coeffs
+        for k in range(len(coeffs) - 1):
+            coeffs[k] -= x * coeffs[k + 1]
+        coeffs[0] += c
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
@@ -595,13 +768,12 @@ def interpolate_hall(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso,
     budget = budget.widened(budget.hall_total,
                             max(max(primes), validate_prime))
     nodes = [(p, hall_count(q, sub, quo, big, p, budget)) for p in primes]
-    frac_coeffs = _lagrange(nodes)
-    if any(c.denominator != 1 for c in frac_coeffs):
+    coeffs = _newton(nodes)
+    if coeffs is None:
         raise InterpolationError(
-            f"non-integer coefficients {frac_coeffs}; add more primes")
-    coeffs = tuple(int(c) for c in frac_coeffs)
+            f"non-integer coefficients {_lagrange(nodes)}; add more primes")
     held = hall_count(q, sub, quo, big, validate_prime, budget)
-    fitted = HallPolynomial(sub, quo, big, coeffs,
+    fitted = HallPolynomial(sub, quo, big, tuple(coeffs),
                             tuple(nodes) + ((validate_prime, held),))
     if fitted.eval_q(validate_prime) != held:
         raise InterpolationError(

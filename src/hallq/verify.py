@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from .exact import GaussianRational, phase_cmp, phase_eq
 from .hall import (CATALOG_BUDGET, ENV_BUDGET, BudgetError, ConfigError,
                    budget_from_env, check_integration_homomorphism,
-                   interpolate_hall, is_prime)
+                   interpolate_hall, is_prime, next_prime)
 from .quiver import CyclicQuiver, DimVector, ModuleIso
 from .stability import (NotDiscreteError, StabilityFunction,
                         charge_of_indec, delta_stable_via_ci,
@@ -91,10 +91,21 @@ class CampaignConfig:
             raise ConfigError("trials must be at least 1")
         if self.bound < 1:
             raise ConfigError("bound must be at least 1")
+        # the cap comes before the trial division in is_prime, which a
+        # huge prime would keep busy for hours
+        cap = budget_from_env(CATALOG_BUDGET).hall_prime
+        if self.primes and max(self.primes) > cap:
+            raise BudgetError(f"prime {max(self.primes)} exceeds the Hall prime "
+                              f"budget {cap} (override via {ENV_BUDGET})")
         if (len(self.primes) < 2 or len(set(self.primes)) != len(self.primes)
                 or not all(is_prime(p) for p in self.primes)):
             raise ConfigError(f"primes must be at least two distinct primes, "
                               f"got {list(self.primes)}")
+        holdout = next_prime(max(self.primes))
+        if holdout > cap:
+            raise BudgetError(f"holdout prime {holdout} after primes "
+                              f"{list(self.primes)} exceeds the Hall prime "
+                              f"budget {cap} (override via {ENV_BUDGET})")
         cfg = self
         if cfg.truncation is None:
             cfg = replace(cfg, truncation=2 * cfg.n)

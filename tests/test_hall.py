@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hallq.exact import LaurentPoly, RationalFunction, rf_eq
 from hallq.hall import (
@@ -24,6 +25,9 @@ from hallq.hall import (
     next_prime,
     realize,
     submodule_census,
+    _lagrange,
+    _newton,
+    _submodule_census_reference,
 )
 from hallq.quiver import CyclicQuiver, ModuleIso
 
@@ -229,6 +233,22 @@ def test_census_respects_arrow_invariance():
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("n,totals,primes", [
+    (2, (0, 1, 2, 3), (2, 3, 5)),
+    (3, (0, 1, 2, 3), (2, 3, 5)),
+    (4, (0, 1, 2, 3), (2, 3, 5)),
+    (2, (4,), (2, 3)),
+    (3, (4,), (2, 3)),
+])
+def test_census_matches_reference(n, totals, primes):
+    q = CyclicQuiver(n)
+    bigs = [m for m in q.enumerate_iso_classes(max(totals))
+            if sum(q.dim_of(m)) in totals]
+    for big in bigs:
+        for p in primes:
+            assert submodule_census(n, big, p) == _submodule_census_reference(n, big, p), (big, p)
+
+
 def test_hall_count_anchors():
     s1, s2 = m_of(Q3, (1, 1)), m_of(Q3, (2, 1))
     r12 = m_of(Q3, (1, 2))
@@ -305,6 +325,48 @@ def test_interpolate_validation_prime_must_be_held_out():
                          validate_prime=3)
     with pytest.raises(ValueError):
         interpolate_hall(Q3, s1, s1, m_of(Q3, (1, 1), (1, 1)), (2,))
+
+
+def test_interpolation_error_messages(monkeypatch):
+    s1 = m_of(Q3, (1, 1))
+    big = m_of(Q3, (1, 1), (1, 1))
+    counts = {2: 0, 3: 1, 5: 0, 7: 0}
+    monkeypatch.setattr("hallq.hall.hall_count",
+                        lambda q, sub, quo, big, p, budget: counts[p])
+    nodes = [(2, 0), (3, 1), (5, 0)]
+    with pytest.raises(InterpolationError) as err:
+        interpolate_hall(Q3, s1, s1, big, (2, 3, 5))
+    assert str(err.value) == (f"non-integer coefficients {_lagrange(nodes)}; "
+                              "add more primes")
+    assert "Fraction(" in str(err.value)
+    counts.update({3: 0, 5: 1})
+    with pytest.raises(InterpolationError,
+                       match=r"^holdout mismatch at p=5: poly gives 0, count is 1$"):
+        interpolate_hall(Q3, s1, s1, big, (2, 3))
+
+
+NODES = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=2, max_size=6,
+                 unique=True)
+
+
+@given(NODES, st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=6, max_size=6))
+def test_newton_matches_lagrange_on_integer_polynomials(xs, coeffs):
+    coeffs = coeffs[:len(xs)]
+    points = [(x, sum(c * x ** k for k, c in enumerate(coeffs))) for x in xs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    assert _newton(points) == [int(c) for c in _lagrange(points)] == coeffs
+
+
+@given(NODES, st.lists(st.integers(-10 ** 9, 10 ** 9), min_size=6, max_size=6))
+def test_newton_refuses_exactly_the_non_integral_fits(xs, ys):
+    points = list(zip(xs, ys))
+    fractions = _lagrange(points)
+    newton = _newton(points)
+    if all(c.denominator == 1 for c in fractions):
+        assert newton == [int(c) for c in fractions]
+    else:
+        assert newton is None
 
 
 def test_hall_polynomial_json():

@@ -1,14 +1,18 @@
 """Tests for the verification campaigns and the command-line driver."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hallq
 from hallq.cli import build_parser, main, parse_module
@@ -17,9 +21,11 @@ from hallq.hall import BudgetError
 from hallq.quiver import CyclicQuiver, ModuleIso
 from hallq.stability import StabilityFunction
 from hallq.verify import (
+    CAMPAIGNS,
     CampaignConfig,
     ConfigError,
     SABOTAGE_MODES,
+    TORUS_COMMANDS,
     TORUS_KEY_BUDGET,
     campaign_cyclic,
     campaign_hn_identity,
@@ -525,3 +531,126 @@ def test_torus_key_budget_bounds():
     CampaignConfig(n=10).check("stables")
     with pytest.raises(BudgetError, match="more than"):
         CampaignConfig(n=10 ** 6, truncation=2 * 10 ** 6).check("ez")
+
+
+# ----------------------------------------------------------------------
+# Interpolation primes are capped before primality is tested
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def no_override(monkeypatch):
+    monkeypatch.delenv("HALLQ_BUDGET_OVERRIDE", raising=False)
+    return monkeypatch
+
+
+def test_cli_huge_prime_refused_before_primality_test(capsys, no_override):
+    started = time.perf_counter()
+    code, _, err = run_cli(capsys, "hall", "S1", "S1", "--n", "2",
+                           "--primes", "2,1000000000000000003")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "HALLQ_BUDGET_OVERRIDE" in err and "Traceback" not in err
+
+
+def test_cli_holdout_prime_above_cap_refused(capsys, no_override):
+    code, _, err = run_cli(capsys, "hall", "S1", "S1", "--n", "2",
+                           "--primes", "2,3,5,7,11,13")
+    assert code == 2
+    assert "holdout prime 17" in err and "HALLQ_BUDGET_OVERRIDE" in err
+
+
+def test_cli_prime_cap_widened_by_override(capsys, no_override):
+    no_override.setenv("HALLQ_BUDGET_OVERRIDE", "4,17")
+    code, out, _ = run_cli(capsys, "hall", "S1", "S1", "--n", "2",
+                           "--primes", "2,3,5,7,11,13")
+    assert code == 0
+    nodes = json.loads(out)["report"]["polynomials"][0]["nodes"]
+    assert [p for p, _ in nodes] == [2, 3, 5, 7, 11, 13, 17]
+
+
+def test_cli_default_primes_within_cap(capsys, no_override):
+    code, _, _ = run_cli(capsys, "hall", "S1", "S1", "--n", "2")
+    assert code == 0
+
+
+# ----------------------------------------------------------------------
+# Fuzz of the command-line and config surface
+# ----------------------------------------------------------------------
+
+FUZZ_COMMANDS = (
+    [["stables"], ["ez"], ["hn", "--module", "R1,2"], ["hn", "--module", "S1+S2"],
+     ["hall", "S1", "S2"], ["hall", "R1,2", "S1"], ["hall", "0", "R2,1"],
+     ["hall", "S1", "R0,1"]]
+    + [["verify", campaign] for campaign in sorted(CAMPAIGNS)])
+FLAGS = {"n": "--n", "truncation": "--trunc", "trials": "--trials",
+         "seed": "--seed", "bound": "--bound", "primes": "--primes",
+         "sabotage": "--sabotage"}
+JUNK = st.sampled_from([2.7, True, None, "3", "x", [2], {"a": 1}, -1, 0])
+HUGE = st.integers(10 ** 12, 10 ** 30)
+GOOD_PRIMES = st.lists(st.sampled_from((2, 3, 5, 7, 11)), min_size=2, max_size=4,
+                       unique=True)
+BAD_PRIMES = st.sampled_from([[], [3], [2, 2], [2, 4], [1, 3], [2, 13], ["2", 3],
+                              [2, 10 ** 18 + 3], "2,3", "2,x", "2,,3"])
+GOOD_CHARGES = st.just([["2", "1"], ["-2", "1"], ["1", "2"]])
+BAD_CHARGES = st.sampled_from([
+    [["1", "1"], ["1", "1"], ["1", "1"]], [["1", "1"]], [["a", "1"], ["1", "1"]],
+    [["1", "-1"], ["1", "1"], ["1", "1"]], "nope"])
+SABOTAGE = st.sampled_from(sorted({m for ms in SABOTAGE_MODES.values() for m in ms}))
+
+
+@st.composite
+def fuzz_invocations(draw):
+    """(argv, config dict).  Each value is well-formed nine times in ten.
+    n, truncation, trials and max_total are always set, so that a
+    well-formed draw stays small; huge integers go only where they must
+    be refused before any work."""
+
+    def pick(good, bad):
+        return draw(bad if draw(st.integers(0, 9)) == 0 else good)
+
+    command = draw(st.sampled_from(FUZZ_COMMANDS))
+    torus = command[0] == "ez" or command[-1] in TORUS_COMMANDS
+    huge = HUGE if torus else st.nothing()
+    values = {
+        "n": pick(st.integers(2, 3), st.one_of(JUNK, huge)),
+        "truncation": pick(st.integers(1, 4), st.one_of(JUNK, huge)),
+        "trials": pick(st.integers(1, 2), JUNK),
+        "max_total": pick(st.integers(0, 2), st.one_of(JUNK, HUGE)),
+    }
+    optional = {
+        "seed": (st.integers(0, 20), st.one_of(JUNK, HUGE)),
+        "bound": (st.integers(1, 8), st.one_of(JUNK, HUGE)),
+        "primes": (GOOD_PRIMES, BAD_PRIMES),
+        "sabotage": (SABOTAGE, st.just("bogus")),
+        "charges": (GOOD_CHARGES, BAD_CHARGES),
+    }
+    for key, (good, bad) in optional.items():
+        if draw(st.booleans()):
+            values[key] = pick(good, bad)
+    argv, config = list(command), {}
+    for key, value in values.items():
+        if key in FLAGS and draw(st.booleans()):
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            argv += [FLAGS[key], text]
+        else:
+            config[key] = value
+    return argv, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzz_invocations())
+def test_cli_fuzz_exit_codes_and_no_traceback(invocation):
+    argv, config = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--config", path])
+            except SystemExit as exit_:  # argparse rejects a malformed flag
+                code = exit_.code
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert "internal error" not in err.getvalue(), err.getvalue()

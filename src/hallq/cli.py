@@ -3,7 +3,8 @@
 Exit codes: 0 all assertions pass, 1 a mathematical comparison failed
 (report carries a witness), 2 invalid input, configuration, or budget,
 3 an internal fault (one ``internal error:`` line on stderr, no
-traceback).
+traceback).  A reader that closes standard output early (``| head``)
+truncates the printed report but does not change the exit code.
 Reports are canonical JSON with sorted keys; wall-clock time lives in a
 separate top-level field so the "report" subtree is byte-stable per
 seed.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -198,7 +200,15 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - started
     text = json.dumps({"report": payload, "timing_seconds": round(elapsed, 6)},
                       sort_keys=True, indent=2)
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): the printed report is
+        # truncated, the verdict stands; later flushes go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if args.json_out:
         try:
             with open(args.json_out, "w", encoding="utf-8") as fh:

@@ -13,7 +13,10 @@ Reduction to canonical form needs polynomial gcds over Z.  They come from
 one kernel, ``_igcd_cofactors``: the heuristic evaluation gcd of Char,
 Geddes and Gonnet, accepted only after exact division and returning the
 cofactors with the gcd, with the primitive pseudo-remainder gcd as the
-fallback (and as the reference the tests compare against).
+fallback (and as the reference the tests compare against).  The torus
+sums its coefficients without a gcd: their denominators are products of
+cyclotomic polynomials, and the private kernel ``_cyclo_sum`` brings such
+a sum to canonical form by exact division alone.
 
 No floating point is used anywhere; phase comparisons between Gaussian
 rationals are decided by exact cross products.  All values are immutable.
@@ -23,8 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterable, Sequence, Union
+from operator import add
+from typing import Iterable, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -501,7 +506,15 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
     def to_json(self) -> dict:
-        return {"t_low": self.t_low, "coeffs": [frac_str(c) for c in self.coefficients]}
+        """Coefficients rendered as frac_str would, without a Fraction."""
+        d = self._den
+        if d == 1:
+            return {"t_low": self.t_low, "coeffs": [str(x) for x in self._ints]}
+        coeffs = []
+        for x in self._ints:
+            g = gcd(x, d)
+            coeffs.append(str(x // g) if g == d else f"{x // g}/{d // g}")
+        return {"t_low": self.t_low, "coeffs": coeffs}
 
     @staticmethod
     def from_json(data: dict) -> "LaurentPoly":
@@ -697,6 +710,147 @@ class RationalFunction:
 
 RF_ZERO = RationalFunction._trusted(_LP_ZERO, _LP_ONE)
 RF_ONE = RationalFunction._trusted(_LP_ONE, _LP_ONE)
+
+
+# ----------------------------------------------------------------------
+# Sums over cyclotomic denominators (private kernel of the torus)
+# ----------------------------------------------------------------------
+# A denominator prod_i Phi_i(t)^e_i is held as its exponent vector, a
+# tuple of (i, e_i) pairs with i ascending and every e_i > 0; () is 1.
+# Since each Phi_i is irreducible over Q, a sum lifted to the
+# exponent-wise maximum of its denominators is brought to lowest terms by
+# exact division by the Phi_i alone, with no gcd.
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(i: int) -> tuple:
+    """Phi_i(t) = (t^i - 1) / prod_{d | i, d < i} Phi_d(t)."""
+    out = (-1,) + (0,) * (i - 1) + (1,)
+    for d in range(1, i):
+        if i % d == 0:
+            out = _iexact_div(out, _cyclotomic(d))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cyclo_den(exps: tuple) -> LaurentPoly:
+    """The monic denominator prod Phi_i^e_i; its exponents are recorded."""
+    if not exps:
+        return _LP_ONE
+    i, e = exps[-1]
+    rest = exps[:-1] + (((i, e - 1),) if e > 1 else ())
+    out = LaurentPoly(0, _iconv(_cyclo_den(rest)._ints, _cyclotomic(i)))
+    _CYCLO_EXPS[out._ints] = exps
+    return out
+
+
+@lru_cache(maxsize=None)
+def _exps_merge(a: tuple, b: tuple, op=add) -> tuple:
+    """Exponent vectors combined entrywise: add for a product, max for an lcm."""
+    out = dict(a)
+    for i, e in b:
+        out[i] = op(out.get(i, 0), e)
+    return tuple(sorted(out.items()))
+
+
+@lru_cache(maxsize=None)
+def _exps_sub(a: tuple, b: tuple) -> tuple:
+    """a - b for b <= a entrywise."""
+    have = dict(b)
+    return tuple((i, e - have.get(i, 0)) for i, e in a if e > have.get(i, 0))
+
+
+@lru_cache(maxsize=None)
+def _q_factor_exps(ks: tuple) -> tuple:
+    """Exponents of prod_{k in ks} (q^k - 1), as q^k - 1 = prod_{i | 2k} Phi_i."""
+    out = ()
+    for k in ks:
+        out = _exps_merge(out, tuple((i, 1) for i in range(1, 2 * k + 1) if 2 * k % i == 0))
+    return out
+
+
+def _divide_out(p: tuple, i: int, most: int) -> tuple:
+    """(p / Phi_i^e, e) for the largest e <= most with Phi_i^e dividing p."""
+    phi = _cyclotomic(i)
+    e = 0
+    while e < most and len(phi) <= len(p):
+        try:
+            p = _iexact_div(p, phi)
+        except ArithmeticError:
+            break
+        e += 1
+    return p, e
+
+
+# denominator coefficients -> exponent vector, or None if the denominator
+# is not a product of cyclotomic polynomials
+_CYCLO_EXPS: dict = {(1,): ()}
+
+
+def _cyclo_exponents(den: LaurentPoly) -> Optional[tuple]:
+    p = den._ints
+    if p not in _CYCLO_EXPS:
+        found = []
+        i = 1
+        # phi(i) >= 4 i / 15 for i < 210, so a factor Phi_i of a remainder
+        # of degree g has i < 4 g; larger indices are not tried (None)
+        while p[-1] == 1 and abs(p[0]) == 1 and len(p) > 1 and i < 4 * len(p):
+            p, e = _divide_out(p, i, len(p))
+            if e:
+                found.append((i, e))
+            i += 1
+        _CYCLO_EXPS[den._ints] = tuple(found) if p == (1,) else None
+    return _CYCLO_EXPS[den._ints]
+
+
+def _iadd_at(acc: list, off: int, a: Sequence[int]) -> None:
+    end = off + len(a)
+    if len(acc) < end:
+        acc.extend([0] * (end - len(acc)))
+    acc[off:end] = map(add, acc[off:end], a)
+
+
+def _cyclo_sum(terms: Iterable[tuple]) -> RationalFunction:
+    """Canonical sum of the terms (exps, s, a, da), each meaning
+    t^s * (a / da) / prod Phi_i^e_i with a ascending integer coefficients.
+
+    Terms over one denominator are added first; each such group is lifted
+    to the exponent-wise maximum of all denominators, and every Phi_i is
+    then cancelled from the integer numerator by exact division.
+    """
+    groups: dict = {}
+    lo, den = None, 1
+    for term in terms:
+        exps, s, _, da = term
+        groups.setdefault(exps, []).append(term)
+        if lo is None or s < lo:
+            lo = s
+        if da != den:
+            den = den * da // gcd(den, da)
+    top = ()
+    for exps in groups:
+        top = _exps_merge(top, exps, max)
+    total: list = []
+    for exps, group in groups.items():
+        acc: list = []
+        for _, s, a, da in group:
+            _iadd_at(acc, s - lo, a if da == den else [x * (den // da) for x in a])
+        lift = _exps_sub(top, exps)
+        _iadd_at(total, 0, _iconv(_itrim(acc), _cyclo_den(lift)._ints) if lift else acc)
+    num = _itrim(total)
+    if not num:
+        return RF_ZERO
+    k = next(j for j, x in enumerate(num) if x)
+    num, lo = num[k:], lo + k
+    left = top
+    if len(num) > 1:  # no Phi_i divides a monomial
+        left = []
+        for i, e in top:
+            num, done = _divide_out(num, i, e)
+            if done < e:
+                left.append((i, e - done))
+        left = tuple(left)
+    return RationalFunction._trusted(LaurentPoly(lo, num, den), _cyclo_den(left))
 
 
 # ----------------------------------------------------------------------

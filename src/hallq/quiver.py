@@ -181,37 +181,43 @@ class CyclicQuiver:
         return (hi - r) // self.n + 1
 
     def hom_dim_modules(self, a: ModuleIso, b: ModuleIso) -> int:
-        return sum(self.hom_dim(x, y) for x in a.summands for y in b.summands)
+        """sum of m_r m_s dim Hom(R_r, R_s) over the distinct summands."""
+        ca = a.counts().items()
+        cb = ca if b is a else b.counts().items()
+        return sum(ma * mb * self.hom_dim(x, y) for x, ma in ca for y, mb in cb)
 
     def end_dim(self, m: ModuleIso) -> int:
         return self.hom_dim_modules(m, m)
 
     # -- automorphism counts -------------------------------------------------
 
-    def aut_q_coeffs(self, m: ModuleIso) -> Dict[int, int]:
-        """|Aut(M over F_q)| as a polynomial in q: exponent -> coefficient.
+    def aut_factors(self, m: ModuleIso) -> Tuple[int, Tuple[int, ...]]:
+        """(e, ks) with |Aut(M over F_q)| = q^e * prod_{k in ks} (q^k - 1).
 
         For M with pairwise nonisomorphic parts R_r of multiplicity m_r,
-        |Aut M| = q^(dim End M) * prod_r prod_{k=1..m_r} (1 - q^-k).
+        |Aut M| = q^(dim End M) * prod_r prod_{k=1..m_r} (1 - q^-k), so
+        e = dim End M - sum_r m_r (m_r + 1) / 2 and ks lists 1..m_r for
+        every r, ascending.
         """
-        e = self.end_dim(m)
-        k_total = 0
-        poly = {0: 1}
-        for mult in m.counts().values():
-            k_total += mult * (mult + 1) // 2
-            for k in range(1, mult + 1):
-                nxt: Dict[int, int] = {}
-                for exp, c in poly.items():
-                    nxt[exp + k] = nxt.get(exp + k, 0) + c
-                    nxt[exp] = nxt.get(exp, 0) - c
-                poly = {exp: c for exp, c in nxt.items() if c}
-        return {exp + e - k_total: c for exp, c in poly.items()}
+        mults = m.counts().values()
+        e = self.end_dim(m) - sum(k * (k + 1) // 2 for k in mults)
+        return e, tuple(sorted(k for mult in mults for k in range(1, mult + 1)))
+
+    def aut_q_coeffs(self, m: ModuleIso) -> Dict[int, int]:
+        """|Aut(M over F_q)| as a polynomial in q: exponent -> coefficient."""
+        e, ks = self.aut_factors(m)
+        poly = {e: 1}
+        for k in ks:
+            nxt: Dict[int, int] = {}
+            for exp, c in poly.items():
+                nxt[exp + k] = nxt.get(exp + k, 0) + c
+                nxt[exp] = nxt.get(exp, 0) - c
+            poly = {exp: c for exp, c in nxt.items() if c}
+        return poly
 
     def aut_poly(self, m: ModuleIso) -> LaurentPoly:
         """|Aut(M)| as a polynomial in t with q = t**2 substituted."""
         coeffs = self.aut_q_coeffs(m)
-        if not coeffs:
-            return LaurentPoly.one()
         lo = min(coeffs)
         hi = max(coeffs)
         dense = [0] * (2 * (hi - lo) + 1)

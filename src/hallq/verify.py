@@ -40,6 +40,12 @@ from .torus import (TorusElement, apply_translate, convolve, dilog, ez,
 TORUS_KEY_BUDGET = 20_000
 TORUS_COMMANDS = ("ez", "invariance", "cyclic", "hn-identity", "pentagon", "jacobian")
 
+# Cap on the number of vertices, checked by every command before any work
+# that grows with n: the census of stable objects behind stables and hn
+# takes about 4 s at n = 32 and 16 s at n = 64, and nothing else bounds n
+# for them or for hall.
+MAX_VERTICES = 32
+
 
 def _torus_key_count(n: int, truncation: int) -> Optional[int]:
     """C(truncation + n, n), or None once the partial binomials
@@ -118,6 +124,8 @@ class CampaignConfig:
                 raise BudgetError(
                     f"truncation {cfg.truncation} at n = {cfg.n} needs {shown} "
                     f"torus keys; the budget is {TORUS_KEY_BUDGET}")
+        if cfg.n > MAX_VERTICES:
+            raise BudgetError(f"n = {cfg.n} exceeds the vertex budget {MAX_VERTICES}")
         if cfg.explicit_z is not None and cfg.explicit_z.n != cfg.n:
             raise ConfigError("explicit stability function has the wrong n")
         if cfg.sabotage is not None:

@@ -394,3 +394,74 @@ def test_igcd_cofactors_fallback_gets_the_prs_answer(monkeypatch):
     assert _check_cofactors(a, b) == ((-1, 0, 1), (1, 1, 1), (2, -3))
     for d in _occurring_denominators()[:6]:
         _check_cofactors(d, exact._iconv(d, (3, -1)))
+
+
+@given(st.integers(-3, 3), st.lists(st.integers(-60, 60), min_size=1, max_size=6),
+       st.integers(1, 36))
+def test_laurent_to_json_matches_frac_str(t_low, ints, den):
+    p = LaurentPoly(t_low, ints, den)
+    assert p.to_json() == {"t_low": p.t_low,
+                           "coeffs": [frac_str(c) for c in p.coefficients]}
+
+
+# ----------------------------------------------------------------------
+# Sums over cyclotomic denominators against RationalFunction
+# ----------------------------------------------------------------------
+
+def test_cyclotomic_polynomials_multiply_to_t_power_minus_one():
+    for n in range(1, 41):
+        prod = (1,)
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = exact._iconv(prod, exact._cyclotomic(d))
+        assert prod == (-1,) + (0,) * (n - 1) + (1,)
+    assert exact._cyclotomic(105)[7] == -2  # the first coefficient outside -1, 0, 1
+
+
+def test_cyclo_exponents_of_occurring_denominators():
+    for ints in _occurring_denominators():
+        den = LaurentPoly(0, ints)
+        exps = exact._cyclo_exponents(den)
+        assert exps is not None and exact._cyclo_den(exps) == den
+    q3 = LaurentPoly.from_q_coeffs([-1, 0, 0, 1])  # q^3 - 1 = Phi_1 Phi_2 Phi_3 Phi_6
+    assert exact._cyclo_exponents(q3) == ((1, 1), (2, 1), (3, 1), (6, 1))
+    assert exact._cyclo_exponents(LaurentPoly(0, exact._cyclotomic(105))) == ((105, 1),)
+
+
+def test_cyclo_exponents_refuse_other_denominators():
+    mixed = exact._iconv(exact._cyclotomic(6), (1, 1, 0, 1))  # Phi_6 (t^3 + t + 1)
+    for ints in [(-3, 1), (2, 1, 1), (1, -3, 1), (1, 1, 0, 1), mixed, (-1, 2)]:
+        assert exact._cyclo_exponents(LaurentPoly(0, ints)) is None
+    # Phi_210 has degree 48, so index 210 is past the indices tried (< 4 * 49)
+    assert exact._cyclo_exponents(LaurentPoly(0, exact._cyclotomic(210))) is None
+
+
+cyclo_exps = st.dictionaries(st.sampled_from((1, 2, 3, 4, 6, 8, 12)), st.integers(1, 2),
+                             max_size=3).map(lambda d: tuple(sorted(d.items())))
+cyclo_term = st.tuples(cyclo_exps, st.integers(-4, 4),
+                       st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+                       st.integers(1, 4))
+
+
+def _rf_of_term(exps, s, a, da):
+    return RationalFunction(LaurentPoly(s, a, da), exact._cyclo_den(exps))
+
+
+@given(st.lists(cyclo_term, min_size=1, max_size=6))
+def test_cyclo_sum_matches_rational_function_sum(terms):
+    want = RF_ZERO
+    for term in terms:
+        want = want + _rf_of_term(*term)
+    assert exact._cyclo_sum(terms) == want
+
+
+@given(cyclo_term, cyclo_term)
+def test_cyclo_sum_cancels_to_canonical_form(x, y):
+    # x * phi / phi and x + y - y must both come back as x, canonically
+    exps, s, a, da = x
+    lifted = exact._exps_merge(exps, ((3, 1), (4, 2)))
+    a_lift = exact._iconv(a, exact._cyclo_den(((3, 1), (4, 2)))._ints)
+    assert exact._cyclo_sum([(lifted, s, a_lift, da)]) == _rf_of_term(*x)
+    ey, sy, ay, dy = y
+    terms = [x, y, (ey, sy, [-c for c in ay], dy)]
+    assert exact._cyclo_sum(terms) == _rf_of_term(*x)

@@ -56,6 +56,20 @@ GOLDEN = [
     (["verify", "integration", "--n", "3", "--config", CATALOG,
       "--sabotage", "flip-twist"], 1,
      "45076a5076d54197702fd86a435b925680fa4372f09e0091ceb26ad82cab8e84"),
+    # Larger sizes, where most torus coefficients have several cyclotomic
+    # factors in their denominators.
+    (["ez", "--n", "5", "--trunc", "10", "--seed", "0"], 0,
+     "9c41371d55c6c76628b702750b52700c8c458858b2d8466b642c05919cf3b6e6"),
+    (["verify", "invariance", "--n", "4", "--trunc", "8", "--trials", "2"], 0,
+     "6141ca71c5ade3e1eb2dee1eead07e84a6d58593ff3ac87f7b21ef75669dfd4f"),
+    (["verify", "hn-identity", "--n", "4", "--trunc", "6", "--trials", "1"], 0,
+     "9d4ed47ce8e91ad8b153d46a83ca2869071738668069ab35361adc0eda2e93c7"),
+    (["verify", "hn-identity", "--n", "4", "--trunc", "6", "--trials", "1",
+      "--sabotage", "flip-twist"], 1,
+     "19f32a069b2bd66cb67ba3a9dd4497f2e9f0e174f9cceaf4b5e976239906dbdc"),
+    (["verify", "invariance", "--n", "4", "--trunc", "6", "--trials", "2",
+      "--sabotage", "include-delta"], 1,
+     "2b7c2d16fd9c5235acb295f2e0e50c0030f8564153a978ff05615c14fef02f72"),
 ]
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from hallq import exact, torus
 from hallq.exact import (
     LaurentPoly,
     RF_ONE,
@@ -16,12 +17,14 @@ from hallq.quiver import CyclicQuiver, ModuleIso
 from hallq.stability import StabilityFunction, charge_of, random_discrete
 from hallq.torus import (
     TorusElement,
+    _convolve_reference,
     apply_translate,
     convolve,
     dilog,
     dilog_coefficient,
     ez,
     ez_delta,
+    ez_factors,
     integrate,
     integrate_iso_sum,
     multisets_with_budget,
@@ -366,3 +369,92 @@ def test_torus_diff_reports_mismatches():
     diff = torus_diff(a, b)
     dims = {tuple(entry["dim"]) for entry in diff}
     assert dims == {(1, 0, 0), (0, 1, 0)}
+
+
+# ----------------------------------------------------------------------
+# The cyclotomic kernel against the pair-by-pair and per-class oracles
+# ----------------------------------------------------------------------
+
+def _reference_product(factors, n, trunc, twist_sign=1):
+    acc = TorusElement.one(n, trunc)
+    for f in factors:
+        acc = _convolve_reference(acc, f, twist_sign)
+    return acc
+
+
+@pytest.mark.parametrize("n,trunc,seeds", [(2, 8, range(4)), (3, 6, range(4)),
+                                           (4, 8, range(3))])
+def test_ez_products_match_pair_by_pair_reference(n, trunc, seeds):
+    for seed in seeds:
+        z = random_discrete(n, 100 + seed, 8)
+        factors = ez_factors(z, trunc, include_delta=True)[1]
+        assert ordered_product(factors, n, trunc) == _reference_product(factors, n, trunc)
+        flipped = TorusElement.one(n, trunc)
+        for f in factors:
+            flipped = convolve(flipped, f, twist_sign=-1)
+        assert flipped == _reference_product(factors, n, trunc, twist_sign=-1)
+
+
+def _per_class_sum(q, trunc, modules):
+    terms = {}
+    for m in modules:
+        d = q.dim_of(m)
+        if sum(d) <= trunc:
+            c = RationalFunction(LaurentPoly.t_power(q.euler_form(d, d)), q.aut_poly(m))
+            terms[d] = terms[d] + c if d in terms else c
+    return TorusElement(q.n, trunc, terms)
+
+
+@pytest.mark.parametrize("n,trunc", [(2, 8), (3, 6), (4, 5)])
+def test_integrate_iso_sum_matches_per_class_sum(n, trunc):
+    q = CyclicQuiver(n)
+    got = integrate_iso_sum(q, trunc)
+    assert got == _per_class_sum(q, trunc, q.enumerate_iso_classes(trunc))
+    assert len(got.terms) > 1
+
+
+@pytest.mark.parametrize("n,trunc", [(2, 6), (3, 6), (4, 5)])
+def test_semistable_phase_factors_match_per_class_sum(n, trunc):
+    z = random_discrete(n, 7, 8)
+    phases = [charge_of(z, z.quiver.delta)]
+    phases += [charge_of(z, z.quiver.dim_of_indec(r))
+               for r in z.quiver.enumerate_indecomposables(2)]
+    for phase in phases:
+        parts = phase_indecomposables(z, trunc, phase)
+        want = _per_class_sum(z.quiver, trunc,
+                              multisets_with_budget(parts, trunc, lambda r: r.length))
+        assert semistable_phase_factor(z, trunc, phase) == want
+
+
+def _random_cyclotomic_element(rng, n, trunc):
+    terms = {}
+    for d in [(0,) * n] + [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(4)]:
+        if sum(d) <= trunc:
+            exps = tuple((i, rng.randint(1, 2)) for i in (1, 2, 3, 4, 6) if rng.random() < 0.4)
+            num = LaurentPoly(rng.randint(-2, 2), [rng.randint(-2, 2) for _ in range(3)])
+            terms[d] = RationalFunction(num, exact._cyclo_den(exps))
+    return TorusElement(n, trunc, terms)
+
+
+def test_convolve_matches_reference_on_random_cyclotomic_elements():
+    # small numerators over small cyclotomic denominators, so that sums
+    # at one key often cancel a common factor
+    rng = random.Random(5)
+    for _ in range(150):
+        n = rng.choice((2, 3))
+        a = _random_cyclotomic_element(rng, n, 3)
+        b = _random_cyclotomic_element(rng, n, 3)
+        assert convolve(a, b) == _convolve_reference(a, b)
+
+
+def test_convolve_falls_back_on_non_cyclotomic_denominators(monkeypatch):
+    odd = RationalFunction(LaurentPoly(0, (1, 2)), LaurentPoly(0, (3, -1)))  # (1+2t)/(3-t)
+    a = TorusElement(3, 4, {(0, 0, 0): RF_ONE, (1, 0, 0): odd, (0, 1, 1): odd * odd})
+    b = dilog(3, 4, (0, 1, 0)) * dilog(3, 4, (1, 1, 0))
+    calls = []
+    monkeypatch.setattr(torus, "_convolve_reference",
+                        lambda *args: calls.append(1) or _convolve_reference(*args))
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert convolve(x, y) == _convolve_reference(x, y)
+    assert len(calls) == 3
+    assert convolve(b, b) == _convolve_reference(b, b) and len(calls) == 3

@@ -24,6 +24,7 @@ from hallq.verify import (
     CAMPAIGNS,
     CampaignConfig,
     ConfigError,
+    MAX_VERTICES,
     SABOTAGE_MODES,
     TORUS_COMMANDS,
     TORUS_KEY_BUDGET,
@@ -347,6 +348,21 @@ def test_cli_bad_primes_exit_two_without_traceback(primes):
     assert "primes" in run.stderr
 
 
+def test_cli_closed_stdout_keeps_the_verdict():
+    # the report (about 500 kB) outgrows the pipe, so the write meets a
+    # reader that has gone after the first line
+    run = subprocess.Popen(
+        [sys.executable, "-m", "hallq", "ez", "--n", "4", "--trunc", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(Path(hallq.__file__).parents[1])))
+    assert run.stdout.readline() == b"{\n"
+    run.stdout.close()
+    err = run.stderr.read()
+    run.stderr.close()
+    assert run.wait(timeout=60) == 0
+    assert err == b""
+
+
 @pytest.mark.parametrize("data,key", [
     ({"truncation": "6"}, "truncation"),
     ({"n": 2.7}, "n"),
@@ -524,6 +540,28 @@ def test_cli_torus_key_budget_refused_up_front(capsys, monkeypatch, argv):
     assert "20475 torus keys" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["stables"], ["hn", "--module", "S1"], ["hall", "S1", "S1"],
+    ["verify", "integration"],
+])
+def test_cli_vertex_budget_refused_up_front(capsys, monkeypatch, argv):
+    _refuse_work(monkeypatch, "_z_for_trial", "stable_objects", "hn_filtration",
+                 "interpolate_hall", "check_integration_homomorphism", "CyclicQuiver")
+    started = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv, "--n", str(10 ** 9), "--trunc", "2",
+                           "--seed", "0")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert f"exceeds the vertex budget {MAX_VERTICES}" in err
+
+
+def test_vertex_budget_bounds():
+    assert MAX_VERTICES == 32
+    CampaignConfig(n=MAX_VERTICES).check("stables")
+    with pytest.raises(BudgetError, match="vertex budget"):
+        CampaignConfig(n=MAX_VERTICES + 1).check("hall")
+
+
 def test_torus_key_budget_bounds():
     assert TORUS_KEY_BUDGET == 20_000
     CampaignConfig(n=6, truncation=12).check("ez")  # 18,564 keys
@@ -603,7 +641,9 @@ def fuzz_invocations(draw):
     """(argv, config dict).  Each value is well-formed nine times in ten.
     n, truncation, trials and max_total are always set, so that a
     well-formed draw stays small; huge integers go only where they must
-    be refused before any work."""
+    be refused before any work: n for every command, one time in ten (the
+    vertex budget), and truncation for the torus commands (the key
+    budget)."""
 
     def pick(good, bad):
         return draw(bad if draw(st.integers(0, 9)) == 0 else good)
@@ -612,7 +652,7 @@ def fuzz_invocations(draw):
     torus = command[0] == "ez" or command[-1] in TORUS_COMMANDS
     huge = HUGE if torus else st.nothing()
     values = {
-        "n": pick(st.integers(2, 3), st.one_of(JUNK, huge)),
+        "n": draw(HUGE) if draw(st.integers(0, 9)) == 0 else pick(st.integers(2, 3), JUNK),
         "truncation": pick(st.integers(1, 4), st.one_of(JUNK, huge)),
         "trials": pick(st.integers(1, 2), JUNK),
         "max_total": pick(st.integers(0, 2), st.one_of(JUNK, HUGE)),
@@ -654,3 +694,14 @@ def test_cli_fuzz_exit_codes_and_no_traceback(invocation):
     assert code in (0, 1, 2), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert "internal error" not in err.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS, ids=" ".join)
+def test_cli_huge_n_refused_by_every_command(capsys, command):
+    # the fuzz rarely pairs a huge n with otherwise well-formed values
+    started = time.perf_counter()
+    code, _, err = run_cli(capsys, *command, "--n", str(10 ** 12), "--trunc", "2",
+                           "--seed", "0", "--trials", "1")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "budget" in err and "Traceback" not in err

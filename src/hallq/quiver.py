@@ -172,19 +172,22 @@ class CyclicQuiver:
 
     def hom_dim(self, a: Indecomposable, b: Indecomposable) -> int:
         """dim Hom(R(i,l), R(j,m)) = #{1 <= s <= min(l,m) : s = i+l-j mod n}."""
-        r = (a.socle + a.length - b.socle) % self.n
-        hi = min(a.length, b.length)
-        if r == 0:
-            r = self.n
-        if r > hi:
-            return 0
-        return (hi - r) // self.n + 1
+        return self._hom_runs([(a.socle, a.length, 1)], [(b.socle, b.length, 1)])
+
+    def _hom_runs(self, ra: list, rb: list) -> int:
+        """sum of m_r m_s dim Hom(R_r, R_s) over runs (socle, length, m)."""
+        n, total = self.n, 0
+        for i, l, ma in ra:
+            for j, m, mb in rb:
+                r = (i + l - j) % n or n
+                hi = l if l < m else m
+                if r <= hi:
+                    total += ma * mb * ((hi - r) // n + 1)
+        return total
 
     def hom_dim_modules(self, a: ModuleIso, b: ModuleIso) -> int:
         """sum of m_r m_s dim Hom(R_r, R_s) over the distinct summands."""
-        ca = a.counts().items()
-        cb = ca if b is a else b.counts().items()
-        return sum(ma * mb * self.hom_dim(x, y) for x, ma in ca for y, mb in cb)
+        return self._hom_runs(_runs(a), _runs(b))
 
     def end_dim(self, m: ModuleIso) -> int:
         return self.hom_dim_modules(m, m)
@@ -199,9 +202,9 @@ class CyclicQuiver:
         e = dim End M - sum_r m_r (m_r + 1) / 2 and ks lists 1..m_r for
         every r, ascending.
         """
-        mults = m.counts().values()
-        e = self.end_dim(m) - sum(k * (k + 1) // 2 for k in mults)
-        return e, tuple(sorted(k for mult in mults for k in range(1, mult + 1)))
+        runs = _runs(m)
+        e = self._hom_runs(runs, runs) - sum(k * (k + 1) // 2 for _, _, k in runs)
+        return e, tuple(sorted(k for _, _, mult in runs for k in range(1, mult + 1)))
 
     def aut_q_coeffs(self, m: ModuleIso) -> Dict[int, int]:
         """|Aut(M over F_q)| as a polynomial in q: exponent -> coefficient."""
@@ -286,6 +289,17 @@ class CyclicQuiver:
     def enumerate_with_dim(self, d: DimVector) -> List[ModuleIso]:
         """All iso classes with the exact dimension vector d."""
         return [m for m in self.enumerate_iso_classes(sum(d)) if self.dim_of(m) == d]
+
+
+def _runs(m: ModuleIso) -> List[List[int]]:
+    """[socle, length, multiplicity] per run of the sorted summand tuple."""
+    runs: List[List[int]] = []
+    for r in m.summands:
+        if runs and runs[-1][0] == r.socle and runs[-1][1] == r.length:
+            runs[-1][2] += 1
+        else:
+            runs.append([r.socle, r.length, 1])
+    return runs
 
 
 def count_congruent(lo: int, hi: int, r: int, n: int) -> int:

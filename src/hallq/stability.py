@@ -8,8 +8,10 @@ with <= in place of <.  A function is *discrete* when distinct stable
 objects never share a phase; stables then have length at most n and there
 is exactly one stable object of dimension delta.
 
-Phases are never materialised as floats: all comparisons go through the
-exact cross-product order on Gaussian rationals.
+Phases are never materialised as floats.  Charges are scaled to integers
+by the lcm of their denominators (no phase changes) and kept as cyclic
+prefix sums, so Z(R(i, l)) costs O(1) and every phase comparison is one
+integer cross product; charges leave this module as Gaussian rationals.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 from typing import Callable, List, Sequence, Tuple
 
-from .exact import (GaussianRational, PhaseDomainError, phase_cmp, phase_eq,
-                    phase_le, phase_lt, require_phase_domain)
+from .exact import GaussianRational, PhaseDomainError, require_phase_domain
 from .quiver import CyclicQuiver, DimVector, Indecomposable, ModuleIso
 
 
@@ -50,6 +53,23 @@ class StabilityFunction:
         for z in self.charges:
             require_phase_domain(z)
 
+    @functools.cached_property
+    def _scaled(self) -> Tuple[int, List[int], List[int]]:
+        """(L, xs, ys): L the lcm of all charge denominators, and for k = 0..2n
+        xs[k] + ys[k] i = L * (Z(S_1) + ... + Z(S_k)), vertex indices mod n."""
+        scale = lcm(*(x.denominator for c in self.charges for x in (c.re, c.im)))
+        xs, ys = [0], [0]
+        for c in self.charges + self.charges:
+            xs.append(xs[-1] + c.re.numerator * (scale // c.re.denominator))
+            ys.append(ys[-1] + c.im.numerator * (scale // c.im.denominator))
+        return scale, xs, ys
+
+    def _icharge(self, socle: int, length: int) -> Tuple[int, int]:
+        """L * Z(R(socle, length)) as an integer pair."""
+        n, (_, xs, ys) = self.n, self._scaled
+        s, (k, r) = (socle - 1) % n, divmod(length, n)
+        return k * xs[n] + xs[s + r] - xs[s], k * ys[n] + ys[s + r] - ys[s]
+
     @property
     def quiver(self) -> CyclicQuiver:
         return CyclicQuiver(self.n)
@@ -74,11 +94,10 @@ def charge_of(z: StabilityFunction, d: DimVector) -> GaussianRational:
         raise ValueError("dimension vector has the wrong length")
     if not any(d):
         raise ZeroChargeError("zero dimension vector has no charge")
-    acc = GaussianRational.of(0, 0)
-    for k, zi in zip(d, z.charges):
-        if k:
-            acc = acc + zi.scale(k)
-    return acc
+    scale, xs, ys = z._scaled
+    x = sum(k * (xs[i + 1] - xs[i]) for i, k in enumerate(d))
+    y = sum(k * (ys[i + 1] - ys[i]) for i, k in enumerate(d))
+    return GaussianRational(Fraction(x, scale), Fraction(y, scale))
 
 
 def charge_of_indec(z: StabilityFunction, r: Indecomposable) -> GaussianRational:
@@ -89,9 +108,32 @@ def charge_of_module(z: StabilityFunction, m: ModuleIso) -> GaussianRational:
     return charge_of(z, z.quiver.dim_of(m))
 
 
+def _cross(a: Tuple[int, int], b: Tuple[int, int]) -> int:
+    """Positive exactly when arg(a) < arg(b), zero when the phases agree."""
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _ray(w: GaussianRational) -> Tuple[int, int]:
+    """An integer pair with the phase of w."""
+    require_phase_domain(w)
+    return w.re.numerator * w.im.denominator, w.im.numerator * w.re.denominator
+
+
+def sort_by_decreasing_phase(items: Sequence, charge: Callable) -> list:
+    """Stable sort by decreasing phase of the integer charge of each item."""
+    return sorted(items, key=functools.cmp_to_key(lambda a, b: _cross(charge(a), charge(b))))
+
+
 # ----------------------------------------------------------------------
 # Stability and semistability
 # ----------------------------------------------------------------------
+
+def _prefixes_below(z: StabilityFunction, r: Indecomposable, strict: bool) -> bool:
+    """Every proper subobject R(i, k), k < l, of R(i, l) has phase below
+    that of R(i, l): strictly, or with ties allowed."""
+    whole, least = z._icharge(r.socle, r.length), int(strict)
+    return all(_cross(z._icharge(r.socle, k), whole) >= least for k in range(1, r.length))
+
 
 def is_stable(z: StabilityFunction, x) -> bool:
     """Stability; decomposables are never stable.
@@ -103,38 +145,20 @@ def is_stable(z: StabilityFunction, x) -> bool:
         if len(x) != 1:
             return False
         x = x.summands[0]
-    whole = charge_of_indec(z, x)
-    q = z.quiver
-    for k in range(1, x.length):
-        sub = charge_of_indec(z, Indecomposable(x.socle, k))
-        if not phase_lt(sub, whole):
-            return False
-    return True
+    return _prefixes_below(z, x, strict=True)
 
 
 def is_semistable(z: StabilityFunction, x) -> bool:
     """Semistability; a direct sum qualifies when all summands are
     semistable of one common phase."""
     if isinstance(x, Indecomposable):
-        return _indec_semistable(z, x)
+        return _prefixes_below(z, x, strict=False)
     if x.is_zero:
         return False
-    mu = charge_of_indec(z, x.summands[0])
-    for r in x.summands:
-        if not _indec_semistable(z, r):
-            return False
-        if not phase_eq(charge_of_indec(z, r), mu):
-            return False
-    return True
-
-
-def _indec_semistable(z: StabilityFunction, r: Indecomposable) -> bool:
-    whole = charge_of_indec(z, r)
-    for k in range(1, r.length):
-        sub = charge_of_indec(z, Indecomposable(r.socle, k))
-        if not phase_le(sub, whole):
-            return False
-    return True
+    mu = z._icharge(x.summands[0].socle, x.summands[0].length)
+    return all(_prefixes_below(z, r, strict=False)
+               and _cross(z._icharge(r.socle, r.length), mu) == 0
+               for r in x.summands)
 
 
 # ----------------------------------------------------------------------
@@ -159,25 +183,25 @@ class StableObjectReport:
         }
 
 
-def sort_by_decreasing_phase(z: StabilityFunction, items: Sequence, charge_fn: Callable):
-    def cmp(a, b) -> int:
-        return -phase_cmp(charge_fn(z, a), charge_fn(z, b))
-
-    return sorted(items, key=functools.cmp_to_key(cmp))
-
-
 def stable_indecomposables_up_to(z: StabilityFunction, max_length: int) -> List[Indecomposable]:
     """Stable uniserials of length <= max_length, decreasing phase.
 
-    Raises :class:`NotDiscreteError` if two of them share a phase.
-    """
-    q = z.quiver
-    found = [r for r in q.enumerate_indecomposables(max_length) if is_stable(z, r)]
-    found = sort_by_decreasing_phase(z, found, charge_of_indec)
+    One pass per socle i: R(i, l) is stable when every R(i, k), k < l, has
+    a smaller phase.  Raises :class:`NotDiscreteError` if two stables share
+    a phase."""
+    found = []
+    for i in range(1, z.n + 1):
+        top = None  # charge of a proper subobject of largest phase so far
+        for l in range(1, max_length + 1):
+            c = z._icharge(i, l)
+            if top is None or _cross(top, c) > 0:
+                found.append((l, i, c))
+                top = c
+    found = sort_by_decreasing_phase(sorted(found), itemgetter(2))
     for a, b in zip(found, found[1:]):
-        if phase_eq(charge_of_indec(z, a), charge_of_indec(z, b)):
-            raise NotDiscreteError((a, b))
-    return found
+        if _cross(a[2], b[2]) == 0:
+            raise NotDiscreteError((Indecomposable(a[1], a[0]), Indecomposable(b[1], b[0])))
+    return [Indecomposable(i, l) for l, i, _ in found]
 
 
 def stable_objects(z: StabilityFunction) -> StableObjectReport:
@@ -185,12 +209,11 @@ def stable_objects(z: StabilityFunction) -> StableObjectReport:
     search space is the n*n uniserials R(i, l) with l <= n."""
     q = z.quiver
     stables = tuple(stable_indecomposables_up_to(z, q.n))
-    delta = q.delta
-    of_delta = [r for r in stables if q.dim_of_indec(r) == delta]
+    of_delta = [r for r in stables if r.length == q.n]
     if len(of_delta) != 1:
         raise RuntimeError(
             f"internal inconsistency: {len(of_delta)} stable objects of dimension delta")
-    return StableObjectReport(stables, of_delta[0], charge_of(z, delta))
+    return StableObjectReport(stables, of_delta[0], charge_of(z, q.delta))
 
 
 def check_discrete(z: StabilityFunction):
@@ -214,28 +237,16 @@ def delta_stable_via_ci(z: StabilityFunction) -> Indecomposable:
     has phase >= gamma, walk downward through i, i-1, i-2, ... as long as
     every partial sum of charges keeps phase >= gamma; this collects the
     run C_i.  Exactly one starting vertex i0 yields the full vertex set,
-    and the answer is R(i0 + 1, n).
+    and the answer is R(i0 + 1, n).  After v steps the sum is Z(R(i - v, v + 1)).
     """
-    q = z.quiver
-    n = q.n
-    gamma = charge_of(z, q.delta)
-    winners = []
-    for i in range(1, n + 1):
-        if phase_lt(z.charges[i - 1], gamma):
-            continue
-        acc = z.charges[i - 1]
-        run = 0
-        for v in range(1, n):
-            acc = acc + z.charges[q.vertex(i - v) - 1]
-            if phase_lt(acc, gamma):
-                break
-            run = v
-        if run == n - 1:
-            winners.append(i)
+    n = z.n
+    gamma = z._icharge(1, n)
+    winners = [i for i in range(1, n + 1)
+               if all(_cross(z._icharge(i - v, v + 1), gamma) <= 0 for v in range(n))]
     if len(winners) != 1:
         raise RuntimeError(
             f"internal inconsistency: {len(winners)} full vertex runs")
-    return q.R(winners[0] + 1, n)
+    return z.quiver.R(winners[0] + 1, n)
 
 
 # ----------------------------------------------------------------------
@@ -248,40 +259,30 @@ def hn_filtration(z: StabilityFunction, m: ModuleIso) -> List[Tuple[ModuleIso, G
     Uniserials are filtered greedily along their chain: the first stratum
     is the subobject of maximal phase (maximal length on ties), and the
     rest is the filtration of the quotient.  For a direct sum the strata
-    of the summands are merged by exact phase equality.
+    of the summands are merged by exact phase equality; each stratum
+    carries the charge of its first part.
     """
-    if m.is_zero:
-        return []
     q = z.quiver
-    buckets: List[Tuple[GaussianRational, List[Indecomposable]]] = []
-
-    def add(stratum: Indecomposable):
-        mu = charge_of_indec(z, stratum)
-        for phase, parts in buckets:
-            if phase_eq(phase, mu):
-                parts.append(stratum)
-                return
-        buckets.append((mu, [stratum]))
-
+    buckets: List[Tuple[Tuple[int, int], List[Indecomposable]]] = []
     for r in m.summands:
         socle, length = r.socle, r.length
         while length > 0:
-            best_k = 1
-            best = charge_of_indec(z, Indecomposable(socle, 1))
+            best_k, best = 1, z._icharge(socle, 1)
             for k in range(2, length + 1):
-                c = charge_of_indec(z, Indecomposable(socle, k))
-                if not phase_lt(c, best):
-                    best = c
-                    best_k = k
-            add(Indecomposable(socle, best_k))
+                c = z._icharge(socle, k)
+                if _cross(c, best) <= 0:
+                    best_k, best = k, c
+            stratum = Indecomposable(socle, best_k)
+            for phase, parts in buckets:
+                if _cross(phase, best) == 0:
+                    parts.append(stratum)
+                    break
+            else:
+                buckets.append((best, [stratum]))
             socle = q.vertex(socle + best_k)
             length -= best_k
-
-    def cmp(a, b) -> int:
-        return -phase_cmp(a[0], b[0])
-
-    buckets.sort(key=functools.cmp_to_key(cmp))
-    return [(ModuleIso.of(*parts), phase) for phase, parts in buckets]
+    return [(ModuleIso.of(*parts), charge_of_indec(z, parts[0]))
+            for _, parts in sort_by_decreasing_phase(buckets, itemgetter(0))]
 
 
 # ----------------------------------------------------------------------

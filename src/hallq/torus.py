@@ -30,8 +30,8 @@ from .exact import (GaussianRational, LaurentPoly, RationalFunction, RF_ONE,
                     RF_ZERO, _cyclo_exponents, _cyclo_sum, _exps_merge, _iconv,
                     _q_factor_exps)
 from .quiver import CyclicQuiver, DimVector, Indecomposable, ModuleIso
-from .stability import (StabilityFunction, charge_of, charge_of_indec,
-                        is_semistable, phase_eq, stable_objects)
+from .stability import (StabilityFunction, _cross, _ray, charge_of,
+                        is_semistable, stable_objects)
 
 
 class TorusElement:
@@ -348,8 +348,9 @@ def ez(z: StabilityFunction, truncation: int) -> TorusElement:
 def phase_indecomposables(z: StabilityFunction, truncation: int,
                           phase: GaussianRational) -> List[Indecomposable]:
     """Semistable uniserials of length <= truncation with the given phase."""
+    ray = _ray(phase)
     return [r for r in z.quiver.enumerate_indecomposables(truncation)
-            if phase_eq(charge_of_indec(z, r), phase) and is_semistable(z, r)]
+            if _cross(z._icharge(r.socle, r.length), ray) == 0 and is_semistable(z, r)]
 
 
 def multisets_with_budget(parts: List[Indecomposable], budget: int,

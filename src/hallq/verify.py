@@ -10,24 +10,25 @@ not vacuous.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from .exact import GaussianRational, phase_cmp, phase_eq
+from .exact import GaussianRational
 from .hall import (CATALOG_BUDGET, ENV_BUDGET, BudgetError, ConfigError,
                    budget_from_env, check_integration_homomorphism,
                    interpolate_hall, is_prime, next_prime)
-from .quiver import CyclicQuiver, DimVector, ModuleIso
+from .quiver import CyclicQuiver, DimVector, Indecomposable, ModuleIso
 from .stability import (NotDiscreteError, StabilityFunction,
                         charge_of_indec, delta_stable_via_ci,
                         hn_filtration, is_semistable,
                         perturb_to_ambient_discrete, random_discrete,
-                        random_restricted_discrete,
+                        random_restricted_discrete, sort_by_decreasing_phase,
                         stable_indecomposables_up_to, stable_objects)
 from .torus import (TorusElement, apply_translate, convolve, dilog, ez,
                     ez_delta, ez_factors, integrate_iso_sum, ordered_product,
@@ -41,10 +42,11 @@ TORUS_KEY_BUDGET = 20_000
 TORUS_COMMANDS = ("ez", "invariance", "cyclic", "hn-identity", "pentagon", "jacobian")
 
 # Cap on the number of vertices, checked by every command before any work
-# that grows with n: the census of stable objects behind stables and hn
-# takes about 4 s at n = 32 and 16 s at n = 64, and nothing else bounds n
-# for them or for hall.
+# that grows with n; nothing else bounds n for stables, hn or hall.
 MAX_VERTICES = 32
+
+# Cap on the class pairs, each a Hall census, of verify integration.
+INTEGRATION_PAIR_BUDGET = 2_000
 
 
 def _torus_key_count(n: int, truncation: int) -> Optional[int]:
@@ -57,6 +59,21 @@ def _torus_key_count(n: int, truncation: int) -> Optional[int]:
         if keys > TORUS_KEY_BUDGET ** 2:
             return None
     return keys
+
+
+def _integration_pair_count(n: int, max_total: int) -> Optional[int]:
+    """sum of c_a c_b over a + b <= max_total, c_k the number of classes of
+    total k (the x^k coefficient of prod_l (1 - x^l)^-n), or None once the
+    (a, b) alone pass INTEGRATION_PAIR_BUDGET."""
+    if (max_total + 1) * (max_total + 2) // 2 > INTEGRATION_PAIR_BUDGET:
+        return None
+    c = [1] + [0] * max_total
+    for l in range(1, max_total + 1):
+        for _ in range(n):
+            for k in range(l, max_total + 1):
+                c[k] += c[k - l]
+    return sum(c[a] * c[b] for a in range(max_total + 1)
+               for b in range(max_total + 1 - a))
 
 
 SABOTAGE_MODES: Dict[str, Tuple[str, ...]] = {
@@ -295,14 +312,15 @@ def campaign_cyclic(cfg: CampaignConfig) -> Tuple[bool, dict]:
 # ----------------------------------------------------------------------
 
 def _distinct_phases_desc(z: StabilityFunction, truncation: int) -> List[GaussianRational]:
-    phases: List[GaussianRational] = []
+    """Charge of the first semistable uniserial per phase, phases decreasing."""
+    first: Dict[Tuple[int, int], Indecomposable] = {}
     for r in z.quiver.enumerate_indecomposables(truncation):
-        if not is_semistable(z, r):
-            continue
-        c = charge_of_indec(z, r)
-        if not any(phase_eq(c, c0) for c0 in phases):
-            phases.append(c)
-    return sorted(phases, key=functools.cmp_to_key(lambda a, b: -phase_cmp(a, b)))
+        if is_semistable(z, r):
+            x, y = z._icharge(r.socle, r.length)
+            g = gcd(x, y)
+            first.setdefault((x // g, y // g), r)
+    return [charge_of_indec(z, r)
+            for _, r in sort_by_decreasing_phase(first.items(), itemgetter(0))]
 
 
 def campaign_hn_identity(cfg: CampaignConfig) -> Tuple[bool, dict]:
@@ -476,14 +494,20 @@ def campaign_integration(cfg: CampaignConfig) -> Tuple[bool, dict]:
     if cfg.max_total > budget.hall_total:
         raise BudgetError(f"max_total {cfg.max_total} exceeds the Hall budget "
                           f"total {budget.hall_total} (override via {ENV_BUDGET})")
+    pairs = _integration_pair_count(cfg.n, cfg.max_total)
+    if pairs is None or pairs > INTEGRATION_PAIR_BUDGET:
+        shown = pairs if pairs is not None else f"more than {INTEGRATION_PAIR_BUDGET}"
+        raise BudgetError(f"max_total {cfg.max_total} at n = {cfg.n} needs {shown} "
+                          f"class pairs; the budget is {INTEGRATION_PAIR_BUDGET}")
     twist = -1 if cfg.sabotage == "flip-twist" else 1
-    classes = list(q.enumerate_iso_classes(cfg.max_total))
+    # by ascending total, so each row ends at the first class too big
+    classes = [(m, sum(r.length for r in m)) for m in q.enumerate_iso_classes(cfg.max_total)]
     checked = 0
     witness = []
-    for left in classes:
-        for right in classes:
-            if sum(q.dim_of(left)) + sum(q.dim_of(right)) > cfg.max_total:
-                continue
+    for left, a in classes:
+        for right, b in classes:
+            if a + b > cfg.max_total:
+                break
             ok, report = check_integration_homomorphism(
                 q, left, right, cfg.primes, budget, twist_sign=twist)
             checked += 1

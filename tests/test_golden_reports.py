@@ -70,6 +70,25 @@ GOLDEN = [
     (["verify", "invariance", "--n", "4", "--trunc", "6", "--trials", "2",
       "--sabotage", "include-delta"], 1,
      "2b7c2d16fd9c5235acb295f2e0e50c0030f8564153a978ff05615c14fef02f72"),
+    # Stable censuses and filtrations at larger n, where the common
+    # denominator of the charges is large and phases come close.
+    (["stables", "--n", "32", "--seed", "0"], 0,
+     "03279a730dfc8027dd58924ca5db3cdd1d215b38976286f908ce91c69d5e991f"),
+    (["stables", "--n", "7", "--seed", "3"], 0,
+     "c8c911eb8daabb135e7e0228eced61795a01618e614ce9ab78c7bfcd22b9725c"),
+    (["hn", "--n", "4", "--seed", "1", "--module", "R1,4+R2,3"], 0,
+     "c2074d513dad4b2a29c75b7df15fba1110afa6f7fa40613273c180aeecfd72bf"),
+    (["hn", "--n", "6", "--seed", "2", "--module", "R1,6+R3,4"], 0,
+     "36258a1fec1c00af9adc6509099535bb8d69f3d99e7c8e4d5a7133a68b4231b8"),
+    (["verify", "hn-identity", "--n", "5", "--trunc", "6", "--trials", "2",
+      "--seed", "9"], 0,
+     "436bb66ca26c6e2f37bc9b0c64556b363f67e2edb545ff24329216a450868792"),
+    (["verify", "jacobian", "--n", "3", "--trunc", "6", "--trials", "4",
+      "--seed", "5"], 0,
+     "adad04436050e0f82d3469ab4850ab864c1fd6cb5cc5c24f2ea0fcd3002976ad"),
+    (["verify", "invariance", "--n", "5", "--trunc", "6", "--trials", "3",
+      "--seed", "4"], 0,
+     "ec3a085692d7c1457f8ff1dfff882d5eee811dac332d7d3786daa47c97efbd20"),
 ]
 
 

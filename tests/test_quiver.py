@@ -220,6 +220,30 @@ def test_aut_poly_n2_length_two():
     assert p == LaurentPoly(0, [-1, 0, 1])
 
 
+def _aut_factors_by_counts(q, m):
+    """|Aut M| = q^e prod (q^k - 1) from the multiplicities m_r of the
+    distinct summands R_r: e = sum m_r m_s dim Hom(R_r, R_s) - sum
+    m_r (m_r + 1) / 2, and ks lists 1..m_r for every r."""
+    mults = m.counts()
+    end = sum(ma * mb * q.hom_dim(x, y)
+              for x, ma in mults.items() for y, mb in mults.items())
+    e = end - sum(k * (k + 1) // 2 for k in mults.values())
+    return e, tuple(sorted(k for mult in mults.values() for k in range(1, mult + 1)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_aut_factors_match_the_counts_formula(n):
+    q = CyclicQuiver(n)
+    classes = list(q.enumerate_iso_classes(6))
+    for m in classes:
+        assert q.aut_factors(m) == _aut_factors_by_counts(q, m), m
+    sample = classes[::max(1, len(classes) // 60)]
+    for a, b in itertools.product(sample, repeat=2):
+        ca, cb = a.counts(), b.counts()
+        assert q.hom_dim_modules(a, b) == sum(
+            ma * mb * q.hom_dim(x, y) for x, ma in ca.items() for y, mb in cb.items())
+
+
 def test_aut_value_matches_poly_eval():
     for m in Q3.enumerate_iso_classes(3):
         if m.is_zero:

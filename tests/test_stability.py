@@ -1,12 +1,14 @@
 """Tests for stability functions: phases, stable census, HN filtrations."""
 
+import functools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hallq.exact import GaussianRational, PhaseDomainError, phase_eq, phase_lt
-from hallq.quiver import CyclicQuiver, ModuleIso
+from hallq.quiver import CyclicQuiver, Indecomposable, ModuleIso
 from hallq.stability import (
     NotDiscreteError,
     StabilityFunction,
@@ -353,3 +355,133 @@ def test_perturb_random_restricted_functions():
         fixed = perturb_to_ambient_discrete(z, 2)
         ok, _ = check_discrete(fixed)
         assert ok
+
+
+# ----------------------------------------------------------------------
+# Differential tests against the definition-level census
+# ----------------------------------------------------------------------
+# The oracle uses only the public charge_of and phase_lt on Gaussian
+# rationals: R(i, l) is stable when every proper subobject R(i, k) has
+# strictly smaller phase, semistable when none has larger phase.
+
+def _charge(z, r):
+    return charge_of(z, z.quiver.dim_of_indec(r))
+
+
+def _chain_below(z, r, strict):
+    whole = _charge(z, r)
+    subs = [_charge(z, Indecomposable(r.socle, k)) for k in range(1, r.length)]
+    if strict:
+        return all(phase_lt(c, whole) for c in subs)
+    return not any(phase_lt(whole, c) for c in subs)
+
+
+def census_oracle(z, max_length):
+    """Stables by decreasing phase, ties in (length, socle) order; tied
+    neighbours raise NotDiscreteError with the pair."""
+    found = [r for r in z.quiver.enumerate_indecomposables(max_length)
+             if _chain_below(z, r, strict=True)]
+    found.sort(key=functools.cmp_to_key(lambda a, b: (
+        phase_lt(_charge(z, a), _charge(z, b)) - phase_lt(_charge(z, b), _charge(z, a)))))
+    for a, b in zip(found, found[1:]):
+        if not phase_lt(_charge(z, b), _charge(z, a)):
+            raise NotDiscreteError((a, b))
+    return found
+
+
+def hn_oracle(z, m):
+    """Greedy chain filtration: the first stratum of R(i, l) is its
+    subobject of largest phase, the longest on ties; strata of one phase
+    merge, each stratum carrying the charge of its first part."""
+    strata = []
+    for r in m.summands:
+        socle, length = r.socle, r.length
+        while length:
+            subs = [Indecomposable(socle, k) for k in range(1, length + 1)]
+            best = subs[0]
+            for s in subs[1:]:
+                if not phase_lt(_charge(z, s), _charge(z, best)):
+                    best = s
+            same = [p for p in strata if phase_eq(_charge(z, p[0]), _charge(z, best))]
+            if same:
+                same[0].append(best)
+            else:
+                strata.append([best])
+            socle, length = z.quiver.vertex(socle + best.length), length - best.length
+    strata.sort(key=functools.cmp_to_key(lambda a, b: (
+        phase_lt(_charge(z, a[0]), _charge(z, b[0])) - phase_lt(_charge(z, b[0]), _charge(z, a[0])))))
+    return [(ModuleIso.of(*parts), _charge(z, parts[0])) for parts in strata]
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except NotDiscreteError as err:
+        return "tie", err.witness
+
+
+@st.composite
+def small_functions(draw, max_n=8):
+    """Charges with small integer parts, and sometimes small denominators,
+    so that tied phases come up often."""
+    n = draw(st.integers(2, max_n))
+    charges = []
+    for _ in range(n):
+        im = draw(st.integers(0, 3))
+        re = draw(st.integers(1 if im == 0 else -3, 3))
+        den = draw(st.sampled_from([1, 1, 2, 3]))
+        charges.append(g(Fraction(re, den), Fraction(im, den)))
+    return StabilityFunction(n, tuple(charges))
+
+
+# discrete functions with denominators up to 16, so that the common
+# scale of the integer charges is large
+FUNCTIONS = st.one_of(small_functions(),
+                      st.builds(random_discrete, st.integers(2, 8), st.integers(0, 10 ** 6)))
+
+
+@given(FUNCTIONS, st.data())
+@settings(max_examples=300, deadline=None)
+def test_census_matches_definition(z, data):
+    max_length = data.draw(st.integers(1, 2 * z.n))
+    assert (_outcome(stable_indecomposables_up_to, z, max_length)
+            == _outcome(census_oracle, z, max_length))
+
+
+@given(FUNCTIONS, st.data())
+@settings(max_examples=300, deadline=None)
+def test_stability_tests_match_definition(z, data):
+    r = Indecomposable(data.draw(st.integers(1, z.n)), data.draw(st.integers(1, 2 * z.n)))
+    assert is_stable(z, r) == _chain_below(z, r, strict=True)
+    assert is_semistable(z, r) == _chain_below(z, r, strict=False)
+    parts = data.draw(st.lists(st.tuples(st.integers(1, z.n), st.integers(1, 2 * z.n)),
+                               min_size=1, max_size=3))
+    m = ModuleIso.of(*(Indecomposable(i, l) for i, l in parts))
+    assert is_stable(z, m) == (len(m) == 1 and _chain_below(z, m.summands[0], strict=True))
+    first = _charge(z, m.summands[0])
+    assert is_semistable(z, m) == all(
+        _chain_below(z, x, strict=False) and phase_eq(_charge(z, x), first) for x in m)
+    assert hn_filtration(z, m) == hn_oracle(z, m)
+
+
+@given(FUNCTIONS)
+@settings(max_examples=200, deadline=None)
+def test_delta_stable_via_runs_matches_definition(z):
+    kind, stables = _outcome(census_oracle, z, z.n)
+    if kind == "ok":
+        assert [delta_stable_via_ci(z)] == [r for r in stables if r.length == z.n]
+
+
+def test_census_ties_raise_the_oracle_pair():
+    # charges from a set with many parallel sums, so that most draws tie
+    rng = random.Random(7)
+    pool = [(1, 1), (2, 2), (-1, 1), (1, 0), (0, 1), (3, 1), (-2, 2)]
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        z = z_of(*(rng.choice(pool) for _ in range(n)))
+        max_length = rng.randint(1, 2 * n)
+        got = _outcome(stable_indecomposables_up_to, z, max_length)
+        assert got == _outcome(census_oracle, z, max_length)
+        outcomes.add(got[0])
+    assert outcomes == {"ok", "tie"}

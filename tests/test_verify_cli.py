@@ -24,6 +24,7 @@ from hallq.verify import (
     CAMPAIGNS,
     CampaignConfig,
     ConfigError,
+    INTEGRATION_PAIR_BUDGET,
     MAX_VERTICES,
     SABOTAGE_MODES,
     TORUS_COMMANDS,
@@ -36,6 +37,7 @@ from hallq.verify import (
     campaign_pentagon,
     campaign_stable_properties,
     campaign_stables,
+    _integration_pair_count,
 )
 
 Q3 = CyclicQuiver(3)
@@ -527,6 +529,37 @@ def test_integration_budget_override_widens_the_up_front_check(monkeypatch):
     assert ok and payload["pairs_checked"] > 0
 
 
+def test_integration_pair_count_matches_the_catalog():
+    for n in (2, 3, 4):
+        q = CyclicQuiver(n)
+        for max_total in range(5):
+            totals = [sum(r.length for r in m) for m in q.enumerate_iso_classes(max_total)]
+            assert _integration_pair_count(n, max_total) == sum(
+                1 for a in totals for b in totals if a + b <= max_total)
+    assert _integration_pair_count(2, 4) + _integration_pair_count(3, 4) == 611
+    assert _integration_pair_count(16, 4) == 78_473
+    assert _integration_pair_count(2, 62) is None  # 63 * 64 / 2 = 2,016 (a, b) pairs
+
+
+def test_integration_pair_budget_admits_n5(monkeypatch):
+    assert INTEGRATION_PAIR_BUDGET == 2_000
+    monkeypatch.setattr("hallq.verify.check_integration_homomorphism",
+                        lambda *args, **kwargs: (True, {}))
+    ok, payload = campaign_integration(CampaignConfig(n=5, max_total=4))
+    assert ok and payload["pairs_checked"] == 1_836
+
+
+def test_cli_integration_pair_budget_refused_up_front(capsys, monkeypatch):
+    _refuse_work(monkeypatch, "check_integration_homomorphism")
+    monkeypatch.setattr("hallq.quiver.CyclicQuiver.enumerate_iso_classes",
+                        lambda *args: pytest.fail("catalog built before the budget check"))
+    started = time.perf_counter()
+    code, _, err = run_cli(capsys, "verify", "integration", "--n", "16", "--trunc", "2")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "78473 class pairs" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["ez"], ["verify", "invariance"], ["verify", "cyclic"],
     ["verify", "hn-identity"], ["verify", "pentagon"], ["verify", "jacobian"],
@@ -640,10 +673,11 @@ SABOTAGE = st.sampled_from(sorted({m for ms in SABOTAGE_MODES.values() for m in 
 def fuzz_invocations(draw):
     """(argv, config dict).  Each value is well-formed nine times in ten.
     n, truncation, trials and max_total are always set, so that a
-    well-formed draw stays small; huge integers go only where they must
+    well-formed draw stays small; large integers go only where they must
     be refused before any work: n for every command, one time in ten (the
-    vertex budget), and truncation for the torus commands (the key
-    budget)."""
+    vertex budget), n in 16..MAX_VERTICES with max_total 3 or 4 for
+    integration, one time in three (the pair budget), and truncation for the
+    torus commands (the key budget)."""
 
     def pick(good, bad):
         return draw(bad if draw(st.integers(0, 9)) == 0 else good)
@@ -651,11 +685,15 @@ def fuzz_invocations(draw):
     command = draw(st.sampled_from(FUZZ_COMMANDS))
     torus = command[0] == "ez" or command[-1] in TORUS_COMMANDS
     huge = HUGE if torus else st.nothing()
+    huge_n = draw(st.integers(0, 9)) == 0
+    wide = command[-1] == "integration" and draw(st.integers(0, 2)) == 0
     values = {
-        "n": draw(HUGE) if draw(st.integers(0, 9)) == 0 else pick(st.integers(2, 3), JUNK),
+        "n": (draw(HUGE) if huge_n else draw(st.integers(16, MAX_VERTICES)) if wide
+              else pick(st.integers(2, 3), JUNK)),
         "truncation": pick(st.integers(1, 4), st.one_of(JUNK, huge)),
         "trials": pick(st.integers(1, 2), JUNK),
-        "max_total": pick(st.integers(0, 2), st.one_of(JUNK, HUGE)),
+        "max_total": pick(st.integers(3, 4) if wide else st.integers(0, 2),
+                          st.one_of(JUNK, HUGE)),
     }
     optional = {
         "seed": (st.integers(0, 20), st.one_of(JUNK, HUGE)),

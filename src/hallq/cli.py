@@ -30,6 +30,10 @@ from .verify import (CAMPAIGNS, CampaignConfig, ConfigError, campaign_stables,
 
 _MODULE_TOKEN = re.compile(r"^(?:[Ss](\d+)|[Rr](\d+),(\d+))$")
 
+# Cap on the total length of a parsed module; the work of `hn` and of
+# the dimension vectors grows with it.
+MAX_MODULE_LENGTH = 100_000
+
 # Exceptions that mean the input is at fault (exit 2); NotDiscreteError
 # is raised for explicit charges with two stable objects of equal phase.
 INPUT_ERRORS = (ConfigError, BudgetError, InterpolationError, PhaseDomainError,
@@ -53,6 +57,10 @@ def parse_module(text: str, q: CyclicQuiver) -> ModuleIso:
             raise ConfigError(f"module {token.strip()!r} has length 0; lengths are positive")
         else:
             parts.append(q.R(int(m.group(2)), int(m.group(3))))
+    total = sum(r.length for r in parts)
+    if total > MAX_MODULE_LENGTH:
+        raise BudgetError(f"module {text!r} has total length {total}; "
+                          f"the budget is {MAX_MODULE_LENGTH}")
     return ModuleIso.of(*parts)
 
 

@@ -261,22 +261,27 @@ def realize(q: CyclicQuiver, m: ModuleIso, p: int) -> FiniteFieldRep:
     return FiniteFieldRep(n, p, dims, tuple(maps))
 
 
+def _composites(rep: FiniteFieldRep, max_len: int):
+    """(j0, m, top, C) for the socle index j0 = 0..n-1 of R(j0+1, m),
+    m = 1..max_len, its top vertex index and C, the m-fold arrow composite
+    from the top vertex to vertex j0 - 1."""
+    n, p = rep.n, rep.p
+    for j0 in range(n):
+        comp = rep.maps[j0]
+        for m in range(1, max_len + 1):
+            yield j0, m, (j0 + m - 1) % n, comp
+            nxt = (j0 + m) % n
+            comp = _mat_mul(comp, rep.maps[nxt], rep.dims[nxt], p)
+
+
 def _hom_profile(rep: FiniteFieldRep, max_len: int) -> Dict[Tuple[int, int], int]:
     """H[(j, m)] = dim Hom(R(j, m), X) for socle j, length m <= max_len.
 
     A map out of R(j,m) picks the image of the top generator, subject to
     the m-fold arrow composite from the top vertex vanishing on it.
     """
-    n, p = rep.n, rep.p
-    H: Dict[Tuple[int, int], int] = {}
-    for j0 in range(n):
-        comp = rep.maps[j0]
-        for m in range(1, max_len + 1):
-            top = (j0 + m - 1) % n
-            H[(j0 + 1, m)] = rep.dims[top] - _rank_mod(comp, rep.dims[top], p)
-            nxt = (j0 + m) % n
-            comp = _mat_mul(comp, rep.maps[nxt], rep.dims[nxt], p)
-    return H
+    return {(j0 + 1, m): rep.dims[top] - _rank_mod(comp, rep.dims[top], rep.p)
+            for j0, m, top, comp in _composites(rep, max_len)}
 
 
 def _classify(n: int, dims: DimVector, H: Dict[Tuple[int, int], int]) -> ModuleIso:
@@ -533,7 +538,7 @@ def submodule_census(n: int, big: ModuleIso, p: int
     F_{L,M}^big query at this prime.
 
     Subspaces are numbered per vertex.  The kernels and images of the
-    composites C_{j,m} of `_hom_profile` are numbered too, and a subspace's
+    composites C_{j,m} of `_composites` are numbered too, and a subspace's
     signature is the tuple of its meet dimensions with the whole space
     and with each of those.  Invariance, A_v(U_v) inside U_{v-1}, and the
     signatures are table lookups filled on first use; the identities in
@@ -556,20 +561,15 @@ def submodule_census(n: int, big: ModuleIso, p: int
 
     # (j, m, top vertex, dim ker C, slot of ker C, vertex j-1, slot of im C)
     comps = []
-    for j0 in range(n):
-        comp = rep.maps[j0]
+    for j0, m, top, comp in _composites(rep, sum(dims) + 1):
         target = (j0 - 1) % n
-        for m in range(1, sum(dims) + 2):
-            top = (j0 + m - 1) % n
-            if any(any(row) for row in comp):
-                kernel = _nullspace_mod(comp, dims[top], p)
-                image = [[row[c] for row in comp] for c in range(dims[top])]
-                comps.append((j0 + 1, m, top, len(kernel), slot(top, span(top, kernel)),
-                              target, slot(target, span(target, image))))
-            else:
-                comps.append((j0 + 1, m, top, dims[top], 0, target, slot(target, 0)))
-            nxt = (j0 + m) % n
-            comp = _mat_mul(comp, rep.maps[nxt], dims[nxt], p)
+        if any(any(row) for row in comp):
+            kernel = _nullspace_mod(comp, dims[top], p)
+            image = [[row[c] for row in comp] for c in range(dims[top])]
+            comps.append((j0 + 1, m, top, len(kernel), slot(top, span(top, kernel)),
+                          target, slot(target, span(target, image))))
+        else:
+            comps.append((j0 + 1, m, top, dims[top], 0, target, slot(target, 0)))
 
     # images[v][u]: the subspace A_v(U_v) of V_{v-1}, U_v subspace u of V_v
     images: List[List[int]] = []

@@ -14,7 +14,7 @@ antisymmetrisation lambda vanishes against the cyclic vector delta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .exact import LaurentPoly
 
@@ -259,36 +259,54 @@ class CyclicQuiver:
                 for l in range(1, max_length + 1)
                 for i in range(1, self.n + 1)]
 
-    def enumerate_iso_classes(self, max_total: int) -> Iterator[ModuleIso]:
+    def enumerate_iso_classes(self, max_total: int) -> List[ModuleIso]:
         """All iso classes of total dimension <= max_total, zero included.
 
         Deterministic order: total dimension ascending, then the sorted
         summand lists lexicographically.
         """
-        indecs = [Indecomposable(i, l)
-                  for i in range(1, self.n + 1)
-                  for l in range(1, max_total + 1)]
-        indecs.sort(key=lambda r: (r.socle, r.length))
-        by_total: Dict[int, List[Tuple[Indecomposable, ...]]] = {k: [] for k in range(max_total + 1)}
-
-        def extend(start: int, budget: int, acc: List[Indecomposable]):
-            by_total[max_total - budget].append(tuple(acc))
-            for idx in range(start, len(indecs)):
-                l = indecs[idx].length
-                if l <= budget:
-                    acc.append(indecs[idx])
-                    extend(idx, budget - l, acc)
-                    acc.pop()
-
-        extend(0, max_total, [])
-        for total in range(max_total + 1):
-            for summands in sorted(by_total[total],
-                                   key=lambda ss: [(r.socle, r.length) for r in ss]):
-                yield ModuleIso(summands)
+        found = multisets_with_budget(self.enumerate_indecomposables(max_total),
+                                      max_total, _length)
+        return sorted(found, key=lambda m: sum(map(_length, m.summands)))
 
     def enumerate_with_dim(self, d: DimVector) -> List[ModuleIso]:
-        """All iso classes with the exact dimension vector d."""
-        return [m for m in self.enumerate_iso_classes(sum(d)) if self.dim_of(m) == d]
+        """All iso classes with the exact dimension vector d, in the order
+        of `enumerate_iso_classes`; only uniserials that fit under d are
+        tried."""
+        fits = [r for r in self.enumerate_indecomposables(sum(d))
+                if all(a <= b for a, b in zip(self.dim_of_indec(r), d))]
+        return [m for m in multisets_with_budget(fits, sum(d), _length)
+                if self.dim_of(m) == d]
+
+
+def _length(r: Indecomposable) -> int:
+    return r.length
+
+
+def multisets_with_budget(parts: Iterable[Indecomposable], budget: int,
+                          weight: Callable[[Indecomposable], int]) -> List[ModuleIso]:
+    """All multisets of the given parts with total weight <= budget; none
+    when the budget is negative.
+
+    The recursion runs depth first over the parts sorted by (socle,
+    length), so the summand lists come out lexicographically ascending.
+    """
+    parts = sorted(parts, key=lambda r: (r.socle, r.length))
+    weights = [weight(r) for r in parts]
+    out: List[ModuleIso] = []
+    acc: List[Indecomposable] = []
+
+    def extend(start: int, left: int) -> None:
+        out.append(ModuleIso(tuple(acc)))
+        for i in range(start, len(parts)):
+            if weights[i] <= left:
+                acc.append(parts[i])
+                extend(i, left - weights[i])
+                acc.pop()
+
+    if budget >= 0:
+        extend(0, budget)
+    return out
 
 
 def _runs(m: ModuleIso) -> List[List[int]]:

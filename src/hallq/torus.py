@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from .exact import (GaussianRational, LaurentPoly, RationalFunction, RF_ONE,
-                    RF_ZERO, _cyclo_exponents, _cyclo_sum, _exps_merge, _iconv,
+from .exact import (GaussianRational, RationalFunction, RF_ONE, RF_ZERO,
+                    _cyclo_exponents, _cyclo_sum, _exps_merge, _iconv,
                     _q_factor_exps)
-from .quiver import CyclicQuiver, DimVector, Indecomposable, ModuleIso
+from .quiver import (CyclicQuiver, DimVector, Indecomposable, ModuleIso,
+                     multisets_with_budget)
 from .stability import (StabilityFunction, _cross, _ray, charge_of,
                         is_semistable, stable_objects)
 
@@ -199,53 +200,24 @@ def _convolve_reference(a: TorusElement, b: TorusElement,
 
 
 def torus_inverse(a: TorusElement) -> TorusElement:
-    """Two-sided inverse, built degree by degree.
+    """Two-sided inverse by the geometric series.
 
-    Requires an invertible constant term; the inverse of the truncation
-    of an invertible series is the truncation of its inverse.
+    With a = c0 (1 + u), u without constant term, a^-1 is
+    (sum_{j <= D} (-u)^j) c0^-1: c0 is central and u^(D+1) vanishes at
+    truncation D.  The sum is D steps of x <- 1 - u x through `convolve`.
     """
-    n, bound = a.n, a.truncation
-    lam = CyclicQuiver(n).lambda_form
     c0 = a.constant_term
     if c0.is_zero:
         raise ZeroDivisionError("constant term is zero; no inverse")
     c0_inv = c0.inv()
-    zero_key = (0,) * n
-    by_total: Dict[int, List[Tuple[DimVector, RationalFunction]]] = {}
-    for d, c in a.terms.items():
-        if d != zero_key:
-            by_total.setdefault(sum(d), []).append((d, c))
-    out: Dict[DimVector, RationalFunction] = {zero_key: c0_inv}
-    for total in range(1, bound + 1):
-        for f in _dim_vectors_with_total(n, total):
-            acc = RF_ZERO
-            for td, items in by_total.items():
-                if td > total:
-                    continue
-                for d, cd in items:
-                    e = tuple(x - y for x, y in zip(f, d))
-                    if any(x < 0 for x in e):
-                        continue
-                    ce = out.get(e)
-                    if ce is None:
-                        continue
-                    term = cd * ce
-                    k = lam(d, e)
-                    if k:
-                        term = term.shifted(k)
-                    acc = acc + term
-            if not acc.is_zero:
-                out[f] = -(c0_inv * acc)
-    return TorusElement(n, bound, out)
-
-
-def _dim_vectors_with_total(n: int, total: int) -> Iterable[DimVector]:
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _dim_vectors_with_total(n - 1, total - first):
-            yield (first,) + rest
+    n, bound = a.n, a.truncation
+    one = TorusElement.one(n, bound)
+    minus_u = TorusElement(n, bound, {d: -(c * c0_inv) for d, c in a.terms.items()
+                                      if any(d)})
+    x = one
+    for _ in range(bound):
+        x = one + convolve(minus_u, x)
+    return TorusElement(n, bound, {d: c * c0_inv for d, c in x.terms.items()})
 
 
 def apply_translate(a: TorusElement, k: int = 1) -> TorusElement:
@@ -266,13 +238,9 @@ def apply_translate(a: TorusElement, k: int = 1) -> TorusElement:
 # ----------------------------------------------------------------------
 
 def dilog_coefficient(m: int) -> RationalFunction:
-    """Coefficient of y^(m*d) in E(y^d): t^(m^2) / prod_j (q^m - q^j)."""
-    if m == 0:
-        return RF_ONE
-    den = LaurentPoly.one()
-    for j in range(m):
-        den = den * (LaurentPoly.q_power(m) - LaurentPoly.q_power(j))
-    return RationalFunction(LaurentPoly.t_power(m * m), den)
+    """Coefficient of y^(m*d) in E(y^d): t^(m^2) / prod_{j<m} (q^m - q^j),
+    that is t^m / prod_{k=1..m} (q^k - 1), one term of the kernel."""
+    return _cyclo_sum([(_q_factor_exps(tuple(range(1, m + 1))), m, (1,), 1)])
 
 
 def dilog(n: int, truncation: int, d: DimVector) -> TorusElement:
@@ -351,22 +319,6 @@ def phase_indecomposables(z: StabilityFunction, truncation: int,
     ray = _ray(phase)
     return [r for r in z.quiver.enumerate_indecomposables(truncation)
             if _cross(z._icharge(r.socle, r.length), ray) == 0 and is_semistable(z, r)]
-
-
-def multisets_with_budget(parts: List[Indecomposable], budget: int,
-                          weight: Callable[[Indecomposable], int]) -> Iterable[ModuleIso]:
-    """All multisets of the given parts with total weight <= budget."""
-
-    def extend(idx: int, left: int, acc: List[Indecomposable]):
-        yield ModuleIso.of(*acc)
-        for i in range(idx, len(parts)):
-            w = weight(parts[i])
-            if w <= left:
-                acc.append(parts[i])
-                yield from extend(i, left - w, acc)
-                acc.pop()
-
-    yield from extend(0, budget, [])
 
 
 def semistable_phase_factor(z: StabilityFunction, truncation: int,

@@ -114,6 +114,8 @@ class CampaignConfig:
             raise ConfigError("trials must be at least 1")
         if self.bound < 1:
             raise ConfigError("bound must be at least 1")
+        if self.max_total < 0:
+            raise ConfigError("max_total must be at least 0")
         # the cap comes before the trial division in is_prime, which a
         # huge prime would keep busy for hours
         cap = budget_from_env(CATALOG_BUDGET).hall_prime
@@ -531,6 +533,10 @@ def hall_table(cfg: CampaignConfig, sub: ModuleIso, quo: ModuleIso) -> Tuple[boo
     cfg = cfg.check()
     q = CyclicQuiver(cfg.n)
     budget = budget_from_env(CATALOG_BUDGET)
+    total = sum(r.length for r in sub.summands + quo.summands)
+    if total > budget.hall_total:
+        raise BudgetError(f"total {total} of L + M exceeds the Hall budget "
+                          f"total {budget.hall_total} (override via {ENV_BUDGET})")
     d_total = tuple(a + b for a, b in zip(q.dim_of(sub), q.dim_of(quo)))
     table = [interpolate_hall(q, sub, quo, big, cfg.primes, budget=budget)
              for big in q.enumerate_with_dim(d_total)]

@@ -325,6 +325,22 @@ def test_enumerate_with_dim():
     assert Q3.enumerate_with_dim((0, 0, 0)) == [ModuleIso.zero()]
 
 
+@pytest.mark.parametrize("q", [Q2, Q3, Q4])
+def test_enumerate_with_dim_matches_the_filtered_catalog(q):
+    catalog = list(q.enumerate_iso_classes(4))
+    for total in range(5):
+        for d in itertools.product(range(total + 1), repeat=q.n):
+            if sum(d) == total:
+                assert q.enumerate_with_dim(d) == [m for m in catalog if q.dim_of(m) == d]
+
+
+@pytest.mark.parametrize("q", [Q2, Q3, Q4])
+def test_enumerate_iso_classes_order(q):
+    classes = list(q.enumerate_iso_classes(5))
+    keys = [(sum(q.dim_of(m)), m.to_json()) for m in classes]
+    assert keys == sorted(keys)
+
+
 def test_enumerate_with_dim_delta():
     classes = Q3.enumerate_with_dim((1, 1, 1))
     # three long orbits plus three mixed splittings plus the semisimple one

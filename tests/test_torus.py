@@ -213,6 +213,26 @@ def test_dilog_times_inverse_is_one():
     assert e * torus_inverse(e) == TorusElement.one(3, 6)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_inverse_is_two_sided_on_ez_products(n):
+    trunc = 2 * n
+    a = ez(random_discrete(n, 5), trunc)
+    inv = torus_inverse(a)
+    assert a * inv == TorusElement.one(n, trunc)
+    assert inv * a == TorusElement.one(n, trunc)
+
+
+def test_inverse_with_constant_outside_the_cyclotomic_invariant():
+    # (1 + 2t)/(3 - t) has a non-cyclotomic denominator, so the geometric
+    # series runs through the pair-by-pair fallback of convolve
+    c0 = RationalFunction(LaurentPoly(0, [1, 2]), LaurentPoly(0, [3, -1]))
+    a = mono(3, 5, (0, 0, 0), c0) + ez(random_discrete(3, 1), 5) - TorusElement.one(3, 5)
+    inv = torus_inverse(a)
+    assert inv.constant_term == c0.inv()
+    assert a * inv == TorusElement.one(3, 5)
+    assert inv * a == TorusElement.one(3, 5)
+
+
 # ----------------------------------------------------------------------
 # Translation action
 # ----------------------------------------------------------------------
@@ -250,6 +270,14 @@ def test_dilog_coefficient_values():
     den = LaurentPoly(0, [-1, 0, 1]) * LaurentPoly(0, [-1, 0, 0, 0, 1])
     assert rf_eq(c2, RationalFunction(LaurentPoly(2, [1]), den))
     assert dilog_coefficient(0) == RF_ONE
+
+
+def test_dilog_coefficient_is_the_q_pochhammer_quotient():
+    for m in range(11):
+        den = LaurentPoly.one()
+        for j in range(m):
+            den = den * (LaurentPoly.q_power(m) - LaurentPoly.q_power(j))
+        assert dilog_coefficient(m) == RationalFunction(LaurentPoly.t_power(m * m), den)
 
 
 def test_dilog_series_shape():
@@ -345,6 +373,12 @@ def test_multisets_with_budget():
     as_sets = {tuple(sorted((r.socle, r.length) for r in m)) for m in found}
     # the empty multiset carries the constant term of the series
     assert as_sets == {(), ((3, 3),), ((3, 3), (3, 3)), ((3, 6),)}
+
+
+def test_multisets_with_negative_budget_is_empty():
+    parts = [Q3.R(3, 3), Q3.R(3, 6)]
+    assert list(multisets_with_budget(parts, -1, weight=lambda r: r.length)) == []
+    assert list(multisets_with_budget(parts, 0, weight=lambda r: r.length)) == [ModuleIso.zero()]
 
 
 def test_ez_delta_depends_only_on_n():

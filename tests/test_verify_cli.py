@@ -560,6 +560,57 @@ def test_cli_integration_pair_budget_refused_up_front(capsys, monkeypatch):
     assert "78473 class pairs" in err and "Traceback" not in err
 
 
+def _fail_on(monkeypatch, *targets):
+    for target in targets:
+        monkeypatch.setattr(target, lambda *args, **kwargs: pytest.fail(
+            f"{target} reached before the input was refused"))
+
+
+def test_cli_hall_total_refused_up_front(capsys, monkeypatch):
+    _fail_on(monkeypatch, "hallq.quiver.CyclicQuiver.enumerate_with_dim",
+             "hallq.quiver.CyclicQuiver.enumerate_iso_classes")
+    for argv in (["R1,20", "S1", "--n", "3"], ["R1,50", "S1", "--n", "2"]):
+        started = time.perf_counter()
+        code, _, err = run_cli(capsys, "hall", *argv)
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert "HALLQ_BUDGET_OVERRIDE" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hn", "--module", "R1,100000000", "--seed", "0", "--n", "2"],
+    ["hn", "--module", f"R1,{10 ** 18}", "--seed", "0", "--n", "2"],
+    ["hall", f"R1,{10 ** 18}", "S1", "--n", "2"],
+])
+def test_cli_module_length_refused_up_front(capsys, monkeypatch, argv):
+    _fail_on(monkeypatch, "hallq.verify.hn_filtration", "hallq.quiver.CyclicQuiver.dim_of")
+    started = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "total length" in err and "Traceback" not in err
+
+
+def test_parse_module_at_the_length_cap():
+    q = CyclicQuiver(2)
+    assert sum(r.length for r in parse_module("R1,100000", q)) == 100_000
+    with pytest.raises(BudgetError):
+        parse_module("R1,99999+S2+S1", q)
+
+
+def test_cli_negative_max_total_refused(capsys, monkeypatch, tmp_path):
+    _fail_on(monkeypatch, "hallq.quiver.CyclicQuiver.enumerate_iso_classes",
+             "hallq.verify.check_integration_homomorphism")
+    started = time.perf_counter()
+    code, _, err = run_cli(capsys, "verify", "integration",
+                           "--config", write_config(tmp_path, max_total=-1))
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "max_total" in err and "internal error" not in err
+    with pytest.raises(ConfigError):
+        CampaignConfig(max_total=-1).check()
+
+
 @pytest.mark.parametrize("argv", [
     ["ez"], ["verify", "invariance"], ["verify", "cyclic"],
     ["verify", "hn-identity"], ["verify", "pentagon"], ["verify", "jacobian"],

@@ -74,7 +74,7 @@ def _parse_primes(text: str) -> Tuple[int, ...]:
 def _parse_charges(raw) -> StabilityFunction:
     try:
         pairs = [(Fraction(re_), Fraction(im)) for re_, im in raw]
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, ArithmeticError) as err:
         raise ConfigError(f"bad charges entry: {err}")
     if len(pairs) < 2:
         raise ConfigError(f"charges need one entry per vertex, n >= 2; got {len(pairs)}")

@@ -9,14 +9,12 @@ half-integer powers of q are both plain powers of t.  Layers:
 * Laurent polynomials in t with rational coefficients
 * the fraction field Q(t), kept in canonical reduced form
 
-Reduction to canonical form needs polynomial gcds over Z.  They come from
-one kernel, ``_igcd_cofactors``: the heuristic evaluation gcd of Char,
-Geddes and Gonnet, accepted only after exact division and returning the
-cofactors with the gcd, with the primitive pseudo-remainder gcd as the
-fallback (and as the reference the tests compare against).  The torus
-sums its coefficients without a gcd: their denominators are products of
-cyclotomic polynomials, and the private kernel ``_cyclo_sum`` brings such
-a sum to canonical form by exact division alone.
+Reduction to canonical form needs polynomial gcds over Z.  There is one,
+the primitive pseudo-remainder gcd ``_ipoly_gcd``; ``_icofactors`` divides
+it out of both inputs.  The torus sums its coefficients without a gcd:
+their denominators are products of cyclotomic polynomials, and the private
+kernel ``_cyclo_sum`` brings such a sum to canonical form by exact
+division alone.
 
 No floating point is used anywhere; phase comparisons between Gaussian
 rationals are decided by exact cross products.  All values are immutable.
@@ -27,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 from operator import add
 from typing import Iterable, Optional, Sequence, Union
 
@@ -233,54 +231,12 @@ def _iexact_div(a: Sequence[int], b: Sequence[int]) -> tuple:
     return _itrim(out)
 
 
-# evaluation points tried by the heuristic gcd before the PRS fallback
-_HEU_GCD_TRIES = 6
-
-
-def _igcd_cofactors(a: tuple, b: tuple) -> tuple:
-    """(g, a / g, b / g) with g the primitive gcd of a and b, leading
-    coefficient positive, exactly as :func:`_ipoly_gcd` returns it.
-
-    a and b are nonzero with nonzero constant terms.  Heuristic gcd of
-    Char, Geddes and Gonnet (J. Symbolic Comput. 7, 1989): evaluate both
-    at an integer xi >= 2 min(|a|, |b|) + 2, read a candidate off the
-    symmetric base-xi digits of the integer gcd, and keep its primitive
-    part only if it divides a and b exactly; by their Theorem 2 it is
-    then the gcd.  After _HEU_GCD_TRIES evaluation points the primitive
-    PRS gcd decides.
-    """
-    if len(a) == 1 or len(b) == 1:
-        return (1,), a, b
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
-    for _ in range(_HEU_GCD_TRIES):
-        va = vb = 0
-        for x in reversed(a):
-            va = va * xi + x
-        for x in reversed(b):
-            vb = vb * xi + x
-        h = gcd(va, vb)
-        half = xi // 2
-        digits = []
-        while h:
-            d = h % xi
-            if d > half:
-                d -= xi
-            digits.append(d)
-            h = (h - d) // xi
-        if len(digits) == 1:
-            return (1,), a, b
-        g = _iprimitive(digits)
-        if g[-1] < 0:
-            g = tuple(-x for x in g)
-        try:
-            return g, _iexact_div(a, g), _iexact_div(b, g)
-        except ArithmeticError:
-            # growth factor of SymPy's dup_zz_heu_gcd
-            xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+def _icofactors(a: tuple, b: tuple) -> tuple:
+    """(a / g, b / g) for g = _ipoly_gcd(a, b); content and sign stay on them."""
     g = _ipoly_gcd(a, b)
-    if len(g) == 1:
-        return g, a, b
-    return g, _iexact_div(a, g), _iexact_div(b, g)
+    if g == (1,):
+        return a, b
+    return _iexact_div(a, g), _iexact_div(b, g)
 
 
 # ----------------------------------------------------------------------
@@ -559,7 +515,7 @@ class RationalFunction:
         shift = num.t_low - den.t_low
         a, da = num._ints, num._den
         b, db = den._ints, den._den
-        _, a, b = _igcd_cofactors(a, b)
+        a, b = _icofactors(a, b)
         if b[-1] < 0:
             a = tuple(-x for x in a)
             b = tuple(-x for x in b)
@@ -606,7 +562,7 @@ class RationalFunction:
         if other.is_zero:
             return self
         pa, pb = self.den._ints, other.den._ints
-        _, qa, qb = _igcd_cofactors(pa, pb)
+        qa, qb = _icofactors(pa, pb)
         # reduced cofactors as monic-free Laurent polys (scalars handled by ctor)
         red_b = LaurentPoly(0, qb, other.den._den)
         red_a = LaurentPoly(0, qa, self.den._den)
@@ -625,8 +581,8 @@ class RationalFunction:
             return RF_ZERO
         a, pa = self.num._ints, self.den._ints
         b, pb = other.num._ints, other.den._ints
-        _, a, pb = _igcd_cofactors(a, pb)
-        _, b, pa = _igcd_cofactors(b, pa)
+        a, pb = _icofactors(a, pb)
+        b, pa = _icofactors(b, pa)
         n_ints = _iconv(a, b)
         d_ints = _iconv(pa, pb)
         if d_ints[-1] < 0:

@@ -305,7 +305,8 @@ def _classify(n: int, dims: DimVector, H: Dict[Tuple[int, int], int]) -> ModuleI
             mult = h(j, m) - h(j + 1, m - 1) - h(j, m + 1) + h(j + 1, m)
             if mult < 0:
                 raise RuntimeError("negative multiplicity; classification broke")
-            parts.extend([q.R(j, m)] * mult)
+            if mult:
+                parts.extend([q.R(j, m)] * mult)
     if q.dim_of(parts) != dims:
         raise RuntimeError("classification does not fill the dimension vector")
     return ModuleIso.of(*parts)

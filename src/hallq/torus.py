@@ -24,7 +24,7 @@ for an operand outside the invariant.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .exact import (GaussianRational, RationalFunction, RF_ONE, RF_ZERO,
                     _cyclo_exponents, _cyclo_sum, _exps_merge, _iconv,
@@ -280,14 +280,10 @@ def integrate(q: CyclicQuiver, m: ModuleIso, truncation: int) -> TorusElement:
     return integrate_modules(q, truncation, [m])
 
 
-def integrate_iso_sum(q: CyclicQuiver, truncation: int,
-                      keep: Optional[Callable[[ModuleIso], bool]] = None) -> TorusElement:
-    """Sum of integrate over every iso class of total dim <= truncation
-    passing the filter.  The zero class contributes the unit."""
-    modules: Iterable[ModuleIso] = q.enumerate_iso_classes(truncation)
-    if keep is not None:
-        modules = (m for m in modules if keep(m))
-    return integrate_modules(q, truncation, modules)
+def integrate_iso_sum(q: CyclicQuiver, truncation: int) -> TorusElement:
+    """Sum of integrate over every iso class of total dim <= truncation.
+    The zero class contributes the unit."""
+    return integrate_modules(q, truncation, q.enumerate_iso_classes(truncation))
 
 
 def ordered_product(factors: Iterable[TorusElement], n: int, truncation: int) -> TorusElement:

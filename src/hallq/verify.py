@@ -231,33 +231,6 @@ def campaign_stables(cfg: CampaignConfig) -> Tuple[bool, dict]:
     return _finish(payload, witness)
 
 
-def campaign_stable_properties(cfg: CampaignConfig) -> Tuple[bool, dict]:
-    """Random census: lengths bounded by n, unique delta-stable, and the
-    vertex-run shortcut agrees with the brute-force census."""
-    cfg = cfg.check("stables")
-    payload = _base(cfg, "stable-properties")
-    q = CyclicQuiver(cfg.n)
-    witness = []
-    for i in range(cfg.trials):
-        z = _z_for_trial(cfg, i)
-        wide = stable_indecomposables_up_to(z, 2 * cfg.n)
-        long_ones = [r for r in wide if r.length > cfg.n]
-        of_delta = [r for r in wide if q.dim_of_indec(r) == q.delta]
-        via_runs = delta_stable_via_ci(z)
-        bad = {}
-        if long_ones:
-            bad["stables_longer_than_n"] = [[r.socle, r.length] for r in long_ones]
-        if len(of_delta) != 1:
-            bad["delta_stables"] = [[r.socle, r.length] for r in of_delta]
-        elif via_runs != of_delta[0]:
-            bad["vertex_run_mismatch"] = [[via_runs.socle, via_runs.length],
-                                          [of_delta[0].socle, of_delta[0].length]]
-        if bad:
-            bad["trial"] = i
-            witness.append(bad)
-    return _finish(payload, witness)
-
-
 # ----------------------------------------------------------------------
 # Invariance of the stable-object product
 # ----------------------------------------------------------------------

@@ -312,21 +312,15 @@ def test_rf_eq_matches_pointwise_evaluation():
 
 
 # ----------------------------------------------------------------------
-# Heuristic gcd with cofactors against the PRS oracle
+# Cofactors of the integer polynomial gcd
 # ----------------------------------------------------------------------
 
-def _oracle_cofactors(a, b):
-    g = exact._ipoly_gcd(a, b)
-    return g, exact._iexact_div(a, g), exact._iexact_div(b, g)
-
-
 def _check_cofactors(a, b):
-    got = exact._igcd_cofactors(a, b)
-    assert got == _oracle_cofactors(a, b)
-    g, ca, cb = got
+    ca, cb = exact._icofactors(a, b)
+    g = exact._ipoly_gcd(a, b)
     assert exact._iconv(g, ca) == a
     assert exact._iconv(g, cb) == b
-    return got
+    return g, ca, cb
 
 
 # integer polynomials with nonzero constant and leading terms, as
@@ -356,44 +350,10 @@ def test_igcd_cofactors_coprime_and_negative_leading():
     assert _check_cofactors(a, b) == ((1, 1), (-2, -1), (3, -1))
     # content is kept on the cofactors, not on the primitive gcd
     assert _check_cofactors((6, 6), (-4, -4)) == ((1, 1), (6,), (-4,))
-
-
-def _occurring_denominators():
-    # products of (q^k - 1), the dilogarithm denominators prod_j (q^m - q^j)
-    # for m <= 8, and |Aut M|(q) for the iso classes of total <= 4 at n = 3
-    q_minus_1 = [LaurentPoly.from_q_coeffs([-1] + [0] * (k - 1) + [1]) for k in range(1, 7)]
-    dens = []
-    prod = LaurentPoly.one()
-    for p in q_minus_1:
-        prod = prod * p
-        dens.append(prod)
-    dens += [q_minus_1[1] * q_minus_1[1] * q_minus_1[2], q_minus_1[0] * q_minus_1[3]]
-    dens += [dilog_coefficient(m).den for m in range(1, 9)]
-    quiver = CyclicQuiver(3)
-    dens += [quiver.aut_poly(m) for m in quiver.enumerate_iso_classes(4)]
-    return sorted({d._ints for d in dens})
-
-
-def test_igcd_cofactors_on_occurring_denominators(monkeypatch):
-    calls = []
-    oracle = exact._ipoly_gcd
-    monkeypatch.setattr(exact, "_ipoly_gcd", lambda a, b: calls.append(1) or oracle(a, b))
-    dens = _occurring_denominators()
-    got = {(a, b): exact._igcd_cofactors(a, b) for a in dens for b in dens}
-    assert not calls  # the heuristic decided every pair
-    monkeypatch.setattr(exact, "_ipoly_gcd", oracle)
-    for (a, b), result in got.items():
-        assert result == _oracle_cofactors(a, b)
-    assert any(len(g) > 1 for g, _, _ in got.values())
-
-
-def test_igcd_cofactors_fallback_gets_the_prs_answer(monkeypatch):
-    monkeypatch.setattr(exact, "_HEU_GCD_TRIES", 0)
+    # (t^2 - 1)(t^2 + t + 1) and (t^2 - 1)(2 - 3t)
     a = exact._iconv((-1, 0, 1), (1, 1, 1))
     b = exact._iconv((-1, 0, 1), (2, -3))
     assert _check_cofactors(a, b) == ((-1, 0, 1), (1, 1, 1), (2, -3))
-    for d in _occurring_denominators()[:6]:
-        _check_cofactors(d, exact._iconv(d, (3, -1)))
 
 
 @given(st.integers(-3, 3), st.lists(st.integers(-60, 60), min_size=1, max_size=6),
@@ -416,6 +376,22 @@ def test_cyclotomic_polynomials_multiply_to_t_power_minus_one():
                 prod = exact._iconv(prod, exact._cyclotomic(d))
         assert prod == (-1,) + (0,) * (n - 1) + (1,)
     assert exact._cyclotomic(105)[7] == -2  # the first coefficient outside -1, 0, 1
+
+
+def _occurring_denominators():
+    # products of (q^k - 1), the dilogarithm denominators prod_j (q^m - q^j)
+    # for m <= 8, and |Aut M|(q) for the iso classes of total <= 4 at n = 3
+    q_minus_1 = [LaurentPoly.from_q_coeffs([-1] + [0] * (k - 1) + [1]) for k in range(1, 7)]
+    dens = []
+    prod = LaurentPoly.one()
+    for p in q_minus_1:
+        prod = prod * p
+        dens.append(prod)
+    dens += [q_minus_1[1] * q_minus_1[1] * q_minus_1[2], q_minus_1[0] * q_minus_1[3]]
+    dens += [dilog_coefficient(m).den for m in range(1, 9)]
+    quiver = CyclicQuiver(3)
+    dens += [quiver.aut_poly(m) for m in quiver.enumerate_iso_classes(4)]
+    return sorted({d._ints for d in dens})
 
 
 def test_cyclo_exponents_of_occurring_denominators():

@@ -27,6 +27,7 @@ from hallq.torus import (
     ez_factors,
     integrate,
     integrate_iso_sum,
+    integrate_modules,
     multisets_with_budget,
     ordered_product,
     phase_indecomposables,
@@ -329,9 +330,9 @@ def test_integrate_iso_sum_counts_support():
     assert len(supported) == 5
 
 
-def test_integrate_iso_sum_keep_filter():
-    only_simples = integrate_iso_sum(
-        Q2, 2, keep=lambda m: all(r.length == 1 for r in m)
+def test_integrate_modules_over_simple_summands():
+    only_simples = integrate_modules(
+        Q2, 2, [m for m in Q2.enumerate_iso_classes(2) if all(r.length == 1 for r in m)]
     )
     assert only_simples.coefficient((1, 1)) != RF_ZERO
     assert rf_eq(

@@ -35,7 +35,6 @@ from hallq.verify import (
     campaign_invariance,
     campaign_jacobian,
     campaign_pentagon,
-    campaign_stable_properties,
     campaign_stables,
     _integration_pair_count,
 )
@@ -117,12 +116,6 @@ def test_campaign_stables_non_discrete_witness():
     ok, payload = campaign_stables(CampaignConfig(n=2, explicit_z=z, trials=1))
     assert not ok
     assert payload["witness"][0]["reason"] == "equal phases"
-
-
-def test_campaign_stable_properties():
-    ok, payload = campaign_stable_properties(CampaignConfig(n=2, trials=5))
-    assert ok
-    assert payload["witness"] == []
 
 
 def test_campaign_invariance():
@@ -477,6 +470,8 @@ NON_DISCRETE = [["1", "1"], ["1", "1"], ["1", "1"]]
     (["stables"], {"charges": [["1", "1"]]}, None),
     (["stables"], {"charges": [["1", "-1"], ["1", "1"], ["1", "1"]]}, None),
     (["hall", "S1", "S1"], None, "abc"),
+    (["stables"], {"charges": [["1/0", 1], [1, 1]]}, None),
+    (["stables"], {"charges": [[1e400, 1], [1, 1]]}, None),  # JSON Infinity
 ])
 def test_cli_bad_input_exits_two(capsys, monkeypatch, tmp_path, argv, config, env):
     if config is not None:
@@ -716,7 +711,8 @@ BAD_PRIMES = st.sampled_from([[], [3], [2, 2], [2, 4], [1, 3], [2, 13], ["2", 3]
 GOOD_CHARGES = st.just([["2", "1"], ["-2", "1"], ["1", "2"]])
 BAD_CHARGES = st.sampled_from([
     [["1", "1"], ["1", "1"], ["1", "1"]], [["1", "1"]], [["a", "1"], ["1", "1"]],
-    [["1", "-1"], ["1", "1"], ["1", "1"]], "nope"])
+    [["1", "-1"], ["1", "1"], ["1", "1"]], [["1/0", 1], [1, 1]], [[1e400, 1], [1, 1]],
+    "nope"])
 SABOTAGE = st.sampled_from(sorted({m for ms in SABOTAGE_MODES.values() for m in ms}))
 
 

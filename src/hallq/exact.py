@@ -462,15 +462,11 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
     def to_json(self) -> dict:
-        """Coefficients rendered as frac_str would, without a Fraction."""
+        """Coefficients as frac_str renders them; integers need no Fraction."""
         d = self._den
         if d == 1:
             return {"t_low": self.t_low, "coeffs": [str(x) for x in self._ints]}
-        coeffs = []
-        for x in self._ints:
-            g = gcd(x, d)
-            coeffs.append(str(x // g) if g == d else f"{x // g}/{d // g}")
-        return {"t_low": self.t_low, "coeffs": coeffs}
+        return {"t_low": self.t_low, "coeffs": [frac_str(Fraction(x, d)) for x in self._ints]}
 
     @staticmethod
     def from_json(data: dict) -> "LaurentPoly":
@@ -480,13 +476,6 @@ class LaurentPoly:
 
 _LP_ZERO = LaurentPoly(0, ())
 _LP_ONE = LaurentPoly(0, (1,))
-
-
-def _lp_monic_from_ints(ints: Sequence[int]) -> LaurentPoly:
-    # primitive integer vector -> the monic polynomial it spans, t_low = 0
-    if ints[-1] < 0:
-        ints = tuple(-x for x in ints)
-    return LaurentPoly(0, ints, ints[-1])
 
 
 # ----------------------------------------------------------------------
@@ -522,7 +511,7 @@ class RationalFunction:
         # value = (a/da) t^shift / (b/db) = [a*db / (da*b_lead)] t^shift / monic(b)
         object.__setattr__(self, "num",
                            LaurentPoly(shift, [x * db for x in a], da * b[-1]))
-        object.__setattr__(self, "den", _lp_monic_from_ints(b))
+        object.__setattr__(self, "den", LaurentPoly(0, b, b[-1]))
 
     def __setattr__(self, *args):  # pragma: no cover
         raise AttributeError("RationalFunction is immutable")
@@ -577,34 +566,12 @@ class RationalFunction:
         return self + (-other)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.is_zero or other.is_zero:
-            return RF_ZERO
-        a, pa = self.num._ints, self.den._ints
-        b, pb = other.num._ints, other.den._ints
-        a, pb = _icofactors(a, pb)
-        b, pa = _icofactors(b, pa)
-        n_ints = _iconv(a, b)
-        d_ints = _iconv(pa, pb)
-        if d_ints[-1] < 0:
-            n_ints = tuple(-x for x in n_ints)
-            d_ints = tuple(-x for x in d_ints)
-        shift = self.num.t_low + other.num.t_low
-        num = LaurentPoly(shift, [x * (self.den._den * other.den._den) for x in n_ints],
-                          self.num._den * other.num._den * d_ints[-1])
-        return RationalFunction._trusted(num, _lp_monic_from_ints(d_ints))
+        return RationalFunction(self.num * other.num, self.den * other.den)
 
     def inv(self) -> "RationalFunction":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero rational function")
-        a, da = self.num._ints, self.num._den
-        b, db = self.den._ints, self.den._den
-        if a[-1] < 0:
-            a = tuple(-x for x in a)
-            sign = -1
-        else:
-            sign = 1
-        num = LaurentPoly(-self.num.t_low, [sign * x * da for x in b], db * a[-1])
-        return RationalFunction._trusted(num, _lp_monic_from_ints(a))
+        return RationalFunction(self.den, self.num)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         return self * other.inv()
@@ -612,14 +579,8 @@ class RationalFunction:
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
             return self.inv() ** (-n)
-        out = RF_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        # powers of coprime polynomials stay coprime, of a monic one monic
+        return RationalFunction._trusted(self.num ** n, self.den ** n)
 
     def shifted(self, k: int) -> "RationalFunction":
         """Multiply by t**k (cheap; canonical form is preserved)."""

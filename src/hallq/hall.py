@@ -317,10 +317,6 @@ def iso_class_of(rep: FiniteFieldRep) -> ModuleIso:
     total = sum(rep.dims)
     if total == 0:
         return ModuleIso.zero()
-    if all(not any(any(row) for row in mat) for mat in rep.maps):
-        q = CyclicQuiver(rep.n)
-        parts = [q.simple(v + 1) for v in range(rep.n) for _ in range(rep.dims[v])]
-        return ModuleIso.of(*parts)
     return _classify(rep.n, rep.dims, _hom_profile(rep, total + 1))
 
 
@@ -813,8 +809,9 @@ def check_integration_homomorphism(q: CyclicQuiver, left: ModuleIso,
             continue
         weight = integrate(q, big, total).coefficient(d_total)
         lhs = lhs + RationalFunction(phi.as_laurent()) * weight
-    prod = convolve(integrate(q, left, total), integrate(q, right, total),
-                    twist_sign=twist_sign)
+    i_left, i_right = integrate(q, left, total), integrate(q, right, total)
+    # lambda is antisymmetric, so the flipped twist is the swapped product
+    prod = convolve(i_left, i_right) if twist_sign == 1 else convolve(i_right, i_left)
     rhs = prod.coefficient(d_total)
     ok = rf_eq(lhs, rhs)
     report = {

@@ -14,6 +14,7 @@ antisymmetrisation lambda vanishes against the cyclic vector delta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .exact import LaurentPoly
@@ -206,33 +207,17 @@ class CyclicQuiver:
         e = self._hom_runs(runs, runs) - sum(k * (k + 1) // 2 for _, _, k in runs)
         return e, tuple(sorted(k for _, _, mult in runs for k in range(1, mult + 1)))
 
-    def aut_q_coeffs(self, m: ModuleIso) -> Dict[int, int]:
-        """|Aut(M over F_q)| as a polynomial in q: exponent -> coefficient."""
-        e, ks = self.aut_factors(m)
-        poly = {e: 1}
-        for k in ks:
-            nxt: Dict[int, int] = {}
-            for exp, c in poly.items():
-                nxt[exp + k] = nxt.get(exp + k, 0) + c
-                nxt[exp] = nxt.get(exp, 0) - c
-            poly = {exp: c for exp, c in nxt.items() if c}
-        return poly
-
     def aut_poly(self, m: ModuleIso) -> LaurentPoly:
         """|Aut(M)| as a polynomial in t with q = t**2 substituted."""
-        coeffs = self.aut_q_coeffs(m)
-        lo = min(coeffs)
-        hi = max(coeffs)
-        dense = [0] * (2 * (hi - lo) + 1)
-        for exp, c in coeffs.items():
-            dense[2 * (exp - lo)] = c
-        return LaurentPoly(2 * lo, dense)
+        e, ks = self.aut_factors(m)
+        out = LaurentPoly.q_power(e)
+        for k in ks:
+            out = out * (LaurentPoly.q_power(k) - LaurentPoly.one())
+        return out
 
     def aut_value(self, m: ModuleIso, p: int) -> int:
-        total = 0
-        for exp, c in self.aut_q_coeffs(m).items():
-            total += c * p ** exp
-        return total
+        e, ks = self.aut_factors(m)
+        return p ** e * prod(p ** k - 1 for k in ks)
 
     # -- Auslander-Reiten translation -----------------------------------------
 

@@ -136,9 +136,8 @@ class TorusElement:
         return TorusElement(int(data["n"]), int(data["truncation"]), terms)
 
 
-def convolve(a: TorusElement, b: TorusElement, twist_sign: int = 1) -> TorusElement:
-    """Graded product; twist_sign = -1 deliberately flips the twist and is
-    only used by sabotage checks.
+def convolve(a: TorusElement, b: TorusElement) -> TorusElement:
+    """Graded product a * b.
 
     The term pairs are bucketed by output key and each bucket is summed
     in one canonical reduction by the cyclotomic kernel; an operand with
@@ -149,7 +148,7 @@ def convolve(a: TorusElement, b: TorusElement, twist_sign: int = 1) -> TorusElem
     a_items = _cyclotomic_items(a)
     b_items = _cyclotomic_items(b)
     if a_items is None or b_items is None:
-        return _convolve_reference(a, b, twist_sign)
+        return _convolve_reference(a, b)
     n, bound = a.n, a.truncation
     lam = CyclicQuiver(n).lambda_form
     buckets: Dict[DimVector, list] = {}
@@ -159,7 +158,7 @@ def convolve(a: TorusElement, b: TorusElement, twist_sign: int = 1) -> TorusElem
                 continue
             f = tuple(x + y for x, y in zip(d, e))
             buckets.setdefault(f, []).append(
-                (_exps_merge(ea, eb), sa + sb + lam(d, e) * twist_sign, _iconv(na, nb), da * db))
+                (_exps_merge(ea, eb), sa + sb + lam(d, e), _iconv(na, nb), da * db))
     return TorusElement(n, bound, {f: _cyclo_sum(terms) for f, terms in buckets.items()})
 
 
@@ -175,8 +174,7 @@ def _cyclotomic_items(a: TorusElement) -> Optional[list]:
     return out
 
 
-def _convolve_reference(a: TorusElement, b: TorusElement,
-                        twist_sign: int = 1) -> TorusElement:
+def _convolve_reference(a: TorusElement, b: TorusElement) -> TorusElement:
     """Pair-by-pair product in Q(t): the fallback of :func:`convolve` and
     the oracle its tests compare against."""
     a._check_compatible(b)
@@ -190,7 +188,7 @@ def _convolve_reference(a: TorusElement, b: TorusElement,
             if td + te > bound:
                 continue
             c = ca * cb
-            k = lam(d, e) * twist_sign
+            k = lam(d, e)
             if k:
                 c = c.shifted(k)
             f = tuple(x + y for x, y in zip(d, e))

@@ -279,6 +279,16 @@ def test_rf_multiplicative_inverse(a):
     assert rf_eq(rf_mul(a, rf_inv(a)), RF_ONE)
 
 
+@given(rationals_fn, nonzero_fn, st.integers(-3, 3), st.integers(-3, 3))
+def test_rf_operations_return_the_canonical_form(a, b, k, s):
+    # every result is a fixed point of the constructor, with a monic
+    # denominator of lowest exponent 0; rf_eq alone would not see this
+    for r in (a + b, a - b, a * b, b.inv(), a / b, b ** k, a ** abs(k), a.shifted(s)):
+        assert r == RationalFunction(r.num, r.den)
+        assert r.den.t_low == 0
+        assert r.den.coefficient(r.den.t_high) == 1
+
+
 def _random_rf(rng):
     num = LaurentPoly(
         rng.randint(-3, 3), [rng.randint(-5, 5) for _ in range(rng.randint(1, 4))]

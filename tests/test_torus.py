@@ -157,7 +157,8 @@ def test_associativity_random():
 def test_convolve_flip_changes_twist():
     a = mono(3, 6, (1, 0, 0))
     b = mono(3, 6, (0, 1, 0))
-    flipped = convolve(a, b, twist_sign=-1)
+    # lambda is antisymmetric: swapping the operands flips the twist
+    flipped = convolve(b, a)
     assert flipped.coefficient((1, 1, 0)) == rf_t(-1)
 
 
@@ -410,10 +411,10 @@ def test_torus_diff_reports_mismatches():
 # The cyclotomic kernel against the pair-by-pair and per-class oracles
 # ----------------------------------------------------------------------
 
-def _reference_product(factors, n, trunc, twist_sign=1):
+def _reference_product(factors, n, trunc):
     acc = TorusElement.one(n, trunc)
     for f in factors:
-        acc = _convolve_reference(acc, f, twist_sign)
+        acc = _convolve_reference(acc, f)
     return acc
 
 
@@ -424,10 +425,11 @@ def test_ez_products_match_pair_by_pair_reference(n, trunc, seeds):
         z = random_discrete(n, 100 + seed, 8)
         factors = ez_factors(z, trunc, include_delta=True)[1]
         assert ordered_product(factors, n, trunc) == _reference_product(factors, n, trunc)
-        flipped = TorusElement.one(n, trunc)
+        # the flip-twist sabotage: each factor multiplied on the left
+        flipped = ref = TorusElement.one(n, trunc)
         for f in factors:
-            flipped = convolve(flipped, f, twist_sign=-1)
-        assert flipped == _reference_product(factors, n, trunc, twist_sign=-1)
+            flipped, ref = convolve(f, flipped), _convolve_reference(f, ref)
+        assert flipped == ref
 
 
 def _per_class_sum(q, trunc, modules):

@@ -388,6 +388,14 @@ def test_cli_verify_pentagon_low_n_exits_two(capsys):
     assert code == 2
 
 
+def test_cli_verify_pentagon_past_the_coarse_grid(capsys):
+    # from n = 21 the stable phases collide on the coarse 1/128 grid, so
+    # only the fine-grid attempts find an arrangement
+    code, out, _ = run_cli(capsys, "verify", "pentagon", "--n", "21", "--trunc", "2")
+    assert code == 0
+    assert json.loads(out)["report"]["ok"] is True
+
+
 def test_cli_unknown_campaign_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "no-such-campaign"])

@@ -14,7 +14,10 @@ the primitive pseudo-remainder gcd ``_ipoly_gcd``; ``_icofactors`` divides
 it out of both inputs.  The torus sums its coefficients without a gcd:
 their denominators are products of cyclotomic polynomials, and the private
 kernel ``_cyclo_sum`` brings such a sum to canonical form by exact
-division alone.
+division alone.  Each trial division by Phi_i is preceded by a fold test:
+Phi_i divides t^i - 1, so it divides p exactly when it divides the fold
+p mod (t^i - 1), a polynomial of degree < i; the fold only ever rules a
+division out, and the exact division decides every cancellation.
 
 No floating point is used anywhere; phase comparisons between Gaussian
 rationals are decided by exact cross products.  All values are immutable.
@@ -686,11 +689,29 @@ def _q_factor_exps(ks: tuple) -> tuple:
     return out
 
 
+def _fold_divisible(p: Sequence[int], i: int) -> bool:
+    """Whether Phi_i divides p, decided on the fold r_j = sum_k p[j + k*i],
+    the remainder of p by t^i - 1: Phi_i divides t^i - 1, so it divides p
+    exactly when it divides r, of degree < i."""
+    r = _itrim([sum(p[j::i]) for j in range(min(i, len(p)))])
+    phi = _cyclotomic(i)
+    if len(r) < len(phi):
+        return not r
+    try:
+        _iexact_div(r, phi)
+    except ArithmeticError:
+        return False
+    return True
+
+
 def _divide_out(p: tuple, i: int, most: int) -> tuple:
-    """(p / Phi_i^e, e) for the largest e <= most with Phi_i^e dividing p."""
+    """(p / Phi_i^e, e) for the largest e <= most with Phi_i^e dividing p.
+
+    Each division of p is tried only after the fold test has not ruled
+    it out; the exact division then decides."""
     phi = _cyclotomic(i)
     e = 0
-    while e < most and len(phi) <= len(p):
+    while e < most and len(phi) <= len(p) and _fold_divisible(p, i):
         try:
             p = _iexact_div(p, phi)
         except ArithmeticError:
@@ -733,7 +754,8 @@ def _cyclo_sum(terms: Iterable[tuple]) -> RationalFunction:
 
     Terms over one denominator are added first; each such group is lifted
     to the exponent-wise maximum of all denominators, and every Phi_i is
-    then cancelled from the integer numerator by exact division.
+    then cancelled from the integer numerator by exact division, each
+    division tried only once the fold test of :func:`_divide_out` allows it.
     """
     groups: dict = {}
     lo, den = None, 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import mul, sub
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .exact import LaurentPoly
@@ -166,8 +167,11 @@ class CyclicQuiver:
         return sum(d[a] * e[a] for a in range(n)) - sum(d[a] * e[a - 1] for a in range(n))
 
     def lambda_form(self, d: DimVector, e: DimVector) -> int:
-        n = self.n
-        return sum(d[a] * (e[(a + 1) % n] - e[a - 1]) for a in range(n))
+        return sum(map(mul, d, self.lambda_row(e)))
+
+    def lambda_row(self, e: DimVector) -> DimVector:
+        """The vector r with lambda(d, e) = d . r: r_a = e_(a+1) - e_(a-1)."""
+        return tuple(map(sub, e[1:] + e[:1], e[-1:] + e[:-1]))
 
     # -- hom spaces ---------------------------------------------------------
 

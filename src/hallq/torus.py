@@ -19,11 +19,17 @@ a product of cyclotomic polynomials Phi_i(t), and sums and products keep
 this form.  So ``convolve`` and ``integrate_modules`` sum every output
 coefficient in one canonical reduction (``exact._cyclo_sum``) with no
 gcd; ``convolve`` falls back to the pair-by-pair ``_convolve_reference``
-for an operand outside the invariant.
+for an operand outside the invariant.  Two shortcuts keep ``convolve``
+from redoing known work: an output key reached only by a pair with a
+coefficient exactly 1 (the dilogarithm's constant term, say) is the
+other coefficient times t^lambda, already canonical, and skips the
+kernel; and lambda(d, e) is the dot product of d with the row
+``CyclicQuiver.lambda_row(e)``, computed once per right-hand key.
 """
 
 from __future__ import annotations
 
+from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .exact import (GaussianRational, RationalFunction, RF_ONE, RF_ZERO,
@@ -142,7 +148,10 @@ def convolve(a: TorusElement, b: TorusElement) -> TorusElement:
     The term pairs are bucketed by output key and each bucket is summed
     in one canonical reduction by the cyclotomic kernel; an operand with
     a coefficient outside the cyclotomic invariant takes the pair-by-pair
-    path of :func:`_convolve_reference`.
+    path of :func:`_convolve_reference`.  A bucket whose only pair has a
+    coefficient exactly 1 on one side is the other coefficient times
+    t^lambda, already canonical, and skips the kernel.  The twist is one
+    dot product per pair with the right key's row lambda(., e).
     """
     a._check_compatible(b)
     a_items = _cyclotomic_items(a)
@@ -150,27 +159,37 @@ def convolve(a: TorusElement, b: TorusElement) -> TorusElement:
     if a_items is None or b_items is None:
         return _convolve_reference(a, b)
     n, bound = a.n, a.truncation
-    lam = CyclicQuiver(n).lambda_form
+    row = CyclicQuiver(n).lambda_row
+    b_items = [item + (row(item[0]),) for item in b_items]
     buckets: Dict[DimVector, list] = {}
-    for d, td, ea, sa, na, da in a_items:
-        for e, te, eb, sb, nb, db in b_items:
+    units: Dict[DimVector, tuple] = {}
+    for d, td, ca, ea, sa, na, da in a_items:
+        for e, te, cb, eb, sb, nb, db, r in b_items:
             if td + te > bound:
                 continue
-            f = tuple(x + y for x, y in zip(d, e))
+            f = tuple(map(add, d, e))
+            k = sum(map(mul, d, r))
+            if ca is RF_ONE or cb is RF_ONE:
+                units[f] = (cb if ca is RF_ONE else ca, k)
             buckets.setdefault(f, []).append(
-                (_exps_merge(ea, eb), sa + sb + lam(d, e), _iconv(na, nb), da * db))
-    return TorusElement(n, bound, {f: _cyclo_sum(terms) for f, terms in buckets.items()})
+                (_exps_merge(ea, eb), sa + sb + k,
+                 nb if na == (1,) else na if nb == (1,) else _iconv(na, nb), da * db))
+    return TorusElement(n, bound, {
+        f: units[f][0].shifted(units[f][1]) if len(terms) == 1 and f in units
+        else _cyclo_sum(terms) for f, terms in buckets.items()})
 
 
 def _cyclotomic_items(a: TorusElement) -> Optional[list]:
-    """(key, total, exps, t_low, ints, den) per term, the exponents those
-    of the coefficient's cyclotomic denominator; None if one is not."""
+    """(key, total, coeff, exps, t_low, ints, den) per term, the exponents
+    those of the coefficient's cyclotomic denominator and a coefficient
+    equal to 1 given as RF_ONE; None if one is not cyclotomic."""
     out = []
     for d, c in a.terms.items():
         exps = _cyclo_exponents(c.den)
         if exps is None:
             return None
-        out.append((d, sum(d), exps, c.num.t_low, c.num._ints, c.num._den))
+        out.append((d, sum(d), RF_ONE if not exps and c == RF_ONE else c, exps,
+                    c.num.t_low, c.num._ints, c.num._den))
     return out
 
 
@@ -291,13 +310,19 @@ def ordered_product(factors: Iterable[TorusElement], n: int, truncation: int) ->
     return acc
 
 
+def stable_dims(z: StabilityFunction, include_delta: bool = False) -> List[DimVector]:
+    """Dimension vectors of the stable objects, phases strictly
+    decreasing; the delta-stable one only with include_delta."""
+    report = stable_objects(z)
+    return [z.quiver.dim_of_indec(r) for r in report.stables
+            if include_delta or r != report.delta_stable]
+
+
 def ez_factors(z: StabilityFunction, truncation: int, include_delta: bool = False
                ) -> Tuple[List[DimVector], List[TorusElement]]:
-    """Dimension vectors and dilogarithms of the stable objects, phases
-    strictly decreasing; the delta-stable one only with include_delta."""
-    report = stable_objects(z)
-    dims = [z.quiver.dim_of_indec(r) for r in report.stables
-            if include_delta or r != report.delta_stable]
+    """Dimension vectors and dilogarithms of the stable objects, as
+    :func:`stable_dims` orders them."""
+    dims = stable_dims(z, include_delta)
     return dims, [dilog(z.n, truncation, d) for d in dims]
 
 

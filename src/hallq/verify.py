@@ -32,7 +32,8 @@ from .stability import (NotDiscreteError, StabilityFunction,
                         stable_indecomposables_up_to, stable_objects)
 from .torus import (TorusElement, apply_translate, convolve, dilog, ez,
                     ez_delta, ez_factors, integrate_iso_sum, ordered_product,
-                    semistable_phase_factor, torus_diff, torus_inverse)
+                    semistable_phase_factor, stable_dims, torus_diff,
+                    torus_inverse)
 
 
 # Cap on the keys of a truncated torus, C(D + n, n) dimension vectors of
@@ -377,8 +378,7 @@ def campaign_pentagon(cfg: CampaignConfig) -> Tuple[bool, dict]:
     for attempt in range(2 * PENTAGON_COARSE):
         z1, z2 = _pentagon_candidates(cfg.n, attempt)
         try:
-            dims1, facs1 = ez_factors(z1, cfg.truncation)
-            dims2, facs2 = ez_factors(z2, cfg.truncation)
+            dims1, dims2 = stable_dims(z1), stable_dims(z2)
         except (NotDiscreteError, RuntimeError):
             continue
         k = 0
@@ -390,11 +390,11 @@ def campaign_pentagon(cfg: CampaignConfig) -> Tuple[bool, dict]:
         prefix2 = dims2[:len(dims2) - k]
         if set(prefix2) != roots or len(prefix2) != len(roots):
             continue
-        found = (z1, z2, dims1, facs1, dims2, facs2, k)
+        found = (z1, z2, dims1, dims2, k)
         break
     if found is None:
         raise ConfigError(f"no valid charge arrangement found in {attempt + 1} attempts")
-    z1, z2, dims1, facs1, dims2, facs2, k = found
+    z1, z2, dims1, dims2, k = found
     payload["charges"] = {"left": z1.to_json()["charges"],
                           "right": z2.to_json()["charges"]}
     payload["canceled"] = [list(d) for d in dims1[len(dims1) - k:]]
@@ -402,6 +402,8 @@ def campaign_pentagon(cfg: CampaignConfig) -> Tuple[bool, dict]:
     payload["right_factors"] = [list(d) for d in dims2[:len(dims2) - k]]
 
     n, D = cfg.n, cfg.truncation
+    facs1 = [dilog(n, D, d) for d in dims1]
+    facs2 = [dilog(n, D, d) for d in dims2]
     full1 = ordered_product(facs1, n, D)
     full2 = ordered_product(facs2, n, D)
     shared = ordered_product(facs1[len(facs1) - k:], n, D)

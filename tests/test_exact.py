@@ -451,3 +451,50 @@ def test_cyclo_sum_cancels_to_canonical_form(x, y):
     ey, sy, ay, dy = y
     terms = [x, y, (ey, sy, [-c for c in ay], dy)]
     assert exact._cyclo_sum(terms) == _rf_of_term(*x)
+
+
+# ----------------------------------------------------------------------
+# The fold test ahead of each Phi_i trial division
+# ----------------------------------------------------------------------
+
+def _divides(p, i):
+    try:
+        exact._iexact_div(p, exact._cyclotomic(i))
+    except ArithmeticError:
+        return False
+    return True
+
+
+@given(st.integers(1, 30), st.integers(1, 3),
+       st.lists(st.integers(-9, 9), min_size=1, max_size=8).filter(any))
+def test_fold_test_passes_every_multiple_of_phi(i, e, g):
+    p = exact._itrim(list(g))
+    for _ in range(e):
+        p = exact._iconv(p, exact._cyclotomic(i))
+    assert exact._fold_divisible(p, i)
+    q, done = exact._divide_out(p, i, e)
+    assert done == e
+    for _ in range(e):
+        q = exact._iconv(q, exact._cyclotomic(i))
+    assert q == p
+
+
+@given(st.integers(1, 30),
+       st.lists(st.integers(-3, 3), min_size=2, max_size=40).filter(lambda p: p[-1] != 0))
+def test_fold_test_agrees_with_exact_division(i, p):
+    assert exact._fold_divisible(tuple(p), i) == _divides(tuple(p), i)
+
+
+def test_fold_test_agrees_on_near_multiples():
+    # random polynomials of high degree are almost never multiples of Phi_i,
+    # so also try multiples plus a small perturbation, each way round
+    rng = random.Random(11)
+    for _ in range(400):
+        i = rng.randint(2, 30)
+        g = [rng.randint(-4, 4) for _ in range(rng.randint(1, 12))] + [1]
+        p = list(exact._iconv(g, exact._cyclotomic(i)))
+        if rng.random() < 0.5:
+            p[rng.randrange(len(p))] += rng.choice((-1, 1))
+        p = exact._itrim(p)
+        if p:
+            assert exact._fold_divisible(p, i) == _divides(p, i)

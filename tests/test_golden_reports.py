@@ -89,6 +89,17 @@ GOLDEN = [
     (["verify", "invariance", "--n", "5", "--trunc", "6", "--trials", "3",
       "--seed", "4"], 0,
      "ec3a085692d7c1457f8ff1dfff882d5eee811dac332d7d3786daa47c97efbd20"),
+    # Dilogarithm products with coefficients at nonzero keys on both
+    # sides, deep enough that the unit constant term meets high powers.
+    (["verify", "invariance", "--n", "5", "--trunc", "10", "--trials", "2"], 0,
+     "b5d22c018eea10498309ae96f175e50cf663bc0f3fff030e33c92e03d08e47e3"),
+    (["verify", "cyclic", "--n", "5", "--trunc", "10", "--seed", "2"], 0,
+     "931ae5da6710cc2faee9b616bc6eefc89b12be05e0a7056a0742c1d859e771d1"),
+    (["verify", "pentagon", "--n", "5", "--trunc", "8"], 0,
+     "7f90e64fce10d4ef02c61dccfc22a3d4684adcc6ed45c2ef6e40b1b311f110d7"),
+    (["verify", "hn-identity", "--n", "4", "--trunc", "8", "--trials", "1",
+      "--seed", "3"], 0,
+     "f6b199e1e34595010580bd4ec441268f338916dd4a795f1ca791d913581afd7a"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Tests for the truncated quantum torus and dilogarithm series."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -495,3 +496,57 @@ def test_convolve_falls_back_on_non_cyclotomic_denominators(monkeypatch):
         assert convolve(x, y) == _convolve_reference(x, y)
     assert len(calls) == 3
     assert convolve(b, b) == _convolve_reference(b, b) and len(calls) == 3
+
+
+# ----------------------------------------------------------------------
+# Unit pass-through and the twist row
+# ----------------------------------------------------------------------
+
+def _with_unit(x, key):
+    # equal to RF_ONE but a distinct object, as dilogarithm constants are
+    terms = dict(x.terms)
+    terms[key] = dilog_coefficient(0)
+    return TorusElement(x.n, x.truncation, terms)
+
+
+def _nonzero_key(rng, n):
+    d = [rng.randint(0, 1) for _ in range(n)]
+    d[rng.randrange(n)] = 1
+    return tuple(d)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_convolve_passes_unit_coefficients_through_with_their_twist(n):
+    q = CyclicQuiver(n)
+    trunc = 4
+    assert dilog_coefficient(0) == RF_ONE and dilog_coefficient(0) is not RF_ONE
+    # the only pair at e1 + e2 is 1 * c, twisted by lambda(e1, e2) = 1 for n > 2
+    c = dilog_coefficient(2)
+    left = _with_unit(TorusElement.zero(n, trunc), q.e(1))
+    right = mono(n, trunc, q.e(2), c)
+    f = tuple(x + y for x, y in zip(q.e(1), q.e(2)))
+    assert convolve(left, right).terms == {f: c.shifted(q.lambda_form(q.e(1), q.e(2)))}
+    assert convolve(right, left).terms == {f: c.shifted(q.lambda_form(q.e(2), q.e(1)))}
+    rng = random.Random(40 + n)
+    for _ in range(30):
+        a = _random_cyclotomic_element(rng, n, trunc)
+        b = _random_cyclotomic_element(rng, n, trunc)
+        ka, kb = _nonzero_key(rng, n), _nonzero_key(rng, n)
+        for x, y in ((_with_unit(a, ka), b), (a, _with_unit(b, kb)),
+                     (_with_unit(a, ka), _with_unit(b, kb))):
+            assert convolve(x, y) == _convolve_reference(x, y)
+
+
+@pytest.mark.parametrize("n,top", [(2, 3), (3, 3), (4, 3), (5, 2)])
+def test_lambda_row_is_the_twist_against_a_fixed_right_key(n, top):
+    q = CyclicQuiver(n)
+    keys = list(itertools.product(range(top), repeat=n))
+    assert q.lambda_row(q.delta) == (0,) * n
+    for e in keys:
+        r = q.lambda_row(e)
+        for d in keys:
+            lam = q.lambda_form(d, e)
+            assert lam == sum(x * y for x, y in zip(d, r))
+            assert lam == q.euler_form(d, e) - q.euler_form(e, d)
+            assert lam == -q.lambda_form(e, d)
+        assert q.lambda_form(e, q.delta) == 0

@@ -4,8 +4,10 @@ stability functions on nilpotent cyclic-quiver representations.
 Layers, bottom up: exact arithmetic over Q(t) with q = t**2 (`exact`),
 combinatorics of uniserial modules (`quiver`), stability functions and
 filtrations (`stability`), the truncated quantum torus (`torus`),
-finite-field counting oracles (`hall`), and verification campaigns with
-a CLI (`verify`, `cli`).
+finite-field counting (`hall`), and verification campaigns with a CLI
+(`verify`, `cli`).  The brute-force Hom/Ext and automorphism oracles
+(`oracles`) are off the CLI's import path: `hallq.hom_ext_oracle` and
+`hallq.count_automorphisms` load them on first use.
 """
 
 from .exact import (GaussianRational, LaurentPoly, PhaseDomainError,
@@ -14,8 +16,7 @@ from .exact import (GaussianRational, LaurentPoly, PhaseDomainError,
                     rf_mul, rf_neg)
 from .hall import (Budget, BudgetError, FiniteFieldRep, HallPolynomial,
                    InterpolationError, check_integration_homomorphism,
-                   count_automorphisms, hall_count, hom_ext_oracle,
-                   interpolate_hall, iso_class_of, realize,
+                   hall_count, interpolate_hall, iso_class_of, realize,
                    submodule_census)
 from .quiver import CyclicQuiver, DimVector, Indecomposable, ModuleIso
 from .stability import (NotDiscreteError, StabilityFunction, ZeroChargeError,
@@ -51,3 +52,14 @@ __all__ = [
     "stable_indecomposables_up_to", "stable_objects", "submodule_census",
     "torus_diff", "torus_inverse", "translate_function",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("count_automorphisms", "hom_ext_oracle"):
+        from . import oracles
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

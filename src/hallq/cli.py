@@ -5,9 +5,9 @@ Exit codes: 0 all assertions pass, 1 a mathematical comparison failed
 3 an internal fault (one ``internal error:`` line on stderr, no
 traceback).  A reader that closes standard output early (``| head``)
 truncates the printed report but does not change the exit code.
-Reports are canonical JSON with sorted keys; wall-clock time lives in a
-separate top-level field so the "report" subtree is byte-stable per
-seed.
+Reports are one line of compact JSON with sorted keys; wall-clock time
+lives in a separate top-level field so the "report" subtree is
+byte-stable per seed.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def main(argv=None) -> int:
         return 3
     elapsed = time.perf_counter() - started
     text = json.dumps({"report": payload, "timing_seconds": round(elapsed, 6)},
-                      sort_keys=True, indent=2)
+                      sort_keys=True)
     try:
         print(text)
         sys.stdout.flush()

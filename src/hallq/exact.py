@@ -25,7 +25,6 @@ rationals are decided by exact cross products.  All values are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -43,6 +42,34 @@ class PhaseDomainError(ValueError):
     """A charge fell outside the closed upper half plane slit at zero."""
 
 
+class Immutable:
+    """Base of the value classes: each sets its `__slots__` once, in
+    `__init__`, through `object.__setattr__`; assignment afterwards raises.
+    Equality and hash compare the tuple `_astuple()` within one class; a
+    class on a hot path overrides them with direct field comparisons."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__
+                           if not k.startswith("_"))
+        return f"{type(self).__name__}({fields})"
+
+
 def frac_str(x: Rat) -> str:
     """Render a rational as 'p' or 'p/q' (canonical, reduced)."""
     return str(Fraction(x))
@@ -56,12 +83,17 @@ def frac_parse(s: str) -> Fraction:
 # Gaussian rationals and exact phase comparison
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Immutable):
     """An exact complex number re + im*i with rational parts."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    def _astuple(self) -> tuple:
+        return self.re, self.im
 
     @staticmethod
     def of(re: Rat, im: Rat = 0) -> "GaussianRational":
@@ -246,7 +278,7 @@ def _icofactors(a: tuple, b: tuple) -> tuple:
 # Laurent polynomials in t over Q
 # ----------------------------------------------------------------------
 
-class LaurentPoly:
+class LaurentPoly(Immutable):
     """A Laurent polynomial in t with rational coefficients.
 
     Stored as an integer coefficient vector with a single positive
@@ -282,9 +314,6 @@ class LaurentPoly:
         object.__setattr__(self, "t_low", t_low + lead)
         object.__setattr__(self, "_ints", tuple(ints))
         object.__setattr__(self, "_den", den)
-
-    def __setattr__(self, *args):  # pragma: no cover
-        raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors --------------------------------------------------
 
@@ -485,7 +514,7 @@ _LP_ONE = LaurentPoly(0, (1,))
 # Rational functions in t
 # ----------------------------------------------------------------------
 
-class RationalFunction:
+class RationalFunction(Immutable):
     """An element of Q(t) in canonical form.
 
     Invariants: den is nonzero with lowest exponent 0 and leading
@@ -515,9 +544,6 @@ class RationalFunction:
         object.__setattr__(self, "num",
                            LaurentPoly(shift, [x * db for x in a], da * b[-1]))
         object.__setattr__(self, "den", LaurentPoly(0, b, b[-1]))
-
-    def __setattr__(self, *args):  # pragma: no cover
-        raise AttributeError("RationalFunction is immutable")
 
     @staticmethod
     def _trusted(num: LaurentPoly, den: LaurentPoly) -> "RationalFunction":

@@ -1,11 +1,12 @@
-"""Finite-field brute-force oracles.
+"""Finite-field counting.
 
-Matrix realizations of modules, a Hom/Ext dimension solver, exhaustive
-automorphism counting, submodule enumeration behind the counts
-F_{L,M}^N (submodules of N isomorphic to L with quotient isomorphic to
-M), Newton interpolation of the counting polynomials in q, and the
-check that integration intertwines the counting product with the
-twisted torus product.
+Matrix realizations of modules, iso-type recovery, the submodule census
+behind the counts F_{L,M}^N (submodules of N isomorphic to L with
+quotient isomorphic to M), Newton interpolation of the counting
+polynomials in q, and the check that integration intertwines the
+counting product with the twisted torus product.  The brute-force
+Hom/Ext and automorphism oracles live in `oracles`, off the CLI's import
+path.
 
 Matrices are tuples of row tuples over F_p; a realization stores, for
 each vertex v, the action map V_v -> V_{v-1 mod n}, so the span of the
@@ -29,12 +30,11 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import LaurentPoly, RationalFunction, rf_eq
+from .exact import Immutable, LaurentPoly, RationalFunction, rf_eq
 from .quiver import CyclicQuiver, DimVector, ModuleIso
 from .torus import convolve, integrate
 
@@ -53,15 +53,22 @@ class InterpolationError(ValueError):
     """Interpolated polynomial failed the integrality or holdout check."""
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Immutable):
     """Caps on brute-force enumeration sizes."""
 
-    hall_total: int = 4
-    hall_prime: int = 5
-    aut_total: int = 4
-    aut_prime: int = 3
-    aut_space: int = 1 << 20
+    __slots__ = ("hall_total", "hall_prime", "aut_total", "aut_prime", "aut_space")
+
+    def __init__(self, hall_total: int = 4, hall_prime: int = 5, aut_total: int = 4,
+                 aut_prime: int = 3, aut_space: int = 1 << 20):
+        object.__setattr__(self, "hall_total", hall_total)
+        object.__setattr__(self, "hall_prime", hall_prime)
+        object.__setattr__(self, "aut_total", aut_total)
+        object.__setattr__(self, "aut_prime", aut_prime)
+        object.__setattr__(self, "aut_space", aut_space)
+
+    def _astuple(self) -> tuple:
+        return (self.hall_total, self.hall_prime, self.aut_total, self.aut_prime,
+                self.aut_space)
 
     def widened(self, total: int, prime: int) -> "Budget":
         return Budget(max(self.hall_total, total), max(self.hall_prime, prime),
@@ -170,45 +177,26 @@ def _nullspace_mod(rows: Sequence[Sequence[int]], cols: int, p: int) -> List[Tup
     return basis
 
 
-def _int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free (Bareiss) rank of an integer matrix."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    prev = 1
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        piv = m[rank][c]
-        for i in range(rank + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(piv * x - f * y) // prev for x, y in zip(m[i], m[rank])]
-        prev = piv
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 # ----------------------------------------------------------------------
 # Realizations
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteFieldRep:
+class FiniteFieldRep(Immutable):
     """A representation by matrices: maps[v] acts V_v -> V_{v-1 mod n}.
 
     p = 0 keeps integer entries for the characteristic-zero rank oracle.
     """
 
-    n: int
-    p: int
-    dims: DimVector
-    maps: Tuple[Matrix, ...]
+    __slots__ = ("n", "p", "dims", "maps")
+
+    def __init__(self, n: int, p: int, dims: DimVector, maps: Tuple[Matrix, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "maps", maps)
+
+    def _astuple(self) -> tuple:
+        return self.n, self.p, self.dims, self.maps
 
     def target(self, v: int) -> int:
         return (v - 1) % self.n
@@ -321,106 +309,6 @@ def iso_class_of(rep: FiniteFieldRep) -> ModuleIso:
 
 
 # ----------------------------------------------------------------------
-# Hom/Ext oracle
-# ----------------------------------------------------------------------
-
-def _intertwiner_system(ra: FiniteFieldRep, rb: FiniteFieldRep) -> Tuple[List[List[int]], int]:
-    """Linear system for graded maps f = (f_v: A_v -> B_v) commuting with
-    the arrow actions: f_{v-1} a_v - b_v f_v = 0 for every v.
-
-    Unknowns are the entries of all f_v, row-major, vertex-major.
-    Returns (rows, number of unknowns).
-    """
-    n = ra.n
-    da, db = ra.dims, rb.dims
-    offsets = [0] * n
-    off = 0
-    for v in range(n):
-        offsets[v] = off
-        off += db[v] * da[v]
-    ncols = off
-    rows: List[List[int]] = []
-    for v in range(n):
-        w = (v - 1) % n
-        av, bv = ra.maps[v], rb.maps[v]
-        for r in range(db[w]):
-            for c in range(da[v]):
-                row = [0] * ncols
-                for s in range(da[w]):
-                    row[offsets[w] + r * da[w] + s] += av[s][c]
-                for s in range(db[v]):
-                    row[offsets[v] + s * da[v] + c] -= bv[r][s]
-                if any(row):
-                    rows.append(row)
-    return rows, ncols
-
-
-def hom_ext_oracle(q: CyclicQuiver, a: ModuleIso, b: ModuleIso,
-                   p: Optional[int] = None) -> Tuple[int, int]:
-    """(dim Hom(A,B), dim Ext^1(A,B)) by solving the intertwiner system.
-
-    p = None ranks the integer system exactly; a prime ranks it mod p.
-    Ext is the corank: cols - rows of the system equals the Euler form,
-    so hom - ext = chi holds by construction and is cross-checked in
-    tests, not assumed here.
-    """
-    ra = realize(q, a, p or 0)
-    rb = realize(q, b, p or 0)
-    rows, ncols = _intertwiner_system(ra, rb)
-    nrows = sum(rb.dims[(v - 1) % q.n] * ra.dims[v] for v in range(q.n))
-    rank = _rank_mod(rows, ncols, p) if p else _int_rank(rows)
-    return ncols - rank, nrows - rank
-
-
-# ----------------------------------------------------------------------
-# Automorphism counting
-# ----------------------------------------------------------------------
-
-def count_automorphisms(q: CyclicQuiver, m: ModuleIso, p: int,
-                        budget: Budget = DEFAULT_BUDGET) -> int:
-    """Exhaustive count of invertible self-intertwiners over F_p."""
-    total = sum(p_.length for p_ in m)
-    if total > budget.aut_total or p > budget.aut_prime:
-        raise BudgetError(
-            f"count_automorphisms budget is total<={budget.aut_total}, "
-            f"p<={budget.aut_prime}; use aut_poly for larger inputs")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    rep = realize(q, m, p)
-    rows, ncols = _intertwiner_system(rep, rep)
-    basis = _nullspace_mod(rows, ncols, p)
-    if p ** len(basis) > budget.aut_space:
-        raise BudgetError(
-            f"endomorphism space F_{p}^{len(basis)} too large to sweep; "
-            "use aut_poly instead")
-    dims = rep.dims
-    shapes = []
-    off = 0
-    for v in range(rep.n):
-        shapes.append((off, dims[v]))
-        off += dims[v] * dims[v]
-    count = 0
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
-        vec = [0] * ncols
-        for c, bvec in zip(coeffs, basis):
-            if c:
-                for i, x in enumerate(bvec):
-                    if x:
-                        vec[i] = (vec[i] + c * x) % p
-        ok = True
-        for off, d in shapes:
-            if d == 0:
-                continue
-            mat = [vec[off + r * d: off + (r + 1) * d] for r in range(d)]
-            if _rank_mod(mat, d, p) != d:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
-
-
-# ----------------------------------------------------------------------
 # Subspace and submodule enumeration
 # ----------------------------------------------------------------------
 
@@ -441,63 +329,6 @@ def _subspaces(dim: int, k: int, p: int) -> Tuple[Tuple[Matrix, Tuple[int, ...]]
                 mat[i][c] = x
             out.append((tuple(tuple(r) for r in mat), pivots))
     return tuple(out)
-
-
-def _reduce_mod_subspace(vec: Sequence[int], basis: Matrix,
-                         pivots: Tuple[int, ...], p: int
-                         ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Write vec = sum coeffs_i basis_i + residue with residue zero on
-    the pivot columns.  Membership in the span means residue == 0."""
-    res = list(vec)
-    coeffs = []
-    for row, c in zip(basis, pivots):
-        f = res[c] % p
-        coeffs.append(f)
-        if f:
-            for j, x in enumerate(row):
-                if x:
-                    res[j] = (res[j] - f * x) % p
-    return tuple(coeffs), tuple(v % p for v in res)
-
-
-def _sub_quotient_reps(rep: FiniteFieldRep,
-                       spaces: Sequence[Tuple[Matrix, Tuple[int, ...]]]
-                       ) -> Optional[Tuple[FiniteFieldRep, FiniteFieldRep]]:
-    """Restrict and project the arrow maps onto the chosen subspaces;
-    None when some subspace is not arrow-invariant."""
-    n, p = rep.n, rep.p
-    sub_maps: List[Matrix] = []
-    quo_maps: List[Matrix] = []
-    nonpivots = []
-    for v in range(n):
-        _, piv = spaces[v]
-        nonpivots.append([c for c in range(rep.dims[v]) if c not in piv])
-    for v in range(n):
-        w = (v - 1) % n
-        basis_v, piv_v = spaces[v]
-        basis_w, piv_w = spaces[w]
-        amap = rep.maps[v]
-        sub_rows = [[0] * len(basis_v) for _ in range(len(basis_w))]
-        for j, bvec in enumerate(basis_v):
-            img = [sum(amap[r][c] * bvec[c] for c in range(rep.dims[v])) % p
-                   for r in range(rep.dims[w])]
-            coeffs, res = _reduce_mod_subspace(img, basis_w, piv_w, p)
-            if any(res):
-                return None
-            for i, x in enumerate(coeffs):
-                sub_rows[i][j] = x
-        quo_rows = [[0] * len(nonpivots[v]) for _ in range(len(nonpivots[w]))]
-        for j, c0 in enumerate(nonpivots[v]):
-            img = [amap[r][c0] % p for r in range(rep.dims[w])]
-            _, res = _reduce_mod_subspace(img, basis_w, piv_w, p)
-            for i, c1 in enumerate(nonpivots[w]):
-                quo_rows[i][j] = res[c1]
-        sub_maps.append(tuple(tuple(r) for r in sub_rows))
-        quo_maps.append(tuple(tuple(r) for r in quo_rows))
-    sub_dims = tuple(len(spaces[v][0]) for v in range(n))
-    quo_dims = tuple(len(nonpivots[v]) for v in range(n))
-    return (FiniteFieldRep(n, p, sub_dims, tuple(sub_maps)),
-            FiniteFieldRep(n, p, quo_dims, tuple(quo_maps)))
 
 
 @lru_cache(maxsize=None)
@@ -625,26 +456,6 @@ def submodule_census(n: int, big: ModuleIso, p: int
     return _sorted_census(census)
 
 
-def _submodule_census_reference(n: int, big: ModuleIso, p: int
-                                ) -> Tuple[Tuple[ModuleIso, ModuleIso, int], ...]:
-    """`submodule_census` the slow way, kept as the oracle of its tests:
-    restrict and project the arrow maps onto every invariant subspace
-    tuple and classify sub and quotient with `iso_class_of`."""
-    q = CyclicQuiver(n)
-    rep = realize(q, big, p)
-    tally: Dict[Tuple[ModuleIso, ModuleIso], int] = {}
-    ranges = [range(d + 1) for d in rep.dims]
-    for sub_dims in itertools.product(*ranges):
-        pools = [_subspaces(rep.dims[v], sub_dims[v], p) for v in range(n)]
-        for spaces in itertools.product(*pools):
-            pair = _sub_quotient_reps(rep, spaces)
-            if pair is None:
-                continue
-            key = (iso_class_of(pair[0]), iso_class_of(pair[1]))
-            tally[key] = tally.get(key, 0) + 1
-    return _sorted_census(tally)
-
-
 def hall_count(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso, big: ModuleIso,
                p: int, budget: Budget = DEFAULT_BUDGET) -> int:
     """Number of submodules of `big` over F_p isomorphic to `sub` with
@@ -669,15 +480,21 @@ def hall_count(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso, big: ModuleIso,
 # Interpolation
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HallPolynomial:
+class HallPolynomial(Immutable):
     """Integer polynomial in q counting submodules, with its nodes."""
 
-    sub: ModuleIso
-    quo: ModuleIso
-    big: ModuleIso
-    coeffs: Tuple[int, ...]
-    nodes: Tuple[Tuple[int, int], ...]
+    __slots__ = ("sub", "quo", "big", "coeffs", "nodes")
+
+    def __init__(self, sub: ModuleIso, quo: ModuleIso, big: ModuleIso,
+                 coeffs: Tuple[int, ...], nodes: Tuple[Tuple[int, int], ...]):
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "quo", quo)
+        object.__setattr__(self, "big", big)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "nodes", nodes)
+
+    def _astuple(self) -> tuple:
+        return self.sub, self.quo, self.big, self.coeffs, self.nodes
 
     def eval_q(self, q0: int) -> int:
         acc = 0

@@ -13,38 +13,58 @@ antisymmetrisation lambda vanishes against the cyclic vector delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from operator import mul, sub
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from .exact import LaurentPoly
+from .exact import Immutable, LaurentPoly
 
 DimVector = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Indecomposable:
+class Indecomposable(Immutable):
     """R(socle, length): the uniserial with the given socle index, 1-based."""
 
-    socle: int
-    length: int
+    __slots__ = ("socle", "length")
 
-    def __post_init__(self):
+    def __init__(self, socle: int, length: int):
+        object.__setattr__(self, "socle", socle)
+        object.__setattr__(self, "length", length)
         if self.length < 1:
             raise ValueError("length must be positive")
         if self.socle < 1:
             raise ValueError("socle index is 1-based")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Indecomposable:
+            return NotImplemented
+        return (self.socle, self.length) == (other.socle, other.length)
+
+    def __hash__(self) -> int:
+        return hash((self.socle, self.length))
+
     def __str__(self) -> str:
         return f"R({self.socle},{self.length})"
 
 
-@dataclass(frozen=True)
-class ModuleIso:
+class ModuleIso(Immutable):
     """Isomorphism class of a finite module: a sorted multiset of uniserials."""
 
-    summands: Tuple[Indecomposable, ...]
+    __slots__ = ("summands",)
+
+    def __init__(self, summands: Tuple[Indecomposable, ...]):
+        object.__setattr__(self, "summands", summands)
+        key = [(r.socle, r.length) for r in self.summands]
+        if key != sorted(key):
+            raise ValueError("summands must be sorted by (socle, length)")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ModuleIso:
+            return NotImplemented
+        return self.summands == other.summands
+
+    def __hash__(self) -> int:
+        return hash((self.summands,))
 
     @staticmethod
     def of(*parts: Indecomposable) -> "ModuleIso":
@@ -53,11 +73,6 @@ class ModuleIso:
     @staticmethod
     def zero() -> "ModuleIso":
         return ModuleIso(())
-
-    def __post_init__(self):
-        key = [(r.socle, r.length) for r in self.summands]
-        if key != sorted(key):
-            raise ValueError("summands must be sorted by (socle, length)")
 
     @property
     def is_zero(self) -> bool:
@@ -91,7 +106,7 @@ class ModuleIso:
         return ModuleIso.of(*(Indecomposable(int(a), int(b)) for a, b in data))
 
 
-class CyclicQuiver:
+class CyclicQuiver(Immutable):
     """The cycle on n >= 2 vertices together with its dimension arithmetic."""
 
     __slots__ = ("n",)
@@ -100,9 +115,6 @@ class CyclicQuiver:
         if n < 2:
             raise ValueError("need at least two vertices")
         object.__setattr__(self, "n", n)
-
-    def __setattr__(self, *args):  # pragma: no cover
-        raise AttributeError("CyclicQuiver is immutable")
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CyclicQuiver) and self.n == other.n

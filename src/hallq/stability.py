@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
 from typing import Callable, List, Sequence, Tuple
 
-from .exact import GaussianRational, PhaseDomainError, require_phase_domain
+from .exact import (GaussianRational, Immutable, PhaseDomainError,
+                    require_phase_domain)
 from .quiver import CyclicQuiver, DimVector, Indecomposable, ModuleIso
 
 
@@ -40,29 +40,32 @@ class ZeroChargeError(ValueError):
     """Charge requested for the zero dimension vector."""
 
 
-@dataclass(frozen=True)
-class StabilityFunction:
-    """Central charges for the simples of a cyclic quiver, one per vertex."""
+class StabilityFunction(Immutable):
+    """Central charges for the simples of a cyclic quiver, one per vertex.
 
-    n: int
-    charges: Tuple[GaussianRational, ...]
+    `_scaled` is (L, xs, ys): L the lcm of all charge denominators, and for
+    k = 0..2n xs[k] + ys[k] i = L * (Z(S_1) + ... + Z(S_k)), vertex indices
+    mod n.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("n", "charges", "_scaled")
+
+    def __init__(self, n: int, charges: Tuple[GaussianRational, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "charges", charges)
         if self.n < 2 or len(self.charges) != self.n:
             raise ValueError("need one charge per vertex, n >= 2")
         for z in self.charges:
             require_phase_domain(z)
-
-    @functools.cached_property
-    def _scaled(self) -> Tuple[int, List[int], List[int]]:
-        """(L, xs, ys): L the lcm of all charge denominators, and for k = 0..2n
-        xs[k] + ys[k] i = L * (Z(S_1) + ... + Z(S_k)), vertex indices mod n."""
-        scale = lcm(*(x.denominator for c in self.charges for x in (c.re, c.im)))
+        scale = lcm(*(x.denominator for c in charges for x in (c.re, c.im)))
         xs, ys = [0], [0]
-        for c in self.charges + self.charges:
+        for c in charges + charges:
             xs.append(xs[-1] + c.re.numerator * (scale // c.re.denominator))
             ys.append(ys[-1] + c.im.numerator * (scale // c.im.denominator))
-        return scale, xs, ys
+        object.__setattr__(self, "_scaled", (scale, xs, ys))
+
+    def _astuple(self) -> tuple:
+        return self.n, self.charges
 
     def _icharge(self, socle: int, length: int) -> Tuple[int, int]:
         """L * Z(R(socle, length)) as an integer pair."""
@@ -165,13 +168,20 @@ def is_semistable(z: StabilityFunction, x) -> bool:
 # Stable object census
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StableObjectReport:
-    """Stable objects sorted by strictly decreasing phase."""
+class StableObjectReport(Immutable):
+    """Stable objects sorted by strictly decreasing phase; gamma is the
+    charge of delta."""
 
-    stables: Tuple[Indecomposable, ...]
-    delta_stable: Indecomposable
-    gamma: GaussianRational  # charge of delta
+    __slots__ = ("stables", "delta_stable", "gamma")
+
+    def __init__(self, stables: Tuple[Indecomposable, ...],
+                 delta_stable: Indecomposable, gamma: GaussianRational):
+        object.__setattr__(self, "stables", stables)
+        object.__setattr__(self, "delta_stable", delta_stable)
+        object.__setattr__(self, "gamma", gamma)
+
+    def _astuple(self) -> tuple:
+        return self.stables, self.delta_stable, self.gamma
 
     def to_json(self, z: StabilityFunction) -> dict:
         return {

@@ -32,16 +32,16 @@ from __future__ import annotations
 from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .exact import (GaussianRational, RationalFunction, RF_ONE, RF_ZERO,
-                    _cyclo_exponents, _cyclo_sum, _exps_merge, _iconv,
-                    _q_factor_exps)
+from .exact import (GaussianRational, Immutable, RationalFunction, RF_ONE,
+                    RF_ZERO, _cyclo_exponents, _cyclo_sum, _exps_merge,
+                    _iconv, _q_factor_exps)
 from .quiver import (CyclicQuiver, DimVector, Indecomposable, ModuleIso,
                      multisets_with_budget)
 from .stability import (StabilityFunction, _cross, _ray, charge_of,
                         is_semistable, stable_objects)
 
 
-class TorusElement:
+class TorusElement(Immutable):
     """A truncated quantum-torus element: dimension vector -> coefficient."""
 
     __slots__ = ("n", "truncation", "terms")
@@ -63,8 +63,17 @@ class TorusElement:
         object.__setattr__(self, "truncation", truncation)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, *args):  # pragma: no cover
-        raise AttributeError("TorusElement is immutable")
+    @staticmethod
+    def _trusted(n: int, truncation: int,
+                 terms: Dict[DimVector, RationalFunction]) -> "TorusElement":
+        """An element whose keys are known to have n nonnegative entries
+        and total <= truncation, as sums of such keys checked against the
+        bound; only zero coefficients, as a cancelled bucket, drop out."""
+        out = object.__new__(TorusElement)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "truncation", truncation)
+        object.__setattr__(out, "terms", {d: c for d, c in terms.items() if not c.is_zero})
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -89,11 +98,11 @@ class TorusElement:
         for d, c in other.terms.items():
             s = out.get(d)
             out[d] = c if s is None else s + c
-        return TorusElement(self.n, self.truncation, out)
+        return TorusElement._trusted(self.n, self.truncation, out)
 
     def __neg__(self) -> "TorusElement":
-        return TorusElement(self.n, self.truncation,
-                            {d: -c for d, c in self.terms.items()})
+        return TorusElement._trusted(self.n, self.truncation,
+                                     {d: -c for d, c in self.terms.items()})
 
     def __sub__(self, other: "TorusElement") -> "TorusElement":
         return self + (-other)
@@ -174,7 +183,7 @@ def convolve(a: TorusElement, b: TorusElement) -> TorusElement:
             buckets.setdefault(f, []).append(
                 (_exps_merge(ea, eb), sa + sb + k,
                  nb if na == (1,) else na if nb == (1,) else _iconv(na, nb), da * db))
-    return TorusElement(n, bound, {
+    return TorusElement._trusted(n, bound, {
         f: units[f][0].shifted(units[f][1]) if len(terms) == 1 and f in units
         else _cyclo_sum(terms) for f, terms in buckets.items()})
 
@@ -288,8 +297,8 @@ def integrate_modules(q: CyclicQuiver, truncation: int,
         if sum(d) <= truncation:
             e, ks = q.aut_factors(m)
             terms.setdefault(d, []).append((_q_factor_exps(ks), -2 * e, (1,), 1))
-    return TorusElement(q.n, truncation, {d: _cyclo_sum(ts).shifted(q.euler_form(d, d))
-                                          for d, ts in terms.items()})
+    return TorusElement._trusted(q.n, truncation, {
+        d: _cyclo_sum(ts).shifted(q.euler_form(d, d)) for d, ts in terms.items()})
 
 
 def integrate(q: CyclicQuiver, m: ModuleIso, truncation: int) -> TorusElement:

@@ -13,13 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from .exact import GaussianRational
+from .exact import GaussianRational, Immutable
 from .hall import (CATALOG_BUDGET, ENV_BUDGET, BudgetError, ConfigError,
                    budget_from_env, check_integration_homomorphism,
                    interpolate_hall, is_prime, next_prime)
@@ -91,26 +90,30 @@ SABOTAGE_MODES: Dict[str, Tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
-    n: int = 3
-    truncation: Optional[int] = None
-    trials: int = 10
-    seed: int = 0
-    bound: int = 8
-    explicit_z: Optional[StabilityFunction] = None
-    primes: Tuple[int, ...] = (2, 3, 5, 7, 11)
-    max_total: int = 4
-    sabotage: Optional[str] = None
-    verbose: bool = False
+class CampaignConfig(Immutable):
+    __slots__ = ("n", "truncation", "trials", "seed", "bound", "explicit_z",
+                 "primes", "max_total", "sabotage", "verbose")
 
-    def __post_init__(self):
+    def __init__(self, n: int = 3, truncation: Optional[int] = None,
+                 trials: int = 10, seed: int = 0, bound: int = 8,
+                 explicit_z: Optional[StabilityFunction] = None,
+                 primes: Tuple[int, ...] = (2, 3, 5, 7, 11), max_total: int = 4,
+                 sabotage: Optional[str] = None, verbose: bool = False):
+        for key, value in zip(self.__slots__, (n, truncation, trials, seed, bound,
+                                               explicit_z, primes, max_total,
+                                               sabotage, verbose)):
+            object.__setattr__(self, key, value)
         for key in ("n", "truncation", "trials", "seed", "bound", "max_total"):
             value = getattr(self, key)
             if type(value) is not int and not (key == "truncation" and value is None):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
         if any(type(p) is not int for p in self.primes):
             raise ConfigError(f"primes must be integers, got {list(self.primes)!r}")
+
+    def _astuple(self) -> tuple:
+        return (self.n, self.truncation, self.trials, self.seed, self.bound,
+                self.explicit_z, self.primes, self.max_total, self.sabotage,
+                self.verbose)
 
     def check(self, campaign: Optional[str] = None) -> "CampaignConfig":
         if self.n < 2:
@@ -138,7 +141,9 @@ class CampaignConfig:
                               f"budget {cap} (override via {ENV_BUDGET})")
         cfg = self
         if cfg.truncation is None:
-            cfg = replace(cfg, truncation=2 * cfg.n)
+            cfg = CampaignConfig(cfg.n, 2 * cfg.n, cfg.trials, cfg.seed, cfg.bound,
+                                 cfg.explicit_z, cfg.primes, cfg.max_total,
+                                 cfg.sabotage, cfg.verbose)
         if cfg.truncation < 1:
             raise ConfigError("truncation must be at least 1")
         if campaign in TORUS_COMMANDS:

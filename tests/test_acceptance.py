@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from hallq.cli import main
 from hallq.exact import GaussianRational
-from hallq.hall import count_automorphisms, hom_ext_oracle
+from hallq.oracles import count_automorphisms, hom_ext_oracle
 from hallq.quiver import CyclicQuiver, ModuleIso
 from hallq.stability import (
     StabilityFunction,

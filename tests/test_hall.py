@@ -17,9 +17,7 @@ from hallq.hall import (
     InterpolationError,
     budget_from_env,
     check_integration_homomorphism,
-    count_automorphisms,
     hall_count,
-    hom_ext_oracle,
     interpolate_hall,
     iso_class_of,
     next_prime,
@@ -27,9 +25,11 @@ from hallq.hall import (
     submodule_census,
     _lagrange,
     _newton,
-    _submodule_census_reference,
 )
+from hallq.oracles import count_automorphisms, hom_ext_oracle
 from hallq.quiver import CyclicQuiver, ModuleIso
+
+from census_reference import _submodule_census_reference
 
 Q2 = CyclicQuiver(2)
 Q3 = CyclicQuiver(3)

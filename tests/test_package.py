@@ -1,0 +1,103 @@
+"""The package surface: exported names, what a CLI launch imports, and
+the immutable value classes."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import hallq
+from hallq.exact import GaussianRational
+from hallq.hall import Budget, HallPolynomial
+from hallq.quiver import CyclicQuiver, Indecomposable, ModuleIso
+from hallq.stability import StabilityFunction
+from hallq.verify import CampaignConfig
+
+
+def test_every_exported_name_resolves_and_is_listed():
+    listed = dir(hallq)
+    for name in hallq.__all__:
+        assert getattr(hallq, name) is not None, name
+        assert name in listed, name
+    from hallq import oracles
+    assert hallq.hom_ext_oracle is oracles.hom_ext_oracle
+    assert hallq.count_automorphisms is oracles.count_automorphisms
+    with pytest.raises(AttributeError):
+        hallq.no_such_name
+
+
+def test_cli_import_leaves_out_dataclasses_and_the_oracles():
+    probe = ("import sys, hallq.cli; "
+             "print(sorted(m for m in ('dataclasses', 'hallq.oracles') if m in sys.modules))")
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(hallq.__file__).parents[1])))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+Q3 = CyclicQuiver(3)
+
+
+def _pairs():
+    """Two equal but distinct instances of each value class."""
+    z = [(1, 1), (Fraction(-1, 2), 3), (2, Fraction(1, 3))]
+    return [
+        (GaussianRational(Fraction(1, 2), Fraction(3)),
+         GaussianRational(Fraction(1, 2), Fraction(3))),
+        (Indecomposable(2, 3), Indecomposable(2, 3)),
+        (ModuleIso.of(Q3.R(2, 1), Q3.R(1, 2)), ModuleIso.of(Q3.R(1, 2), Q3.R(2, 1))),
+        (StabilityFunction.of(z), StabilityFunction.of(z)),
+        (CampaignConfig(n=4, primes=(2, 3)), CampaignConfig(4, None, 10, 0, 8, None, (2, 3))),
+        (Budget(hall_prime=13), Budget(4, 13)),
+        (HallPolynomial(ModuleIso.zero(), ModuleIso.zero(), ModuleIso.zero(), (1,), ((2, 1),)),
+         HallPolynomial(ModuleIso.zero(), ModuleIso.zero(), ModuleIso.zero(), (1,), ((2, 1),))),
+    ]
+
+
+@pytest.mark.parametrize("a,b", _pairs(), ids=lambda x: type(x).__name__)
+def test_equal_instances_are_equal_and_hash_equal(a, b):
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != object() and a != 0
+
+
+def test_hashes_are_those_of_the_field_tuples():
+    # sets of these objects iterate in hash order, so the hashes must stay
+    # those of the field tuples for the reports to keep their bytes
+    g = GaussianRational(Fraction(1, 2), Fraction(3))
+    r = Indecomposable(2, 3)
+    m = ModuleIso.of(Q3.R(2, 1), Q3.R(1, 2))
+    cfg = CampaignConfig(n=4)
+    assert hash(g) == hash((g.re, g.im))
+    assert hash(r) == hash((2, 3))
+    assert hash(m) == hash((m.summands,))
+    assert hash(cfg) == hash((4, None, 10, 0, 8, None, (2, 3, 5, 7, 11), 4, None, False))
+
+
+@pytest.mark.parametrize("obj,field", [
+    (ModuleIso.of(Q3.R(1, 2)), "summands"),
+    (GaussianRational(Fraction(1), Fraction(0)), "re"),
+    (CampaignConfig(), "truncation"),
+    (Indecomposable(1, 1), "length"),
+    (StabilityFunction.of([(1, 1), (1, 2)]), "n"),
+])
+def test_fields_cannot_be_assigned_or_deleted(obj, field):
+    before = getattr(obj, field)
+    with pytest.raises(AttributeError):
+        setattr(obj, field, None)
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert getattr(obj, field) == before
+
+
+def test_check_fills_the_truncation_by_construction():
+    cfg = CampaignConfig(n=4, trials=3, seed=7, primes=(2, 3), sabotage=None)
+    checked = cfg.check()
+    assert checked == CampaignConfig(n=4, truncation=8, trials=3, seed=7, primes=(2, 3))
+    assert cfg.truncation is None

@@ -550,3 +550,34 @@ def test_lambda_row_is_the_twist_against_a_fixed_right_key(n, top):
             assert lam == q.euler_form(d, e) - q.euler_form(e, d)
             assert lam == -q.lambda_form(e, d)
         assert q.lambda_form(e, q.delta) == 0
+
+
+# ----------------------------------------------------------------------
+# Results built without re-validation
+# ----------------------------------------------------------------------
+
+def _checked(x):
+    return TorusElement(x.n, x.truncation, dict(x.terms))
+
+
+@pytest.mark.parametrize("n,trunc", [(3, 6), (4, 6)])
+def test_trusted_results_equal_checked_construction(n, trunc):
+    q = CyclicQuiver(n)
+    results = []
+    for seed in range(3):
+        z = random_discrete(n, 200 + seed, 8)
+        acc = TorusElement.one(n, trunc)
+        for f in ez_factors(z, trunc, include_delta=True)[1]:
+            acc = convolve(acc, f)
+            results += [acc, convolve(f, acc), acc + f, -acc, acc - acc]
+        results.append(ez_delta(z, trunc))
+    results += [integrate_iso_sum(q, trunc), integrate(q, ModuleIso.of(q.R(1, 2)), trunc)]
+    # the bucket at e_1 cancels: 1 * (-y^e1) + y^e1 * 1 = 0
+    one_plus = TorusElement(n, trunc, {(0,) * n: RF_ONE, q.e(1): RF_ONE})
+    one_minus = TorusElement(n, trunc, {(0,) * n: RF_ONE, q.e(1): -RF_ONE})
+    cancelled = convolve(one_plus, one_minus)
+    assert q.e(1) not in cancelled.terms and (acc - acc).terms == {}
+    results.append(cancelled)
+    for r in results:
+        assert r.terms == _checked(r).terms
+        assert all(not c.is_zero for c in r.terms.values())

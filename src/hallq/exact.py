@@ -11,13 +11,13 @@ half-integer powers of q are both plain powers of t.  Layers:
 
 Reduction to canonical form needs polynomial gcds over Z.  There is one,
 the primitive pseudo-remainder gcd ``_ipoly_gcd``; ``_icofactors`` divides
-it out of both inputs.  The torus sums its coefficients without a gcd:
-their denominators are products of cyclotomic polynomials, and the private
-kernel ``_cyclo_sum`` brings such a sum to canonical form by exact
-division alone.  Each trial division by Phi_i is preceded by a fold test:
-Phi_i divides t^i - 1, so it divides p exactly when it divides the fold
-p mod (t^i - 1), a polynomial of degree < i; the fold only ever rules a
-division out, and the exact division decides every cancellation.
+it out of both inputs in the ``RationalFunction`` constructor and ``+``;
+only the public API (the tests' oracles use it) and the torus fallback
+``_convolve_reference`` reach them, no CLI command.  The torus's sums have
+cyclotomic denominators, which the private kernel ``_cyclo_sum`` cancels
+by exact division alone, each division by Phi_i after a fold test: Phi_i
+divides t^i - 1, so it divides p exactly when it divides p mod (t^i - 1),
+of degree < i; the fold rules divisions out, exact division decides.
 
 No floating point is used anywhere; phase comparisons between Gaussian
 rationals are decided by exact cross products.  All values are immutable.
@@ -514,6 +514,12 @@ _LP_ONE = LaurentPoly(0, (1,))
 # Rational functions in t
 # ----------------------------------------------------------------------
 
+def _normal_form(shift: int, a: tuple, da: int, b: tuple, db: int) -> tuple:
+    """(num, den) of t^shift (a/da) / (b/db), a and b coprime, as
+    [a*db / (da*b_lead)] t^shift / monic(b); LaurentPoly fixes the sign."""
+    return LaurentPoly(shift, [x * db for x in a], da * b[-1]), LaurentPoly(0, b, b[-1])
+
+
 class RationalFunction(Immutable):
     """An element of Q(t) in canonical form.
 
@@ -533,17 +539,10 @@ class RationalFunction(Immutable):
             object.__setattr__(self, "num", _LP_ZERO)
             object.__setattr__(self, "den", _LP_ONE)
             return
-        shift = num.t_low - den.t_low
-        a, da = num._ints, num._den
-        b, db = den._ints, den._den
-        a, b = _icofactors(a, b)
-        if b[-1] < 0:
-            a = tuple(-x for x in a)
-            b = tuple(-x for x in b)
-        # value = (a/da) t^shift / (b/db) = [a*db / (da*b_lead)] t^shift / monic(b)
-        object.__setattr__(self, "num",
-                           LaurentPoly(shift, [x * db for x in a], da * b[-1]))
-        object.__setattr__(self, "den", LaurentPoly(0, b, b[-1]))
+        a, b = _icofactors(num._ints, den._ints)
+        num, den = _normal_form(num.t_low - den.t_low, a, num._den, b, den._den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def _trusted(num: LaurentPoly, den: LaurentPoly) -> "RationalFunction":
@@ -600,7 +599,8 @@ class RationalFunction(Immutable):
     def inv(self) -> "RationalFunction":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero rational function")
-        return RationalFunction(self.den, self.num)
+        n, d = self.num, self.den  # coprime already: no gcd
+        return RationalFunction._trusted(*_normal_form(-n.t_low, d._ints, d._den, n._ints, n._den))
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         return self * other.inv()

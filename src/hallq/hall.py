@@ -4,9 +4,9 @@ Matrix realizations of modules, iso-type recovery, the submodule census
 behind the counts F_{L,M}^N (submodules of N isomorphic to L with
 quotient isomorphic to M), Newton interpolation of the counting
 polynomials in q, and the check that integration intertwines the
-counting product with the twisted torus product.  The brute-force
-Hom/Ext and automorphism oracles live in `oracles`, off the CLI's import
-path.
+counting product with the twisted torus product, both of its sides
+summed by the torus's cyclotomic kernel.  The brute-force Hom/Ext and
+automorphism oracles live in `oracles`, off the CLI's import path.
 
 Matrices are tuples of row tuples over F_p; a realization stores, for
 each vertex v, the action map V_v -> V_{v-1 mod n}, so the span of the
@@ -34,9 +34,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import Immutable, LaurentPoly, RationalFunction, rf_eq
+from .exact import Immutable, LaurentPoly, rf_eq
 from .quiver import CyclicQuiver, DimVector, ModuleIso
-from .torus import convolve, integrate
+from .torus import convolve, integrate, integrate_modules
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
@@ -596,6 +596,14 @@ def interpolate_hall(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso,
     return fitted
 
 
+def hall_polynomials(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso, primes: Sequence[int],
+                     budget: Budget) -> Tuple[DimVector, List[HallPolynomial]]:
+    """dim L + dim M and phi_{L,M}^N for each class N of that dimension."""
+    d_total = tuple(a + b for a, b in zip(q.dim_of(sub), q.dim_of(quo)))
+    return d_total, [interpolate_hall(q, sub, quo, big, primes, budget=budget)
+                     for big in q.enumerate_with_dim(d_total)]
+
+
 # ----------------------------------------------------------------------
 # Integration-map homomorphism check
 # ----------------------------------------------------------------------
@@ -612,20 +620,12 @@ def check_integration_homomorphism(q: CyclicQuiver, left: ModuleIso,
     twist_sign = -1 flips the product twist and exists only so sabotage
     checks can prove this comparison is not vacuous.
     """
-    d_left, d_right = q.dim_of(left), q.dim_of(right)
-    d_total = tuple(a + b for a, b in zip(d_left, d_right))
-    total = sum(d_total)
+    total = sum(r.length for r in left.summands + right.summands)
     if total > budget.hall_total:
         raise BudgetError(f"pair total {total} exceeds budget {budget.hall_total}")
-    lhs = RationalFunction.zero()
-    polys = []
-    for big in q.enumerate_with_dim(d_total):
-        phi = interpolate_hall(q, left, right, big, primes, budget=budget)
-        polys.append(phi)
-        if not phi.coeffs:
-            continue
-        weight = integrate(q, big, total).coefficient(d_total)
-        lhs = lhs + RationalFunction(phi.as_laurent()) * weight
+    d_total, polys = hall_polynomials(q, left, right, primes, budget)
+    lhs = integrate_modules(q, total, [phi.big for phi in polys],
+                            [phi.as_laurent() for phi in polys]).coefficient(d_total)
     i_left, i_right = integrate(q, left, total), integrate(q, right, total)
     # lambda is antisymmetric, so the flipped twist is the swapped product
     prod = convolve(i_left, i_right) if twist_sign == 1 else convolve(i_right, i_left)

@@ -16,25 +16,27 @@ t^(chi(dim M, dim M)) / |Aut M|(q) * y^(dim M).
 Cyclotomic invariant: both kinds of coefficient have a denominator that
 is a power of t times a product of factors q^k - 1 = t^(2k) - 1, that is
 a product of cyclotomic polynomials Phi_i(t), and sums and products keep
-this form.  So ``convolve`` and ``integrate_modules`` sum every output
-coefficient in one canonical reduction (``exact._cyclo_sum``) with no
-gcd; ``convolve`` falls back to the pair-by-pair ``_convolve_reference``
+this form.  So ``convolve``, ``integrate_modules`` (with an optional
+q-polynomial weight per class, which the Hall side of the integration
+identity needs) and ``torus_inverse`` (through ``convolve``) sum every
+output coefficient in one canonical reduction (``exact._cyclo_sum``), with
+no gcd; ``convolve`` falls back to the pair-by-pair ``_convolve_reference``
 for an operand outside the invariant.  Two shortcuts keep ``convolve``
-from redoing known work: an output key reached only by a pair with a
-coefficient exactly 1 (the dilogarithm's constant term, say) is the
-other coefficient times t^lambda, already canonical, and skips the
-kernel; and lambda(d, e) is the dot product of d with the row
-``CyclicQuiver.lambda_row(e)``, computed once per right-hand key.
+from redoing work: a key reached only by a pair with a coefficient
+exactly 1 (the dilogarithm's constant term, say) is the other coefficient
+times t^lambda, already canonical, and skips the kernel; and lambda(d, e)
+is d dotted with the row ``CyclicQuiver.lambda_row(e)``, once per key e.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .exact import (GaussianRational, Immutable, RationalFunction, RF_ONE,
-                    RF_ZERO, _cyclo_exponents, _cyclo_sum, _exps_merge,
-                    _iconv, _q_factor_exps)
+from .exact import (GaussianRational, Immutable, LaurentPoly, RationalFunction,
+                    RF_ONE, RF_ZERO, _LP_ONE, _cyclo_exponents, _cyclo_sum,
+                    _exps_merge, _iconv, _q_factor_exps)
 from .quiver import (CyclicQuiver, DimVector, Indecomposable, ModuleIso,
                      multisets_with_budget)
 from .stability import (StabilityFunction, _cross, _ray, charge_of,
@@ -230,20 +232,19 @@ def torus_inverse(a: TorusElement) -> TorusElement:
 
     With a = c0 (1 + u), u without constant term, a^-1 is
     (sum_{j <= D} (-u)^j) c0^-1: c0 is central and u^(D+1) vanishes at
-    truncation D.  The sum is D steps of x <- 1 - u x through `convolve`.
+    truncation D.  The sum is D steps x <- c0^-1 - u x through `convolve`.
     """
     c0 = a.constant_term
     if c0.is_zero:
         raise ZeroDivisionError("constant term is zero; no inverse")
-    c0_inv = c0.inv()
     n, bound = a.n, a.truncation
-    one = TorusElement.one(n, bound)
-    minus_u = TorusElement(n, bound, {d: -(c * c0_inv) for d, c in a.terms.items()
-                                      if any(d)})
-    x = one
+    scale = TorusElement.monomial(n, bound, (0,) * n, c0.inv())
+    minus_u = -convolve(scale, TorusElement(n, bound, {d: c for d, c in a.terms.items()
+                                                       if any(d)}))
+    x = scale
     for _ in range(bound):
-        x = one + convolve(minus_u, x)
-    return TorusElement(n, bound, {d: c * c0_inv for d, c in x.terms.items()})
+        x = scale + convolve(minus_u, x)
+    return x
 
 
 def apply_translate(a: TorusElement, k: int = 1) -> TorusElement:
@@ -282,21 +283,22 @@ def dilog(n: int, truncation: int, d: DimVector) -> TorusElement:
     return TorusElement(n, truncation, terms)
 
 
-def integrate_modules(q: CyclicQuiver, truncation: int,
-                      modules: Iterable[ModuleIso]) -> TorusElement:
-    """Sum of the images t^chi(dM,dM) / |Aut M|(q) * y^(dim M) over the
-    given iso classes; classes above the truncation bound drop out.
+def integrate_modules(q: CyclicQuiver, truncation: int, modules: Iterable[ModuleIso],
+                      weights: Optional[Iterable[LaurentPoly]] = None) -> TorusElement:
+    """Sum of w_M t^chi(dM,dM) / |Aut M|(q) * y^(dim M) over the classes M,
+    w_M from `weights` (default 1); those above the truncation drop out.
 
     With |Aut M| = q^e * prod_{k in ks} (q^k - 1), each class is the term
-    t^(-2e) / prod (q^k - 1), and each dimension vector is summed by one
-    kernel call, which adds the classes with equal ks first.
+    w_M t^(-2e) / prod (q^k - 1), and each dimension vector is summed by
+    one kernel call, which adds the classes with equal ks first.
     """
     terms: Dict[DimVector, list] = {}
-    for m in modules:
+    for m, w in zip(modules, repeat(_LP_ONE) if weights is None else weights):
         d = q.dim_of(m)
-        if sum(d) <= truncation:
+        if sum(d) <= truncation and not w.is_zero:
             e, ks = q.aut_factors(m)
-            terms.setdefault(d, []).append((_q_factor_exps(ks), -2 * e, (1,), 1))
+            terms.setdefault(d, []).append(
+                (_q_factor_exps(ks), w.t_low - 2 * e, w._ints, w._den))
     return TorusElement._trusted(q.n, truncation, {
         d: _cyclo_sum(ts).shifted(q.euler_form(d, d)) for d, ts in terms.items()})
 

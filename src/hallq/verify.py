@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from .exact import GaussianRational, Immutable
 from .hall import (CATALOG_BUDGET, ENV_BUDGET, BudgetError, ConfigError,
                    budget_from_env, check_integration_homomorphism,
-                   interpolate_hall, is_prime, next_prime)
+                   hall_polynomials, is_prime, next_prime)
 from .quiver import CyclicQuiver, DimVector, Indecomposable, ModuleIso
 from .stability import (NotDiscreteError, StabilityFunction,
                         charge_of_indec, delta_stable_via_ci,
@@ -47,6 +47,9 @@ MAX_VERTICES = 32
 
 # Cap on the class pairs, each a Hall census, of verify integration.
 INTEGRATION_PAIR_BUDGET = 2_000
+
+# Cap on the trials of a campaign; 100 of invariance at n = 4, D = 8 take 2 s.
+MAX_TRIALS = 1_000
 
 # Charge arrangements verify pentagon tries on its coarse grid, then as
 # many again on a fine one.
@@ -120,6 +123,8 @@ class CampaignConfig(Immutable):
             raise ConfigError("n must be at least 2")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if self.trials > MAX_TRIALS:
+            raise BudgetError(f"trials {self.trials} exceeds the trial budget {MAX_TRIALS}")
         if self.bound < 1:
             raise ConfigError("bound must be at least 1")
         if self.max_total < 0:
@@ -525,9 +530,7 @@ def hall_table(cfg: CampaignConfig, sub: ModuleIso, quo: ModuleIso) -> Tuple[boo
     if total > budget.hall_total:
         raise BudgetError(f"total {total} of L + M exceeds the Hall budget "
                           f"total {budget.hall_total} (override via {ENV_BUDGET})")
-    d_total = tuple(a + b for a, b in zip(q.dim_of(sub), q.dim_of(quo)))
-    table = [interpolate_hall(q, sub, quo, big, cfg.primes, budget=budget)
-             for big in q.enumerate_with_dim(d_total)]
+    table = hall_polynomials(q, sub, quo, cfg.primes, budget)[1]
     payload = _base(cfg, "hall")
     payload["L"] = sub.to_json()
     payload["M"] = quo.to_json()

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hallq import exact
 from hallq.exact import (
@@ -277,6 +277,26 @@ def test_rf_field_axioms(a, b, c):
 @given(nonzero_fn)
 def test_rf_multiplicative_inverse(a):
     assert rf_eq(rf_mul(a, rf_inv(a)), RF_ONE)
+
+
+# numerators with rational content, so inv must carry the integer
+# denominators across
+content_poly = st.builds(
+    LaurentPoly,
+    st.integers(min_value=-3, max_value=3),
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=6),
+).filter(lambda p: not p.is_zero)
+
+
+@given(content_poly, content_poly)
+@example(LaurentPoly(2, [3, -2], 4), LaurentPoly(-1, [5, 0, -3], 6))
+@example(LaurentPoly(-3, [-1], 5), LaurentPoly(0, [2, 1], 3))
+def test_rf_inverse_equals_the_swapped_construction(num, den):
+    # inv skips the gcd: t-shifts, negative leading coefficients and
+    # rational content must still come out in the constructor's form
+    a = RationalFunction(num, den)
+    assert a.inv() == RationalFunction(a.den, a.num)
 
 
 @given(rationals_fn, nonzero_fn, st.integers(-3, 3), st.integers(-3, 3))

@@ -28,6 +28,7 @@ from hallq.hall import (
 )
 from hallq.oracles import count_automorphisms, hom_ext_oracle
 from hallq.quiver import CyclicQuiver, ModuleIso
+from hallq.torus import integrate
 
 from census_reference import _submodule_census_reference
 
@@ -389,6 +390,25 @@ def test_integration_homomorphism_basic_pairs():
     assert ok
     ok, _ = check_integration_homomorphism(Q2, m_of(Q2, (1, 2)), m_of(Q2, (1, 1)))
     assert ok
+
+
+@pytest.mark.parametrize("q", [Q2, Q3], ids=["n2", "n3"])
+def test_integration_lhs_equals_the_per_class_sum(q):
+    # the weighted kernel sum against a per-class oracle: one general
+    # RationalFunction product and sum for each class N
+    primes = (2, 3, 5, 7, 11)
+    classes = [(m, sum(r.length for r in m)) for m in q.enumerate_iso_classes(3)]
+    pairs = [(l, m, a + b) for l, a in classes for m, b in classes if a + b <= 3]
+    for left, right, total in pairs:
+        _, report = check_integration_homomorphism(q, left, right, primes)
+        d = tuple(x + y for x, y in zip(q.dim_of(left), q.dim_of(right)))
+        want = RationalFunction.zero()
+        for big in q.enumerate_with_dim(d):
+            phi = interpolate_hall(q, left, right, big, primes, budget=CATALOG_BUDGET)
+            weight = integrate(q, big, total).coefficient(d)
+            want = want + RationalFunction(phi.as_laurent()) * weight
+        assert report["lhs"] == want.to_json(), (left, right)
+    assert len(pairs) == {2: 59, 3: 132}[q.n]
 
 
 def test_integration_homomorphism_with_zero():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hallq
+from hallq import exact
 from hallq.cli import build_parser, main, parse_module
 from hallq.exact import GaussianRational
 from hallq.hall import BudgetError
@@ -25,6 +26,7 @@ from hallq.verify import (
     CampaignConfig,
     ConfigError,
     INTEGRATION_PAIR_BUDGET,
+    MAX_TRIALS,
     MAX_VERTICES,
     SABOTAGE_MODES,
     TORUS_COMMANDS,
@@ -502,6 +504,18 @@ def test_cli_internal_fault_exits_three(capsys, monkeypatch):
     assert err == "internal error: ValueError: dimension vectors do not add up\n"
 
 
+def test_campaigns_call_no_polynomial_gcd(monkeypatch):
+    # every Q(t) coefficient these commands compute goes through the
+    # cyclotomic kernel; the general gcd serves only the public API
+    calls = []
+    gcd = exact._ipoly_gcd
+    monkeypatch.setattr(exact, "_ipoly_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    assert campaign_pentagon(CampaignConfig(n=4, truncation=6))[0]
+    assert campaign_integration(CampaignConfig(n=3, max_total=2))[0]
+    assert campaign_hn_identity(CampaignConfig(n=3, truncation=6, trials=1))[0]
+    assert calls == []
+
+
 # ----------------------------------------------------------------------
 # Budgets checked before any work
 # ----------------------------------------------------------------------
@@ -633,13 +647,33 @@ def test_cli_torus_key_budget_refused_up_front(capsys, monkeypatch, argv):
 ])
 def test_cli_vertex_budget_refused_up_front(capsys, monkeypatch, argv):
     _refuse_work(monkeypatch, "_z_for_trial", "stable_objects", "hn_filtration",
-                 "interpolate_hall", "check_integration_homomorphism", "CyclicQuiver")
+                 "hall_polynomials", "check_integration_homomorphism", "CyclicQuiver")
     started = time.perf_counter()
     code, _, err = run_cli(capsys, *argv, "--n", str(10 ** 9), "--trunc", "2",
                            "--seed", "0")
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert f"exceeds the vertex budget {MAX_VERTICES}" in err
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_cli_trial_budget_refused_up_front(capsys, monkeypatch, tmp_path, via_config):
+    _refuse_work(monkeypatch, "_z_for_trial", "ez_factors", "ordered_product")
+    trials = MAX_TRIALS + 1
+    args = (["--config", write_config(tmp_path, n=4, truncation=8, trials=trials)]
+            if via_config else ["--n", "4", "--trunc", "8", "--trials", str(trials)])
+    started = time.perf_counter()
+    code, _, err = run_cli(capsys, "verify", "invariance", *args)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert f"trials 1001 exceeds the trial budget {MAX_TRIALS}" in err
+
+
+def test_trial_budget_bounds():
+    assert MAX_TRIALS == 1_000
+    CampaignConfig(n=4, truncation=8, trials=MAX_TRIALS).check("invariance")
+    with pytest.raises(BudgetError, match="trial budget"):
+        CampaignConfig(n=4, truncation=8, trials=MAX_TRIALS + 1).check("invariance")
 
 
 def test_vertex_budget_bounds():

@@ -193,14 +193,20 @@ class CyclicQuiver(Immutable):
 
     def _hom_runs(self, ra: list, rb: list) -> int:
         """sum of m_r m_s dim Hom(R_r, R_s) over runs (socle, length, m)."""
-        n, total = self.n, 0
+        return sum(map(sum, self._hom_table(ra, rb)))
+
+    def _hom_table(self, ra: list, rb: list) -> List[List[int]]:
+        """m_r m_s dim Hom(R_r, R_s), one row per run r of ra and one entry
+        per run s of rb, runs given as (socle, length, m)."""
+        n, table = self.n, []
         for i, l, ma in ra:
+            row = []
             for j, m, mb in rb:
                 r = (i + l - j) % n or n
                 hi = l if l < m else m
-                if r <= hi:
-                    total += ma * mb * ((hi - r) // n + 1)
-        return total
+                row.append(ma * mb * ((hi - r) // n + 1) if r <= hi else 0)
+            table.append(row)
+        return table
 
     def hom_dim_modules(self, a: ModuleIso, b: ModuleIso) -> int:
         """sum of m_r m_s dim Hom(R_r, R_s) over the distinct summands."""
@@ -214,14 +220,47 @@ class CyclicQuiver(Immutable):
     def aut_factors(self, m: ModuleIso) -> Tuple[int, Tuple[int, ...]]:
         """(e, ks) with |Aut(M over F_q)| = q^e * prod_{k in ks} (q^k - 1).
 
-        For M with pairwise nonisomorphic parts R_r of multiplicity m_r,
-        |Aut M| = q^(dim End M) * prod_r prod_{k=1..m_r} (1 - q^-k), so
-        e = dim End M - sum_r m_r (m_r + 1) / 2 and ks lists 1..m_r for
-        every r, ascending.
+        The one-summand increment of :meth:`aut_exponents` folded over the
+        summands of M, run by run; ks lists 1..m_r for every part R_r of
+        multiplicity m_r, ascending.
         """
         runs = _runs(m)
-        e = self._hom_runs(runs, runs) - sum(k * (k + 1) // 2 for _, _, k in runs)
-        return e, tuple(sorted(k for _, _, mult in runs for k in range(1, mult + 1)))
+        steps, ks = [], []
+        for j, (_, _, mult) in enumerate(runs):
+            for k in range(1, mult + 1):
+                ks.append(k)
+                steps.append((len(ks), j, k))
+        e = 0
+        for _, _, _, e in self.aut_exponents([(s, l) for s, l, _ in runs], steps):
+            pass
+        return e, tuple(sorted(ks))
+
+    def aut_exponents(self, parts: Sequence[Tuple[int, int]],
+                      steps: Iterable[Tuple[int, int, int]]) -> Iterator[Tuple[int, int, int, int]]:
+        """(depth, i, m, e) per step (depth, i, m), as :func:`multiset_walk`
+        yields them, of a walk over multisets of the uniserials R(socle,
+        length) in `parts`: e is the exponent of |Aut M| = q^e * prod_{k in
+        ks} (q^k - 1) for the multiset M the step reaches, whose ks are those
+        of its parent with m added.
+
+        With |Aut M| = q^(dim End M) * prod_r prod_{k=1..m_r} (1 - q^-k),
+        e = dim End M - sum_r m_r (m_r + 1) / 2; adding R_i to a class that
+        holds it m - 1 times adds dim End R_i, dim Hom(R_i, R) + dim Hom(R,
+        R_i) for each summand R of the class, and -m.  The Hom numbers are
+        one table over `parts`; a walk adds the indices in ascending order,
+        so row i holds the indices <= i alone.
+        """
+        runs = [(s, l, 1) for s, l in parts]
+        hom = self._hom_table(runs, runs)
+        ends = [hom[i][i] for i in range(len(runs))]
+        rows = [[hom[i][j] + hom[j][i] for j in range(i + 1)] for i in range(len(runs))]
+        es, path = [0], []
+        for depth, i, m in steps:
+            del es[depth:], path[depth - 1:]
+            e = es[-1] + ends[i] - m + sum(map(rows[i].__getitem__, path))
+            es.append(e)
+            path.append(i)
+            yield depth, i, m, e
 
     def aut_poly(self, m: ModuleIso) -> LaurentPoly:
         """|Aut(M)| as a polynomial in t with q = t**2 substituted."""
@@ -284,29 +323,50 @@ def _length(r: Indecomposable) -> int:
     return r.length
 
 
+def multiset_walk(weights: Sequence[int], budget: int) -> Iterator[Tuple[int, int, int]]:
+    """(depth, i, m) per nonempty multiset of indices into `weights` (each
+    positive) of total weight <= budget; none when the budget is negative.
+
+    The walk runs depth first with each index list ascending, so the lists
+    come out in lexicographic order.  A multiset of `depth` indices is the
+    one the walk last reached at depth - 1 (the empty one at depth 0) with
+    index i added, which it then holds m times.
+    """
+    top = len(weights)
+    # per open multiset: next index to try, weight left, last index, its multiplicity
+    stack = [[0, budget, -1, 0]] if budget >= 0 else []
+    while stack:
+        frame = stack[-1]
+        i, left, last, m = frame
+        while i < top and weights[i] > left:
+            i += 1
+        if i == top:
+            stack.pop()
+            continue
+        frame[0] = i + 1
+        m = m + 1 if i == last else 1
+        yield len(stack), i, m
+        stack.append([i, left - weights[i], i, m])
+
+
 def multisets_with_budget(parts: Iterable[Indecomposable], budget: int,
                           weight: Callable[[Indecomposable], int]) -> List[ModuleIso]:
     """All multisets of the given parts with total weight <= budget; none
     when the budget is negative.
 
-    The recursion runs depth first over the parts sorted by (socle,
-    length), so the summand lists come out lexicographically ascending.
+    One :func:`multiset_walk` over the parts sorted by (socle, length), so
+    the summand lists come out lexicographically ascending, the zero class
+    first.
     """
+    if budget < 0:
+        return []
     parts = sorted(parts, key=lambda r: (r.socle, r.length))
-    weights = [weight(r) for r in parts]
-    out: List[ModuleIso] = []
+    out = [ModuleIso(())]
     acc: List[Indecomposable] = []
-
-    def extend(start: int, left: int) -> None:
+    for depth, i, _ in multiset_walk([weight(r) for r in parts], budget):
+        del acc[depth - 1:]
+        acc.append(parts[i])
         out.append(ModuleIso(tuple(acc)))
-        for i in range(start, len(parts)):
-            if weights[i] <= left:
-                acc.append(parts[i])
-                extend(i, left - weights[i])
-                acc.pop()
-
-    if budget >= 0:
-        extend(0, budget)
     return out
 
 

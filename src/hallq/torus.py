@@ -16,16 +16,23 @@ t^(chi(dim M, dim M)) / |Aut M|(q) * y^(dim M).
 Cyclotomic invariant: both kinds of coefficient have a denominator that
 is a power of t times a product of factors q^k - 1 = t^(2k) - 1, that is
 a product of cyclotomic polynomials Phi_i(t), and sums and products keep
-this form.  So ``convolve``, ``integrate_modules`` (with an optional
-q-polynomial weight per class, which the Hall side of the integration
-identity needs) and ``torus_inverse`` (through ``convolve``) sum every
-output coefficient in one canonical reduction (``exact._cyclo_sum``), with
-no gcd; ``convolve`` falls back to the pair-by-pair ``_convolve_reference``
-for an operand outside the invariant.  Two shortcuts keep ``convolve``
-from redoing work: a key reached only by a pair with a coefficient
-exactly 1 (the dilogarithm's constant term, say) is the other coefficient
-times t^lambda, already canonical, and skips the kernel; and lambda(d, e)
-is d dotted with the row ``CyclicQuiver.lambda_row(e)``, once per key e.
+this form.  So ``convolve``, the integration sums and ``torus_inverse``
+(through ``convolve``) sum every output coefficient in one canonical
+reduction (``exact._cyclo_sum``), with no gcd; ``convolve`` falls back to
+the pair-by-pair ``_convolve_reference`` for an operand outside the
+invariant.  Two shortcuts keep ``convolve`` from redoing work: a key
+reached only by a pair with a coefficient exactly 1 (the dilogarithm's
+constant term, say) is the other coefficient times t^lambda, already
+canonical, and skips the kernel; and lambda(d, e) is d dotted with the
+row ``CyclicQuiver.lambda_row(e)``, once per key e.
+
+The integration map has two entry points.  ``integrate_modules`` takes
+explicit classes, each with an optional q-polynomial weight (the Hall
+side of the integration identity).  ``integrate_multisets`` sums every
+direct sum of given uniserials (``integrate_iso_sum`` over all of them,
+``semistable_phase_factor`` over one phase) in one ``multiset_walk``
+that carries dim M and |Aut M| from each class to the next with one
+summand, builds no class, and hands the kernel one term per (dim M, ks).
 """
 
 from __future__ import annotations
@@ -37,8 +44,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .exact import (GaussianRational, Immutable, LaurentPoly, RationalFunction,
                     RF_ONE, RF_ZERO, _LP_ONE, _cyclo_exponents, _cyclo_sum,
                     _exps_merge, _iconv, _q_factor_exps)
-from .quiver import (CyclicQuiver, DimVector, Indecomposable, ModuleIso,
-                     multisets_with_budget)
+from .quiver import CyclicQuiver, DimVector, Indecomposable, ModuleIso, multiset_walk
 from .stability import (StabilityFunction, _cross, _ray, charge_of,
                         is_semistable, stable_objects)
 
@@ -309,9 +315,50 @@ def integrate(q: CyclicQuiver, m: ModuleIso, truncation: int) -> TorusElement:
 
 
 def integrate_iso_sum(q: CyclicQuiver, truncation: int) -> TorusElement:
-    """Sum of integrate over every iso class of total dim <= truncation.
-    The zero class contributes the unit."""
-    return integrate_modules(q, truncation, q.enumerate_iso_classes(truncation))
+    """Sum of integrate over every iso class of total dim <= truncation,
+    one :func:`integrate_multisets` walk over every uniserial.  The zero
+    class contributes the unit."""
+    return integrate_multisets(q, q.enumerate_indecomposables(truncation), truncation)
+
+
+def integrate_multisets(q: CyclicQuiver, parts: Iterable[Indecomposable],
+                        truncation: int) -> TorusElement:
+    """Sum of integrate over every direct sum of the distinct uniserials
+    `parts` of total dim <= truncation, the zero class included, with no
+    class built.
+
+    One :func:`multiset_walk` carries dim M (an integer with digit d_j in
+    base truncation + 1, so that adding a summand is one addition) and the
+    (e, ks) of |Aut M| (:meth:`CyclicQuiver.aut_exponents`) from each class
+    to its children.  It counts the classes by (dim M, ks, e); each (dim M,
+    ks) is one kernel term whose numerator sums count * t^(-2e), and each
+    dimension vector one kernel call, shifted by t^chi(d, d).
+    """
+    parts = sorted(parts, key=lambda r: (r.socle, r.length))
+    n, base = q.n, truncation + 1
+    codes = [sum(x * base ** j for j, x in enumerate(q.dim_of_indec(r))) for r in parts]
+    walk = q.aut_exponents([(r.socle, r.length) for r in parts],
+                           multiset_walk([r.length for r in parts], truncation))
+    counts: Dict[Tuple[int, tuple], Dict[int, int]] = {(0, ()): {0: 1}}
+    code_at, ks_at = [0], [()]
+    for depth, i, m, e in walk:
+        del code_at[depth:], ks_at[depth:]
+        code_at.append(code_at[-1] + codes[i])
+        ks_at.append(tuple(sorted(ks_at[-1] + (m,))))
+        by_e = counts.setdefault((code_at[-1], ks_at[-1]), {})
+        by_e[e] = by_e.get(e, 0) + 1
+    terms: Dict[int, list] = {}
+    for (code, ks), by_e in counts.items():
+        top = max(by_e)
+        ints = [0] * (2 * (top - min(by_e)) + 1)
+        for e, count in by_e.items():
+            ints[2 * (top - e)] = count
+        terms.setdefault(code, []).append((_q_factor_exps(ks), -2 * top, ints, 1))
+    out = {}
+    for code, ts in terms.items():
+        d = tuple(code // base ** j % base for j in range(n))
+        out[d] = _cyclo_sum(ts).shifted(q.euler_form(d, d))
+    return TorusElement._trusted(n, truncation, out)
 
 
 def ordered_product(factors: Iterable[TorusElement], n: int, truncation: int) -> TorusElement:
@@ -354,10 +401,11 @@ def phase_indecomposables(z: StabilityFunction, truncation: int,
 def semistable_phase_factor(z: StabilityFunction, truncation: int,
                             phase: GaussianRational) -> TorusElement:
     """Integration of one phase subcategory: the sum of integrate over
-    all semistables of that phase, direct sums included."""
-    parts = phase_indecomposables(z, truncation, phase)
-    return integrate_modules(z.quiver, truncation,
-                             multisets_with_budget(parts, truncation, lambda r: r.length))
+    all semistables of that phase, direct sums included, as one
+    :func:`integrate_multisets` walk over the semistable uniserials of the
+    phase (a semistable of a discrete function is a direct sum of them)."""
+    return integrate_multisets(z.quiver, phase_indecomposables(z, truncation, phase),
+                               truncation)
 
 
 def ez_delta(z: StabilityFunction, truncation: int) -> TorusElement:

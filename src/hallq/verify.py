@@ -48,6 +48,11 @@ MAX_VERTICES = 32
 # Cap on the class pairs, each a Hall census, of verify integration.
 INTEGRATION_PAIR_BUDGET = 2_000
 
+# Cap on the iso classes of total <= D that verify hn-identity sums; the
+# largest admitted sums (n = 2 at D = 20, 80,377 classes; n = 5 at D = 10,
+# 57,559) take about 3 s and 0.6 s per command.
+ISO_CLASS_BUDGET = 100_000
+
 # Cap on the trials of a campaign; 100 of invariance at n = 4, D = 8 take 2 s.
 MAX_TRIALS = 1_000
 
@@ -68,17 +73,23 @@ def _torus_key_count(n: int, truncation: int) -> Optional[int]:
     return keys
 
 
-def _integration_pair_count(n: int, max_total: int) -> Optional[int]:
-    """sum of c_a c_b over a + b <= max_total, c_k the number of classes of
-    total k (the x^k coefficient of prod_l (1 - x^l)^-n), or None once the
-    (a, b) alone pass INTEGRATION_PAIR_BUDGET."""
-    if (max_total + 1) * (max_total + 2) // 2 > INTEGRATION_PAIR_BUDGET:
-        return None
+def _class_counts(n: int, max_total: int) -> List[int]:
+    """c_k for k <= max_total, the number of iso classes of total k: the
+    x^k coefficient of prod_l (1 - x^l)^-n, n uniserials of each length l."""
     c = [1] + [0] * max_total
     for l in range(1, max_total + 1):
         for _ in range(n):
             for k in range(l, max_total + 1):
                 c[k] += c[k - l]
+    return c
+
+
+def _integration_pair_count(n: int, max_total: int) -> Optional[int]:
+    """sum of c_a c_b over a + b <= max_total (:func:`_class_counts`), or
+    None once the (a, b) alone pass INTEGRATION_PAIR_BUDGET."""
+    if (max_total + 1) * (max_total + 2) // 2 > INTEGRATION_PAIR_BUDGET:
+        return None
+    c = _class_counts(n, max_total)
     return sum(c[a] * c[b] for a in range(max_total + 1)
                for b in range(max_total + 1 - a))
 
@@ -160,6 +171,13 @@ class CampaignConfig(Immutable):
                     f"torus keys; the budget is {TORUS_KEY_BUDGET}")
         if cfg.n > MAX_VERTICES:
             raise BudgetError(f"n = {cfg.n} exceeds the vertex budget {MAX_VERTICES}")
+        if campaign == "hn-identity":
+            # after the key cap, which bounds the truncation for this count
+            classes = sum(_class_counts(cfg.n, cfg.truncation))
+            if classes > ISO_CLASS_BUDGET:
+                raise BudgetError(
+                    f"truncation {cfg.truncation} at n = {cfg.n} has {classes} "
+                    f"iso classes; the budget is {ISO_CLASS_BUDGET}")
         if cfg.explicit_z is not None and cfg.explicit_z.n != cfg.n:
             raise ConfigError("explicit stability function has the wrong n")
         if cfg.sabotage is not None:

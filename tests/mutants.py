@@ -33,6 +33,7 @@ MUTANTS = [
     # the fold test without its division: only a zero fold would pass
     ("src/hallq/exact.py", "if len(r) < len(phi):", "if True:",
      ["tests/test_exact.py::test_fold_test_passes_every_multiple_of_phi",
+      "tests/test_exact.py::test_fold_test_agrees_with_exact_division",
       "tests/test_exact.py::test_fold_test_agrees_on_near_multiples"]),
     # a unit pass-through in convolve without its twist t^lambda
     ("src/hallq/torus.py", "units[f][0].shifted(units[f][1])", "units[f][0]",
@@ -40,10 +41,20 @@ MUTANTS = [
     # the stable census admits a subobject of equal phase
     ("src/hallq/stability.py", "_cross(top, c) > 0", "_cross(top, c) >= 0",
      ["tests/test_stability.py::test_census_matches_definition"]),
-    # Hom dimensions over runs without the left multiplicity
-    ("src/hallq/quiver.py", "total += ma * mb *", "total += mb *",
+    # Hom dimensions over runs without the left multiplicity (hom_dim_modules
+    # and end_dim; the |Aut M| step reads single summands)
+    ("src/hallq/quiver.py", "row.append(ma * mb *", "row.append(mb *",
      ["tests/test_quiver.py::test_aut_factors_match_the_counts_formula",
-      "tests/test_acceptance.py::test_criterion_09_oracle_agreement"]),
+      "tests/test_quiver.py::test_end_dim"]),
+    # the iso-class walk's |Aut M| step subtracts 1, not the multiplicity m
+    ("src/hallq/quiver.py", "ends[i] - m", "ends[i] - 1",
+     ["tests/test_torus.py::test_integrate_iso_sum_matches_per_class_sum",
+      "tests/test_torus.py::test_semistable_phase_factors_match_per_class_sum",
+      "tests/test_quiver.py::test_aut_factors_match_the_counts_formula"]),
+    # the multiset walk does not carry a multiplicity over to a repeated part
+    ("src/hallq/quiver.py", "m = m + 1 if i == last else 1", "m = 1",
+     ["tests/test_torus.py::test_integrate_iso_sum_matches_per_class_sum",
+      "tests/test_torus.py::test_semistable_phase_factors_match_per_class_sum"]),
     # integrate_modules ignores its weights
     ("src/hallq/torus.py", "w.t_low - 2 * e, w._ints, w._den", "-2 * e, (1,), 1",
      ["tests/test_hall.py::test_integration_lhs_equals_the_per_class_sum",

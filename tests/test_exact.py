@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from hallq import exact
 from hallq.exact import (
@@ -500,9 +500,19 @@ def test_fold_test_passes_every_multiple_of_phi(i, e, g):
 
 
 @given(st.integers(1, 30),
-       st.lists(st.integers(-3, 3), min_size=2, max_size=40).filter(lambda p: p[-1] != 0))
-def test_fold_test_agrees_with_exact_division(i, p):
-    assert exact._fold_divisible(tuple(p), i) == _divides(tuple(p), i)
+       st.lists(st.integers(-3, 3), min_size=2, max_size=40).filter(lambda p: p[-1] != 0),
+       st.integers(0, 3), st.integers(0, 80), st.sampled_from((-1, 1)))
+def test_fold_test_agrees_with_exact_division(i, p, kind, at, sign):
+    # random polynomials are almost never multiples of Phi_i, so half the
+    # cases are p * Phi_i (kind 2) or p * Phi_i with one coefficient moved
+    # by sign (kind 3)
+    if kind >= 2:
+        p = list(exact._iconv(p, exact._cyclotomic(i)))
+        if kind == 3:
+            p[at % len(p)] += sign
+    p = exact._itrim(p)
+    assume(p)
+    assert exact._fold_divisible(p, i) == _divides(p, i)
 
 
 def test_fold_test_agrees_on_near_multiples():

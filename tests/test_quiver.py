@@ -1,13 +1,15 @@
 """Tests for the cyclic-quiver category: uniserials, forms, Aut counts."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hallq.exact import LaurentPoly
-from hallq.quiver import CyclicQuiver, Indecomposable, ModuleIso, count_congruent
+from hallq.quiver import (CyclicQuiver, Indecomposable, ModuleIso, count_congruent,
+                          multiset_walk, multisets_with_budget)
 
 Q2 = CyclicQuiver(2)
 Q3 = CyclicQuiver(3)
@@ -241,6 +243,54 @@ def test_aut_factors_match_the_counts_formula(n):
         ca, cb = a.counts(), b.counts()
         assert q.hom_dim_modules(a, b) == sum(
             ma * mb * q.hom_dim(x, y) for x, ma in ca.items() for y, mb in cb.items())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_aut_exponents_along_the_walk_match_the_counts_formula(n):
+    # each step's (e, ks) against the counts formula for the class it reaches
+    q = CyclicQuiver(n)
+    parts = sorted(q.enumerate_indecomposables(6), key=lambda r: (r.socle, r.length))
+    walk = q.aut_exponents([(r.socle, r.length) for r in parts],
+                           multiset_walk([r.length for r in parts], 6))
+    path, ks, seen = [], [], 0
+    for depth, i, m, e in walk:
+        del path[depth - 1:], ks[depth - 1:]
+        path.append(parts[i])
+        ks.append(m)
+        assert m == path.count(parts[i])
+        m_iso = ModuleIso.of(*path)
+        assert (e, tuple(sorted(ks))) == _aut_factors_by_counts(q, m_iso), m_iso
+        seen += 1
+    assert seen + 1 == len(q.enumerate_iso_classes(6))
+
+
+def _multisets_by_recursion(parts, budget, weight):
+    """The depth-first recursion multisets_with_budget was written as."""
+    parts = sorted(parts, key=lambda r: (r.socle, r.length))
+    out, acc = [], []
+
+    def extend(start, left):
+        out.append(ModuleIso(tuple(acc)))
+        for i in range(start, len(parts)):
+            if weight(parts[i]) <= left:
+                acc.append(parts[i])
+                extend(i, left - weight(parts[i]))
+                acc.pop()
+
+    if budget >= 0:
+        extend(0, budget)
+    return out
+
+
+def test_multisets_with_budget_keeps_the_recursive_order():
+    rng = random.Random(5)
+    every = CyclicQuiver(3).enumerate_indecomposables(5)
+    weights = {r: rng.randint(1, 4) for r in every}
+    for budget in range(-1, 8):
+        for parts in ([], every, rng.sample(every, 6), rng.sample(every, 3)):
+            for weight in (lambda r: r.length, weights.__getitem__):
+                assert (multisets_with_budget(parts, budget, weight)
+                        == _multisets_by_recursion(parts, budget, weight))
 
 
 def test_aut_value_matches_poly_eval():

@@ -14,7 +14,7 @@ from hallq.exact import (
     RationalFunction,
     rf_eq,
 )
-from hallq.quiver import CyclicQuiver, ModuleIso
+from hallq.quiver import CyclicQuiver, ModuleIso, multisets_with_budget
 from hallq.stability import StabilityFunction, charge_of, random_discrete
 from hallq.torus import (
     TorusElement,
@@ -29,7 +29,7 @@ from hallq.torus import (
     integrate,
     integrate_iso_sum,
     integrate_modules,
-    multisets_with_budget,
+    integrate_multisets,
     ordered_product,
     phase_indecomposables,
     semistable_phase_factor,
@@ -433,12 +433,25 @@ def test_ez_products_match_pair_by_pair_reference(n, trunc, seeds):
         assert flipped == ref
 
 
+def _aut_poly_by_counts(q, m):
+    """|Aut M|(q) = q^(dim End M) prod_r prod_{k <= m_r} (1 - q^-k) from the
+    multiplicities m_r and the pairwise Hom dimensions, apart from the
+    one-summand increment that aut_factors and the iso-class walk share."""
+    mults = m.counts()
+    end = sum(ma * mb * q.hom_dim(x, y) for x, ma in mults.items() for y, mb in mults.items())
+    out = LaurentPoly.q_power(end - sum(k * (k + 1) // 2 for k in mults.values()))
+    for mult in mults.values():
+        for k in range(1, mult + 1):
+            out = out * (LaurentPoly.q_power(k) - LaurentPoly.one())
+    return out
+
+
 def _per_class_sum(q, trunc, modules):
     terms = {}
     for m in modules:
         d = q.dim_of(m)
         if sum(d) <= trunc:
-            c = RationalFunction(LaurentPoly.t_power(q.euler_form(d, d)), q.aut_poly(m))
+            c = RationalFunction(LaurentPoly.t_power(q.euler_form(d, d)), _aut_poly_by_counts(q, m))
             terms[d] = terms[d] + c if d in terms else c
     return TorusElement(q.n, trunc, terms)
 
@@ -462,6 +475,25 @@ def test_semistable_phase_factors_match_per_class_sum(n, trunc):
         want = _per_class_sum(z.quiver, trunc,
                               multisets_with_budget(parts, trunc, lambda r: r.length))
         assert semistable_phase_factor(z, trunc, phase) == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_iso_class_walk_matches_integrate_modules(n):
+    # the walk against the per-class path: every class, random subsets of
+    # the parts in random order, no parts at all, and truncation 0
+    q = CyclicQuiver(n)
+    rng = random.Random(n)
+    for trunc in range(7):
+        every = q.enumerate_indecomposables(trunc)
+        subsets = [every, []] + [rng.sample(every, rng.randint(1, len(every)))
+                                 for _ in range(3 if every else 0)]
+        for parts in subsets:
+            want = integrate_modules(q, trunc,
+                                     multisets_with_budget(parts, trunc, lambda r: r.length))
+            assert integrate_multisets(q, parts, trunc) == want
+        assert integrate_iso_sum(q, trunc) == integrate_modules(
+            q, trunc, q.enumerate_iso_classes(trunc))
+    assert integrate_multisets(q, [], 5) == TorusElement.one(n, 5)
 
 
 def _random_cyclotomic_element(rng, n, trunc):

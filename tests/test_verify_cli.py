@@ -26,6 +26,7 @@ from hallq.verify import (
     CampaignConfig,
     ConfigError,
     INTEGRATION_PAIR_BUDGET,
+    ISO_CLASS_BUDGET,
     MAX_TRIALS,
     MAX_VERTICES,
     SABOTAGE_MODES,
@@ -38,6 +39,7 @@ from hallq.verify import (
     campaign_jacobian,
     campaign_pentagon,
     campaign_stables,
+    _class_counts,
     _integration_pair_count,
 )
 
@@ -556,6 +558,36 @@ def test_integration_pair_count_matches_the_catalog():
     assert _integration_pair_count(2, 4) + _integration_pair_count(3, 4) == 611
     assert _integration_pair_count(16, 4) == 78_473
     assert _integration_pair_count(2, 62) is None  # 63 * 64 / 2 = 2,016 (a, b) pairs
+
+
+def test_class_counts_match_the_enumeration():
+    for n in (2, 3, 4):
+        q = CyclicQuiver(n)
+        for max_total in range(6):
+            totals = [sum(r.length for r in m) for m in q.enumerate_iso_classes(max_total)]
+            assert _class_counts(n, max_total) == [totals.count(k) for k in range(max_total + 1)]
+    assert sum(_class_counts(2, 40)) == 38_361_236
+    assert sum(_class_counts(6, 12)) == 702_695
+
+
+def test_iso_class_budget_bounds():
+    assert ISO_CLASS_BUDGET == 100_000
+    CampaignConfig(n=2, truncation=20).check("hn-identity")  # 80,377 classes
+    CampaignConfig(n=5, truncation=10).check("hn-identity")  # 57,559 classes
+    with pytest.raises(BudgetError, match="702695 iso classes"):
+        CampaignConfig(n=6).check("hn-identity")
+    CampaignConfig(n=6).check("ez")  # only hn-identity sums the classes
+
+
+def test_cli_iso_class_budget_refused_up_front(capsys, monkeypatch):
+    # 861 torus keys pass the key cap, but the iso sum has 38,361,236 classes
+    _refuse_work(monkeypatch, "integrate_iso_sum", "semistable_phase_factor",
+                 "ez_delta", "_z_for_trial")
+    started = time.perf_counter()
+    code, _, err = run_cli(capsys, "verify", "hn-identity", "--n", "2", "--trunc", "40")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert "38361236 iso classes" in err and "Traceback" not in err
 
 
 def test_integration_pair_budget_admits_n5(monkeypatch):

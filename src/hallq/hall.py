@@ -23,7 +23,10 @@ subspace each:
     dim Hom(R(j,m), N/U) = dim ker C + dim(im C ∩ U_{j-1}) - dim U_top.
 
 So the census reads every sub and quotient type off per-subspace
-signatures, with no linear algebra per submodule.
+signatures, with no linear algebra per submodule, and classifies each
+tuple of signatures once for all primes.  Subspaces are kept as reduced
+echelon bases, so a meet dimension clears pivots instead of reducing a
+stacked matrix.
 """
 
 from __future__ import annotations
@@ -201,23 +204,6 @@ class FiniteFieldRep(Immutable):
     def target(self, v: int) -> int:
         return (v - 1) % self.n
 
-    def check_nilpotent(self) -> bool:
-        """Composite of total-dim consecutive arrow maps is zero."""
-        total = sum(self.dims)
-        for start in range(self.n):
-            comp = _identity(self.dims[start])
-            v = start
-            for _ in range(total):
-                comp = _mat_mul(self.maps[v], comp, self.dims[start], self.p)
-                v = self.target(v)
-            if any(any(row) for row in comp):
-                return False
-        return True
-
-
-def _identity(d: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
 
 def realize(q: CyclicQuiver, m: ModuleIso, p: int) -> FiniteFieldRep:
     """Block-diagonal matrix model: one basis vector per composition
@@ -341,13 +327,28 @@ def _subspace_index(dim: int, p: int) -> Tuple[Tuple[Matrix, ...], Dict[Matrix, 
 
 @lru_cache(maxsize=None)
 def _meet_dim(dim: int, p: int, a: int, b: int) -> int:
-    """dim(S_a ∩ S_b) for subspaces of F_p^dim numbered by `_subspace_index`."""
+    """dim(S_a ∩ S_b) for subspaces of F_p^dim numbered by `_subspace_index`.
+
+    Both bases are reduced echelon, so clearing the pivot columns of the
+    larger basis A from each row of the smaller one B leaves residual rows
+    that span (A + B)/A, and dim(A ∩ B) = dim B - their rank.  Only two or
+    more nonzero residual rows need a row reduction.
+    """
     bases = _subspace_index(dim, p)[0]
-    if a == 0 or b == 0:
-        return 0
-    if len(bases[a]) == dim or len(bases[b]) == dim:
-        return min(len(bases[a]), len(bases[b]))
-    return len(bases[a]) + len(bases[b]) - _rank_mod(bases[a] + bases[b], dim, p)
+    big, small = bases[a], bases[b]
+    if len(big) < len(small):
+        big, small = small, big
+    pivots = [(row.index(1), row) for row in big]
+    residual = []
+    for vec in small:
+        for c, row in pivots:
+            f = vec[c]
+            if f:
+                vec = [(x - f * y) % p for x, y in zip(vec, row)]
+        if any(vec):
+            residual.append(vec)
+    return len(small) - (len(residual) if len(residual) < 2
+                         else _rank_mod(residual, dim, p))
 
 
 def _sorted_census(tally: Dict[Tuple[ModuleIso, ModuleIso], int]
@@ -371,7 +372,9 @@ def submodule_census(n: int, big: ModuleIso, p: int
     and with each of those.  Invariance, A_v(U_v) inside U_{v-1}, and the
     signatures are table lookups filled on first use; the identities in
     the module docstring turn each distinct tuple of signatures into the
-    Hom profiles of sub and quotient, classified once.
+    Hom profiles of sub and quotient.  Each tuple is classified once per
+    (n, dims, composite data) in `_pair_table`: the censuses of one module
+    at several primes mostly meet the same tuples.
     """
     rep = realize(CyclicQuiver(n), big, p)
     dims = rep.dims
@@ -443,17 +446,30 @@ def submodule_census(n: int, big: ModuleIso, p: int
             key = tuple(signature(v, u) for v, u in enumerate(chain))
             tally[key] = tally.get(key, 0) + 1
 
+    pairs = _pair_table(n, dims, tuple(comps))
     census: Dict[Tuple[ModuleIso, ModuleIso], int] = {}
     for key, count in tally.items():
-        h_sub, h_quo = {}, {}
-        for j, m, top, dim_ker, ker_slot, target, im_slot in comps:
-            h_sub[(j, m)] = key[top][ker_slot]
-            h_quo[(j, m)] = dim_ker + key[target][im_slot] - key[top][0]
-        sub_dims = tuple(sig[0] for sig in key)
-        pair = (_classify(n, sub_dims, h_sub),
-                _classify(n, tuple(d - s for d, s in zip(dims, sub_dims)), h_quo))
+        if key not in pairs:
+            h_sub, h_quo = {}, {}
+            for j, m, top, dim_ker, ker_slot, target, im_slot in comps:
+                h_sub[(j, m)] = key[top][ker_slot]
+                h_quo[(j, m)] = dim_ker + key[target][im_slot] - key[top][0]
+            sub_dims = tuple(sig[0] for sig in key)
+            pairs[key] = (_classify(n, sub_dims, h_sub),
+                          _classify(n, tuple(d - s for d, s in zip(dims, sub_dims)), h_quo))
+        pair = pairs[key]
         census[pair] = census.get(pair, 0) + count
     return _sorted_census(census)
+
+
+@lru_cache(maxsize=None)
+def _pair_table(n: int, dims: DimVector, comps: tuple
+                ) -> Dict[tuple, Tuple[ModuleIso, ModuleIso]]:
+    """The (sub type, quotient type) pair of each signature key seen so far,
+    filled by `submodule_census`.  A pair depends on n, the dimension
+    vector, the composite data `comps` and the key alone, so censuses at
+    different primes share the table."""
+    return {}
 
 
 def hall_count(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso, big: ModuleIso,

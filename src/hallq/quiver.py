@@ -208,13 +208,6 @@ class CyclicQuiver(Immutable):
             table.append(row)
         return table
 
-    def hom_dim_modules(self, a: ModuleIso, b: ModuleIso) -> int:
-        """sum of m_r m_s dim Hom(R_r, R_s) over the distinct summands."""
-        return self._hom_runs(_runs(a), _runs(b))
-
-    def end_dim(self, m: ModuleIso) -> int:
-        return self.hom_dim_modules(m, m)
-
     # -- automorphism counts -------------------------------------------------
 
     def aut_factors(self, m: ModuleIso) -> Tuple[int, Tuple[int, ...]]:

@@ -41,8 +41,9 @@ MUTANTS = [
     # the stable census admits a subobject of equal phase
     ("src/hallq/stability.py", "_cross(top, c) > 0", "_cross(top, c) >= 0",
      ["tests/test_stability.py::test_census_matches_definition"]),
-    # Hom dimensions over runs without the left multiplicity (hom_dim_modules
-    # and end_dim; the |Aut M| step reads single summands)
+    # Hom dimensions over runs without the left multiplicity (the End
+    # dimension of a module through _hom_runs; the |Aut M| step reads
+    # single summands)
     ("src/hallq/quiver.py", "row.append(ma * mb *", "row.append(mb *",
      ["tests/test_quiver.py::test_aut_factors_match_the_counts_formula",
       "tests/test_quiver.py::test_end_dim"]),
@@ -63,6 +64,15 @@ MUTANTS = [
     ("src/hallq/exact.py", "_normal_form(-n.t_low,", "_normal_form(n.t_low,",
      ["tests/test_exact.py::test_rf_inverse_equals_the_swapped_construction",
       "tests/test_torus.py::test_inverse_with_nontrivial_constant"]),
+    # the census's key table keyed on (n, dims) alone, so that modules of
+    # one dimension vector share it
+    ("src/hallq/hall.py", "_pair_table(n, dims, tuple(comps))", "_pair_table(n, dims, ())",
+     ["tests/test_hall.py::test_census_matches_reference"]),
+    # the meet dimension without clearing the pivots of the larger basis
+    ("src/hallq/hall.py", "            if f:\n", "            if False:\n",
+     ["tests/test_hall.py::test_meet_dim_matches_stacked_rank",
+      "tests/test_hall.py::test_meet_dim_matches_stacked_rank_on_a_sample",
+      "tests/test_hall.py::test_census_matches_reference"]),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

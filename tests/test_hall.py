@@ -1,6 +1,7 @@
 """Tests for finite-field counting: realizations, Hom/Ext ranks, Hall numbers."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,9 +25,12 @@ from hallq.hall import (
     realize,
     submodule_census,
     _lagrange,
+    _meet_dim,
     _newton,
+    _rank_mod,
+    _subspace_index,
 )
-from hallq.oracles import count_automorphisms, hom_ext_oracle
+from hallq.oracles import check_nilpotent, count_automorphisms, hom_ext_oracle
 from hallq.quiver import CyclicQuiver, ModuleIso
 from hallq.torus import integrate
 
@@ -78,7 +82,7 @@ def test_realize_simple():
     rep = realize(Q3, ModuleIso.of(Q3.simple(1)), 2)
     assert rep.dims == (1, 0, 0)
     assert all(not any(any(row) for row in mat) for mat in rep.maps)
-    assert rep.check_nilpotent()
+    assert check_nilpotent(rep)
 
 
 def test_realize_length_two():
@@ -86,7 +90,7 @@ def test_realize_length_two():
     assert rep.dims == (1, 1, 0)
     # the only arrow action is V_2 -> V_1
     assert rep.maps[1] == ((1,),)
-    assert rep.check_nilpotent()
+    assert check_nilpotent(rep)
 
 
 def test_realize_shapes_and_nilpotency():
@@ -97,7 +101,7 @@ def test_realize_shapes_and_nilpotency():
         assert len(mat) == rep.dims[rep.target(v)]
         for row in mat:
             assert len(row) == rep.dims[v]
-    assert rep.check_nilpotent()
+    assert check_nilpotent(rep)
 
 
 def test_realize_rejects_composite_modulus():
@@ -108,7 +112,7 @@ def test_realize_rejects_composite_modulus():
 def test_non_nilpotent_rep_detected():
     # identity action around the cycle is not an object of the category
     loop = FiniteFieldRep(2, 3, (1, 1), (((1,),), ((1,),)))
-    assert not loop.check_nilpotent()
+    assert not check_nilpotent(loop)
 
 
 # ----------------------------------------------------------------------
@@ -224,6 +228,30 @@ def test_census_of_square_of_simple():
     assert as_dict[(ModuleIso.zero(), s11)] == 1
     assert as_dict[(s1, s1)] == 3
     assert as_dict[(s11, ModuleIso.zero())] == 1
+
+
+def _meet_dim_by_stacking(dim, p, a, b):
+    """dim A + dim B - rank(A + B), the oracle of `_meet_dim`."""
+    bases = _subspace_index(dim, p)[0]
+    return len(bases[a]) + len(bases[b]) - _rank_mod(bases[a] + bases[b], dim, p)
+
+
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+def test_meet_dim_matches_stacked_rank(dim, p):
+    # every ordered pair of subspaces of F_p^dim
+    count = len(_subspace_index(dim, p)[0])
+    for a, b in itertools.product(range(count), repeat=2):
+        assert _meet_dim(dim, p, a, b) == _meet_dim_by_stacking(dim, p, a, b), (a, b)
+
+
+@pytest.mark.parametrize("dim,p", [(3, 13), (4, 5)])
+def test_meet_dim_matches_stacked_rank_on_a_sample(dim, p):
+    rng = random.Random(dim * 100 + p)
+    count = len(_subspace_index(dim, p)[0])
+    for _ in range(3000):
+        a, b = rng.randrange(count), rng.randrange(count)
+        assert _meet_dim(dim, p, a, b) == _meet_dim_by_stacking(dim, p, a, b), (a, b)
 
 
 def test_census_respects_arrow_invariance():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hallq.exact import LaurentPoly
-from hallq.quiver import (CyclicQuiver, Indecomposable, ModuleIso, count_congruent,
+from hallq.quiver import (CyclicQuiver, Indecomposable, ModuleIso, _runs, count_congruent,
                           multiset_walk, multisets_with_budget)
 
 Q2 = CyclicQuiver(2)
@@ -176,13 +176,16 @@ def test_hom_dim_modules_additive():
     total = sum(
         Q3.hom_dim(x, y) for x in a.summands for y in b.summands
     )
-    assert Q3.hom_dim_modules(a, b) == total
+    assert Q3._hom_runs(_runs(a), _runs(b)) == total
 
 
 def test_end_dim():
-    assert Q3.end_dim(ModuleIso.of(Q3.simple(1))) == 1
-    assert Q3.end_dim(ModuleIso.of(Q3.simple(1), Q3.simple(1))) == 4
-    assert Q3.end_dim(ModuleIso.of(Q3.R(1, 3))) == 1
+    def end_dim(m):
+        return Q3._hom_runs(_runs(m), _runs(m))
+
+    assert end_dim(ModuleIso.of(Q3.simple(1))) == 1
+    assert end_dim(ModuleIso.of(Q3.simple(1), Q3.simple(1))) == 4
+    assert end_dim(ModuleIso.of(Q3.R(1, 3))) == 1
 
 
 def test_count_congruent():
@@ -241,7 +244,7 @@ def test_aut_factors_match_the_counts_formula(n):
     sample = classes[::max(1, len(classes) // 60)]
     for a, b in itertools.product(sample, repeat=2):
         ca, cb = a.counts(), b.counts()
-        assert q.hom_dim_modules(a, b) == sum(
+        assert q._hom_runs(_runs(a), _runs(b)) == sum(
             ma * mb * q.hom_dim(x, y) for x, ma in ca.items() for y, mb in cb.items())
 
 

@@ -18,6 +18,10 @@ cyclotomic denominators, which the private kernel ``_cyclo_sum`` cancels
 by exact division alone, each division by Phi_i after a fold test: Phi_i
 divides t^i - 1, so it divides p exactly when it divides p mod (t^i - 1),
 of degree < i; the fold rules divisions out, exact division decides.
+The kernel is memoised on its input, the tuple of its terms with each
+numerator as a tuple: dilogarithm products and rotated class sums hand it
+the same term lists again and again.  Sharing a result is exact, since the
+reduction is a pure function of its terms and the result is immutable.
 
 No floating point is used anywhere; phase comparisons between Gaussian
 rationals are decided by exact cross products.  All values are immutable.
@@ -776,7 +780,21 @@ def _iadd_at(acc: list, off: int, a: Sequence[int]) -> None:
 
 def _cyclo_sum(terms: Iterable[tuple]) -> RationalFunction:
     """Canonical sum of the terms (exps, s, a, da), each meaning
-    t^s * (a / da) / prod Phi_i^e_i with a ascending integer coefficients.
+    t^s * (a / da) / prod Phi_i^e_i with a ascending integer coefficients
+    (a list or a tuple).
+
+    The terms, each numerator made a tuple, are the key of the memoised
+    :func:`_cyclo_reduce`, so a term list reduced before in the process
+    costs one lookup.  This is exact: the reduction is a pure function of
+    its terms, and a RationalFunction is immutable, so one result can be
+    shared.
+    """
+    return _cyclo_reduce(tuple([(exps, s, tuple(a), da) for exps, s, a, da in terms]))
+
+
+@lru_cache(maxsize=None)
+def _cyclo_reduce(terms: tuple) -> RationalFunction:
+    """The reduction behind :func:`_cyclo_sum`, of a tuple of terms.
 
     Terms over one denominator are added first; each such group is lifted
     to the exponent-wise maximum of all denominators, and every Phi_i is

@@ -323,16 +323,26 @@ def multiset_walk(weights: Sequence[int], budget: int) -> Iterator[Tuple[int, in
     The walk runs depth first with each index list ascending, so the lists
     come out in lexicographic order.  A multiset of `depth` indices is the
     one the walk last reached at depth - 1 (the empty one at depth 0) with
-    index i added, which it then holds m times.
+    index i added, which it then holds m times.  A part heavier than the
+    weight left is passed in one jump to the next lighter part: every
+    index in between weighs at least as much.
     """
     top = len(weights)
+    # lighter[i]: the first index after i of strictly smaller weight, or top
+    lighter, later = [top] * top, []
+    for i in range(top - 1, -1, -1):
+        while later and weights[later[-1]] >= weights[i]:
+            later.pop()
+        if later:
+            lighter[i] = later[-1]
+        later.append(i)
     # per open multiset: next index to try, weight left, last index, its multiplicity
     stack = [[0, budget, -1, 0]] if budget >= 0 else []
     while stack:
         frame = stack[-1]
         i, left, last, m = frame
         while i < top and weights[i] > left:
-            i += 1
+            i = lighter[i]
         if i == top:
             stack.pop()
             continue

@@ -20,11 +20,15 @@ this form.  So ``convolve``, the integration sums and ``torus_inverse``
 (through ``convolve``) sum every output coefficient in one canonical
 reduction (``exact._cyclo_sum``), with no gcd; ``convolve`` falls back to
 the pair-by-pair ``_convolve_reference`` for an operand outside the
-invariant.  Two shortcuts keep ``convolve`` from redoing work: a key
-reached only by a pair with a coefficient exactly 1 (the dilogarithm's
-constant term, say) is the other coefficient times t^lambda, already
-canonical, and skips the kernel; and lambda(d, e) is d dotted with the
-row ``CyclicQuiver.lambda_row(e)``, once per key e.
+invariant.  The reduction is memoised on its term list, which repeats:
+every E(y^d) has the same coefficients, so a chain of products forms the
+same products of them at many keys and steps, and the class sums of
+dimension vectors related by the rotation of Delta_n agree.  Two
+shortcuts keep ``convolve`` from redoing work: a key reached only by a
+pair with a coefficient exactly 1 (the dilogarithm's constant term, say)
+is the other coefficient times t^lambda, already canonical, and skips the
+kernel; and lambda(d, e) is d dotted with the row
+``CyclicQuiver.lambda_row(e)``, once per key e.
 
 The integration map has two entry points.  ``integrate_modules`` takes
 explicit classes, each with an optional q-polynomial weight (the Hall
@@ -353,7 +357,7 @@ def integrate_multisets(q: CyclicQuiver, parts: Iterable[Indecomposable],
         ints = [0] * (2 * (top - min(by_e)) + 1)
         for e, count in by_e.items():
             ints[2 * (top - e)] = count
-        terms.setdefault(code, []).append((_q_factor_exps(ks), -2 * top, ints, 1))
+        terms.setdefault(code, []).append((_q_factor_exps(ks), -2 * top, tuple(ints), 1))
     out = {}
     for code, ts in terms.items():
         d = tuple(code // base ** j % base for j in range(n))

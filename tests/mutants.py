@@ -64,6 +64,18 @@ MUTANTS = [
     ("src/hallq/exact.py", "_normal_form(-n.t_low,", "_normal_form(n.t_low,",
      ["tests/test_exact.py::test_rf_inverse_equals_the_swapped_construction",
       "tests/test_torus.py::test_inverse_with_nontrivial_constant"]),
+    # the kernel's memo keyed without the shifts s of the terms
+    ("src/hallq/exact.py", "(exps, s, tuple(a), da) for", "(exps, 0, tuple(a), da) for",
+     ["tests/test_exact.py::test_cyclo_sum_memo_tells_every_key_field_apart"]),
+    # the kernel's memo keyed without the integer denominators da
+    ("src/hallq/exact.py", "(exps, s, tuple(a), da) for", "(exps, s, tuple(a), 1) for",
+     ["tests/test_exact.py::test_cyclo_sum_memo_tells_every_key_field_apart"]),
+    # the multiset walk jumps to the next heavier part, not the next
+    # lighter one (the per-class sums of test_torus.py enumerate their
+    # classes by the same walk, so only the recursion of test_quiver.py
+    # tells the difference)
+    ("src/hallq/quiver.py", "weights[later[-1]] >= weights[i]", "weights[later[-1]] <= weights[i]",
+     ["tests/test_quiver.py::test_multisets_with_budget_keeps_the_recursive_order"]),
     # the census's key table keyed on (n, dims) alone, so that modules of
     # one dimension vector share it
     ("src/hallq/hall.py", "_pair_table(n, dims, tuple(comps))", "_pair_table(n, dims, ())",

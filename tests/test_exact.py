@@ -453,12 +453,16 @@ def _rf_of_term(exps, s, a, da):
     return RationalFunction(LaurentPoly(s, a, da), exact._cyclo_den(exps))
 
 
+def _rf_sum(terms):
+    out = RF_ZERO
+    for term in terms:
+        out = out + _rf_of_term(*term)
+    return out
+
+
 @given(st.lists(cyclo_term, min_size=1, max_size=6))
 def test_cyclo_sum_matches_rational_function_sum(terms):
-    want = RF_ZERO
-    for term in terms:
-        want = want + _rf_of_term(*term)
-    assert exact._cyclo_sum(terms) == want
+    assert exact._cyclo_sum(terms) == _rf_sum(terms)
 
 
 @given(cyclo_term, cyclo_term)
@@ -528,3 +532,39 @@ def test_fold_test_agrees_on_near_multiples():
         p = exact._itrim(p)
         if p:
             assert exact._fold_divisible(p, i) == _divides(p, i)
+
+
+# ----------------------------------------------------------------------
+# The kernel's memo: one reduction per distinct term list
+# ----------------------------------------------------------------------
+
+def test_cyclo_sum_memo_tells_every_key_field_apart():
+    # each variant differs from `first` in one field of one term; with all
+    # of them memoised, each must still come back as its own sum
+    other = (((3, 1),), 0, (2, 1), 1)
+    first = [(((1, 1), (2, 1)), 1, (1, -2, 3), 2), other]
+    variants = [
+        [(((1, 1), (2, 1)), 2, (1, -2, 3), 2), other],  # the shift s
+        [(((1, 1), (2, 1)), 1, (1, -2, 4), 2), other],  # one numerator entry
+        [(((1, 1), (2, 1)), 1, (1, -2, 3), 3), other],  # the integer denominator da
+        [(((1, 1), (4, 1)), 1, (1, -2, 3), 2), other],  # the exponents exps
+    ]
+    exact._cyclo_reduce.cache_clear()
+    for terms in [first] + variants:
+        exact._cyclo_sum(terms)
+    assert exact._cyclo_reduce.cache_info().misses == 1 + len(variants)
+    want = _rf_sum(first)
+    assert exact._cyclo_sum(first) == want
+    for terms in variants:
+        got = exact._cyclo_sum(terms)
+        assert got == _rf_sum(terms) and got != want
+    assert exact._cyclo_reduce.cache_info().misses == 1 + len(variants)
+
+
+@given(st.lists(cyclo_term, min_size=1, max_size=4))
+def test_cyclo_sum_takes_list_and_tuple_numerators_alike(terms):
+    as_tuples = [(exps, s, tuple(a), da) for exps, s, a, da in terms]
+    got = exact._cyclo_sum(terms)
+    assert got == _rf_sum(terms)
+    assert exact._cyclo_sum(as_tuples) is got
+    assert exact._cyclo_sum(tuple(as_tuples)) is got

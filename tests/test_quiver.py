@@ -285,6 +285,22 @@ def _multisets_by_recursion(parts, budget, weight):
     return out
 
 
+def _walk_by_recursion(weights, budget):
+    """The (depth, i, m) steps of multiset_walk, by the same recursion."""
+    out = []
+
+    def extend(depth, start, left, last, m):
+        for i in range(start, len(weights)):
+            if weights[i] <= left:
+                step = m + 1 if i == last else 1
+                out.append((depth, i, step))
+                extend(depth + 1, i, left - weights[i], i, step)
+
+    if budget >= 0:
+        extend(1, 0, budget, -1, 0)
+    return out
+
+
 def test_multisets_with_budget_keeps_the_recursive_order():
     rng = random.Random(5)
     every = CyclicQuiver(3).enumerate_indecomposables(5)
@@ -294,6 +310,12 @@ def test_multisets_with_budget_keeps_the_recursive_order():
             for weight in (lambda r: r.length, weights.__getitem__):
                 assert (multisets_with_budget(parts, budget, weight)
                         == _multisets_by_recursion(parts, budget, weight))
+    # random weight lists, in no order, so that the walk jumps over runs of
+    # parts heavier than the weight left
+    for _ in range(300):
+        ws = [rng.randint(1, 6) for _ in range(rng.randint(0, 9))]
+        for budget in range(-1, 10):
+            assert list(multiset_walk(ws, budget)) == _walk_by_recursion(ws, budget)
 
 
 def test_aut_value_matches_poly_eval():

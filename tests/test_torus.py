@@ -36,6 +36,7 @@ from hallq.torus import (
     torus_diff,
     torus_inverse,
 )
+from hallq.verify import _pentagon_candidates
 
 Q2 = CyclicQuiver(2)
 Q3 = CyclicQuiver(3)
@@ -613,3 +614,25 @@ def test_trusted_results_equal_checked_construction(n, trunc):
     for r in results:
         assert r.terms == _checked(r).terms
         assert all(not c.is_zero for c in r.terms.values())
+
+
+def test_kernel_memo_gives_the_cold_results_warm():
+    # ez, an iso-class sum and a pentagon-side product computed with the
+    # kernel's memo empty, then again from it: no new reduction, the same
+    # elements, and each equal to its pair-by-pair or per-class oracle
+    z = random_discrete(4, 3, 8)
+    pentagon = _pentagon_candidates(3, 0)[0]
+    factors = ez_factors(pentagon, 6)[1]
+
+    def run():
+        return (ez(z, 6), integrate_iso_sum(Q3, 5), ordered_product(factors, 3, 6))
+
+    exact._cyclo_reduce.cache_clear()
+    cold = run()
+    misses = exact._cyclo_reduce.cache_info().misses
+    warm = run()
+    assert exact._cyclo_reduce.cache_info().misses == misses
+    assert warm == cold
+    assert warm[0] == _reference_product(ez_factors(z, 6)[1], 4, 6)
+    assert warm[1] == _per_class_sum(Q3, 5, Q3.enumerate_iso_classes(5))
+    assert warm[2] == _reference_product(factors, 3, 6)

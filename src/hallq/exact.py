@@ -498,17 +498,25 @@ class LaurentPoly(Immutable):
         return f"LaurentPoly({self})"
 
     def to_json(self) -> dict:
-        """Coefficients as frac_str renders them; integers need no Fraction."""
-        d = self._den
-        if d == 1:
-            return {"t_low": self.t_low, "coeffs": [str(x) for x in self._ints]}
-        return {"t_low": self.t_low, "coeffs": [frac_str(Fraction(x, d)) for x in self._ints]}
+        return {"t_low": self.t_low, "coeffs": list(_coeff_strs(self._ints, self._den))}
 
     @staticmethod
     def from_json(data: dict) -> "LaurentPoly":
         return LaurentPoly.from_fractions(int(data["t_low"]),
                                           [frac_parse(c) for c in data["coeffs"]])
 
+
+def _coeff_strs(ints: tuple, den: int) -> tuple:
+    """The coefficients ints / den as frac_str renders them; integers need
+    no Fraction."""
+    if den == 1:
+        return tuple(map(str, ints))
+    return tuple(frac_str(Fraction(x, den)) for x in ints)
+
+
+# Denominators repeat across the terms of an element (227 distinct among
+# the 18,564 of ez(6, 12)), so RationalFunction.to_json renders each once.
+_den_strs = lru_cache(maxsize=4096)(_coeff_strs)
 
 _LP_ZERO = LaurentPoly(0, ())
 _LP_ONE = LaurentPoly(0, (1,))
@@ -650,7 +658,10 @@ class RationalFunction(Immutable):
         return f"RationalFunction({self})"
 
     def to_json(self) -> dict:
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
+        """The denominator's strings come from a cache, as a fresh list."""
+        den = self.den
+        return {"num": self.num.to_json(),
+                "den": {"t_low": den.t_low, "coeffs": list(_den_strs(den._ints, den._den))}}
 
     @staticmethod
     def from_json(data: dict) -> "RationalFunction":

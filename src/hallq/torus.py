@@ -80,7 +80,8 @@ class TorusElement(Immutable):
                  terms: Dict[DimVector, RationalFunction]) -> "TorusElement":
         """An element whose keys are known to have n nonnegative entries
         and total <= truncation, as sums of such keys checked against the
-        bound; only zero coefficients, as a cancelled bucket, drop out."""
+        bound or rotations of such keys; only zero coefficients, as a
+        cancelled bucket, drop out."""
         out = object.__new__(TorusElement)
         object.__setattr__(out, "n", n)
         object.__setattr__(out, "truncation", truncation)
@@ -258,16 +259,19 @@ def torus_inverse(a: TorusElement) -> TorusElement:
 
 
 def apply_translate(a: TorusElement, k: int = 1) -> TorusElement:
-    """Rotate every key by the translation (tau d)_j = d_{j+1 mod n}.
+    """Rotate every key by the translation (tau^k d)_j = d_{j+k mod n}.
 
     This is an algebra automorphism because lambda is rotation invariant.
+    A key of `a` rotated by slicing is again a valid key of the same
+    total, and the coefficients are unchanged, so the result is built by
+    ``TorusElement._trusted`` with no key checked.
     """
     n = a.n
     k = k % n
     if k == 0:
         return a
-    out = {tuple(d[(j + k) % n] for j in range(n)): c for d, c in a.terms.items()}
-    return TorusElement(n, a.truncation, out)
+    return TorusElement._trusted(n, a.truncation,
+                                 {d[k:] + d[:k]: c for d, c in a.terms.items()})
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from .exact import GaussianRational, Immutable
+from .exact import GaussianRational, Immutable, RationalFunction
 from .hall import (CATALOG_BUDGET, ENV_BUDGET, BudgetError, ConfigError,
                    budget_from_env, check_integration_homomorphism,
                    hall_polynomials, is_prime, next_prime)
@@ -200,8 +200,22 @@ def _z_for_trial(cfg: CampaignConfig, i: int) -> StabilityFunction:
 
 
 def _element_digest(a: TorusElement) -> str:
-    blob = json.dumps(a.to_json(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    """sha256 of ``json.dumps(a.to_json(), sort_keys=True)``, written out
+    without the nested structure: each distinct coefficient is rendered
+    once by ``json.dumps``, and the fixed frame around the renderings and
+    the dimension vectors has the keys in sorted order and the default
+    separators.  A product has far fewer distinct coefficients than keys
+    (92 for the 495 of an ez(4, 8) product)."""
+    coeffs: Dict[RationalFunction, str] = {}
+    parts = []
+    for d in sorted(a.terms):
+        c = a.terms[d]
+        s = coeffs.get(c)
+        if s is None:
+            s = coeffs[c] = json.dumps(c.to_json(), sort_keys=True)
+        parts.append(f'{{"coeff": {s}, "dim": [{", ".join(map(str, d))}]}}')
+    blob = f'{{"n": {a.n}, "terms": [{", ".join(parts)}], "truncation": {a.truncation}}}'
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _diff_limit(cfg: CampaignConfig) -> Optional[int]:

@@ -50,6 +50,7 @@ MUTANTS = [
     # the iso-class walk's |Aut M| step subtracts 1, not the multiplicity m
     ("src/hallq/quiver.py", "ends[i] - m", "ends[i] - 1",
      ["tests/test_torus.py::test_integrate_iso_sum_matches_per_class_sum",
+      "tests/test_torus.py::test_integrate_iso_sum_matches_the_nilpotent_orbit_count",
       "tests/test_torus.py::test_semistable_phase_factors_match_per_class_sum",
       "tests/test_quiver.py::test_aut_factors_match_the_counts_formula"]),
     # the multiset walk does not carry a multiplicity over to a repeated part
@@ -72,14 +73,27 @@ MUTANTS = [
      ["tests/test_exact.py::test_cyclo_sum_memo_tells_every_key_field_apart"]),
     # the multiset walk jumps to the next heavier part, not the next
     # lighter one (the per-class sums of test_torus.py enumerate their
-    # classes by the same walk, so only the recursion of test_quiver.py
-    # tells the difference)
+    # classes by the same walk; the recursion of test_quiver.py and the
+    # orbit count, which enumerates no class, tell the difference)
     ("src/hallq/quiver.py", "weights[later[-1]] >= weights[i]", "weights[later[-1]] <= weights[i]",
-     ["tests/test_quiver.py::test_multisets_with_budget_keeps_the_recursive_order"]),
+     ["tests/test_quiver.py::test_multisets_with_budget_keeps_the_recursive_order",
+      "tests/test_torus.py::test_integrate_iso_sum_matches_the_nilpotent_orbit_count"]),
     # the census's key table keyed on (n, dims) alone, so that modules of
     # one dimension vector share it
     ("src/hallq/hall.py", "_pair_table(n, dims, tuple(comps))", "_pair_table(n, dims, ())",
      ["tests/test_hall.py::test_census_matches_reference"]),
+    # RationalFunction.to_json hands out the cached denominator rendering
+    # itself, not a fresh list of it
+    ("src/hallq/exact.py", '"coeffs": list(_den_strs(den._ints, den._den))',
+     '"coeffs": _den_strs(den._ints, den._den)',
+     ["tests/test_exact.py::test_rf_to_json_hands_out_fresh_renderings"]),
+    # the element digest's frame with a separator json.dumps does not write
+    ("src/hallq/verify.py", '"dim": [', '"dim":[',
+     ["tests/test_verify_cli.py::test_element_digest_matches_the_nested_dump"]),
+    # the trusted rotation turned the other way
+    ("src/hallq/torus.py", "d[k:] + d[:k]", "d[-k:] + d[:-k]",
+     ["tests/test_torus.py::test_apply_translate_moves_support",
+      "tests/test_torus.py::test_apply_translate_matches_the_checked_rotation"]),
     # the meet dimension without clearing the pivots of the larger basis
     ("src/hallq/hall.py", "            if f:\n", "            if False:\n",
      ["tests/test_hall.py::test_meet_dim_matches_stacked_rank",

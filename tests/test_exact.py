@@ -238,6 +238,25 @@ def test_rf_json_round_trip():
     assert RationalFunction.from_json(a.to_json()) == a
 
 
+def test_rf_to_json_hands_out_fresh_renderings():
+    # the denominator's strings come from a shared cache: changing what
+    # one call returned must not reach the renderings of later calls
+    a = rf(-1, [1, 2], 0, [3, 0, 1])
+    b = RationalFunction(LaurentPoly(1, [1], 3), LaurentPoly(0, [1, 2]))
+    for x in (a, b, RF_ONE):
+        want = x.to_json()
+        assert want == {"num": x.num.to_json(), "den": x.den.to_json()}
+        got = x.to_json()
+        got["den"]["coeffs"].append("7")
+        got["den"]["coeffs"][0] = "9"
+        got["den"]["t_low"] = 5
+        got["num"]["coeffs"].clear()
+        del got["den"]
+        assert x.to_json() == want
+        assert type(x.to_json()["den"]["coeffs"]) is list
+    assert b.to_json()["den"] == {"t_low": 0, "coeffs": ["1/2", "1"]}
+
+
 def test_rf_division_and_powers():
     a = RF_EX
     assert a / a == RF_ONE

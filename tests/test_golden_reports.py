@@ -95,6 +95,10 @@ GOLDEN = [
      "b5d22c018eea10498309ae96f175e50cf663bc0f3fff030e33c92e03d08e47e3"),
     (["verify", "cyclic", "--n", "5", "--trunc", "10", "--seed", "2"], 0,
      "931ae5da6710cc2faee9b616bc6eefc89b12be05e0a7056a0742c1d859e771d1"),
+    # The cyclic verdict at the default seed, whose product has 3,003
+    # terms: its element_sha256 pins the digest of a large element.
+    (["verify", "cyclic", "--n", "5", "--trunc", "10", "--seed", "0"], 0,
+     "5ebeeb20c3deab077b1356692b5cee425297de7fc6db674182a56d3f182f258b"),
     (["verify", "pentagon", "--n", "5", "--trunc", "8"], 0,
      "7f90e64fce10d4ef02c61dccfc22a3d4684adcc6ed45c2ef6e40b1b311f110d7"),
     (["verify", "hn-identity", "--n", "4", "--trunc", "8", "--trials", "1",

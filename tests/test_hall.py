@@ -29,6 +29,7 @@ from hallq.hall import (
     _newton,
     _rank_mod,
     _subspace_index,
+    _subspaces,
 )
 from hallq.oracles import check_nilpotent, count_automorphisms, hom_ext_oracle
 from hallq.quiver import CyclicQuiver, ModuleIso
@@ -252,6 +253,47 @@ def test_meet_dim_matches_stacked_rank_on_a_sample(dim, p):
     for _ in range(3000):
         a, b = rng.randrange(count), rng.randrange(count)
         assert _meet_dim(dim, p, a, b) == _meet_dim_by_stacking(dim, p, a, b), (a, b)
+
+
+def _gaussian_binomial(d, k, p):
+    """[d choose k]_p, the number of k-dimensional subspaces of F_p^d."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (d - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_subspaces_are_gaussian_binomial_many(p):
+    # each basis spans p^k vectors, no two bases span the same subspace,
+    # and there are [d choose k]_p of them
+    for d in range(5):
+        for k in range(d + 1):
+            spans = set()
+            for basis, pivots in _subspaces(d, k, p):
+                span = frozenset(
+                    tuple(sum(c * row[j] for c, row in zip(cs, basis)) % p for j in range(d))
+                    for cs in itertools.product(range(p), repeat=k))
+                assert len(span) == p ** k and len(pivots) == k
+                spans.add(span)
+            assert len(spans) == len(_subspaces(d, k, p)) == _gaussian_binomial(d, k, p)
+
+
+@pytest.mark.parametrize("n,dims", [(2, (2, 1)), (2, (3, 0)), (2, (4, 0)),
+                                    (3, (1, 1, 1)), (3, (2, 0, 2)), (4, (2, 1, 0, 1))])
+def test_semisimple_census_counts_every_graded_subspace(n, dims):
+    # with every arrow map zero each graded subspace is a submodule, so
+    # the census counts sum to prod_v sum_k [d_v choose k]_p, with no
+    # iso_class_of behind the count
+    q = CyclicQuiver(n)
+    big = m_of(q, *[(v + 1, 1) for v in range(n) for _ in range(dims[v])])
+    assert q.dim_of(big) == dims
+    for p in (2, 3, 5):
+        want = 1
+        for d in dims:
+            want *= sum(_gaussian_binomial(d, k, p) for k in range(d + 1))
+        assert sum(c for _, _, c in submodule_census(n, big, p)) == want, p
 
 
 def test_census_respects_arrow_invariance():

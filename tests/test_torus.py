@@ -261,6 +261,23 @@ def test_apply_translate_order_n():
     assert out == x
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_apply_translate_matches_the_checked_rotation(n):
+    # the trusted rotation against the validating constructor applied to
+    # keys rotated entry by entry, for every k from -1 to n + 1
+    rng = random.Random(n)
+    elements = [ez(random_discrete(n, seed, 8), n + 1) for seed in range(2)]
+    elements += [_random_cyclotomic_element(rng, n, 3) for _ in range(5)]
+    elements += [TorusElement.zero(n, 3), TorusElement.one(n, 3)]
+    for a in elements:
+        for k in range(-1, n + 2):
+            want = TorusElement(n, a.truncation, {
+                tuple(d[(j + k) % n] for j in range(n)): c for d, c in a.terms.items()})
+            got = apply_translate(a, k)
+            assert got == want and got.truncation == a.truncation
+            assert all(type(d) is tuple for d in got.terms)
+
+
 # ----------------------------------------------------------------------
 # Dilogarithm series
 # ----------------------------------------------------------------------
@@ -495,6 +512,64 @@ def test_iso_class_walk_matches_integrate_modules(n):
         assert integrate_iso_sum(q, trunc) == integrate_modules(
             q, trunc, q.enumerate_iso_classes(trunc))
     assert integrate_multisets(q, [], 5) == TorusElement.one(n, 5)
+
+
+def _gl_order(k, q):
+    """|GL_k(F_q)| = prod_{j < k} (q^k - q^j)."""
+    out = 1
+    for j in range(k):
+        out *= q ** k - q ** j
+    return out
+
+
+def _nilpotent_rep_count(n, d, q):
+    """The representations of dimension d over F_q, maps[v]: V_v -> V_{v-1},
+    whose block matrix N on F_q^|d| has N^|d| = 0, counted one by one."""
+    total = sum(d)
+    start = [sum(d[:v]) for v in range(n)]
+    slots = [(start[(v - 1) % n] + r, start[v] + c)
+             for v in range(n) for r in range(d[(v - 1) % n]) for c in range(d[v])]
+    count = 0
+    for values in itertools.product(range(q), repeat=len(slots)):
+        mat = [[0] * total for _ in range(total)]
+        for (r, c), x in zip(slots, values):
+            mat[r][c] = x
+        cols = list(zip(*mat))
+        power = mat
+        for _ in range(total - 1):
+            if not any(map(any, power)):
+                break
+            power = [[sum(a * b for a, b in zip(row, col)) % q for col in cols]
+                     for row in power]
+        count += not any(map(any, power))
+    return count
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_integrate_iso_sum_matches_the_nilpotent_orbit_count(n):
+    # orbit-stabiliser: sum over M of dim d of 1/|Aut M|(q) is the number
+    # of nilpotent representations of dim d over F_q over prod_v
+    # |GL_{d_v}(F_q)|; the right side is counted matrix by matrix, with no
+    # class, no walk and no Hom table
+    q = CyclicQuiver(n)
+    trunc = 4
+    element = integrate_iso_sum(q, trunc)
+    checked = 0
+    for d in itertools.product(range(trunc + 1), repeat=n):
+        if sum(d) > trunc:
+            continue
+        c = element.coefficient(d).shifted(-q.euler_form(d, d))
+        for p in (2, 3):
+            if p ** sum(d[v] * d[v - 1] for v in range(n)) > 20_000:
+                continue
+            gl = 1
+            for k in d:
+                gl *= _gl_order(k, p)
+            want = Fraction(_nilpotent_rep_count(n, d, p), gl)
+            assert c.num.eval_even_at_q(p) / c.den.eval_even_at_q(p) == want, (d, p)
+            checked += 1
+    # every d of total <= 4 at both q: the cap binds only at larger totals
+    assert checked == {2: 30, 3: 70, 4: 140}[n]
 
 
 def _random_cyclotomic_element(rng, n, trunc):

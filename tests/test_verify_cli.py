@@ -1,9 +1,11 @@
 """Tests for the verification campaigns and the command-line driver."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -17,10 +19,11 @@ from hypothesis import given, settings, strategies as st
 import hallq
 from hallq import exact
 from hallq.cli import build_parser, main, parse_module
-from hallq.exact import GaussianRational
+from hallq.exact import GaussianRational, LaurentPoly, RF_ONE, RationalFunction
 from hallq.hall import BudgetError
 from hallq.quiver import CyclicQuiver, ModuleIso
-from hallq.stability import StabilityFunction
+from hallq.stability import StabilityFunction, random_discrete
+from hallq.torus import TorusElement, ez
 from hallq.verify import (
     CAMPAIGNS,
     CampaignConfig,
@@ -40,6 +43,7 @@ from hallq.verify import (
     campaign_pentagon,
     campaign_stables,
     _class_counts,
+    _element_digest,
     _integration_pair_count,
 )
 
@@ -127,6 +131,46 @@ def test_campaign_invariance():
     assert ok
     assert len(payload["factor_orders"]) == 3
     assert payload["element_sha256"]
+
+
+def _nested_digest(a):
+    return hashlib.sha256(json.dumps(a.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+def _random_element(rng, n, trunc):
+    # repeated coefficients, numerators with an integer denominator and
+    # negative t_low, cyclotomic and non-cyclotomic denominators
+    pool = [RationalFunction(LaurentPoly(rng.randint(-4, 3),
+                                         [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))],
+                                         rng.randint(1, 6)),
+                             LaurentPoly(0, rng.choice([(1,), (-1, 0, 1), (1, 2), (2, -3, 1),
+                                                        (1, 1, 1)])))
+            for _ in range(5)]
+    terms = {}
+    for _ in range(rng.randint(1, 12)):
+        d = [0] * n
+        for _ in range(rng.randint(0, trunc)):
+            d[rng.randrange(n)] += 1
+        terms[tuple(d)] = rng.choice(pool)
+    return TorusElement(n, trunc, terms)
+
+
+def test_element_digest_matches_the_nested_dump():
+    rng = random.Random(16)
+    elements = []
+    for n in (2, 3, 4, 5):
+        trunc = n + 2
+        elements += [_random_element(rng, n, trunc) for _ in range(15)]
+        elements += [ez(random_discrete(n, seed, 8), trunc) for seed in range(2)]
+        elements += [TorusElement.zero(n, trunc), TorusElement.one(n, 0),
+                     TorusElement.monomial(n, trunc, (0,) * n, RationalFunction(
+                         LaurentPoly(-3, [1, -2, 5], 4), LaurentPoly(0, [1, 2])))]
+    frac = RationalFunction(LaurentPoly(-2, [1, 3], 4))
+    assert frac.num._den > 1 and frac.num.t_low < 0
+    elements.append(TorusElement(3, 4, {(1, 0, 2): frac, (0, 2, 0): -frac, (0, 0, 0): RF_ONE}))
+    assert any(e.terms and len(set(e.terms.values())) < len(e.terms) for e in elements)
+    for a in elements:
+        assert _element_digest(a) == _nested_digest(a)
 
 
 def test_campaign_cyclic():

@@ -26,7 +26,13 @@ So the census reads every sub and quotient type off per-subspace
 signatures, with no linear algebra per submodule, and classifies each
 tuple of signatures once for all primes.  Subspaces are kept as reduced
 echelon bases, so a meet dimension clears pivots instead of reducing a
-stacked matrix.
+stacked matrix.  The per-vertex tables behind the chain walk (the image
+of each subspace under the arrow map, the subspaces landing inside a
+given one, and the signatures) depend on that vertex's data alone and
+are shared by every census in the process.
+
+A semisimple module has zero arrow maps, so its census is counted, not
+walked: the graded subspaces of dimension k number ∏_v [d_v choose k_v]_p.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import itertools
 import os
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import Immutable, LaurentPoly, rf_eq
@@ -351,10 +358,34 @@ def _meet_dim(dim: int, p: int, a: int, b: int) -> int:
                          else _rank_mod(residual, dim, p))
 
 
-def _sorted_census(tally: Dict[Tuple[ModuleIso, ModuleIso], int]
-                   ) -> Tuple[Tuple[ModuleIso, ModuleIso, int], ...]:
+def _sorted_census(tally: Dict[Tuple[ModuleIso, ModuleIso], object]
+                   ) -> Tuple[Tuple[ModuleIso, ModuleIso, object], ...]:
     return tuple((l, m, c) for (l, m), c in sorted(
         tally.items(), key=lambda kv: (kv[0][0].to_json(), kv[0][1].to_json())))
+
+
+def _gaussian_binomial(d: int, k: int, p: int) -> int:
+    """[d choose k]_p, the number of k-dimensional subspaces of F_p^d."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (d - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+@lru_cache(maxsize=None)
+def _semisimple_types(n: int, dims: DimVector
+                      ) -> Tuple[Tuple[ModuleIso, ModuleIso, DimVector], ...]:
+    """(sub, quotient, k) for every k <= dims, in census order: the sub
+    ⊕_v S_v^{k_v} and the quotient ⊕_v S_v^{d_v - k_v} of the semisimple
+    module ⊕_v S_v^{d_v}.  They depend on no prime."""
+    q = CyclicQuiver(n)
+
+    def power(ks) -> ModuleIso:
+        return ModuleIso.of(*(q.simple(v + 1) for v, k in enumerate(ks) for _ in range(k)))
+
+    return _sorted_census({(power(ks), power([d - k for d, k in zip(dims, ks)])): ks
+                           for ks in itertools.product(*(range(d + 1) for d in dims))})
 
 
 @lru_cache(maxsize=None)
@@ -363,18 +394,41 @@ def submodule_census(n: int, big: ModuleIso, p: int
     """Classify every submodule of the realization of `big` over F_p.
 
     Returns (sub type, quotient type, count) triples covering all
-    subspace dimension vectors at once, so one sweep answers every
-    F_{L,M}^big query at this prime.
+    subspace dimension vectors at once, sorted by the JSON of the pair,
+    so one sweep answers every F_{L,M}^big query at this prime.
+
+    A semisimple `big` (every summand of length 1) has zero arrow maps,
+    so each graded subspace U is a submodule, with U and N/U semisimple
+    too: the count of the sub ⊕_v S_v^{k_v} is ∏_v [d_v choose k_v]_p
+    (Ringel, "The composition algebra of a cyclic quiver", 1993), and
+    nothing is enumerated.  Every other module goes through the chain
+    walk of `_chain_census`, which stays the oracle of the closed form.
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if all(part.length == 1 for part in big):
+        dims = CyclicQuiver(n).dim_of(big)
+        return tuple((sub, quo, prod(_gaussian_binomial(d, k, p) for d, k in zip(dims, ks)))
+                     for sub, quo, ks in _semisimple_types(n, dims))
+    return _chain_census(n, big, p)
+
+
+def _chain_census(n: int, big: ModuleIso, p: int
+                  ) -> Tuple[Tuple[ModuleIso, ModuleIso, int], ...]:
+    """`submodule_census` by walking every chain of subspaces, one per
+    vertex, each arrow-invariant into the next.
 
     Subspaces are numbered per vertex.  The kernels and images of the
     composites C_{j,m} of `_composites` are numbered too, and a subspace's
     signature is the tuple of its meet dimensions with the whole space
-    and with each of those.  Invariance, A_v(U_v) inside U_{v-1}, and the
-    signatures are table lookups filled on first use; the identities in
-    the module docstring turn each distinct tuple of signatures into the
-    Hom profiles of sub and quotient.  Each tuple is classified once per
-    (n, dims, composite data) in `_pair_table`: the censuses of one module
-    at several primes mostly meet the same tuples.
+    and with each of those (its meet slots).  The image of each subspace
+    under its arrow map, the subspaces whose image lands inside a given
+    one, and the signatures are tables shared by every census in the
+    process (`_arrow_table`, `_signature_table`), filled on first use.
+    The identities in the module docstring turn each distinct tuple of
+    signatures into the Hom profiles of sub and quotient.  Each tuple is
+    classified once per (n, dims, composite data) in `_pair_table`: the
+    censuses of one module at several primes mostly meet the same tuples.
     """
     rep = realize(CyclicQuiver(n), big, p)
     dims = rep.dims
@@ -402,47 +456,47 @@ def submodule_census(n: int, big: ModuleIso, p: int
         else:
             comps.append((j0 + 1, m, top, dims[top], 0, target, slot(target, 0)))
 
-    # images[v][u]: the subspace A_v(U_v) of V_{v-1}, U_v subspace u of V_v
-    images: List[List[int]] = []
+    # arrows[v] = (images, by_image, landing) of A_v: V_v -> V_{v-1}
+    arrows = []
     for v in range(n):
         amap, w = rep.maps[v], (v - 1) % n
-        if not any(any(row) for row in amap):
-            images.append([0] * len(bases[v]))
-            continue
-        images.append([span(w, [[sum(a * x for a, x in zip(arow, vec)) % p
-                                 for arow in amap] for vec in basis])
-                       for basis in bases[v]])
+        table = _arrow_table(dims[v], dims[w], amap, p)
+        images, by_image, _ = table
+        if not images:
+            images.extend(span(w, [[sum(a * x for a, x in zip(arow, vec)) % p
+                                    for arow in amap] for vec in basis])
+                          for basis in bases[v])
+            for u, a in enumerate(images):
+                by_image.setdefault(a, []).append(u)
+        arrows.append(table)
 
     def inside(w: int, a: int, b: int) -> bool:
         return _meet_dim(dims[w], p, a, b) == len(bases[w][a])
 
-    by_image: List[Dict[int, List[int]]] = [{} for _ in range(n)]
-    for v in range(n):
-        for u, a in enumerate(images[v]):
-            by_image[v].setdefault(a, []).append(u)
-    allowed: List[Dict[int, List[int]]] = [{} for _ in range(n)]
-
     def landing_in(v: int, b: int) -> List[int]:
         """The U_v with A_v(U_v) inside subspace b of V_{v-1}."""
-        if b not in allowed[v]:
+        _, by_image, landing = arrows[v]
+        if b not in landing:
             w = (v - 1) % n
-            allowed[v][b] = [u for a, us in by_image[v].items() if inside(w, a, b)
-                             for u in us]
-        return allowed[v][b]
+            landing[b] = [u for a, us in by_image.items() if inside(w, a, b) for u in us]
+        return landing[b]
 
-    signatures: List[Dict[int, tuple]] = [{} for _ in range(n)]
+    slots = [tuple(s) for s in meets]
+    signatures = [_signature_table(dims[v], p, slots[v]) for v in range(n)]
 
     def signature(v: int, u: int) -> tuple:
-        if u not in signatures[v]:
-            signatures[v][u] = tuple(_meet_dim(dims[v], p, u, s) for s in meets[v])
-        return signatures[v][u]
+        table = signatures[v]
+        if u not in table:
+            table[u] = tuple(_meet_dim(dims[v], p, u, s) for s in slots[v])
+        return table[u]
 
     chains = [(u,) for u in range(len(bases[0]))]
     for v in range(1, n):
         chains = [c + (u,) for c in chains for u in landing_in(v, c[-1])]
+    images_0 = arrows[0][0]
     tally: Dict[tuple, int] = {}
     for chain in chains:
-        if inside(n - 1, images[0][chain[0]], chain[-1]):
+        if inside(n - 1, images_0[chain[0]], chain[-1]):
             key = tuple(signature(v, u) for v, u in enumerate(chain))
             tally[key] = tally.get(key, 0) + 1
 
@@ -463,13 +517,49 @@ def submodule_census(n: int, big: ModuleIso, p: int
 
 
 @lru_cache(maxsize=None)
+def _arrow_table(dim: int, dim_w: int, amap: Matrix, p: int
+                 ) -> Tuple[List[int], Dict[int, List[int]], Dict[int, List[int]]]:
+    """(images, by_image, landing) of the arrow map `amap`: F_p^dim ->
+    F_p^dim_w, filled by `_chain_census` on first use.  images[u] is the
+    number of A(U) for subspace u of F_p^dim, by_image groups the u by
+    it, and landing[b] lists the u with A(U) inside subspace b of
+    F_p^dim_w.  They depend on the key alone, so every census in the
+    process shares them."""
+    return [], {}, {}
+
+
+@lru_cache(maxsize=None)
+def _signature_table(dim: int, p: int, slots: Tuple[int, ...]) -> Dict[int, tuple]:
+    """Signature of each subspace u of F_p^dim: its meet dimensions with
+    the subspaces `slots`, in slot order.  Filled by `_chain_census` on
+    first use and shared, like `_arrow_table`, by every census."""
+    return {}
+
+
+@lru_cache(maxsize=None)
 def _pair_table(n: int, dims: DimVector, comps: tuple
                 ) -> Dict[tuple, Tuple[ModuleIso, ModuleIso]]:
     """The (sub type, quotient type) pair of each signature key seen so far,
-    filled by `submodule_census`.  A pair depends on n, the dimension
+    filled by `_chain_census`.  A pair depends on n, the dimension
     vector, the composite data `comps` and the key alone, so censuses at
     different primes share the table."""
     return {}
+
+
+# id of a `submodule_census` result -> (the result, its counts by pair);
+# each entry holds its result, so no other object can take over the id
+_CENSUS_COUNTS: Dict[int, Tuple[tuple, Dict[Tuple[ModuleIso, ModuleIso], int]]] = {}
+
+
+def _census_counts(census: tuple) -> Dict[Tuple[ModuleIso, ModuleIso], int]:
+    """{(sub type, quotient type): count} of one `submodule_census`
+    result, built once per result.  It is keyed on the identity of the
+    result: hashing a census tuple hashes every `ModuleIso` in it, which
+    costs more than scanning the tuple."""
+    entry = _CENSUS_COUNTS.get(id(census))
+    if entry is None:
+        entry = _CENSUS_COUNTS[id(census)] = (census, {(l, m): c for l, m, c in census})
+    return entry[1]
 
 
 def hall_count(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso, big: ModuleIso,
@@ -486,10 +576,7 @@ def hall_count(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso, big: ModuleIso,
             f"p<={budget.hall_prime} (override via {ENV_BUDGET})")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    for l, m, c in submodule_census(q.n, big, p):
-        if l == sub and m == quo:
-            return c
-    return 0
+    return _census_counts(submodule_census(q.n, big, p)).get((sub, quo), 0)
 
 
 # ----------------------------------------------------------------------

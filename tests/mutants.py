@@ -94,6 +94,20 @@ MUTANTS = [
     ("src/hallq/torus.py", "d[k:] + d[:k]", "d[-k:] + d[:-k]",
      ["tests/test_torus.py::test_apply_translate_moves_support",
       "tests/test_torus.py::test_apply_translate_matches_the_checked_rotation"]),
+    # the Gaussian binomial of the semisimple census off by one in its
+    # numerator exponent
+    ("src/hallq/hall.py", "p ** (d - i) - 1", "p ** (d - i + 1) - 1",
+     ["tests/test_hall.py::test_semisimple_census_matches_the_chain_walk"]),
+    # the shared image/landing table keyed without the arrow map
+    ("src/hallq/hall.py", "_arrow_table(dims[v], dims[w], amap, p)",
+     "_arrow_table(dims[v], dims[w], (), p)",
+     ["tests/test_hall.py::test_shared_census_tables_agree_cold_and_warm",
+      "tests/test_hall.py::test_census_matches_reference"]),
+    # the shared signature table keyed without its meet slots
+    ("src/hallq/hall.py", "_signature_table(dims[v], p, slots[v])",
+     "_signature_table(dims[v], p, ())",
+     ["tests/test_hall.py::test_shared_census_tables_agree_cold_and_warm",
+      "tests/test_hall.py::test_census_matches_reference"]),
     # the meet dimension without clearing the pivots of the larger basis
     ("src/hallq/hall.py", "            if f:\n", "            if False:\n",
      ["tests/test_hall.py::test_meet_dim_matches_stacked_rank",

@@ -24,10 +24,14 @@ from hallq.hall import (
     next_prime,
     realize,
     submodule_census,
+    _arrow_table,
+    _chain_census,
     _lagrange,
     _meet_dim,
     _newton,
+    _pair_table,
     _rank_mod,
+    _signature_table,
     _subspace_index,
     _subspaces,
 )
@@ -280,6 +284,10 @@ def test_subspaces_are_gaussian_binomial_many(p):
             assert len(spans) == len(_subspaces(d, k, p)) == _gaussian_binomial(d, k, p)
 
 
+def _semisimple(q, dims):
+    return m_of(q, *[(v + 1, 1) for v in range(q.n) for _ in range(dims[v])])
+
+
 @pytest.mark.parametrize("n,dims", [(2, (2, 1)), (2, (3, 0)), (2, (4, 0)),
                                     (3, (1, 1, 1)), (3, (2, 0, 2)), (4, (2, 1, 0, 1))])
 def test_semisimple_census_counts_every_graded_subspace(n, dims):
@@ -287,13 +295,57 @@ def test_semisimple_census_counts_every_graded_subspace(n, dims):
     # the census counts sum to prod_v sum_k [d_v choose k]_p, with no
     # iso_class_of behind the count
     q = CyclicQuiver(n)
-    big = m_of(q, *[(v + 1, 1) for v in range(n) for _ in range(dims[v])])
+    big = _semisimple(q, dims)
     assert q.dim_of(big) == dims
     for p in (2, 3, 5):
         want = 1
         for d in dims:
             want *= sum(_gaussian_binomial(d, k, p) for k in range(d + 1))
         assert sum(c for _, _, c in submodule_census(n, big, p)) == want, p
+        # the census counts by that same formula, so the chain walk
+        # checks the total too
+        assert sum(c for _, _, c in _chain_census(n, big, p)) == want, p
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_semisimple_census_matches_the_chain_walk(n):
+    # the closed form against the chain walk for every semisimple N of
+    # total <= 4, and against the brute force at the small primes
+    q = CyclicQuiver(n)
+    every = [d for d in itertools.product(range(5), repeat=n) if sum(d) <= 4]
+    for dims in every:
+        big = _semisimple(q, dims)
+        for p in (2, 3, 5, 7):
+            fast = submodule_census(n, big, p)
+            assert fast == _chain_census(n, big, p), (dims, p)
+            if p <= 3:
+                assert fast == _submodule_census_reference(n, big, p), (dims, p)
+
+
+@pytest.mark.parametrize("dims", [(3, 0, 0), (2, 2)])
+def test_semisimple_census_matches_the_chain_walk_at_13(dims):
+    q = CyclicQuiver(len(dims))
+    big = _semisimple(q, dims)
+    assert submodule_census(q.n, big, 13) == _chain_census(q.n, big, 13)
+
+
+def _clear_census_tables():
+    for table in (submodule_census, _arrow_table, _signature_table, _pair_table):
+        table.cache_clear()
+
+
+def test_shared_census_tables_agree_cold_and_warm():
+    # every census once with its tables built afresh, then again in
+    # reverse order on the tables the others filled
+    jobs = [(n, big, p) for n in (2, 3)
+            for big in CyclicQuiver(n).enumerate_iso_classes(3) for p in (2, 3, 5)]
+    cold = {}
+    for job in jobs:
+        _clear_census_tables()
+        cold[job] = submodule_census(*job)
+    warm = {job: submodule_census(*job) for job in reversed(jobs)}
+    for job in jobs:
+        assert cold[job] == warm[job] == _submodule_census_reference(*job), job
 
 
 def test_census_respects_arrow_invariance():

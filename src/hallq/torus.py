@@ -22,8 +22,10 @@ reduction (``exact._cyclo_sum``), with no gcd; ``convolve`` falls back to
 the pair-by-pair ``_convolve_reference`` for an operand outside the
 invariant.  The reduction is memoised on its term list, which repeats:
 every E(y^d) has the same coefficients, so a chain of products forms the
-same products of them at many keys and steps, and the class sums of
-dimension vectors related by the rotation of Delta_n agree.  Two
+same products of them at many keys and steps.  The class sums of
+dimension vectors related by rotation and reversal of Delta_n have equal
+terms too, and ``integrate_multisets`` hands them over in one canonical
+order (sorted by ks), so the memo catches these keys as well.  Two
 shortcuts keep ``convolve`` from redoing work: a key reached only by a
 pair with a coefficient exactly 1 (the dilogarithm's constant term, say)
 is the other coefficient times t^lambda, already canonical, and skips the
@@ -341,6 +343,12 @@ def integrate_multisets(q: CyclicQuiver, parts: Iterable[Indecomposable],
     to its children.  It counts the classes by (dim M, ks, e); each (dim M,
     ks) is one kernel term whose numerator sums count * t^(-2e), and each
     dimension vector one kernel call, shifted by t^chi(d, d).
+
+    The terms of a dimension vector go to the kernel sorted by ks, not in
+    walk order.  Dimension vectors related by rotation and reversal have
+    equal class counts by (ks, e), so with one canonical order they hand
+    the kernel equal term tuples and its memo reduces each such orbit
+    once.
     """
     parts = sorted(parts, key=lambda r: (r.socle, r.length))
     n, base = q.n, truncation + 1
@@ -356,7 +364,7 @@ def integrate_multisets(q: CyclicQuiver, parts: Iterable[Indecomposable],
         by_e = counts.setdefault((code_at[-1], ks_at[-1]), {})
         by_e[e] = by_e.get(e, 0) + 1
     terms: Dict[int, list] = {}
-    for (code, ks), by_e in counts.items():
+    for (code, ks), by_e in sorted(counts.items()):
         top = max(by_e)
         ints = [0] * (2 * (top - min(by_e)) + 1)
         for e, count in by_e.items():

@@ -307,6 +307,56 @@ def test_semisimple_census_counts_every_graded_subspace(n, dims):
         assert sum(c for _, _, c in _chain_census(n, big, p)) == want, p
 
 
+def _spans(dim, p):
+    """Every subspace of F_p^dim as the frozenset of its vectors, grown
+    from the zero space by adding one vector at a time to a span."""
+    vectors = list(itertools.product(range(p), repeat=dim))
+    zero = frozenset([(0,) * dim])
+    found, todo = {zero}, [zero]
+    while todo:
+        span = todo.pop()
+        for x in vectors:
+            if x not in span:
+                bigger = frozenset(tuple((a + c * b) % p for a, b in zip(s, x))
+                                   for s in span for c in range(p))
+                if bigger not in found:
+                    found.add(bigger)
+                    todo.append(bigger)
+    return found
+
+
+def _brute_force_submodule_count(rep):
+    """Graded subspaces (U_v) of the realization with maps[v] U_v inside
+    U_{v-1} for every v, counted one by one."""
+    n, p, dims = rep.n, rep.p, rep.dims
+    spans = [list(_spans(dims[v], p)) for v in range(n)]
+
+    def image(v, x):
+        return tuple(sum(a * b for a, b in zip(row, x)) % p for row in rep.maps[v])
+
+    images = [[frozenset(image(v, x) for x in span) for span in spans[v]] for v in range(n)]
+    return sum(all(images[v][pick[v]] <= spans[(v - 1) % n][pick[(v - 1) % n]]
+                   for v in range(n))
+               for pick in itertools.product(*(range(len(s)) for s in spans)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_census_counts_every_subrepresentation(n):
+    # for N with nonzero arrows the census counts sum to the number of
+    # F_p-subrepresentations of its realization, found by brute force over
+    # spans of vectors, with no _subspaces and no iso_class_of
+    q = CyclicQuiver(n)
+    checked = 0
+    for big in q.enumerate_iso_classes(4):
+        if not any(part.length >= 2 for part in big):
+            continue
+        for p in (2, 3):
+            want = _brute_force_submodule_count(realize(q, big, p))
+            assert sum(c for _, _, c in submodule_census(n, big, p)) == want, (big, p)
+            checked += 1
+    assert checked == {2: 46, 3: 102}[n]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_semisimple_census_matches_the_chain_walk(n):
     # the closed form against the chain walk for every semisimple N of

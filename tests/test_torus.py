@@ -514,6 +514,52 @@ def test_iso_class_walk_matches_integrate_modules(n):
     assert integrate_multisets(q, [], 5) == TorusElement.one(n, 5)
 
 
+def _dihedral_orbit_count(n, trunc):
+    """Orbits of the tuples d of n nonnegative entries with total <= trunc
+    under rotation and reversal."""
+    seen, orbits = set(), 0
+    for d in itertools.product(range(trunc + 1), repeat=n):
+        if sum(d) <= trunc and d not in seen:
+            orbits += 1
+            for k in range(n):
+                turned = d[k:] + d[:k]
+                seen.update((turned, turned[::-1]))
+    return orbits
+
+
+@pytest.mark.parametrize("n,trunc,orbits", [(2, 10, 36), (3, 8, 41), (4, 7, 63),
+                                            (5, 8, 157), (6, 6, 105)])
+def test_integrate_iso_sum_reduces_each_dihedral_orbit_once(n, trunc, orbits):
+    # dimension vectors related by rotation and reversal have equal class
+    # counts, so a canonical term order hands the kernel one input per
+    # orbit; at n = 6 distinct orbits share their statistics too (83 of 105)
+    assert _dihedral_orbit_count(n, trunc) == orbits
+    exact._cyclo_reduce.cache_clear()
+    integrate_iso_sum(CyclicQuiver(n), trunc)
+    misses = exact._cyclo_reduce.cache_info().misses
+    assert misses <= orbits
+    if n <= 5:
+        assert misses == orbits
+
+
+@pytest.mark.parametrize("n,trunc", [(2, 8), (3, 6), (4, 5)])
+def test_integrate_multisets_ignores_the_order_of_parts(n, trunc):
+    q = CyclicQuiver(n)
+    parts = q.enumerate_indecomposables(trunc)
+    exact._cyclo_reduce.cache_clear()
+    want = integrate_multisets(q, parts, trunc)
+    misses = exact._cyclo_reduce.cache_info().misses
+    assert want == _per_class_sum(q, trunc, q.enumerate_iso_classes(trunc))
+    rng = random.Random(n * 100 + trunc)
+    for _ in range(3):
+        shuffled = rng.sample(parts, len(parts))
+        exact._cyclo_reduce.cache_clear()
+        got = integrate_multisets(q, shuffled, trunc)
+        assert exact._cyclo_reduce.cache_info().misses == misses
+        assert got == want
+        assert got.to_json() == want.to_json()
+
+
 def _gl_order(k, q):
     """|GL_k(F_q)| = prod_{j < k} (q^k - q^j)."""
     out = 1

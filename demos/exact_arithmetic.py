@@ -12,10 +12,7 @@ from hallq import (
     GaussianRational,
     LaurentPoly,
     RationalFunction,
-    phase_lt,
-    rf_eq,
-    rf_eval,
-    rf_mul,
+    phase_cmp,
 )
 
 
@@ -27,10 +24,10 @@ def main():
     print("== phases without floating point ==")
     z, w = g(2, 1), g(1, 2)
     print(f"z = {z}, w = {w}")
-    print(f"arg z < arg w?  {phase_lt(z, w)}  (cross product {z.cross(w)})")
+    # phase_cmp is -1, 0 or +1 as arg z <, =, > arg w
+    print(f"phase_cmp(z, w) = {phase_cmp(z, w)}  (cross product {z.cross(w)})")
     # scaling never changes a phase
-    same = not phase_lt(z, z.scale(3)) and not phase_lt(z.scale(3), z)
-    print(f"arg(3z) == arg(z) ordering: {same}")
+    print(f"phase_cmp(3z, z) = {phase_cmp(z.scale(3), z)}")
 
     print()
     print("== Laurent polynomials ==")
@@ -46,9 +43,10 @@ def main():
     b = RationalFunction(LaurentPoly(1, [1]), LaurentPoly(0, [-1, 0, 1]))
     print(f"2t/(2t^2-2) prints as {a}")
     print(f"t/(t^2-1)  prints as {b}")
-    print(f"equal? {rf_eq(a, b)}")
-    print(f"product with its reciprocal: {rf_mul(b, b.inv())}")
-    print(f"value at t = 2: {rf_eval(b, 2)}")
+    # the canonical form makes == a comparison of values
+    print(f"equal? {a == b}")
+    print(f"product with its reciprocal: {b * b.inv()}")
+    print(f"value at t = 2: {b.eval(2)}")
 
 
 if __name__ == "__main__":

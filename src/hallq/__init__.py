@@ -11,9 +11,7 @@ finite-field counting (`hall`), and verification campaigns with a CLI
 """
 
 from .exact import (GaussianRational, LaurentPoly, PhaseDomainError,
-                    PoleError, RationalFunction, phase_cmp, phase_eq,
-                    phase_le, phase_lt, rf_add, rf_eq, rf_eval, rf_inv,
-                    rf_mul, rf_neg)
+                    PoleError, RationalFunction, phase_cmp, rf_eq)
 from .hall import (Budget, BudgetError, FiniteFieldRep, HallPolynomial,
                    InterpolationError, check_integration_homomorphism,
                    hall_count, interpolate_hall, iso_class_of, realize,
@@ -46,9 +44,8 @@ __all__ = [
     "hn_filtration", "hom_ext_oracle", "integrate", "integrate_iso_sum",
     "integrate_modules", "interpolate_hall",
     "is_semistable", "is_stable", "iso_class_of", "ordered_product",
-    "perturb_to_ambient_discrete", "phase_cmp", "phase_eq", "phase_le",
-    "phase_lt", "random_discrete", "random_restricted_discrete", "realize",
-    "rf_add", "rf_eq", "rf_eval", "rf_inv", "rf_mul", "rf_neg",
+    "perturb_to_ambient_discrete", "phase_cmp", "random_discrete",
+    "random_restricted_discrete", "realize", "rf_eq",
     "stable_indecomposables_up_to", "stable_objects", "submodule_census",
     "torus_diff", "torus_inverse", "translate_function",
 ]

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Optional, Sequence, Union
 
@@ -53,6 +53,11 @@ class Immutable:
     class on a hot path overrides them with direct field comparisons."""
 
     __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        """The public slots in slot order; a slot named with a leading `_`
+        holds a cache derived from them and is left out."""
+        return tuple([getattr(self, k) for k in self.__slots__ if not k.startswith("_")])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -79,10 +84,6 @@ def frac_str(x: Rat) -> str:
     return str(Fraction(x))
 
 
-def frac_parse(s: str) -> Fraction:
-    return Fraction(s)
-
-
 # ----------------------------------------------------------------------
 # Gaussian rationals and exact phase comparison
 # ----------------------------------------------------------------------
@@ -95,9 +96,6 @@ class GaussianRational(Immutable):
     def __init__(self, re: Fraction, im: Fraction):
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
-
-    def _astuple(self) -> tuple:
-        return self.re, self.im
 
     @staticmethod
     def of(re: Rat, im: Rat = 0) -> "GaussianRational":
@@ -131,7 +129,7 @@ class GaussianRational(Immutable):
     def from_json(data: Sequence[str]) -> "GaussianRational":
         if len(data) != 2:
             raise ValueError("gaussian rational must be a [re, im] pair")
-        return GaussianRational(frac_parse(data[0]), frac_parse(data[1]))
+        return GaussianRational(Fraction(data[0]), Fraction(data[1]))
 
     def __str__(self) -> str:
         return f"({frac_str(self.re)}) + ({frac_str(self.im)})*i"
@@ -161,18 +159,6 @@ def phase_cmp(z: GaussianRational, w: GaussianRational) -> int:
     if c < 0:
         return 1
     return 0
-
-
-def phase_lt(z: GaussianRational, w: GaussianRational) -> bool:
-    return phase_cmp(z, w) < 0
-
-
-def phase_le(z: GaussianRational, w: GaussianRational) -> bool:
-    return phase_cmp(z, w) <= 0
-
-
-def phase_eq(z: GaussianRational, w: GaussianRational) -> bool:
-    return phase_cmp(z, w) == 0
 
 
 # ----------------------------------------------------------------------
@@ -344,14 +330,6 @@ class LaurentPoly(Immutable):
         return LaurentPoly(0, (f.numerator,), f.denominator)
 
     @staticmethod
-    def from_fractions(t_low: int, coeffs: Iterable[Rat]) -> "LaurentPoly":
-        fracs = [Fraction(c) for c in coeffs]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return LaurentPoly(t_low, [f.numerator * (den // f.denominator) for f in fracs], den)
-
-    @staticmethod
     def from_q_coeffs(coeffs: Iterable[int]) -> "LaurentPoly":
         """Polynomial in q = t**2 from ascending integer coefficients."""
         out = []
@@ -502,8 +480,10 @@ class LaurentPoly(Immutable):
 
     @staticmethod
     def from_json(data: dict) -> "LaurentPoly":
-        return LaurentPoly.from_fractions(int(data["t_low"]),
-                                          [frac_parse(c) for c in data["coeffs"]])
+        fracs = [Fraction(c) for c in data["coeffs"]]
+        den = lcm(*(f.denominator for f in fracs))
+        return LaurentPoly(int(data["t_low"]),
+                           [f.numerator * (den // f.denominator) for f in fracs], den)
 
 
 def _coeff_strs(ints: tuple, den: int) -> tuple:
@@ -848,30 +828,9 @@ def _cyclo_reduce(terms: tuple) -> RationalFunction:
 
 
 # ----------------------------------------------------------------------
-# Operation-style aliases.  The classes above carry the arithmetic; these
-# names give a stable functional surface that the tests pin down.
+# Equality without the canonical form
 # ----------------------------------------------------------------------
-
-def rf_add(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    return a + b
-
-
-def rf_mul(a: RationalFunction, b: RationalFunction) -> RationalFunction:
-    return a * b
-
-
-def rf_neg(a: RationalFunction) -> RationalFunction:
-    return -a
-
-
-def rf_inv(a: RationalFunction) -> RationalFunction:
-    return a.inv()
-
 
 def rf_eq(a: RationalFunction, b: RationalFunction) -> bool:
     """Equality by cross multiplication; independent of canonical form."""
     return a.num * b.den == b.num * a.den
-
-
-def rf_eval(a: RationalFunction, t0: Rat) -> Fraction:
-    return a.eval(t0)

@@ -76,10 +76,6 @@ class Budget(Immutable):
         object.__setattr__(self, "aut_prime", aut_prime)
         object.__setattr__(self, "aut_space", aut_space)
 
-    def _astuple(self) -> tuple:
-        return (self.hall_total, self.hall_prime, self.aut_total, self.aut_prime,
-                self.aut_space)
-
     def widened(self, total: int, prime: int) -> "Budget":
         return Budget(max(self.hall_total, total), max(self.hall_prime, prime),
                       max(self.aut_total, total), max(self.aut_prime, prime),
@@ -204,9 +200,6 @@ class FiniteFieldRep(Immutable):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "maps", maps)
-
-    def _astuple(self) -> tuple:
-        return self.n, self.p, self.dims, self.maps
 
     def target(self, v: int) -> int:
         return (v - 1) % self.n
@@ -457,18 +450,7 @@ def _chain_census(n: int, big: ModuleIso, p: int
             comps.append((j0 + 1, m, top, dims[top], 0, target, slot(target, 0)))
 
     # arrows[v] = (images, by_image, landing) of A_v: V_v -> V_{v-1}
-    arrows = []
-    for v in range(n):
-        amap, w = rep.maps[v], (v - 1) % n
-        table = _arrow_table(dims[v], dims[w], amap, p)
-        images, by_image, _ = table
-        if not images:
-            images.extend(span(w, [[sum(a * x for a, x in zip(arow, vec)) % p
-                                    for arow in amap] for vec in basis])
-                          for basis in bases[v])
-            for u, a in enumerate(images):
-                by_image.setdefault(a, []).append(u)
-        arrows.append(table)
+    arrows = [_arrow_table(dims[v], dims[v - 1], rep.maps[v], p) for v in range(n)]
 
     def inside(w: int, a: int, b: int) -> bool:
         return _meet_dim(dims[w], p, a, b) == len(bases[w][a])
@@ -520,12 +502,19 @@ def _chain_census(n: int, big: ModuleIso, p: int
 def _arrow_table(dim: int, dim_w: int, amap: Matrix, p: int
                  ) -> Tuple[List[int], Dict[int, List[int]], Dict[int, List[int]]]:
     """(images, by_image, landing) of the arrow map `amap`: F_p^dim ->
-    F_p^dim_w, filled by `_chain_census` on first use.  images[u] is the
-    number of A(U) for subspace u of F_p^dim, by_image groups the u by
-    it, and landing[b] lists the u with A(U) inside subspace b of
-    F_p^dim_w.  They depend on the key alone, so every census in the
-    process shares them."""
-    return [], {}, {}
+    F_p^dim_w.  images[u] is the number of A(U) for subspace u of F_p^dim,
+    by_image groups the u by it, and landing[b], filled by `_chain_census`
+    on first use, lists the u with A(U) inside subspace b of F_p^dim_w.
+    They depend on the key alone, so every census in the process shares
+    them."""
+    index = _subspace_index(dim_w, p)[1]
+    images = [index[_rref_mod([[sum(a * x for a, x in zip(arow, vec)) % p for arow in amap]
+                               for vec in basis], dim_w, p)[0]]
+              for basis in _subspace_index(dim, p)[0]]
+    by_image: Dict[int, List[int]] = {}
+    for u, a in enumerate(images):
+        by_image.setdefault(a, []).append(u)
+    return images, by_image, {}
 
 
 @lru_cache(maxsize=None)
@@ -546,20 +535,11 @@ def _pair_table(n: int, dims: DimVector, comps: tuple
     return {}
 
 
-# id of a `submodule_census` result -> (the result, its counts by pair);
-# each entry holds its result, so no other object can take over the id
-_CENSUS_COUNTS: Dict[int, Tuple[tuple, Dict[Tuple[ModuleIso, ModuleIso], int]]] = {}
-
-
-def _census_counts(census: tuple) -> Dict[Tuple[ModuleIso, ModuleIso], int]:
-    """{(sub type, quotient type): count} of one `submodule_census`
-    result, built once per result.  It is keyed on the identity of the
-    result: hashing a census tuple hashes every `ModuleIso` in it, which
-    costs more than scanning the tuple."""
-    entry = _CENSUS_COUNTS.get(id(census))
-    if entry is None:
-        entry = _CENSUS_COUNTS[id(census)] = (census, {(l, m): c for l, m, c in census})
-    return entry[1]
+@lru_cache(maxsize=None)
+def _census_counts(n: int, big: ModuleIso, p: int) -> Dict[Tuple[ModuleIso, ModuleIso], int]:
+    """{(sub type, quotient type): count} of `submodule_census(n, big, p)`,
+    built once per census."""
+    return {(l, m): c for l, m, c in submodule_census(n, big, p)}
 
 
 def hall_count(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso, big: ModuleIso,
@@ -576,7 +556,7 @@ def hall_count(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso, big: ModuleIso,
             f"p<={budget.hall_prime} (override via {ENV_BUDGET})")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _census_counts(submodule_census(q.n, big, p)).get((sub, quo), 0)
+    return _census_counts(q.n, big, p).get((sub, quo), 0)
 
 
 # ----------------------------------------------------------------------
@@ -595,9 +575,6 @@ class HallPolynomial(Immutable):
         object.__setattr__(self, "big", big)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "nodes", nodes)
-
-    def _astuple(self) -> tuple:
-        return self.sub, self.quo, self.big, self.coeffs, self.nodes
 
     def eval_q(self, q0: int) -> int:
         acc = 0

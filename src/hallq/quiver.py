@@ -189,11 +189,7 @@ class CyclicQuiver(Immutable):
 
     def hom_dim(self, a: Indecomposable, b: Indecomposable) -> int:
         """dim Hom(R(i,l), R(j,m)) = #{1 <= s <= min(l,m) : s = i+l-j mod n}."""
-        return self._hom_runs([(a.socle, a.length, 1)], [(b.socle, b.length, 1)])
-
-    def _hom_runs(self, ra: list, rb: list) -> int:
-        """sum of m_r m_s dim Hom(R_r, R_s) over runs (socle, length, m)."""
-        return sum(map(sum, self._hom_table(ra, rb)))
+        return self._hom_table([(a.socle, a.length, 1)], [(b.socle, b.length, 1)])[0][0]
 
     def _hom_table(self, ra: list, rb: list) -> List[List[int]]:
         """m_r m_s dim Hom(R_r, R_s), one row per run r of ra and one entry
@@ -382,14 +378,3 @@ def _runs(m: ModuleIso) -> List[List[int]]:
         else:
             runs.append([r.socle, r.length, 1])
     return runs
-
-
-def count_congruent(lo: int, hi: int, r: int, n: int) -> int:
-    """#{s : lo <= s <= hi, s = r mod n}; small helper shared with tests."""
-    if hi < lo:
-        return 0
-    r = r % n
-    first = lo + (r - lo) % n
-    if first > hi:
-        return 0
-    return (hi - first) // n + 1

@@ -64,9 +64,6 @@ class StabilityFunction(Immutable):
             ys.append(ys[-1] + c.im.numerator * (scale // c.im.denominator))
         object.__setattr__(self, "_scaled", (scale, xs, ys))
 
-    def _astuple(self) -> tuple:
-        return self.n, self.charges
-
     def _icharge(self, socle: int, length: int) -> Tuple[int, int]:
         """L * Z(R(socle, length)) as an integer pair."""
         n, (_, xs, ys) = self.n, self._scaled
@@ -179,9 +176,6 @@ class StableObjectReport(Immutable):
         object.__setattr__(self, "stables", stables)
         object.__setattr__(self, "delta_stable", delta_stable)
         object.__setattr__(self, "gamma", gamma)
-
-    def _astuple(self) -> tuple:
-        return self.stables, self.delta_stable, self.gamma
 
     def to_json(self, z: StabilityFunction) -> dict:
         return {

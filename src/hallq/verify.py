@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .exact import GaussianRational, Immutable, RationalFunction
 from .hall import (CATALOG_BUDGET, ENV_BUDGET, BudgetError, ConfigError,
@@ -124,11 +124,6 @@ class CampaignConfig(Immutable):
         if any(type(p) is not int for p in self.primes):
             raise ConfigError(f"primes must be integers, got {list(self.primes)!r}")
 
-    def _astuple(self) -> tuple:
-        return (self.n, self.truncation, self.trials, self.seed, self.bound,
-                self.explicit_z, self.primes, self.max_total, self.sabotage,
-                self.verbose)
-
     def check(self, campaign: Optional[str] = None) -> "CampaignConfig":
         if self.n < 2:
             raise ConfigError("n must be at least 2")
@@ -218,23 +213,29 @@ def _element_digest(a: TorusElement) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _diff_limit(cfg: CampaignConfig) -> Optional[int]:
-    return None if cfg.verbose else 20
-
-
 def _finish(payload: dict, witness: list) -> Tuple[bool, dict]:
     payload["witness"] = witness
     payload["ok"] = not witness
     return not witness, payload
 
 
+def _mismatch(cfg: CampaignConfig, a: TorusElement, b: TorusElement, **where) -> list:
+    """The witness of one comparison: [] when a == b, else one entry holding
+    the fields `where` and the diff a - b, capped at 20 terms unless verbose."""
+    if a == b:
+        return []
+    return [dict(where, diff=torus_diff(a, b, None if cfg.verbose else 20))]
+
+
+def _first(witnesses: Iterable[list]) -> list:
+    """The first nonempty witness of a lazy sequence of comparisons, or []."""
+    return next(filter(None, witnesses), [])
+
+
 def _first_mismatch(products: List[TorusElement], cfg: CampaignConfig) -> list:
     """Witness for the first trial whose product differs from trial 0."""
-    for i in range(1, len(products)):
-        if products[i] != products[0]:
-            return [{"trials": [0, i],
-                     "diff": torus_diff(products[0], products[i], _diff_limit(cfg))}]
-    return []
+    return _first(_mismatch(cfg, products[0], b, trials=[0, i])
+                  for i, b in enumerate(products[1:], 1))
 
 
 def _base(cfg: CampaignConfig, campaign: str) -> dict:
@@ -317,16 +318,8 @@ def campaign_cyclic(cfg: CampaignConfig) -> Tuple[bool, dict]:
     element = ordered_product(factors, cfg.n, cfg.truncation)
     payload["factor_order"] = [list(d) for d in dims]
     payload["element_sha256"] = _element_digest(element)
-    witness = []
-    for k in range(1, cfg.n):
-        rotated = apply_translate(element, k)
-        if rotated != element:
-            witness.append({
-                "rotation": k,
-                "diff": torus_diff(element, rotated, _diff_limit(cfg)),
-            })
-            break
-    return _finish(payload, witness)
+    return _finish(payload, _first(_mismatch(cfg, element, apply_translate(element, k),
+                                             rotation=k) for k in range(1, cfg.n)))
 
 
 # ----------------------------------------------------------------------
@@ -360,18 +353,10 @@ def campaign_hn_identity(cfg: CampaignConfig) -> Tuple[bool, dict]:
             # a flipped twist multiplies on the left: lambda(d, e) = -lambda(e, d)
             per_phase = convolve(factor, per_phase) if flip else convolve(per_phase, factor)
         split = ez_delta(z, cfg.truncation) * ez(z, cfg.truncation)
-        if per_phase != total:
-            witness.append({
-                "trial": i,
-                "comparison": "iso-sum vs per-phase product",
-                "diff": torus_diff(total, per_phase, _diff_limit(cfg)),
-            })
-        elif split != total:
-            witness.append({
-                "trial": i,
-                "comparison": "iso-sum vs central-factor split",
-                "diff": torus_diff(total, split, _diff_limit(cfg)),
-            })
+        witness = (_mismatch(cfg, total, per_phase, trial=i,
+                             comparison="iso-sum vs per-phase product")
+                   or _mismatch(cfg, total, split, trial=i,
+                                comparison="iso-sum vs central-factor split"))
         if witness:
             break
     return _finish(payload, witness)
@@ -458,20 +443,13 @@ def campaign_pentagon(cfg: CampaignConfig) -> Tuple[bool, dict]:
         rhs_factors = rhs_factors[::-1]
     right = ordered_product(rhs_factors, n, D)
 
-    witness = []
-    limit = _diff_limit(cfg)
-    if full1 != full2:
-        witness.append({"comparison": "full products", "diff": torus_diff(full1, full2, limit)})
-    elif residual1 * shared != full1:
-        witness.append({"comparison": "cancellation sanity",
-                        "diff": torus_diff(residual1 * shared, full1, limit)})
-    elif residual1 != left or residual2 != left:
-        bad = residual1 if residual1 != left else residual2
-        witness.append({"comparison": "residual vs left factorization",
-                        "diff": torus_diff(bad, left, limit)})
-    elif left != right:
-        witness.append({"comparison": "simple-root identity", "diff": torus_diff(left, right, limit)})
-    return _finish(payload, witness)
+    residual = "residual vs left factorization"
+    return _finish(payload,
+                   _mismatch(cfg, full1, full2, comparison="full products")
+                   or _mismatch(cfg, residual1 * shared, full1, comparison="cancellation sanity")
+                   or _mismatch(cfg, residual1, left, comparison=residual)
+                   or _mismatch(cfg, residual2, left, comparison=residual)
+                   or _mismatch(cfg, left, right, comparison="simple-root identity"))
 
 
 # ----------------------------------------------------------------------

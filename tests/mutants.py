@@ -42,8 +42,8 @@ MUTANTS = [
     ("src/hallq/stability.py", "_cross(top, c) > 0", "_cross(top, c) >= 0",
      ["tests/test_stability.py::test_census_matches_definition"]),
     # Hom dimensions over runs without the left multiplicity (the End
-    # dimension of a module through _hom_runs; the |Aut M| step reads
-    # single summands)
+    # dimension of a module as the sum of the run table; the |Aut M| step
+    # reads single summands)
     ("src/hallq/quiver.py", "row.append(ma * mb *", "row.append(mb *",
      ["tests/test_quiver.py::test_aut_factors_match_the_counts_formula",
       "tests/test_quiver.py::test_end_dim"]),
@@ -102,9 +102,9 @@ MUTANTS = [
     # numerator exponent
     ("src/hallq/hall.py", "p ** (d - i) - 1", "p ** (d - i + 1) - 1",
      ["tests/test_hall.py::test_semisimple_census_matches_the_chain_walk"]),
-    # the shared image/landing table keyed without the arrow map
-    ("src/hallq/hall.py", "_arrow_table(dims[v], dims[w], amap, p)",
-     "_arrow_table(dims[v], dims[w], (), p)",
+    # the shared image/landing table built as if the arrow map were zero
+    ("src/hallq/hall.py", "_arrow_table(dims[v], dims[v - 1], rep.maps[v], p)",
+     "_arrow_table(dims[v], dims[v - 1], tuple((0,) * dims[v] for _ in range(dims[v - 1])), p)",
      ["tests/test_hall.py::test_shared_census_tables_agree_cold_and_warm",
       "tests/test_hall.py::test_census_matches_reference",
       "tests/test_hall.py::test_census_counts_every_subrepresentation"]),
@@ -119,6 +119,16 @@ MUTANTS = [
       "tests/test_hall.py::test_meet_dim_matches_stacked_rank_on_a_sample",
       "tests/test_hall.py::test_census_matches_reference",
       "tests/test_hall.py::test_census_counts_every_subrepresentation"]),
+    # the field tuple of the value classes with their private caches in
+    # it: StabilityFunction's `_scaled` holds lists, so hashing fails
+    ("src/hallq/exact.py", 'if not k.startswith("_")])', '])',
+     ["tests/test_package.py::test_hashes_are_those_of_the_field_tuples"]),
+    # the campaigns' one comparison by identity: equal but distinct
+    # products become mismatches
+    ("src/hallq/verify.py", "    if a == b:\n        return []", "    if a is b:\n        return []",
+     ["tests/test_verify_cli.py::test_mismatch_is_one_witness_with_the_diff_capped_unless_verbose",
+      "tests/test_verify_cli.py::test_campaign_cyclic",
+      "tests/test_golden_reports.py::test_report_digest_is_pinned"]),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

@@ -56,6 +56,16 @@ GOLDEN = [
     (["verify", "integration", "--n", "3", "--config", CATALOG,
       "--sabotage", "flip-twist"], 1,
      "45076a5076d54197702fd86a435b925680fa4372f09e0091ceb26ad82cab8e84"),
+    # Uncapped witnesses: their diffs have 68, 65 and 65 terms, against
+    # the 20 of the commands above without --verbose.
+    (["verify", "cyclic", "--n", "3", "--sabotage", "drop-factor", "--verbose"], 1,
+     "845cc6f258be79bd207c7806b2e79bec660177a6bad40843f3821ea3deb56714"),
+    (["verify", "hn-identity", "--n", "3", "--trials", "1",
+      "--sabotage", "flip-twist", "--verbose"], 1,
+     "89c953d72f871d938063a3314df908b6451c217f2cc1ddaa049640a5165a0adc"),
+    (["verify", "invariance", "--n", "3", "--trials", "2",
+      "--sabotage", "reverse-order", "--verbose"], 1,
+     "9a425d4ffd38e99f4403b163b1ef5031f588ebc19cd262b00f07735d3d60bdd9"),
     # Larger sizes, where most torus coefficients have several cyclotomic
     # factors in their denominators.
     (["ez", "--n", "5", "--trunc", "10", "--seed", "0"], 0,

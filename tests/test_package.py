@@ -11,9 +11,9 @@ import pytest
 
 import hallq
 from hallq.exact import GaussianRational
-from hallq.hall import Budget, HallPolynomial
+from hallq.hall import Budget, HallPolynomial, realize
 from hallq.quiver import CyclicQuiver, Indecomposable, ModuleIso
-from hallq.stability import StabilityFunction
+from hallq.stability import StabilityFunction, stable_objects
 from hallq.verify import CampaignConfig
 
 
@@ -76,6 +76,17 @@ def test_hashes_are_those_of_the_field_tuples():
     assert hash(r) == hash((2, 3))
     assert hash(m) == hash((m.summands,))
     assert hash(cfg) == hash((4, None, 10, 0, 8, None, (2, 3, 5, 7, 11), 4, None, False))
+    assert hash(Budget(hall_prime=13)) == hash((4, 13, 4, 3, 1 << 20))
+    rep = realize(Q3, m, 2)
+    assert hash(rep) == hash((3, 2, rep.dims, rep.maps))
+    h = HallPolynomial(ModuleIso.zero(), m, m, (1, 2), ((2, 3), (3, 9)))
+    assert hash(h) == hash((ModuleIso.zero(), m, m, (1, 2), ((2, 3), (3, 9))))
+    # the private `_scaled` of a stability function is a cache of its
+    # charges: left out of the tuple, as a list it could not be hashed
+    z = StabilityFunction.of([(1, 1), (Fraction(-1, 2), 3), (2, Fraction(1, 3))])
+    assert hash(z) == hash((3, z.charges))
+    report = stable_objects(z)
+    assert hash(report) == hash((report.stables, report.delta_stable, report.gamma))
 
 
 @pytest.mark.parametrize("obj,field", [

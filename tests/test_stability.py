@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hallq.exact import GaussianRational, PhaseDomainError, phase_eq, phase_lt
+from hallq.exact import GaussianRational, PhaseDomainError, phase_cmp
 from hallq.quiver import CyclicQuiver, Indecomposable, ModuleIso
 from hallq.stability import (
     NotDiscreteError,
@@ -52,7 +52,7 @@ def test_charge_of_anchors():
     assert charge_of(Z_REF, (1, 1, 1)) == g(1, 4)
     assert charge_of(Z_REF, (0, 1, 0)) == g(-2, 1)
     assert charge_of(Z_REF, (2, 0, 0)) == g(4, 2)
-    assert phase_eq(charge_of(Z_REF, (2, 0, 0)), charge_of(Z_REF, (1, 0, 0)))
+    assert phase_cmp(charge_of(Z_REF, (2, 0, 0)), charge_of(Z_REF, (1, 0, 0))) == 0
 
 
 def test_charge_of_zero_vector_rejected():
@@ -129,7 +129,7 @@ def test_stable_objects_strictly_decreasing_phase():
     report = stable_objects(Z_REF)
     charges = [charge_of_indec(Z_REF, r) for r in report.stables]
     for a, b in zip(charges, charges[1:]):
-        assert phase_lt(b, a)
+        assert phase_cmp(b, a) < 0
 
 
 def test_stable_objects_n2():
@@ -185,7 +185,7 @@ def test_delta_stable_via_runs_single_high_vertex():
     # only S_2 has phase above gamma, so the run must start there
     z = z_of((4, 1), (-4, 1), (4, 2))
     gamma = charge_of(z, (1, 1, 1))
-    above = [i for i in range(3) if not phase_lt(z.charges[i], gamma)]
+    above = [i for i in range(3) if phase_cmp(z.charges[i], gamma) >= 0]
     assert above == [1]
     r = delta_stable_via_ci(z)
     assert r == stable_objects(z).delta_stable
@@ -241,12 +241,12 @@ def test_hn_filtration_properties_random():
             for stratum, mu in strata:
                 assert not stratum.is_zero
                 assert is_semistable(z, stratum)
-                assert phase_eq(mu, charge_of_module(z, stratum))
+                assert phase_cmp(mu, charge_of_module(z, stratum)) == 0
                 for i, x in enumerate(Q3.dim_of(stratum)):
                     total[i] += x
             assert tuple(total) == Q3.dim_of(m)
             for (_, mu1), (_, mu2) in zip(strata, strata[1:]):
-                assert phase_lt(mu2, mu1)
+                assert phase_cmp(mu2, mu1) < 0
 
 
 def test_hn_filtration_zero_module():
@@ -336,7 +336,7 @@ def test_perturb_fixes_engineered_collision():
     # Z(delta) = 6+3i is parallel to Z(S_1) = 2+i, yet the length <= 2
     # stables all have distinct phases
     z = z_of((2, 1), (-2, 1), (6, 1))
-    assert phase_eq(charge_of(z, (1, 1, 1)), z.charges[0])
+    assert phase_cmp(charge_of(z, (1, 1, 1)), z.charges[0]) == 0
     ok, _ = check_discrete(z)
     assert not ok
     before = stable_indecomposables_up_to(z, 2)
@@ -360,7 +360,7 @@ def test_perturb_random_restricted_functions():
 # ----------------------------------------------------------------------
 # Differential tests against the definition-level census
 # ----------------------------------------------------------------------
-# The oracle uses only the public charge_of and phase_lt on Gaussian
+# The oracle uses only the public charge_of and phase_cmp on Gaussian
 # rationals: R(i, l) is stable when every proper subobject R(i, k) has
 # strictly smaller phase, semistable when none has larger phase.
 
@@ -372,8 +372,8 @@ def _chain_below(z, r, strict):
     whole = _charge(z, r)
     subs = [_charge(z, Indecomposable(r.socle, k)) for k in range(1, r.length)]
     if strict:
-        return all(phase_lt(c, whole) for c in subs)
-    return not any(phase_lt(whole, c) for c in subs)
+        return all(phase_cmp(c, whole) < 0 for c in subs)
+    return not any(phase_cmp(whole, c) < 0 for c in subs)
 
 
 def census_oracle(z, max_length):
@@ -381,10 +381,9 @@ def census_oracle(z, max_length):
     neighbours raise NotDiscreteError with the pair."""
     found = [r for r in z.quiver.enumerate_indecomposables(max_length)
              if _chain_below(z, r, strict=True)]
-    found.sort(key=functools.cmp_to_key(lambda a, b: (
-        phase_lt(_charge(z, a), _charge(z, b)) - phase_lt(_charge(z, b), _charge(z, a)))))
+    found.sort(key=functools.cmp_to_key(lambda a, b: phase_cmp(_charge(z, b), _charge(z, a))))
     for a, b in zip(found, found[1:]):
-        if not phase_lt(_charge(z, b), _charge(z, a)):
+        if phase_cmp(_charge(z, b), _charge(z, a)) >= 0:
             raise NotDiscreteError((a, b))
     return found
 
@@ -400,16 +399,15 @@ def hn_oracle(z, m):
             subs = [Indecomposable(socle, k) for k in range(1, length + 1)]
             best = subs[0]
             for s in subs[1:]:
-                if not phase_lt(_charge(z, s), _charge(z, best)):
+                if phase_cmp(_charge(z, s), _charge(z, best)) >= 0:
                     best = s
-            same = [p for p in strata if phase_eq(_charge(z, p[0]), _charge(z, best))]
+            same = [p for p in strata if phase_cmp(_charge(z, p[0]), _charge(z, best)) == 0]
             if same:
                 same[0].append(best)
             else:
                 strata.append([best])
             socle, length = z.quiver.vertex(socle + best.length), length - best.length
-    strata.sort(key=functools.cmp_to_key(lambda a, b: (
-        phase_lt(_charge(z, a[0]), _charge(z, b[0])) - phase_lt(_charge(z, b[0]), _charge(z, a[0])))))
+    strata.sort(key=functools.cmp_to_key(lambda a, b: phase_cmp(_charge(z, b[0]), _charge(z, a[0]))))
     return [(ModuleIso.of(*parts), _charge(z, parts[0])) for parts in strata]
 
 
@@ -460,7 +458,7 @@ def test_stability_tests_match_definition(z, data):
     assert is_stable(z, m) == (len(m) == 1 and _chain_below(z, m.summands[0], strict=True))
     first = _charge(z, m.summands[0])
     assert is_semistable(z, m) == all(
-        _chain_below(z, x, strict=False) and phase_eq(_charge(z, x), first) for x in m)
+        _chain_below(z, x, strict=False) and phase_cmp(_charge(z, x), first) == 0 for x in m)
     assert hn_filtration(z, m) == hn_oracle(z, m)
 
 

@@ -23,7 +23,7 @@ from hallq.exact import GaussianRational, LaurentPoly, RF_ONE, RationalFunction
 from hallq.hall import BudgetError
 from hallq.quiver import CyclicQuiver, ModuleIso
 from hallq.stability import StabilityFunction, random_discrete
-from hallq.torus import TorusElement, ez
+from hallq.torus import TorusElement, ez, torus_diff
 from hallq.verify import (
     CAMPAIGNS,
     CampaignConfig,
@@ -45,6 +45,7 @@ from hallq.verify import (
     _class_counts,
     _element_digest,
     _integration_pair_count,
+    _mismatch,
 )
 
 Q3 = CyclicQuiver(3)
@@ -191,6 +192,17 @@ def test_campaign_pentagon_exact_shape():
     assert payload["left_factors"] == [[1, 0, 0], [0, 1, 0]]
     assert payload["right_factors"] == [[0, 1, 0], [1, 1, 0], [1, 0, 0]]
     assert sorted(payload["canceled"]) == [[0, 0, 1], [1, 0, 1]]
+
+
+def test_mismatch_is_one_witness_with_the_diff_capped_unless_verbose():
+    a, one = ez(Z_REF, 6), TorusElement.one(3, 6)
+    assert _mismatch(CampaignConfig(), a, TorusElement(3, 6, dict(a.terms)), trial=0) == []
+    full = torus_diff(a, one, None)
+    assert len(full) > 20
+    assert _mismatch(CampaignConfig(), a, one, trial=0, comparison="c") == [
+        {"trial": 0, "comparison": "c", "diff": full[:20]}]
+    assert _mismatch(CampaignConfig(verbose=True), a, one, rotation=1) == [
+        {"rotation": 1, "diff": full}]
 
 
 def test_campaign_pentagon_needs_n3():

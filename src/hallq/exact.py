@@ -22,6 +22,10 @@ The kernel is memoised on its input, the tuple of its terms with each
 numerator as a tuple: dilogarithm products and rotated class sums hand it
 the same term lists again and again.  Sharing a result is exact, since the
 reduction is a pure function of its terms and the result is immutable.
+A kernel result keeps its denominator as the exponent vector of its
+factors Phi_i, which the next product reads directly; the polynomial is
+expanded (``_cyclo_den``, one pass per binomial t^d - 1 of the product) only
+when something reads it, such as the JSON output or a hash.
 
 No floating point is used anywhere; phase comparisons between Gaussian
 rationals are decided by exact cross products.  All values are immutable.
@@ -32,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 from typing import Iterable, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -48,7 +52,8 @@ class PhaseDomainError(ValueError):
 
 class Immutable:
     """Base of the value classes: each sets its `__slots__` once, in
-    `__init__`, through `object.__setattr__`; assignment afterwards raises.
+    `__init__`, through `object.__setattr__`, except for private caches
+    filled on first use; assignment afterwards raises.
     Equality and hash compare the tuple `_astuple()` within one class; a
     class on a hot path overrides them with direct field comparisons."""
 
@@ -277,7 +282,7 @@ class LaurentPoly(Immutable):
     stored integers are nonzero (the zero polynomial stores nothing).
     """
 
-    __slots__ = ("t_low", "_ints", "_den")
+    __slots__ = ("t_low", "_ints", "_den", "_hash")
 
     def __init__(self, t_low: int, ints: Sequence[int], den: int = 1):
         ints = list(ints)
@@ -451,7 +456,14 @@ class LaurentPoly(Immutable):
                 and self._den == other._den)
 
     def __hash__(self) -> int:
-        return hash((self.t_low, self._ints, self._den))
+        # the hash of the field tuple, kept in `_hash` once computed; the
+        # slot stays unfilled until then, so construction pays nothing
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.t_low, self._ints, self._den))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -520,27 +532,40 @@ class RationalFunction(Immutable):
     zero element is 0/1.  With this normal form equality is structural;
     :func:`rf_eq` offers the cross-multiplication test that never relies
     on it.
+
+    A result of the cyclotomic kernel keeps its denominator factored: it
+    carries the exponent vector ``_exps`` of den = prod Phi_i^e_i, and
+    ``den`` is expanded from it (by :func:`_cyclo_den`) only when first
+    read.  Two factored values compare by (num, exponents), which the
+    unique factorisation into the irreducible Phi_i makes the same test as
+    (num, den); the hash is that of (num, den) either way.  ``_exps`` is
+    None for a value built any other way.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "_den", "_exps", "_hash")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = _LP_ONE):
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
-            object.__setattr__(self, "num", _LP_ZERO)
-            object.__setattr__(self, "den", _LP_ONE)
-            return
-        a, b = _icofactors(num._ints, den._ints)
-        num, den = _normal_form(num.t_low - den.t_low, a, num._den, b, den._den)
+            num, den = _LP_ZERO, _LP_ONE
+        else:
+            a, b = _icofactors(num._ints, den._ints)
+            num, den = _normal_form(num.t_low - den.t_low, a, num._den, b, den._den)
         object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_exps", None)
 
     @staticmethod
-    def _trusted(num: LaurentPoly, den: LaurentPoly) -> "RationalFunction":
+    def _trusted(num: LaurentPoly, den: Optional[LaurentPoly],
+                 exps: Optional[tuple] = None) -> "RationalFunction":
+        """A value known to be canonical, given by its denominator, by the
+        exponent vector of a cyclotomic one (den None: expanded on first
+        read), or by both."""
         out = object.__new__(RationalFunction)
         object.__setattr__(out, "num", num)
-        object.__setattr__(out, "den", den)
+        object.__setattr__(out, "_den", den)
+        object.__setattr__(out, "_exps", exps)
         return out
 
     # -- constructors ----------------------------------------------------
@@ -555,9 +580,17 @@ class RationalFunction(Immutable):
 
     @staticmethod
     def t_power(k: int) -> "RationalFunction":
-        return RationalFunction._trusted(LaurentPoly.t_power(k), _LP_ONE)
+        return RationalFunction._trusted(LaurentPoly.t_power(k), _LP_ONE, ())
 
     # -- inspection -------------------------------------------------------
+
+    @property
+    def den(self) -> LaurentPoly:
+        den = self._den
+        if den is None:
+            den = _cyclo_den(self._exps)
+            object.__setattr__(self, "_den", den)
+        return den
 
     @property
     def is_zero(self) -> bool:
@@ -580,7 +613,7 @@ class RationalFunction(Immutable):
         return RationalFunction(num, den)
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction._trusted(-self.num, self.den)
+        return RationalFunction._trusted(-self.num, self._den, self._exps)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return self + (-other)
@@ -607,7 +640,7 @@ class RationalFunction(Immutable):
         """Multiply by t**k (cheap; canonical form is preserved)."""
         if k == 0 or self.is_zero:
             return self
-        return RationalFunction._trusted(self.num.shifted(k), self.den)
+        return RationalFunction._trusted(self.num.shifted(k), self._den, self._exps)
 
     def eval(self, t0: Rat) -> Fraction:
         t0 = Fraction(t0)
@@ -621,10 +654,18 @@ class RationalFunction(Immutable):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
+        if self._exps is not None and other._exps is not None:
+            return self.num == other.num and self._exps == other._exps
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        # as LaurentPoly.__hash__: computed once, then read from `_hash`
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.num, self.den))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -649,8 +690,8 @@ class RationalFunction(Immutable):
                                 LaurentPoly.from_json(data["den"]))
 
 
-RF_ZERO = RationalFunction._trusted(_LP_ZERO, _LP_ONE)
-RF_ONE = RationalFunction._trusted(_LP_ONE, _LP_ONE)
+RF_ZERO = RationalFunction._trusted(_LP_ZERO, _LP_ONE, ())
+RF_ONE = RationalFunction._trusted(_LP_ONE, _LP_ONE, ())
 
 
 # ----------------------------------------------------------------------
@@ -665,24 +706,48 @@ RF_ONE = RationalFunction._trusted(_LP_ONE, _LP_ONE)
 
 @lru_cache(maxsize=None)
 def _cyclotomic(i: int) -> tuple:
-    """Phi_i(t) = (t^i - 1) / prod_{d | i, d < i} Phi_d(t)."""
-    out = (-1,) + (0,) * (i - 1) + (1,)
-    for d in range(1, i):
-        if i % d == 0:
-            out = _iexact_div(out, _cyclotomic(d))
-    return out
+    """Phi_i(t), ascending."""
+    return _cyclo_den(((i, 1),))._ints
+
+
+def _moebius(m: int) -> int:
+    """The Moebius function mu(m) of m >= 1."""
+    out, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if m > 1 else out
 
 
 @lru_cache(maxsize=None)
 def _cyclo_den(exps: tuple) -> LaurentPoly:
-    """The monic denominator prod Phi_i^e_i; its exponents are recorded."""
-    if not exps:
-        return _LP_ONE
-    i, e = exps[-1]
-    rest = exps[:-1] + (((i, e - 1),) if e > 1 else ())
-    out = LaurentPoly(0, _iconv(_cyclo_den(rest)._ints, _cyclotomic(i)))
-    _CYCLO_EXPS[out._ints] = exps
-    return out
+    """The monic denominator prod Phi_i^e_i.
+
+    Phi_i = prod_{d | i} (t^d - 1)^mu(i/d), so the product is prod_d
+    (t^d - 1)^a_d with a_d = sum_{d | i} mu(i/d) e_i.  Each binomial factor
+    is one pass over the coefficients: p t^d - p to multiply, and the
+    recurrence q_j = q_{j-d} - p_j for the exact quotient q = p / (t^d - 1).
+    The multiplications come first, so each division is exact."""
+    a: dict = {}
+    for i, e in exps:
+        for d in range(1, i + 1):
+            if i % d == 0:
+                a[d] = a.get(d, 0) + _moebius(i // d) * e
+    p = [1]
+    for d, k in a.items():
+        for _ in range(k):
+            p = list(map(sub, [0] * d + p, p + [0] * d))
+    for d, k in a.items():
+        for _ in range(-k):
+            q = [-x for x in p[:d]]
+            for j in range(d, len(p) - d, d):
+                q.extend(map(sub, q[j - d:j], p[j:j + d]))
+            p = q[:len(p) - d]
+    return LaurentPoly(0, p)
 
 
 @lru_cache(maxsize=None)
@@ -824,7 +889,7 @@ def _cyclo_reduce(terms: tuple) -> RationalFunction:
             if done < e:
                 left.append((i, e - done))
         left = tuple(left)
-    return RationalFunction._trusted(LaurentPoly(lo, num, den), _cyclo_den(left))
+    return RationalFunction._trusted(LaurentPoly(lo, num, den), None, left)
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,10 @@ this form.  So ``convolve``, the integration sums and ``torus_inverse``
 (through ``convolve``) sum every output coefficient in one canonical
 reduction (``exact._cyclo_sum``), with no gcd; ``convolve`` falls back to
 the pair-by-pair ``_convolve_reference`` for an operand outside the
-invariant.  The reduction is memoised on its term list, which repeats:
+invariant.  The coefficients stay ``RationalFunction`` values; one made by
+the kernel carries the Phi-exponents of its denominator, which
+``convolve`` reads as they are, so no denominator is expanded or factored
+between products.  The reduction is memoised on its term list, which repeats:
 every E(y^d) has the same coefficients, so a chain of products forms the
 same products of them at many keys and steps.  The class sums of
 dimension vectors related by rotation and reversal of Delta_n have equal
@@ -205,11 +208,12 @@ def convolve(a: TorusElement, b: TorusElement) -> TorusElement:
 
 def _cyclotomic_items(a: TorusElement) -> Optional[list]:
     """(key, total, coeff, exps, t_low, ints, den) per term, the exponents
-    those of the coefficient's cyclotomic denominator and a coefficient
-    equal to 1 given as RF_ONE; None if one is not cyclotomic."""
+    those a kernel result carries, else those of the coefficient's
+    cyclotomic denominator by trial division, and a coefficient equal to 1
+    given as RF_ONE; None if one is not cyclotomic."""
     out = []
     for d, c in a.terms.items():
-        exps = _cyclo_exponents(c.den)
+        exps = c._exps if c._exps is not None else _cyclo_exponents(c.den)
         if exps is None:
             return None
         out.append((d, sum(d), RF_ONE if not exps and c == RF_ONE else c, exps,

@@ -123,6 +123,23 @@ MUTANTS = [
     # it: StabilityFunction's `_scaled` holds lists, so hashing fails
     ("src/hallq/exact.py", 'if not k.startswith("_")])', '])',
      ["tests/test_package.py::test_hashes_are_those_of_the_field_tuples"]),
+    # the binomial expansion of a cyclotomic denominator without its
+    # division passes: the factors (t^d - 1)^a_d with a_d < 0 are left out
+    ("src/hallq/exact.py", "for _ in range(-k):", "for _ in range(0):",
+     ["tests/test_exact.py::test_cyclo_den_matches_the_product_of_phis",
+      "tests/test_exact.py::test_cyclotomic_polynomials_multiply_to_t_power_minus_one"]),
+    # two factored coefficients always compare equal
+    ("src/hallq/exact.py", "return self.num == other.num and self._exps == other._exps",
+     "return True",
+     ["tests/test_exact.py::test_factored_results_agree_with_the_constructor",
+      "tests/test_verify_cli.py::test_sabotage_pentagon_reverse_residual"]),
+    # the pentagon compares residual2 with the left factorization first
+    ("src/hallq/verify.py",
+     "or _mismatch(cfg, residual1, left, comparison=residual)\n"
+     "                   or _mismatch(cfg, residual2, left, comparison=residual)",
+     "or _mismatch(cfg, residual2, left, comparison=residual)\n"
+     "                   or _mismatch(cfg, residual1, left, comparison=residual)",
+     ["tests/test_verify_cli.py::test_pentagon_compares_residual1_then_residual2_with_left"]),
     # the campaigns' one comparison by identity: equal but distinct
     # products become mismatches
     ("src/hallq/verify.py", "    if a == b:\n        return []", "    if a is b:\n        return []",

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -583,3 +584,81 @@ def test_cyclo_sum_takes_list_and_tuple_numerators_alike(terms):
     assert got == _rf_sum(terms)
     assert exact._cyclo_sum(as_tuples) is got
     assert exact._cyclo_sum(tuple(as_tuples)) is got
+
+
+# ----------------------------------------------------------------------
+# Factored denominators: binomial expansion and kernel results
+# ----------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _phi_by_division(i):
+    """Phi_i as (t^i - 1) / prod_{d | i, d < i} Phi_d, by exact division."""
+    out = (-1,) + (0,) * (i - 1) + (1,)
+    for d in range(1, i):
+        if i % d == 0:
+            out = exact._iexact_div(out, _phi_by_division(d))
+    return out
+
+
+@given(st.dictionaries(st.integers(1, 24), st.integers(1, 4), max_size=4))
+@example({})
+@example({1: 4, 2: 3, 3: 1, 6: 2})
+@example({12: 1, 24: 2})
+def test_cyclo_den_matches_the_product_of_phis(exps):
+    exps = tuple(sorted(exps.items()))
+    want = (1,)
+    for i, e in exps:
+        for _ in range(e):
+            want = exact._iconv(want, _phi_by_division(i))
+    assert exact._cyclo_den.__wrapped__(exps) == LaurentPoly(0, want)
+    assert exact._cyclo_den(exps) == LaurentPoly(0, want)
+
+
+def _factored(terms):
+    """The kernel's reduction of `terms`, made afresh (past the memo), so its
+    denominator has not been read yet, unless it is zero (RF_ZERO)."""
+    return exact._cyclo_reduce.__wrapped__(tuple((e, s, tuple(a), da) for e, s, a, da in terms))
+
+
+def _negated(term):
+    exps, s, a, da = term
+    return exps, s, [-c for c in a], da
+
+
+@given(st.lists(cyclo_term, min_size=1, max_size=4), st.lists(cyclo_term, max_size=3),
+       st.booleans())
+def test_factored_results_agree_with_the_constructor(xs, extra, same):
+    # y is x's value by another term list when `same`, else another sum
+    ys = xs[::-1] + extra + [_negated(t) for t in extra] if same else extra or xs[:1]
+    x, y = _factored(xs), _factored(ys)
+    rx, ry = _rf_sum(xs), _rf_sum(ys)  # by the constructor and +, with the gcd
+    unread = [z for z in (x, y) if not z.is_zero]
+    assert x._exps is not None and y._exps is not None
+    assert all(z._den is None for z in unread)
+    # both factored: equality by exponents, before any denominator is read
+    assert (x == y) == (y == x) == (rx == ry)
+    assert (x != y) == (rx != ry)
+    assert all(z._den is None for z in unread)
+    # one factored, one not: equality by the expanded denominators
+    assert x == rx and rx == x and y == ry and ry == y
+    assert hash(x) == hash(rx) and hash(y) == hash(ry)
+    assert x.to_json() == rx.to_json()
+    assert x.eval(Fraction(3, 2)) == rx.eval(Fraction(3, 2))
+    assert x + y == rx + ry and x * y == rx * ry
+    for z in (-x, x.shifted(3)):
+        assert z._exps == x._exps
+    assert -x == -rx and x.shifted(3) == rx.shifted(3)
+
+
+@given(st.lists(cyclo_term, min_size=1, max_size=4))
+def test_reading_den_changes_neither_equality_nor_hash(terms):
+    a, b = _factored(terms), _factored(terms)
+    assume(not a.is_zero)
+    exps = a._exps
+    assert a is not b and a == b
+    den = a.den
+    assert den == exact._cyclo_den(exps) and a.den is den and a._exps == exps
+    assert a == b and b == a and b._den is None
+    assert hash(b) == hash(a) == hash((a.num, den))
+    c = _factored(terms)
+    assert hash(c) == hash(a) and c == _rf_sum(terms)

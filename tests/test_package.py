@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import hallq
-from hallq.exact import GaussianRational
+from hallq import exact
+from hallq.exact import GaussianRational, LaurentPoly, RationalFunction
 from hallq.hall import Budget, HallPolynomial, realize
 from hallq.quiver import CyclicQuiver, Indecomposable, ModuleIso
 from hallq.stability import StabilityFunction, stable_objects
@@ -87,6 +88,16 @@ def test_hashes_are_those_of_the_field_tuples():
     assert hash(z) == hash((3, z.charges))
     report = stable_objects(z)
     assert hash(report) == hash((report.stables, report.delta_stable, report.gamma))
+    # the coefficient classes keep their hash once computed; the first and
+    # the kept value are both that of the field tuple
+    p = LaurentPoly(-2, [3, 0, -4], 6)
+    built = RationalFunction(LaurentPoly(1, [2, 2]), LaurentPoly(0, [-1, 0, 1]))  # by the gcd
+    kernel = exact._cyclo_reduce.__wrapped__(((((1, 1), (2, 1)), 1, (1, -2, 3), 2),))
+    assert kernel._exps == ((1, 1), (2, 1))
+    for x in (p, built, kernel):
+        first = hash(x)
+        fields = (x.t_low, x._ints, x._den) if x is p else (x.num, x.den)
+        assert first == hash(fields) == hash(x)
 
 
 @pytest.mark.parametrize("obj,field", [

@@ -23,7 +23,7 @@ from hallq.exact import GaussianRational, LaurentPoly, RF_ONE, RationalFunction
 from hallq.hall import BudgetError
 from hallq.quiver import CyclicQuiver, ModuleIso
 from hallq.stability import StabilityFunction, random_discrete
-from hallq.torus import TorusElement, ez, torus_diff
+from hallq.torus import TorusElement, convolve, ez, ordered_product, torus_diff
 from hallq.verify import (
     CAMPAIGNS,
     CampaignConfig,
@@ -203,6 +203,90 @@ def test_mismatch_is_one_witness_with_the_diff_capped_unless_verbose():
         {"trial": 0, "comparison": "c", "diff": full[:20]}]
     assert _mismatch(CampaignConfig(verbose=True), a, one, rotation=1) == [
         {"rotation": 1, "diff": full}]
+
+
+# Each comparison below is reached by no sabotage mode, so one ingredient of
+# its campaign is replaced by a wrong one.
+
+def _negate_top(a):
+    """`a` with the coefficient of its largest key negated."""
+    top = max(a.terms)
+    return TorusElement(a.n, a.truncation, {**a.terms, top: -a.terms[top]})
+
+
+def _drop_top(a):
+    """`a` without the term of its largest key."""
+    top = max(a.terms)
+    return TorusElement(a.n, a.truncation, {d: c for d, c in a.terms.items() if d != top})
+
+
+class _DropsTopWhenMultiplied(TorusElement):
+    """An element equal to its terms whose products lose their top term."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return _drop_top(convolve(self, other))
+
+
+def _patch_products(monkeypatch, changes):
+    """Replace the i-th `ordered_product` of a campaign by changes[i] of the
+    true product; the products it made, true and returned, are listed."""
+    made = []
+
+    def product(factors, n, truncation):
+        true = ordered_product(factors, n, truncation)
+        out = changes.get(len(made), lambda a: a)(true)
+        made.append((true, out))
+        return out
+
+    monkeypatch.setattr("hallq.verify.ordered_product", product)
+    return made
+
+
+def _pentagon_witness():
+    ok, payload = campaign_pentagon(CampaignConfig(n=3, truncation=4))
+    assert not ok and len(payload["witness"]) == 1
+    return payload["witness"][0]
+
+
+def test_pentagon_cancellation_sanity_has_its_witness(monkeypatch):
+    # an "inverse" that returns its argument: residual1 * shared is then
+    # full1 * shared^2, not full1
+    monkeypatch.setattr("hallq.verify.torus_inverse", lambda a: a)
+    assert _pentagon_witness()["comparison"] == "cancellation sanity"
+
+
+def test_pentagon_compares_residual1_then_residual2_with_left(monkeypatch):
+    # the products are made in the order full1, full2, shared, left, right;
+    # residual_i = full_i * shared^-1, so a full2 whose products lose their
+    # top term gives a wrong residual2 while full1 == full2 still holds
+    def marked(a):
+        return _DropsTopWhenMultiplied(a.n, a.truncation, a.terms)
+
+    made = _patch_products(monkeypatch, {1: marked})
+    witness = _pentagon_witness()
+    left = made[3][0]
+    assert witness["comparison"] == "residual vs left factorization"
+    assert witness["diff"] == torus_diff(_drop_top(left), left)
+    # with `left` wrong as well, both residuals mismatch, each with its own
+    # diff; the one reported is residual1's, which equals the true left
+    made = _patch_products(monkeypatch, {1: marked, 3: _negate_top})
+    witness = _pentagon_witness()
+    left, wrong = made[3]
+    assert witness["comparison"] == "residual vs left factorization"
+    assert witness["diff"] == torus_diff(left, wrong)
+    assert witness["diff"] != torus_diff(_drop_top(left), wrong)
+
+
+def test_hn_identity_central_factor_split_has_its_witness(monkeypatch):
+    # the delta factor replaced by the unit: the per-phase product still
+    # equals the iso-sum, the split ez_delta * ez does not
+    monkeypatch.setattr("hallq.verify.ez_delta",
+                        lambda z, trunc: TorusElement.one(z.n, trunc))
+    ok, payload = campaign_hn_identity(CampaignConfig(n=3, truncation=4, trials=1))
+    assert not ok
+    assert [w["comparison"] for w in payload["witness"]] == ["iso-sum vs central-factor split"]
 
 
 def test_campaign_pentagon_needs_n3():

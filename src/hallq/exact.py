@@ -11,11 +11,13 @@ half-integer powers of q are both plain powers of t.  Layers:
 
 Reduction to canonical form needs polynomial gcds over Z.  There is one,
 the primitive pseudo-remainder gcd ``_ipoly_gcd``; ``_icofactors`` divides
-it out of both inputs in the ``RationalFunction`` constructor and ``+``;
-only the public API (the tests' oracles use it) and the torus fallback
-``_convolve_reference`` reach them, no CLI command.  The torus's sums have
-cyclotomic denominators, which the private kernel ``_cyclo_sum`` cancels
-by exact division alone, each division by Phi_i after a fold test: Phi_i
+it out of both inputs in the ``RationalFunction`` constructor and ``+``.
+No CLI command reaches them: only the public API does (the tests' oracles
+use it), and the torus fallback ``_convolve_reference``, which a product
+takes only for a coefficient with no Phi-exponents (built neither by the
+kernel nor over 1).  The torus's sums have cyclotomic denominators, which
+the private kernel ``_cyclo_sum`` cancels by exact division alone, each
+division by Phi_i after a fold test: Phi_i
 divides t^i - 1, so it divides p exactly when it divides p mod (t^i - 1),
 of degree < i; the fold rules divisions out, exact division decides.
 The kernel is memoised on its input, the tuple of its terms with each
@@ -285,6 +287,8 @@ class LaurentPoly(Immutable):
     __slots__ = ("t_low", "_ints", "_den", "_hash")
 
     def __init__(self, t_low: int, ints: Sequence[int], den: int = 1):
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
         ints = list(ints)
         lead = 0
         while ints and ints[0] == 0:
@@ -297,8 +301,6 @@ class LaurentPoly(Immutable):
             object.__setattr__(self, "_ints", ())
             object.__setattr__(self, "_den", 1)
             return
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
         if den < 0:
             den = -den
             ints = [-x for x in ints]
@@ -538,8 +540,9 @@ class RationalFunction(Immutable):
     ``den`` is expanded from it (by :func:`_cyclo_den`) only when first
     read.  Two factored values compare by (num, exponents), which the
     unique factorisation into the irreducible Phi_i makes the same test as
-    (num, den); the hash is that of (num, den) either way.  ``_exps`` is
-    None for a value built any other way.
+    (num, den); the hash is that of (num, den) either way.  A value over 1
+    carries the exponents (), however it is built; ``_exps`` is None only
+    for a value over another denominator that the kernel did not build.
     """
 
     __slots__ = ("num", "_den", "_exps", "_hash")
@@ -554,14 +557,16 @@ class RationalFunction(Immutable):
             num, den = _normal_form(num.t_low - den.t_low, a, num._den, b, den._den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_exps", None)
+        object.__setattr__(self, "_exps", () if len(den._ints) == 1 else None)
 
     @staticmethod
     def _trusted(num: LaurentPoly, den: Optional[LaurentPoly],
                  exps: Optional[tuple] = None) -> "RationalFunction":
         """A value known to be canonical, given by its denominator, by the
         exponent vector of a cyclotomic one (den None: expanded on first
-        read), or by both."""
+        read), or by both; a denominator 1 carries the exponents ()."""
+        if exps is None and len(den._ints) == 1:
+            exps = ()
         out = object.__new__(RationalFunction)
         object.__setattr__(out, "num", num)
         object.__setattr__(out, "_den", den)
@@ -580,7 +585,7 @@ class RationalFunction(Immutable):
 
     @staticmethod
     def t_power(k: int) -> "RationalFunction":
-        return RationalFunction._trusted(LaurentPoly.t_power(k), _LP_ONE, ())
+        return RationalFunction._trusted(LaurentPoly.t_power(k), _LP_ONE)
 
     # -- inspection -------------------------------------------------------
 
@@ -690,8 +695,8 @@ class RationalFunction(Immutable):
                                 LaurentPoly.from_json(data["den"]))
 
 
-RF_ZERO = RationalFunction._trusted(_LP_ZERO, _LP_ONE, ())
-RF_ONE = RationalFunction._trusted(_LP_ONE, _LP_ONE, ())
+RF_ZERO = RationalFunction._trusted(_LP_ZERO, _LP_ONE)
+RF_ONE = RationalFunction._trusted(_LP_ONE, _LP_ONE)
 
 
 # ----------------------------------------------------------------------
@@ -804,27 +809,6 @@ def _divide_out(p: tuple, i: int, most: int) -> tuple:
             break
         e += 1
     return p, e
-
-
-# denominator coefficients -> exponent vector, or None if the denominator
-# is not a product of cyclotomic polynomials
-_CYCLO_EXPS: dict = {(1,): ()}
-
-
-def _cyclo_exponents(den: LaurentPoly) -> Optional[tuple]:
-    p = den._ints
-    if p not in _CYCLO_EXPS:
-        found = []
-        i = 1
-        # phi(i) >= 4 i / 15 for i < 210, so a factor Phi_i of a remainder
-        # of degree g has i < 4 g; larger indices are not tried (None)
-        while p[-1] == 1 and abs(p[0]) == 1 and len(p) > 1 and i < 4 * len(p):
-            p, e = _divide_out(p, i, len(p))
-            if e:
-                found.append((i, e))
-            i += 1
-        _CYCLO_EXPS[den._ints] = tuple(found) if p == (1,) else None
-    return _CYCLO_EXPS[den._ints]
 
 
 def _iadd_at(acc: list, off: int, a: Sequence[int]) -> None:

@@ -18,22 +18,24 @@ is a power of t times a product of factors q^k - 1 = t^(2k) - 1, that is
 a product of cyclotomic polynomials Phi_i(t), and sums and products keep
 this form.  So ``convolve``, the integration sums and ``torus_inverse``
 (through ``convolve``) sum every output coefficient in one canonical
-reduction (``exact._cyclo_sum``), with no gcd; ``convolve`` falls back to
-the pair-by-pair ``_convolve_reference`` for an operand outside the
-invariant.  The coefficients stay ``RationalFunction`` values; one made by
-the kernel carries the Phi-exponents of its denominator, which
+reduction (``exact._cyclo_sum``), with no gcd.  The coefficients stay
+``RationalFunction`` values; one made by the kernel carries the
+Phi-exponents of its denominator, and one over 1 the empty vector, which
 ``convolve`` reads as they are, so no denominator is expanded or factored
-between products.  The reduction is memoised on its term list, which repeats:
-every E(y^d) has the same coefficients, so a chain of products forms the
-same products of them at many keys and steps.  The class sums of
-dimension vectors related by rotation and reversal of Delta_n have equal
-terms too, and ``integrate_multisets`` hands them over in one canonical
-order (sorted by ks), so the memo catches these keys as well.  Two
-shortcuts keep ``convolve`` from redoing work: a key reached only by a
-pair with a coefficient exactly 1 (the dilogarithm's constant term, say)
-is the other coefficient times t^lambda, already canonical, and skips the
-kernel; and lambda(d, e) is d dotted with the row
-``CyclicQuiver.lambda_row(e)``, once per key e.
+between products.  ``convolve`` falls back to the pair-by-pair
+``_convolve_reference`` for an operand with a coefficient that has no
+Phi-exponents (built neither by the kernel nor over 1).  The reduction
+is memoised on its term list, which repeats: every E(y^d) has the same
+coefficients, so a chain of products forms the same products of them at
+many keys and steps.  The class sums of dimension vectors related by
+rotation and reversal of Delta_n have equal terms too, and
+``integrate_multisets`` hands them over in one canonical order (sorted by
+ks), so the memo catches these keys as well.  Two shortcuts keep
+``convolve`` from redoing work: a key reached only by a pair with a
+coefficient exactly 1 (the dilogarithm's constant term, say) is the other
+coefficient times t^lambda, already canonical, and skips the kernel; and
+lambda(d, e) is d dotted with the row ``CyclicQuiver.lambda_row(e)``,
+once per key e.
 
 The integration map has two entry points.  ``integrate_modules`` takes
 explicit classes, each with an optional q-polynomial weight (the Hall
@@ -51,7 +53,7 @@ from operator import add, mul
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .exact import (GaussianRational, Immutable, LaurentPoly, RationalFunction,
-                    RF_ONE, RF_ZERO, _LP_ONE, _cyclo_exponents, _cyclo_sum,
+                    RF_ONE, RF_ZERO, _LP_ONE, _cyclo_sum,
                     _exps_merge, _iconv, _q_factor_exps)
 from .quiver import CyclicQuiver, DimVector, Indecomposable, ModuleIso, multiset_walk
 from .stability import (StabilityFunction, _cross, _ray, charge_of,
@@ -174,11 +176,12 @@ def convolve(a: TorusElement, b: TorusElement) -> TorusElement:
 
     The term pairs are bucketed by output key and each bucket is summed
     in one canonical reduction by the cyclotomic kernel; an operand with
-    a coefficient outside the cyclotomic invariant takes the pair-by-pair
-    path of :func:`_convolve_reference`.  A bucket whose only pair has a
-    coefficient exactly 1 on one side is the other coefficient times
-    t^lambda, already canonical, and skips the kernel.  The twist is one
-    dot product per pair with the right key's row lambda(., e).
+    a coefficient that has no Phi-exponents (built neither by the kernel
+    nor over 1) takes the pair-by-pair path of :func:`_convolve_reference`.
+    A bucket whose only pair has a coefficient exactly 1 on one side is the
+    other coefficient times t^lambda, already canonical, and skips the
+    kernel.  The twist is one dot product per pair with the right key's
+    row lambda(., e).
     """
     a._check_compatible(b)
     a_items = _cyclotomic_items(a)
@@ -208,12 +211,12 @@ def convolve(a: TorusElement, b: TorusElement) -> TorusElement:
 
 def _cyclotomic_items(a: TorusElement) -> Optional[list]:
     """(key, total, coeff, exps, t_low, ints, den) per term, the exponents
-    those a kernel result carries, else those of the coefficient's
-    cyclotomic denominator by trial division, and a coefficient equal to 1
-    given as RF_ONE; None if one is not cyclotomic."""
+    those the coefficient carries, and a coefficient equal to 1 given as
+    RF_ONE; None if one has no Phi-exponents (built neither by the kernel
+    nor over 1)."""
     out = []
     for d, c in a.terms.items():
-        exps = c._exps if c._exps is not None else _cyclo_exponents(c.den)
+        exps = c._exps
         if exps is None:
             return None
         out.append((d, sum(d), RF_ONE if not exps and c == RF_ONE else c, exps,

@@ -64,10 +64,13 @@ MUTANTS = [
     # the gcd-free inverse keeps the t-shift of the numerator
     ("src/hallq/exact.py", "_normal_form(-n.t_low,", "_normal_form(n.t_low,",
      ["tests/test_exact.py::test_rf_inverse_equals_the_swapped_construction",
-      "tests/test_torus.py::test_inverse_with_nontrivial_constant"]),
+      "tests/test_torus.py::test_inverse_with_nontrivial_constant",
+      "tests/test_torus.py::test_inverse_and_translate_agree_with_the_torus_at_a_point"]),
     # the kernel's memo keyed without the shifts s of the terms
     ("src/hallq/exact.py", "(exps, s, tuple(a), da) for", "(exps, 0, tuple(a), da) for",
-     ["tests/test_exact.py::test_cyclo_sum_memo_tells_every_key_field_apart"]),
+     ["tests/test_exact.py::test_cyclo_sum_memo_tells_every_key_field_apart",
+      "tests/test_torus.py::test_ez_agrees_with_the_torus_at_a_point",
+      "tests/test_torus.py::test_inverse_and_translate_agree_with_the_torus_at_a_point"]),
     # the kernel's memo keyed without the integer denominators da
     ("src/hallq/exact.py", "(exps, s, tuple(a), da) for", "(exps, s, tuple(a), 1) for",
      ["tests/test_exact.py::test_cyclo_sum_memo_tells_every_key_field_apart"]),
@@ -97,7 +100,8 @@ MUTANTS = [
     # the trusted rotation turned the other way
     ("src/hallq/torus.py", "d[k:] + d[:k]", "d[-k:] + d[:-k]",
      ["tests/test_torus.py::test_apply_translate_moves_support",
-      "tests/test_torus.py::test_apply_translate_matches_the_checked_rotation"]),
+      "tests/test_torus.py::test_apply_translate_matches_the_checked_rotation",
+      "tests/test_torus.py::test_inverse_and_translate_agree_with_the_torus_at_a_point"]),
     # the Gaussian binomial of the semisimple census off by one in its
     # numerator exponent
     ("src/hallq/hall.py", "p ** (d - i) - 1", "p ** (d - i + 1) - 1",
@@ -127,12 +131,20 @@ MUTANTS = [
     # division passes: the factors (t^d - 1)^a_d with a_d < 0 are left out
     ("src/hallq/exact.py", "for _ in range(-k):", "for _ in range(0):",
      ["tests/test_exact.py::test_cyclo_den_matches_the_product_of_phis",
-      "tests/test_exact.py::test_cyclotomic_polynomials_multiply_to_t_power_minus_one"]),
+      "tests/test_exact.py::test_cyclotomic_polynomials_multiply_to_t_power_minus_one",
+      "tests/test_torus.py::test_ez_agrees_with_the_torus_at_a_point"]),
     # two factored coefficients always compare equal
     ("src/hallq/exact.py", "return self.num == other.num and self._exps == other._exps",
      "return True",
      ["tests/test_exact.py::test_factored_results_agree_with_the_constructor",
-      "tests/test_verify_cli.py::test_sabotage_pentagon_reverse_residual"]),
+      "tests/test_verify_cli.py::test_sabotage_pentagon_reverse_residual",
+      "tests/test_torus.py::test_inverse_and_translate_agree_with_the_torus_at_a_point"]),
+    # a value over 1 built past the constructor (inv, **, t_power, the
+    # constants) carries no Phi-exponents, so its products go pair by pair
+    ("src/hallq/exact.py", "if exps is None and len(den._ints) == 1:", "if False:",
+     ["tests/test_exact.py::test_values_over_one_carry_the_empty_exponents",
+      "tests/test_torus.py::test_benchmark_commands_never_take_the_reference_path",
+      "tests/test_torus.py::test_ez_agrees_with_the_torus_at_a_point"]),
     # the pentagon compares residual2 with the left factorization first
     ("src/hallq/verify.py",
      "or _mismatch(cfg, residual1, left, comparison=residual)\n"

@@ -20,8 +20,6 @@ from hallq.exact import (
     phase_cmp,
     rf_eq,
 )
-from hallq.quiver import CyclicQuiver
-from hallq.torus import dilog_coefficient
 
 
 def g(re, im):
@@ -141,6 +139,12 @@ def test_laurent_normalizes_and_trims():
     assert p.t_low == 1
     assert p.coefficients == (Fraction(2),)
     assert LaurentPoly(3, [0, 0]).is_zero
+
+
+def test_laurent_zero_denominator_raises_for_every_vector():
+    for ints in ([1], [], [0, 0], [0, 3, 0]):
+        with pytest.raises(ZeroDivisionError):
+            LaurentPoly(0, ints, 0)
 
 
 def test_laurent_arithmetic():
@@ -424,40 +428,6 @@ def test_cyclotomic_polynomials_multiply_to_t_power_minus_one():
     assert exact._cyclotomic(105)[7] == -2  # the first coefficient outside -1, 0, 1
 
 
-def _occurring_denominators():
-    # products of (q^k - 1), the dilogarithm denominators prod_j (q^m - q^j)
-    # for m <= 8, and |Aut M|(q) for the iso classes of total <= 4 at n = 3
-    q_minus_1 = [LaurentPoly.from_q_coeffs([-1] + [0] * (k - 1) + [1]) for k in range(1, 7)]
-    dens = []
-    prod = LaurentPoly.one()
-    for p in q_minus_1:
-        prod = prod * p
-        dens.append(prod)
-    dens += [q_minus_1[1] * q_minus_1[1] * q_minus_1[2], q_minus_1[0] * q_minus_1[3]]
-    dens += [dilog_coefficient(m).den for m in range(1, 9)]
-    quiver = CyclicQuiver(3)
-    dens += [quiver.aut_poly(m) for m in quiver.enumerate_iso_classes(4)]
-    return sorted({d._ints for d in dens})
-
-
-def test_cyclo_exponents_of_occurring_denominators():
-    for ints in _occurring_denominators():
-        den = LaurentPoly(0, ints)
-        exps = exact._cyclo_exponents(den)
-        assert exps is not None and exact._cyclo_den(exps) == den
-    q3 = LaurentPoly.from_q_coeffs([-1, 0, 0, 1])  # q^3 - 1 = Phi_1 Phi_2 Phi_3 Phi_6
-    assert exact._cyclo_exponents(q3) == ((1, 1), (2, 1), (3, 1), (6, 1))
-    assert exact._cyclo_exponents(LaurentPoly(0, exact._cyclotomic(105))) == ((105, 1),)
-
-
-def test_cyclo_exponents_refuse_other_denominators():
-    mixed = exact._iconv(exact._cyclotomic(6), (1, 1, 0, 1))  # Phi_6 (t^3 + t + 1)
-    for ints in [(-3, 1), (2, 1, 1), (1, -3, 1), (1, 1, 0, 1), mixed, (-1, 2)]:
-        assert exact._cyclo_exponents(LaurentPoly(0, ints)) is None
-    # Phi_210 has degree 48, so index 210 is past the indices tried (< 4 * 49)
-    assert exact._cyclo_exponents(LaurentPoly(0, exact._cyclotomic(210))) is None
-
-
 cyclo_exps = st.dictionaries(st.sampled_from((1, 2, 3, 4, 6, 8, 12)), st.integers(1, 2),
                              max_size=3).map(lambda d: tuple(sorted(d.items())))
 cyclo_term = st.tuples(cyclo_exps, st.integers(-4, 4),
@@ -662,3 +632,21 @@ def test_reading_den_changes_neither_equality_nor_hash(terms):
     assert hash(b) == hash(a) == hash((a.num, den))
     c = _factored(terms)
     assert hash(c) == hash(a) and c == _rf_sum(terms)
+
+
+def test_values_over_one_carry_the_empty_exponents():
+    # the torus reads `_exps` alone: a value over 1 carries (), however it
+    # is built; one over another denominator not built by the kernel, None
+    x = RationalFunction(LaurentPoly(-2, [3, 0, -1], 4))
+    t3 = RationalFunction.t_power(3)
+    over_one = [x, RationalFunction(LaurentPoly(1, [2]), LaurentPoly(0, [5])), t3,
+                RationalFunction.constant(Fraction(-7, 3)), RationalFunction.constant(0),
+                t3.inv(), rf(2, [3], 0, [2]).inv(), rf(0, [1], 0, [1, 1, 1]).inv(),
+                x ** 3, t3 ** -2, x * x, x + t3, x - x, -x, x.shifted(2), RF_ZERO, RF_ONE,
+                RationalFunction.from_json(x.to_json())]
+    for c in over_one:
+        assert c.den == LaurentPoly.one() and c._exps == ()
+    over_phi3 = rf(1, [2, -1], 0, [1, 1, 1])
+    for c in (over_phi3, over_phi3 * x, over_phi3 ** 2, over_phi3 + t3,
+              RationalFunction.from_json(over_phi3.to_json())):
+        assert c._exps is None

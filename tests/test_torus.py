@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hallq import exact, torus
+from hallq import cli, exact, torus
 from hallq.exact import (
     LaurentPoly,
     RF_ONE,
@@ -37,6 +37,8 @@ from hallq.torus import (
     torus_inverse,
 )
 from hallq.verify import _pentagon_candidates
+
+import torus_at_point
 
 Q2 = CyclicQuiver(2)
 Q3 = CyclicQuiver(3)
@@ -624,7 +626,7 @@ def _random_cyclotomic_element(rng, n, trunc):
         if sum(d) <= trunc:
             exps = tuple((i, rng.randint(1, 2)) for i in (1, 2, 3, 4, 6) if rng.random() < 0.4)
             num = LaurentPoly(rng.randint(-2, 2), [rng.randint(-2, 2) for _ in range(3)])
-            terms[d] = RationalFunction(num, exact._cyclo_den(exps))
+            terms[d] = exact._cyclo_sum([(exps, num.t_low, num._ints, num._den)])
     return TorusElement(n, trunc, terms)
 
 
@@ -650,6 +652,101 @@ def test_convolve_falls_back_on_non_cyclotomic_denominators(monkeypatch):
         assert convolve(x, y) == _convolve_reference(x, y)
     assert len(calls) == 3
     assert convolve(b, b) == _convolve_reference(b, b) and len(calls) == 3
+
+
+def test_coefficients_without_exponents_take_the_reference_path(monkeypatch):
+    # a value over Phi_3 from the constructor carries no exponents, so a
+    # product with it goes pair by pair, to the values of the kernel path
+    over_phi3 = exact._cyclo_sum([(((3, 1),), 1, (2, -1), 1)])
+    rebuilt = RationalFunction(LaurentPoly(1, (2, -1)), LaurentPoly(0, (1, 1, 1)))
+    assert over_phi3._exps == ((3, 1),) and rebuilt._exps is None and rebuilt == over_phi3
+    b = dilog(3, 4, (0, 1, 0)) * dilog(3, 4, (1, 1, 0))
+    kernel, foreign = dict(b.terms), dict(b.terms)
+    kernel[(1, 0, 0)], foreign[(1, 0, 0)] = over_phi3, rebuilt
+    kernel, foreign = TorusElement(3, 4, kernel), TorusElement(3, 4, foreign)
+    calls = []
+    monkeypatch.setattr(torus, "_convolve_reference",
+                        lambda *args: calls.append(1) or _convolve_reference(*args))
+    want = [convolve(kernel, b), convolve(b, kernel), convolve(kernel, kernel)]
+    assert calls == []
+    got = [convolve(foreign, b), convolve(b, foreign), convolve(foreign, foreign)]
+    assert len(calls) == 3 and got == want
+
+
+# the commands of each benchmark workload that multiply in the torus: the
+# pentagon and its reverse-residual probe (whose inverses start from
+# c0.inv() = 1), one invariance and one hn-identity command at seed 0
+BENCHMARK_TORUS_COMMANDS = [
+    ["verify", "pentagon", "--n", "4", "--trunc", "6"],
+    ["verify", "pentagon", "--n", "3", "--sabotage", "reverse-residual"],
+    ["verify", "invariance", "--n", "4", "--trunc", "8", "--trials", "2", "--seed", "0"],
+    ["verify", "hn-identity", "--n", "3", "--trunc", "8", "--trials", "1", "--seed", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_TORUS_COMMANDS,
+                         ids=["pentagon", "pentagon-reverse-residual", "invariance",
+                              "hn-identity"])
+def test_benchmark_commands_never_take_the_reference_path(monkeypatch, capsys, argv):
+    calls = []
+    monkeypatch.setattr(torus, "_convolve_reference",
+                        lambda *args: calls.append(1) or _convolve_reference(*args))
+    code = cli.main(argv)
+    capsys.readouterr()
+    assert code == (1 if "--sabotage" in argv else 0)
+    assert calls == []
+
+
+# ----------------------------------------------------------------------
+# The whole torus at a point
+# ----------------------------------------------------------------------
+
+def _agrees_at_points(got, want_at):
+    # every coefficient carries its Phi-exponents, which the torus reads
+    # and the evaluation uses; the values agree key by key at t0 = 2 and 3
+    assert all(c._exps is not None for c in got.terms.values())
+    for t0 in (Fraction(2), Fraction(3)):
+        assert torus_at_point.same_at_point(torus_at_point.element_at(t0, got), want_at(t0))
+
+
+@pytest.mark.parametrize("seed", [0, 2, 4, 6])
+def test_ez_agrees_with_the_torus_at_a_point(seed):
+    # the torus-products inputs: the stables' dilogarithms at (n, D) = (4, 8)
+    z = random_discrete(4, seed, 8)
+    dims = torus.stable_dims(z)
+    _agrees_at_points(ez(z, 8), lambda t0: torus_at_point.ordered_product_at(t0, dims, 4, 8))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_inverse_and_translate_agree_with_the_torus_at_a_point(seed):
+    # ez is invariant under rotation (the cyclic identity), a product of
+    # the first stables' dilogarithms is not; the last element has the
+    # constant term t^2 in place of 1
+    n, trunc = 3, 6
+    dims = torus.stable_dims(random_discrete(n, seed, 8))
+    zero = (0,) * n
+
+    def product_at(some):
+        return lambda t0: torus_at_point.ordered_product_at(t0, some, n, trunc)
+
+    def constant_t2_at(t0):
+        out = product_at(dims[:3])(t0)
+        out[zero] = t0 ** 2
+        return out
+
+    prefix = ordered_product([dilog(n, trunc, d) for d in dims[:3]], n, trunc)
+    elements = [(ordered_product([dilog(n, trunc, d) for d in dims], n, trunc),
+                 product_at(dims)),
+                (prefix, product_at(dims[:3])),
+                (prefix + mono(n, trunc, zero, rf_t(2)) - TorusElement.one(n, trunc),
+                 constant_t2_at)]
+    for x, x_at in elements:
+        _agrees_at_points(x, x_at)
+        _agrees_at_points(torus_inverse(x), lambda t0: torus_at_point.inverse_at(
+            t0, x_at(t0), n, trunc))
+        for k in range(1, n):
+            _agrees_at_points(apply_translate(x, k), lambda t0: {
+                d[k:] + d[:k]: v for d, v in x_at(t0).items()})
 
 
 # ----------------------------------------------------------------------

@@ -28,9 +28,9 @@ Phi-exponents (built neither by the kernel nor over 1).  The reduction
 is memoised on its term list, which repeats: every E(y^d) has the same
 coefficients, so a chain of products forms the same products of them at
 many keys and steps.  The class sums of dimension vectors related by
-rotation and reversal of Delta_n have equal terms too, and
-``integrate_multisets`` hands them over in one canonical order (sorted by
-ks), so the memo catches these keys as well.  Two shortcuts keep
+rotation and reversal of Delta_n are equal, so ``integrate_iso_sum``
+counts and reduces only one representative per orbit and copies its
+coefficient to the rest.  Two shortcuts keep
 ``convolve`` from redoing work: a key reached only by a pair with a
 coefficient exactly 1 (the dilogarithm's constant term, say) is the other
 coefficient times t^lambda, already canonical, and skips the kernel; and
@@ -42,8 +42,9 @@ explicit classes, each with an optional q-polynomial weight (the Hall
 side of the integration identity).  ``integrate_multisets`` sums every
 direct sum of given uniserials (``integrate_iso_sum`` over all of them,
 ``semistable_phase_factor`` over one phase) in one ``multiset_walk``
-that carries dim M and |Aut M| from each class to the next with one
-summand, builds no class, and hands the kernel one term per (dim M, ks).
+that carries dim M, ks and |Aut M| from each class to the next with one
+summand, keys each class by one integer, builds no class, and hands the
+kernel one term per (dim M, ks).
 """
 
 from __future__ import annotations
@@ -333,55 +334,125 @@ def integrate(q: CyclicQuiver, m: ModuleIso, truncation: int) -> TorusElement:
 
 def integrate_iso_sum(q: CyclicQuiver, truncation: int) -> TorusElement:
     """Sum of integrate over every iso class of total dim <= truncation,
-    one :func:`integrate_multisets` walk over every uniserial.  The zero
-    class contributes the unit."""
-    return integrate_multisets(q, q.enumerate_indecomposables(truncation), truncation)
+    one :func:`integrate_multisets` walk over every uniserial that counts
+    one dimension vector per dihedral orbit.  The zero class contributes
+    the unit.
+
+    Rotating the vertices, R(i, l) -> R(i+1, l), is a relabelling of
+    Delta_n.  So is k-duality M -> DM followed by j -> -j, which turns
+    the opposite quiver back into Delta_n and sends R(i, l) to R(1-i-l,
+    l): the top of R(i, l) becomes the socle.  Both map the uniserials
+    onto themselves, keep |Aut M| (Aut(DM) is Aut(M)^op) and chi(d, d),
+    and send dim M to a rotation of d or of d reversed.  So they biject
+    the classes of dimension d with those of each d' in its orbit, and
+    the coefficients at d and d' are equal.
+    """
+    return integrate_multisets(q, q.enumerate_indecomposables(truncation), truncation,
+                               dihedral=True)
 
 
 def integrate_multisets(q: CyclicQuiver, parts: Iterable[Indecomposable],
-                        truncation: int) -> TorusElement:
+                        truncation: int, dihedral: bool = False) -> TorusElement:
     """Sum of integrate over every direct sum of the distinct uniserials
     `parts` of total dim <= truncation, the zero class included, with no
     class built.
 
-    One :func:`multiset_walk` carries dim M (an integer with digit d_j in
-    base truncation + 1, so that adding a summand is one addition) and the
-    (e, ks) of |Aut M| (:meth:`CyclicQuiver.aut_exponents`) from each class
-    to its children.  It counts the classes by (dim M, ks, e); each (dim M,
-    ks) is one kernel term whose numerator sums count * t^(-2e), and each
-    dimension vector one kernel call, shifted by t^chi(d, d).
+    One :func:`multiset_walk` carries each class's key and the e of
+    |Aut M| = q^e * prod_{k in ks} (q^k - 1)
+    (:meth:`CyclicQuiver.aut_exponents`) from each class to its children.
+    The key is one integer: dim M, with digit d_j in base truncation + 1,
+    plus above it the ks code, whose digit m - 1 counts the parts of
+    multiplicity at least m, so that adding a summand adds its dim code
+    and the constant of its multiplicity.  The walk counts
+    the classes by (key, e); each key is one kernel term whose numerator
+    sums count * t^(-2e), and each dimension vector one kernel call,
+    shifted by t^chi(d, d).  The terms of a dimension vector go to the
+    kernel sorted by ks code, one canonical order, so that dimension
+    vectors with equal counts hand the kernel equal term tuples and its
+    memo reduces them once.
 
-    The terms of a dimension vector go to the kernel sorted by ks, not in
-    walk order.  Dimension vectors related by rotation and reversal have
-    equal class counts by (ks, e), so with one canonical order they hand
-    the kernel equal term tuples and its memo reduces each such orbit
-    once.
+    With `dihedral`, which needs `parts` closed under rotation and
+    duality (see :func:`integrate_iso_sum`), only the classes of the
+    least dim code of each dihedral orbit are counted and reduced, and
+    the coefficient is copied to the rest of the orbit.  Without it,
+    every dimension vector is counted: the oracle of the dihedral sum.
     """
     parts = sorted(parts, key=lambda r: (r.socle, r.length))
     n, base = q.n, truncation + 1
-    codes = [sum(x * base ** j for j, x in enumerate(q.dim_of_indec(r))) for r in parts]
+    top = base ** n
+    codes = [_code(q.dim_of_indec(r), base) for r in parts]
+    copies = [0] + [top * base ** k for k in range(truncation)]
     walk = q.aut_exponents([(r.socle, r.length) for r in parts],
                            multiset_walk([r.length for r in parts], truncation))
-    counts: Dict[Tuple[int, tuple], Dict[int, int]] = {(0, ()): {0: 1}}
-    code_at, ks_at = [0], [()]
+    # dim code -> the dimension vectors of its dihedral orbit at the
+    # orbit's least code, () at the others
+    orbits: Dict[int, tuple] = {0: ((0,) * n,)}
+    counts: Dict[int, Dict[int, int]] = {0: {0: 1}}
+    keys = [0] * (truncation + 1)
     for depth, i, m, e in walk:
-        del code_at[depth:], ks_at[depth:]
-        code_at.append(code_at[-1] + codes[i])
-        ks_at.append(tuple(sorted(ks_at[-1] + (m,))))
-        by_e = counts.setdefault((code_at[-1], ks_at[-1]), {})
+        key = keys[depth] = keys[depth - 1] + codes[i] + copies[m]
+        if dihedral:
+            members = orbits.get(key % top)
+            if members is None:
+                members = _mark_orbit(orbits, key % top, n, base)
+            if not members:
+                continue
+        by_e = counts.setdefault(key, {})
         by_e[e] = by_e.get(e, 0) + 1
     terms: Dict[int, list] = {}
-    for (code, ks), by_e in sorted(counts.items()):
-        top = max(by_e)
-        ints = [0] * (2 * (top - min(by_e)) + 1)
+    # sorted keys run by ks code, then dim code
+    for key, by_e in sorted(counts.items()):
+        hi = max(by_e)
+        ints = [0] * (2 * (hi - min(by_e)) + 1)
         for e, count in by_e.items():
-            ints[2 * (top - e)] = count
-        terms.setdefault(code, []).append((_q_factor_exps(ks), -2 * top, tuple(ints), 1))
+            ints[2 * (hi - e)] = count
+        terms.setdefault(key % top, []).append(
+            (_q_factor_exps(_ks_of(key // top, base)), -2 * hi, tuple(ints), 1))
     out = {}
     for code, ts in terms.items():
-        d = tuple(code // base ** j % base for j in range(n))
-        out[d] = _cyclo_sum(ts).shifted(q.euler_form(d, d))
+        members = orbits[code] if dihedral else (_digits(code, n, base),)
+        c = _cyclo_sum(ts).shifted(q.euler_form(members[0], members[0]))
+        for d in members:
+            out[d] = c
     return TorusElement._trusted(n, truncation, out)
+
+
+def _code(d: DimVector, base: int) -> int:
+    """The dim code of d: the integer with digit d_j in `base`."""
+    return sum(x * base ** j for j, x in enumerate(d))
+
+
+def _digits(code: int, n: int, base: int) -> DimVector:
+    """The dimension vector with dim code `code`."""
+    return tuple(code // base ** j % base for j in range(n))
+
+
+def _mark_orbit(orbits: Dict[int, tuple], code: int, n: int, base: int) -> tuple:
+    """Enter the dihedral orbit of the dim code `code` into `orbits`: its
+    rotations and their reversals at the least code, () at the others;
+    the entry of `code`."""
+    twice = _digits(code, n, base) * 2
+    images = {}
+    for k in range(n):
+        turned = twice[k:k + n]
+        for x in (turned, turned[::-1]):
+            images[_code(x, base)] = x
+    for c in images:
+        orbits[c] = ()
+    orbits[min(images)] = tuple(images.values())
+    return orbits[code]
+
+
+def _ks_of(code: int, base: int) -> Tuple[int, ...]:
+    """The ks of a ks code, ascending: k once for each part counted by
+    digit k - 1, a part of multiplicity at least k."""
+    ks: List[int] = []
+    k = 0
+    while code:
+        code, c = divmod(code, base)
+        k += 1
+        ks += [k] * c
+    return tuple(ks)
 
 
 def ordered_product(factors: Iterable[TorusElement], n: int, truncation: int) -> TorusElement:

@@ -81,10 +81,22 @@ MUTANTS = [
     ("src/hallq/quiver.py", "weights[later[-1]] >= weights[i]", "weights[later[-1]] <= weights[i]",
      ["tests/test_quiver.py::test_multisets_with_budget_keeps_the_recursive_order",
       "tests/test_torus.py::test_integrate_iso_sum_matches_the_nilpotent_orbit_count"]),
-    # the iso-class sum hands the kernel each dimension vector's terms in
+    # the full count hands the kernel each dimension vector's terms in
     # walk order, so rotated and reversed dimension vectors miss the memo
     ("src/hallq/torus.py", "in sorted(counts.items()):", "in counts.items():",
      ["tests/test_torus.py::test_integrate_iso_sum_reduces_each_dihedral_orbit_once"]),
+    # the iso-class sum reduces each orbit representative but does not
+    # copy its coefficient to the rest of the orbit
+    ("src/hallq/torus.py", "for d in members:", "for d in members[:1]:",
+     ["tests/test_torus.py::test_integrate_iso_sum_matches_the_full_count",
+      "tests/test_torus.py::test_integrate_iso_sum_matches_per_class_sum"]),
+    # the ks digit of multiplicity m written at m, read at m - 1 (the
+    # full count shares the ks code, so the per-class sums catch it)
+    ("src/hallq/torus.py", "copies = [0] + [top * base ** k for k in range(truncation)]",
+     "copies = [top * base ** k for k in range(truncation + 1)]",
+     ["tests/test_torus.py::test_integrate_iso_sum_matches_per_class_sum",
+      "tests/test_torus.py::test_iso_class_walk_matches_integrate_modules",
+      "tests/test_torus.py::test_semistable_phase_factors_match_per_class_sum"]),
     # the census's key table keyed on (n, dims) alone, so that modules of
     # one dimension vector share it
     ("src/hallq/hall.py", "_pair_table(n, dims, tuple(comps))", "_pair_table(n, dims, ())",

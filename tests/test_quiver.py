@@ -367,6 +367,26 @@ def test_translate_preserves_forms_and_hom():
         assert Q3.lambda_form(Q3.translate_dim(da), Q3.translate_dim(db)) == Q3.lambda_form(da, db)
 
 
+@pytest.mark.parametrize("n,classes", [(2, 139), (3, 415), (4, 990), (5, 2052)])
+def test_rotation_and_duality_keep_aut_and_turn_the_dimension_vector(n, classes):
+    # the symmetries integrate_iso_sum sums one orbit representative by:
+    # rotation R(i, l) -> R(i+1, l), and k-duality with the vertices
+    # relabelled j -> -j, R(i, l) -> R(1-i-l, l); checked class by class,
+    # with no walk
+    q = CyclicQuiver(n)
+    every = q.enumerate_iso_classes(6)
+    assert len(every) == classes
+    for m in every:
+        d = q.dim_of(m)
+        turned = ModuleIso.of(*(q.R(r.socle + 1, r.length) for r in m))
+        dual = ModuleIso.of(*(q.R(1 - r.socle - r.length, r.length) for r in m))
+        assert q.aut_factors(turned) == q.aut_factors(m), m
+        assert q.aut_factors(dual) == q.aut_factors(m), m
+        assert q.dim_of(turned) == d[-1:] + d[:-1]
+        back = d[::-1]
+        assert q.dim_of(dual) == back[1:] + back[:1]
+
+
 # ----------------------------------------------------------------------
 # Enumeration
 # ----------------------------------------------------------------------

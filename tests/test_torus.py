@@ -532,16 +532,36 @@ def _dihedral_orbit_count(n, trunc):
 @pytest.mark.parametrize("n,trunc,orbits", [(2, 10, 36), (3, 8, 41), (4, 7, 63),
                                             (5, 8, 157), (6, 6, 105)])
 def test_integrate_iso_sum_reduces_each_dihedral_orbit_once(n, trunc, orbits):
-    # dimension vectors related by rotation and reversal have equal class
-    # counts, so a canonical term order hands the kernel one input per
-    # orbit; at n = 6 distinct orbits share their statistics too (83 of 105)
+    # the iso-class sum calls the kernel once per orbit of dimension
+    # vectors under rotation and reversal; the full count, which reduces
+    # every dimension vector, hands the members of an orbit equal term
+    # tuples in its canonical order, so its memo misses once per orbit;
+    # at n = 6 distinct orbits share their statistics too (83 of 105)
     assert _dihedral_orbit_count(n, trunc) == orbits
+    q = CyclicQuiver(n)
     exact._cyclo_reduce.cache_clear()
-    integrate_iso_sum(CyclicQuiver(n), trunc)
-    misses = exact._cyclo_reduce.cache_info().misses
-    assert misses <= orbits
+    integrate_iso_sum(q, trunc)
+    info = exact._cyclo_reduce.cache_info()
+    assert info.hits + info.misses == orbits
+    exact._cyclo_reduce.cache_clear()
+    integrate_multisets(q, q.enumerate_indecomposables(trunc), trunc)
+    full = exact._cyclo_reduce.cache_info()
+    assert full.misses <= orbits
     if n <= 5:
-        assert misses == orbits
+        assert info.hits == 0
+        assert full.misses == orbits
+
+
+@pytest.mark.parametrize("n,trunc", [(2, 12), (3, 8), (4, 7), (5, 8), (6, 6)])
+def test_integrate_iso_sum_matches_the_full_count(n, trunc):
+    # one orbit representative counted and copied against every dimension
+    # vector counted, at the sizes and at truncations 0 and 1
+    q = CyclicQuiver(n)
+    for bound in (0, 1, trunc):
+        got = integrate_iso_sum(q, bound)
+        want = integrate_multisets(q, q.enumerate_indecomposables(bound), bound)
+        assert got == want
+        assert got.to_json() == want.to_json()
 
 
 @pytest.mark.parametrize("n,trunc", [(2, 8), (3, 6), (4, 5)])

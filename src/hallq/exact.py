@@ -20,10 +20,11 @@ the private kernel ``_cyclo_sum`` cancels by exact division alone, each
 division by Phi_i after a fold test: Phi_i
 divides t^i - 1, so it divides p exactly when it divides p mod (t^i - 1),
 of degree < i; the fold rules divisions out, exact division decides.
-The kernel is memoised on its input, the tuple of its terms with each
-numerator as a tuple: dilogarithm products and rotated class sums hand it
-the same term lists again and again.  Sharing a result is exact, since the
-reduction is a pure function of its terms and the result is immutable.
+The kernel is memoised on its one argument, a tuple of terms each with a
+tuple numerator, which is its only entry: dilogarithm products and
+rotated class sums hand it the same term tuples again and again.
+Sharing a result is exact, since the reduction is a pure function of its
+terms and the result is immutable.
 A kernel result keeps its denominator as the exponent vector of its
 factors Phi_i, which the next product reads directly; the polynomial is
 expanded (``_cyclo_den``, one pass per binomial t^d - 1 of the product) only
@@ -818,23 +819,16 @@ def _iadd_at(acc: list, off: int, a: Sequence[int]) -> None:
     acc[off:end] = map(add, acc[off:end], a)
 
 
-def _cyclo_sum(terms: Iterable[tuple]) -> RationalFunction:
-    """Canonical sum of the terms (exps, s, a, da), each meaning
-    t^s * (a / da) / prod Phi_i^e_i with a ascending integer coefficients
-    (a list or a tuple).
-
-    The terms, each numerator made a tuple, are the key of the memoised
-    :func:`_cyclo_reduce`, so a term list reduced before in the process
-    costs one lookup.  This is exact: the reduction is a pure function of
-    its terms, and a RationalFunction is immutable, so one result can be
-    shared.
-    """
-    return _cyclo_reduce(tuple([(exps, s, tuple(a), da) for exps, s, a, da in terms]))
-
-
 @lru_cache(maxsize=None)
-def _cyclo_reduce(terms: tuple) -> RationalFunction:
-    """The reduction behind :func:`_cyclo_sum`, of a tuple of terms.
+def _cyclo_sum(terms: tuple) -> RationalFunction:
+    """Canonical sum of the terms (exps, s, ints, den), each meaning
+    t^s * (ints / den) / prod Phi_i^e_i with ints a tuple of ascending
+    integer coefficients.
+
+    The tuple of terms is the memo key, so a term tuple reduced before in
+    the process costs one lookup.  This is exact: the reduction is a pure
+    function of its terms, and a RationalFunction is immutable, so one
+    result can be shared.
 
     Terms over one denominator are added first; each such group is lifted
     to the exponent-wise maximum of all denominators, and every Phi_i is

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from math import prod
 from operator import mul, sub
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .exact import Immutable, LaurentPoly
 
@@ -115,15 +115,6 @@ class CyclicQuiver(Immutable):
         if n < 2:
             raise ValueError("need at least two vertices")
         object.__setattr__(self, "n", n)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CyclicQuiver) and self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash(("CyclicQuiver", self.n))
-
-    def __repr__(self) -> str:
-        return f"CyclicQuiver({self.n})"
 
     # -- vertices and dimension vectors ---------------------------------
 
@@ -294,9 +285,8 @@ class CyclicQuiver(Immutable):
         Deterministic order: total dimension ascending, then the sorted
         summand lists lexicographically.
         """
-        found = multisets_with_budget(self.enumerate_indecomposables(max_total),
-                                      max_total, _length)
-        return sorted(found, key=lambda m: sum(map(_length, m.summands)))
+        found = multisets_with_budget(self.enumerate_indecomposables(max_total), max_total)
+        return sorted(found, key=lambda m: sum(r.length for r in m.summands))
 
     def enumerate_with_dim(self, d: DimVector) -> List[ModuleIso]:
         """All iso classes with the exact dimension vector d, in the order
@@ -304,12 +294,8 @@ class CyclicQuiver(Immutable):
         tried."""
         fits = [r for r in self.enumerate_indecomposables(sum(d))
                 if all(a <= b for a, b in zip(self.dim_of_indec(r), d))]
-        return [m for m in multisets_with_budget(fits, sum(d), _length)
+        return [m for m in multisets_with_budget(fits, sum(d))
                 if self.dim_of(m) == d]
-
-
-def _length(r: Indecomposable) -> int:
-    return r.length
 
 
 def multiset_walk(weights: Sequence[int], budget: int) -> Iterator[Tuple[int, int, int]]:
@@ -348,9 +334,8 @@ def multiset_walk(weights: Sequence[int], budget: int) -> Iterator[Tuple[int, in
         stack.append([i, left - weights[i], i, m])
 
 
-def multisets_with_budget(parts: Iterable[Indecomposable], budget: int,
-                          weight: Callable[[Indecomposable], int]) -> List[ModuleIso]:
-    """All multisets of the given parts with total weight <= budget; none
+def multisets_with_budget(parts: Iterable[Indecomposable], budget: int) -> List[ModuleIso]:
+    """All multisets of the given parts with total length <= budget; none
     when the budget is negative.
 
     One :func:`multiset_walk` over the parts sorted by (socle, length), so
@@ -362,7 +347,7 @@ def multisets_with_budget(parts: Iterable[Indecomposable], budget: int,
     parts = sorted(parts, key=lambda r: (r.socle, r.length))
     out = [ModuleIso(())]
     acc: List[Indecomposable] = []
-    for depth, i, _ in multiset_walk([weight(r) for r in parts], budget):
+    for depth, i, _ in multiset_walk([r.length for r in parts], budget):
         del acc[depth - 1:]
         acc.append(parts[i])
         out.append(ModuleIso(tuple(acc)))

@@ -25,17 +25,16 @@ Phi-exponents of its denominator, and one over 1 the empty vector, which
 between products.  ``convolve`` falls back to the pair-by-pair
 ``_convolve_reference`` for an operand with a coefficient that has no
 Phi-exponents (built neither by the kernel nor over 1).  The reduction
-is memoised on its term list, which repeats: every E(y^d) has the same
+is memoised on its term tuple, which repeats: every E(y^d) has the same
 coefficients, so a chain of products forms the same products of them at
-many keys and steps.  The class sums of dimension vectors related by
-rotation and reversal of Delta_n are equal, so ``integrate_iso_sum``
-counts and reduces only one representative per orbit and copies its
-coefficient to the rest.  Two shortcuts keep
-``convolve`` from redoing work: a key reached only by a pair with a
-coefficient exactly 1 (the dilogarithm's constant term, say) is the other
-coefficient times t^lambda, already canonical, and skips the kernel; and
-lambda(d, e) is d dotted with the row ``CyclicQuiver.lambda_row(e)``,
-once per key e.
+many keys and steps.  Every output key of ``convolve`` is one kernel
+call, so the memo is the only shortcut past the reduction; a pair with
+the numerator 1 on one side takes the other numerator as it is, with no
+convolution, and lambda(d, e) is d dotted with the row
+``CyclicQuiver.lambda_row(e)``, once per key e.  The class sums of
+dimension vectors related by rotation and reversal of Delta_n are equal,
+so ``integrate_iso_sum`` counts and reduces only one representative per
+orbit and copies its coefficient to the rest.
 
 The integration map has two entry points.  ``integrate_modules`` takes
 explicit classes, each with an optional q-polynomial weight (the Hall
@@ -175,14 +174,12 @@ class TorusElement(Immutable):
 def convolve(a: TorusElement, b: TorusElement) -> TorusElement:
     """Graded product a * b.
 
-    The term pairs are bucketed by output key and each bucket is summed
-    in one canonical reduction by the cyclotomic kernel; an operand with
-    a coefficient that has no Phi-exponents (built neither by the kernel
-    nor over 1) takes the pair-by-pair path of :func:`_convolve_reference`.
-    A bucket whose only pair has a coefficient exactly 1 on one side is the
-    other coefficient times t^lambda, already canonical, and skips the
-    kernel.  The twist is one dot product per pair with the right key's
-    row lambda(., e).
+    The term pairs are bucketed by output key and each bucket, as a
+    tuple of terms, is summed in one canonical reduction by the cyclotomic
+    kernel; an operand with a coefficient that has no Phi-exponents (built
+    neither by the kernel nor over 1) takes the pair-by-pair path of
+    :func:`_convolve_reference`.  The twist is one dot product per pair
+    with the right key's row lambda(., e).
     """
     a._check_compatible(b)
     a_items = _cyclotomic_items(a)
@@ -193,35 +190,27 @@ def convolve(a: TorusElement, b: TorusElement) -> TorusElement:
     row = CyclicQuiver(n).lambda_row
     b_items = [item + (row(item[0]),) for item in b_items]
     buckets: Dict[DimVector, list] = {}
-    units: Dict[DimVector, tuple] = {}
-    for d, td, ca, ea, sa, na, da in a_items:
-        for e, te, cb, eb, sb, nb, db, r in b_items:
+    for d, td, ea, sa, na, da in a_items:
+        for e, te, eb, sb, nb, db, r in b_items:
             if td + te > bound:
                 continue
-            f = tuple(map(add, d, e))
-            k = sum(map(mul, d, r))
-            if ca is RF_ONE or cb is RF_ONE:
-                units[f] = (cb if ca is RF_ONE else ca, k)
-            buckets.setdefault(f, []).append(
-                (_exps_merge(ea, eb), sa + sb + k,
+            buckets.setdefault(tuple(map(add, d, e)), []).append(
+                (_exps_merge(ea, eb), sa + sb + sum(map(mul, d, r)),
                  nb if na == (1,) else na if nb == (1,) else _iconv(na, nb), da * db))
     return TorusElement._trusted(n, bound, {
-        f: units[f][0].shifted(units[f][1]) if len(terms) == 1 and f in units
-        else _cyclo_sum(terms) for f, terms in buckets.items()})
+        f: _cyclo_sum(tuple(terms)) for f, terms in buckets.items()})
 
 
 def _cyclotomic_items(a: TorusElement) -> Optional[list]:
-    """(key, total, coeff, exps, t_low, ints, den) per term, the exponents
-    those the coefficient carries, and a coefficient equal to 1 given as
-    RF_ONE; None if one has no Phi-exponents (built neither by the kernel
-    nor over 1)."""
+    """(key, total, exps, t_low, ints, den) per term, the exponents those
+    the coefficient carries; None if one has no Phi-exponents (built
+    neither by the kernel nor over 1)."""
     out = []
     for d, c in a.terms.items():
         exps = c._exps
         if exps is None:
             return None
-        out.append((d, sum(d), RF_ONE if not exps and c == RF_ONE else c, exps,
-                    c.num.t_low, c.num._ints, c.num._den))
+        out.append((d, sum(d), exps, c.num.t_low, c.num._ints, c.num._den))
     return out
 
 
@@ -291,7 +280,7 @@ def apply_translate(a: TorusElement, k: int = 1) -> TorusElement:
 def dilog_coefficient(m: int) -> RationalFunction:
     """Coefficient of y^(m*d) in E(y^d): t^(m^2) / prod_{j<m} (q^m - q^j),
     that is t^m / prod_{k=1..m} (q^k - 1), one term of the kernel."""
-    return _cyclo_sum([(_q_factor_exps(tuple(range(1, m + 1))), m, (1,), 1)])
+    return _cyclo_sum(((_q_factor_exps(tuple(range(1, m + 1))), m, (1,), 1),))
 
 
 def dilog(n: int, truncation: int, d: DimVector) -> TorusElement:
@@ -324,7 +313,7 @@ def integrate_modules(q: CyclicQuiver, truncation: int, modules: Iterable[Module
             terms.setdefault(d, []).append(
                 (_q_factor_exps(ks), w.t_low - 2 * e, w._ints, w._den))
     return TorusElement._trusted(q.n, truncation, {
-        d: _cyclo_sum(ts).shifted(q.euler_form(d, d)) for d, ts in terms.items()})
+        d: _cyclo_sum(tuple(ts)).shifted(q.euler_form(d, d)) for d, ts in terms.items()})
 
 
 def integrate(q: CyclicQuiver, m: ModuleIso, truncation: int) -> TorusElement:
@@ -411,7 +400,7 @@ def integrate_multisets(q: CyclicQuiver, parts: Iterable[Indecomposable],
     out = {}
     for code, ts in terms.items():
         members = orbits[code] if dihedral else (_digits(code, n, base),)
-        c = _cyclo_sum(ts).shifted(q.euler_form(members[0], members[0]))
+        c = _cyclo_sum(tuple(ts)).shifted(q.euler_form(members[0], members[0]))
         for d in members:
             out[d] = c
     return TorusElement._trusted(n, truncation, out)

@@ -431,7 +431,7 @@ def test_cyclotomic_polynomials_multiply_to_t_power_minus_one():
 cyclo_exps = st.dictionaries(st.sampled_from((1, 2, 3, 4, 6, 8, 12)), st.integers(1, 2),
                              max_size=3).map(lambda d: tuple(sorted(d.items())))
 cyclo_term = st.tuples(cyclo_exps, st.integers(-4, 4),
-                       st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+                       st.lists(st.integers(-6, 6), min_size=1, max_size=5).map(tuple),
                        st.integers(1, 4))
 
 
@@ -448,7 +448,7 @@ def _rf_sum(terms):
 
 @given(st.lists(cyclo_term, min_size=1, max_size=6))
 def test_cyclo_sum_matches_rational_function_sum(terms):
-    assert exact._cyclo_sum(terms) == _rf_sum(terms)
+    assert exact._cyclo_sum(tuple(terms)) == _rf_sum(terms)
 
 
 @given(cyclo_term, cyclo_term)
@@ -457,9 +457,9 @@ def test_cyclo_sum_cancels_to_canonical_form(x, y):
     exps, s, a, da = x
     lifted = exact._exps_merge(exps, ((3, 1), (4, 2)))
     a_lift = exact._iconv(a, exact._cyclo_den(((3, 1), (4, 2)))._ints)
-    assert exact._cyclo_sum([(lifted, s, a_lift, da)]) == _rf_of_term(*x)
+    assert exact._cyclo_sum(((lifted, s, a_lift, da),)) == _rf_of_term(*x)
     ey, sy, ay, dy = y
-    terms = [x, y, (ey, sy, [-c for c in ay], dy)]
+    terms = (x, y, (ey, sy, tuple(-c for c in ay), dy))
     assert exact._cyclo_sum(terms) == _rf_of_term(*x)
 
 
@@ -521,39 +521,30 @@ def test_fold_test_agrees_on_near_multiples():
 
 
 # ----------------------------------------------------------------------
-# The kernel's memo: one reduction per distinct term list
+# The kernel's memo: one reduction per distinct term tuple
 # ----------------------------------------------------------------------
 
 def test_cyclo_sum_memo_tells_every_key_field_apart():
     # each variant differs from `first` in one field of one term; with all
     # of them memoised, each must still come back as its own sum
     other = (((3, 1),), 0, (2, 1), 1)
-    first = [(((1, 1), (2, 1)), 1, (1, -2, 3), 2), other]
+    first = ((((1, 1), (2, 1)), 1, (1, -2, 3), 2), other)
     variants = [
-        [(((1, 1), (2, 1)), 2, (1, -2, 3), 2), other],  # the shift s
-        [(((1, 1), (2, 1)), 1, (1, -2, 4), 2), other],  # one numerator entry
-        [(((1, 1), (2, 1)), 1, (1, -2, 3), 3), other],  # the integer denominator da
-        [(((1, 1), (4, 1)), 1, (1, -2, 3), 2), other],  # the exponents exps
+        ((((1, 1), (2, 1)), 2, (1, -2, 3), 2), other),  # the shift s
+        ((((1, 1), (2, 1)), 1, (1, -2, 4), 2), other),  # one numerator entry
+        ((((1, 1), (2, 1)), 1, (1, -2, 3), 3), other),  # the integer denominator da
+        ((((1, 1), (4, 1)), 1, (1, -2, 3), 2), other),  # the exponents exps
     ]
-    exact._cyclo_reduce.cache_clear()
+    exact._cyclo_sum.cache_clear()
     for terms in [first] + variants:
         exact._cyclo_sum(terms)
-    assert exact._cyclo_reduce.cache_info().misses == 1 + len(variants)
+    assert exact._cyclo_sum.cache_info().misses == 1 + len(variants)
     want = _rf_sum(first)
     assert exact._cyclo_sum(first) == want
     for terms in variants:
         got = exact._cyclo_sum(terms)
         assert got == _rf_sum(terms) and got != want
-    assert exact._cyclo_reduce.cache_info().misses == 1 + len(variants)
-
-
-@given(st.lists(cyclo_term, min_size=1, max_size=4))
-def test_cyclo_sum_takes_list_and_tuple_numerators_alike(terms):
-    as_tuples = [(exps, s, tuple(a), da) for exps, s, a, da in terms]
-    got = exact._cyclo_sum(terms)
-    assert got == _rf_sum(terms)
-    assert exact._cyclo_sum(as_tuples) is got
-    assert exact._cyclo_sum(tuple(as_tuples)) is got
+    assert exact._cyclo_sum.cache_info().misses == 1 + len(variants)
 
 
 # ----------------------------------------------------------------------
@@ -587,12 +578,12 @@ def test_cyclo_den_matches_the_product_of_phis(exps):
 def _factored(terms):
     """The kernel's reduction of `terms`, made afresh (past the memo), so its
     denominator has not been read yet, unless it is zero (RF_ZERO)."""
-    return exact._cyclo_reduce.__wrapped__(tuple((e, s, tuple(a), da) for e, s, a, da in terms))
+    return exact._cyclo_sum.__wrapped__(tuple(terms))
 
 
 def _negated(term):
     exps, s, a, da = term
-    return exps, s, [-c for c in a], da
+    return exps, s, tuple(-c for c in a), da
 
 
 @given(st.lists(cyclo_term, min_size=1, max_size=4), st.lists(cyclo_term, max_size=3),

@@ -50,6 +50,7 @@ def _pairs():
         (GaussianRational(Fraction(1, 2), Fraction(3)),
          GaussianRational(Fraction(1, 2), Fraction(3))),
         (Indecomposable(2, 3), Indecomposable(2, 3)),
+        (CyclicQuiver(3), CyclicQuiver(3)),
         (ModuleIso.of(Q3.R(2, 1), Q3.R(1, 2)), ModuleIso.of(Q3.R(1, 2), Q3.R(2, 1))),
         (StabilityFunction.of(z), StabilityFunction.of(z)),
         (CampaignConfig(n=4, primes=(2, 3)), CampaignConfig(4, None, 10, 0, 8, None, (2, 3))),
@@ -75,6 +76,7 @@ def test_hashes_are_those_of_the_field_tuples():
     cfg = CampaignConfig(n=4)
     assert hash(g) == hash((g.re, g.im))
     assert hash(r) == hash((2, 3))
+    assert hash(Q3) == hash((3,))
     assert hash(m) == hash((m.summands,))
     assert hash(cfg) == hash((4, None, 10, 0, 8, None, (2, 3, 5, 7, 11), 4, None, False))
     assert hash(Budget(hall_prime=13)) == hash((4, 13, 4, 3, 1 << 20))
@@ -92,7 +94,7 @@ def test_hashes_are_those_of_the_field_tuples():
     # the kept value are both that of the field tuple
     p = LaurentPoly(-2, [3, 0, -4], 6)
     built = RationalFunction(LaurentPoly(1, [2, 2]), LaurentPoly(0, [-1, 0, 1]))  # by the gcd
-    kernel = exact._cyclo_reduce.__wrapped__(((((1, 1), (2, 1)), 1, (1, -2, 3), 2),))
+    kernel = exact._cyclo_sum.__wrapped__(((((1, 1), (2, 1)), 1, (1, -2, 3), 2),))
     assert kernel._exps == ((1, 1), (2, 1))
     for x in (p, built, kernel):
         first = hash(x)

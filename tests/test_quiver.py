@@ -266,7 +266,7 @@ def test_aut_exponents_along_the_walk_match_the_counts_formula(n):
     assert seen + 1 == len(q.enumerate_iso_classes(6))
 
 
-def _multisets_by_recursion(parts, budget, weight):
+def _multisets_by_recursion(parts, budget):
     """The depth-first recursion multisets_with_budget was written as."""
     parts = sorted(parts, key=lambda r: (r.socle, r.length))
     out, acc = [], []
@@ -274,9 +274,9 @@ def _multisets_by_recursion(parts, budget, weight):
     def extend(start, left):
         out.append(ModuleIso(tuple(acc)))
         for i in range(start, len(parts)):
-            if weight(parts[i]) <= left:
+            if parts[i].length <= left:
                 acc.append(parts[i])
-                extend(i, left - weight(parts[i]))
+                extend(i, left - parts[i].length)
                 acc.pop()
 
     if budget >= 0:
@@ -303,12 +303,10 @@ def _walk_by_recursion(weights, budget):
 def test_multisets_with_budget_keeps_the_recursive_order():
     rng = random.Random(5)
     every = CyclicQuiver(3).enumerate_indecomposables(5)
-    weights = {r: rng.randint(1, 4) for r in every}
     for budget in range(-1, 8):
         for parts in ([], every, rng.sample(every, 6), rng.sample(every, 3)):
-            for weight in (lambda r: r.length, weights.__getitem__):
-                assert (multisets_with_budget(parts, budget, weight)
-                        == _multisets_by_recursion(parts, budget, weight))
+            assert (multisets_with_budget(parts, budget)
+                    == _multisets_by_recursion(parts, budget))
     # random weight lists, in no order, so that the walk jumps over runs of
     # parts heavier than the weight left
     for _ in range(300):

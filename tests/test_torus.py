@@ -392,7 +392,7 @@ def test_delta_phase_indecomposables():
 
 def test_multisets_with_budget():
     parts = [Q3.R(3, 3), Q3.R(3, 6)]
-    found = multisets_with_budget(parts, 6, weight=lambda r: r.length)
+    found = multisets_with_budget(parts, 6)
     as_sets = {tuple(sorted((r.socle, r.length) for r in m)) for m in found}
     # the empty multiset carries the constant term of the series
     assert as_sets == {(), ((3, 3),), ((3, 3), (3, 3)), ((3, 6),)}
@@ -400,8 +400,8 @@ def test_multisets_with_budget():
 
 def test_multisets_with_negative_budget_is_empty():
     parts = [Q3.R(3, 3), Q3.R(3, 6)]
-    assert list(multisets_with_budget(parts, -1, weight=lambda r: r.length)) == []
-    assert list(multisets_with_budget(parts, 0, weight=lambda r: r.length)) == [ModuleIso.zero()]
+    assert list(multisets_with_budget(parts, -1)) == []
+    assert list(multisets_with_budget(parts, 0)) == [ModuleIso.zero()]
 
 
 def test_ez_delta_depends_only_on_n():
@@ -493,7 +493,7 @@ def test_semistable_phase_factors_match_per_class_sum(n, trunc):
     for phase in phases:
         parts = phase_indecomposables(z, trunc, phase)
         want = _per_class_sum(z.quiver, trunc,
-                              multisets_with_budget(parts, trunc, lambda r: r.length))
+                              multisets_with_budget(parts, trunc))
         assert semistable_phase_factor(z, trunc, phase) == want
 
 
@@ -509,7 +509,7 @@ def test_iso_class_walk_matches_integrate_modules(n):
                                  for _ in range(3 if every else 0)]
         for parts in subsets:
             want = integrate_modules(q, trunc,
-                                     multisets_with_budget(parts, trunc, lambda r: r.length))
+                                     multisets_with_budget(parts, trunc))
             assert integrate_multisets(q, parts, trunc) == want
         assert integrate_iso_sum(q, trunc) == integrate_modules(
             q, trunc, q.enumerate_iso_classes(trunc))
@@ -539,13 +539,13 @@ def test_integrate_iso_sum_reduces_each_dihedral_orbit_once(n, trunc, orbits):
     # at n = 6 distinct orbits share their statistics too (83 of 105)
     assert _dihedral_orbit_count(n, trunc) == orbits
     q = CyclicQuiver(n)
-    exact._cyclo_reduce.cache_clear()
+    exact._cyclo_sum.cache_clear()
     integrate_iso_sum(q, trunc)
-    info = exact._cyclo_reduce.cache_info()
+    info = exact._cyclo_sum.cache_info()
     assert info.hits + info.misses == orbits
-    exact._cyclo_reduce.cache_clear()
+    exact._cyclo_sum.cache_clear()
     integrate_multisets(q, q.enumerate_indecomposables(trunc), trunc)
-    full = exact._cyclo_reduce.cache_info()
+    full = exact._cyclo_sum.cache_info()
     assert full.misses <= orbits
     if n <= 5:
         assert info.hits == 0
@@ -568,16 +568,16 @@ def test_integrate_iso_sum_matches_the_full_count(n, trunc):
 def test_integrate_multisets_ignores_the_order_of_parts(n, trunc):
     q = CyclicQuiver(n)
     parts = q.enumerate_indecomposables(trunc)
-    exact._cyclo_reduce.cache_clear()
+    exact._cyclo_sum.cache_clear()
     want = integrate_multisets(q, parts, trunc)
-    misses = exact._cyclo_reduce.cache_info().misses
+    misses = exact._cyclo_sum.cache_info().misses
     assert want == _per_class_sum(q, trunc, q.enumerate_iso_classes(trunc))
     rng = random.Random(n * 100 + trunc)
     for _ in range(3):
         shuffled = rng.sample(parts, len(parts))
-        exact._cyclo_reduce.cache_clear()
+        exact._cyclo_sum.cache_clear()
         got = integrate_multisets(q, shuffled, trunc)
-        assert exact._cyclo_reduce.cache_info().misses == misses
+        assert exact._cyclo_sum.cache_info().misses == misses
         assert got == want
         assert got.to_json() == want.to_json()
 
@@ -646,7 +646,7 @@ def _random_cyclotomic_element(rng, n, trunc):
         if sum(d) <= trunc:
             exps = tuple((i, rng.randint(1, 2)) for i in (1, 2, 3, 4, 6) if rng.random() < 0.4)
             num = LaurentPoly(rng.randint(-2, 2), [rng.randint(-2, 2) for _ in range(3)])
-            terms[d] = exact._cyclo_sum([(exps, num.t_low, num._ints, num._den)])
+            terms[d] = exact._cyclo_sum(((exps, num.t_low, num._ints, num._den),))
     return TorusElement(n, trunc, terms)
 
 
@@ -677,7 +677,7 @@ def test_convolve_falls_back_on_non_cyclotomic_denominators(monkeypatch):
 def test_coefficients_without_exponents_take_the_reference_path(monkeypatch):
     # a value over Phi_3 from the constructor carries no exponents, so a
     # product with it goes pair by pair, to the values of the kernel path
-    over_phi3 = exact._cyclo_sum([(((3, 1),), 1, (2, -1), 1)])
+    over_phi3 = exact._cyclo_sum(((((3, 1),), 1, (2, -1), 1),))
     rebuilt = RationalFunction(LaurentPoly(1, (2, -1)), LaurentPoly(0, (1, 1, 1)))
     assert over_phi3._exps == ((3, 1),) and rebuilt._exps is None and rebuilt == over_phi3
     b = dilog(3, 4, (0, 1, 0)) * dilog(3, 4, (1, 1, 0))
@@ -770,7 +770,7 @@ def test_inverse_and_translate_agree_with_the_torus_at_a_point(seed):
 
 
 # ----------------------------------------------------------------------
-# Unit pass-through and the twist row
+# Unit coefficients, one kernel call per output key, and the twist row
 # ----------------------------------------------------------------------
 
 def _with_unit(x, key):
@@ -787,7 +787,7 @@ def _nonzero_key(rng, n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_convolve_passes_unit_coefficients_through_with_their_twist(n):
+def test_convolve_products_with_unit_coefficients_match_the_reference(n):
     q = CyclicQuiver(n)
     trunc = 4
     assert dilog_coefficient(0) == RF_ONE and dilog_coefficient(0) is not RF_ONE
@@ -806,6 +806,35 @@ def test_convolve_passes_unit_coefficients_through_with_their_twist(n):
         for x, y in ((_with_unit(a, ka), b), (a, _with_unit(b, kb)),
                      (_with_unit(a, ka), _with_unit(b, kb))):
             assert convolve(x, y) == _convolve_reference(x, y)
+
+
+def test_convolve_reduces_every_output_key_in_the_kernel(monkeypatch):
+    # every key that some pair reaches is one kernel call, those reached
+    # only by a pair with a coefficient 1 on one side included: each step
+    # of ez at (4, 8), seed 0, whose factors all have the constant term 1,
+    # and products with the unit constant term on either side
+    calls = []
+    kernel = torus._cyclo_sum
+    monkeypatch.setattr(torus, "_cyclo_sum", lambda terms: calls.append(1) or kernel(terms))
+
+    def check(a, b):
+        keys = {tuple(x + y for x, y in zip(d, e)) for d in a.terms for e in b.terms
+                if sum(d) + sum(e) <= a.truncation}
+        calls.clear()
+        out = convolve(a, b)
+        assert len(calls) == len(keys) and set(out.terms) <= keys
+        return out
+
+    z = random_discrete(4, 0, 8)
+    acc = TorusElement.one(4, 8)
+    for f in ez_factors(z, 8)[1]:
+        acc = check(acc, f)
+    assert acc == ez(z, 8)
+    rng = random.Random(7)
+    for n in (2, 3, 4):
+        a, b = (_with_unit(_random_cyclotomic_element(rng, n, 4), (0,) * n) for _ in range(2))
+        for x, y in ((a, b), (b, a), (TorusElement.one(n, 4), a), (a, TorusElement.one(n, 4))):
+            check(x, y)
 
 
 @pytest.mark.parametrize("n,top", [(2, 3), (3, 3), (4, 3), (5, 2)])
@@ -865,11 +894,11 @@ def test_kernel_memo_gives_the_cold_results_warm():
     def run():
         return (ez(z, 6), integrate_iso_sum(Q3, 5), ordered_product(factors, 3, 6))
 
-    exact._cyclo_reduce.cache_clear()
+    exact._cyclo_sum.cache_clear()
     cold = run()
-    misses = exact._cyclo_reduce.cache_info().misses
+    misses = exact._cyclo_sum.cache_info().misses
     warm = run()
-    assert exact._cyclo_reduce.cache_info().misses == misses
+    assert exact._cyclo_sum.cache_info().misses == misses
     assert warm == cold
     assert warm[0] == _reference_product(ez_factors(z, 6)[1], 4, 6)
     assert warm[1] == _per_class_sum(Q3, 5, Q3.enumerate_iso_classes(5))

@@ -8,18 +8,25 @@ truncates the printed report but does not change the exit code.
 Reports are one line of compact JSON with sorted keys; wall-clock time
 lives in a separate top-level field so the "report" subtree is
 byte-stable per seed.
+
+A plain command line (exact long flags, each with a value, `--verbose`
+and the command's positionals) is read by `_plain_args` in one pass
+over argv.  Anything else, help and every error included, goes to the
+argparse parser of `build_parser`, which imports `argparse` and is also
+the oracle of that fast path, so help texts, error messages and exit
+codes are argparse's.  One flag table, `_FLAGS`, feeds both.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Tuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .exact import PhaseDomainError
 from .hall import BudgetError, InterpolationError
@@ -27,6 +34,9 @@ from .quiver import CyclicQuiver, ModuleIso
 from .stability import NotDiscreteError, StabilityFunction
 from .verify import (CAMPAIGNS, CampaignConfig, ConfigError, campaign_stables,
                      ez_report, hall_table, hn_report)
+
+if TYPE_CHECKING:
+    import argparse
 
 _MODULE_TOKEN = re.compile(r"^(?:[Ss](\d+)|[Rr](\d+),(\d+))$")
 
@@ -81,22 +91,35 @@ def _parse_charges(raw) -> StabilityFunction:
     return StabilityFunction.of(pairs)
 
 
+# The value flags every command takes: (flag, dest, type, help).
+_FLAGS = (
+    ("--n", "n", int, "number of vertices (default 3)"),
+    ("--trunc", "trunc", int, "total-degree bound (default 2n)"),
+    ("--trials", "trials", int, "random trials (default 10)"),
+    ("--seed", "seed", int, "base seed for random charges"),
+    ("--bound", "bound", int, "max numerator for random charges"),
+    ("--config", "config", str, "JSON file with the same keys as the flags"),
+    ("--primes", "primes", str, "comma-separated interpolation primes"),
+    ("--json", "json_out", str, "also write the report to FILE"),
+    ("--sabotage", "sabotage", str, "deliberately break one ingredient"),
+)
+_MODULE_FLAG = ("--module", "module", str, "e.g. R1,4 or S1+S2")
+# Each command's positionals, in order.
+_POSITIONALS = {"stables": (), "hn": (), "ez": (), "hall": ("left", "right"),
+                "verify": ("campaign",)}
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--n", type=int, help="number of vertices (default 3)")
-    sp.add_argument("--trunc", type=int, help="total-degree bound (default 2n)")
-    sp.add_argument("--trials", type=int, help="random trials (default 10)")
-    sp.add_argument("--seed", type=int, help="base seed for random charges")
-    sp.add_argument("--bound", type=int, help="max numerator for random charges")
-    sp.add_argument("--config", help="JSON file with the same keys as the flags")
-    sp.add_argument("--primes", help="comma-separated interpolation primes")
-    sp.add_argument("--json", dest="json_out", metavar="FILE",
-                    help="also write the report to FILE")
-    sp.add_argument("--sabotage", help="deliberately break one ingredient")
+    for flag, dest, type_, help_ in _FLAGS:
+        sp.add_argument(flag, dest=dest, type=type_, help=help_,
+                        metavar="FILE" if flag == "--json" else None)
     sp.add_argument("--verbose", action="store_true",
                     help="full diffs in witnesses instead of 20 terms")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hallq",
         description="Exact checks of dilogarithm identities from cyclic-quiver "
@@ -108,7 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hn", help="filtration of a module by semistables")
     _add_common(sp)
-    sp.add_argument("--module", required=True, help="e.g. R1,4 or S1+S2")
+    flag, dest, _, help_ = _MODULE_FLAG
+    sp.add_argument(flag, dest=dest, required=True, help=help_)
 
     sp = sub.add_parser("ez", help="ordered dilogarithm product for one Z")
     _add_common(sp)
@@ -122,6 +146,45 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("campaign", choices=sorted(CAMPAIGNS))
     _add_common(sp)
     return parser
+
+
+def _plain_args(argv) -> Optional[SimpleNamespace]:
+    """The namespace argparse would build for a plain command line, in one
+    pass: exact long flags of the command, each followed by a value that
+    does not start with '-', `--verbose`, and the command's positionals,
+    in any order.  None for anything else (help, `--n=3`, abbreviations,
+    `--`, negative values, a bad int, a missing or extra positional or
+    `--module`), which argparse then parses or refuses."""
+    if not argv or argv[0] not in _POSITIONALS:
+        return None
+    command = argv[0]
+    flags = _FLAGS + (_MODULE_FLAG,) if command == "hn" else _FLAGS
+    types = {flag: (dest, type_) for flag, dest, type_, _ in flags}
+    values = {dest: None for _, dest, _, _ in flags}
+    values.update(command=command, verbose=False)
+    positionals = list(_POSITIONALS[command])
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--verbose":
+            values["verbose"] = True
+        elif token in types:
+            dest, type_ = types[token]
+            value = next(tokens, "-")  # a flag at the end has no value
+            if value.startswith("-"):
+                return None
+            try:
+                values[dest] = type_(value)
+            except ValueError:
+                return None
+        elif token.startswith("-") or not positionals:
+            return None
+        else:
+            values[positionals.pop(0)] = token
+    if positionals or (command == "hn" and values["module"] is None):
+        return None
+    if command == "verify" and values["campaign"] not in CAMPAIGNS:
+        return None
+    return SimpleNamespace(**values)
 
 
 def _load_config_file(path: str) -> dict:
@@ -194,7 +257,8 @@ def _dispatch(args) -> Tuple[bool, dict]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         ok, payload = _dispatch(args)

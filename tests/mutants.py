@@ -40,13 +40,15 @@ MUTANTS = [
      ["tests/test_torus.py::test_convolve_matches_reference_on_random_cyclotomic_elements",
       "tests/test_torus.py::test_convolve_products_with_unit_coefficients_match_the_reference",
       "tests/test_torus.py::test_ez_agrees_with_the_torus_at_a_point",
-      "tests/test_torus.py::test_inverse_and_translate_agree_with_the_torus_at_a_point"]),
+      "tests/test_torus.py::test_inverse_and_translate_agree_with_the_torus_at_a_point",
+      "tests/test_torus.py::test_pentagon_residuals_agree_with_the_torus_at_a_point"]),
     # the numerator-1 shortcut of convolve keeps the 1, not the other side
     # (a dilogarithm chain never meets it: its left numerator is 1 only
-    # while the right one is 1 too)
+    # while the right one is 1 too; a product with an inverse does)
     ("src/hallq/torus.py", "nb if na == (1,) else", "na if na == (1,) else",
      ["tests/test_torus.py::test_convolve_matches_reference_on_random_cyclotomic_elements",
-      "tests/test_torus.py::test_convolve_products_with_unit_coefficients_match_the_reference"]),
+      "tests/test_torus.py::test_convolve_products_with_unit_coefficients_match_the_reference",
+      "tests/test_torus.py::test_pentagon_residuals_agree_with_the_torus_at_a_point"]),
     # the stable census admits a subobject of equal phase
     ("src/hallq/stability.py", "_cross(top, c) > 0", "_cross(top, c) >= 0",
      ["tests/test_stability.py::test_census_matches_definition"]),
@@ -145,7 +147,8 @@ MUTANTS = [
     ("src/hallq/exact.py", "for _ in range(-k):", "for _ in range(0):",
      ["tests/test_exact.py::test_cyclo_den_matches_the_product_of_phis",
       "tests/test_exact.py::test_cyclotomic_polynomials_multiply_to_t_power_minus_one",
-      "tests/test_torus.py::test_ez_agrees_with_the_torus_at_a_point"]),
+      "tests/test_torus.py::test_ez_agrees_with_the_torus_at_a_point",
+      "tests/test_torus.py::test_pentagon_residuals_agree_with_the_torus_at_a_point"]),
     # two factored coefficients always compare equal
     ("src/hallq/exact.py", "return self.num == other.num and self._exps == other._exps",
      "return True",
@@ -157,7 +160,8 @@ MUTANTS = [
     ("src/hallq/exact.py", "if exps is None and len(den._ints) == 1:", "if False:",
      ["tests/test_exact.py::test_values_over_one_carry_the_empty_exponents",
       "tests/test_torus.py::test_benchmark_commands_never_take_the_reference_path",
-      "tests/test_torus.py::test_ez_agrees_with_the_torus_at_a_point"]),
+      "tests/test_torus.py::test_ez_agrees_with_the_torus_at_a_point",
+      "tests/test_torus.py::test_pentagon_residuals_agree_with_the_torus_at_a_point"]),
     # the pentagon compares residual2 with the left factorization first
     ("src/hallq/verify.py",
      "or _mismatch(cfg, residual1, left, comparison=residual)\n"
@@ -171,6 +175,14 @@ MUTANTS = [
      ["tests/test_verify_cli.py::test_mismatch_is_one_witness_with_the_diff_capped_unless_verbose",
       "tests/test_verify_cli.py::test_campaign_cyclic",
       "tests/test_golden_reports.py::test_report_digest_is_pinned"]),
+    # the argv fast path takes a flag's value that starts with a single
+    # '-' (an option such as -h, or the stand-in for a missing value)
+    ("src/hallq/cli.py", 'if value.startswith("-"):', 'if value.startswith("--"):',
+     ["tests/test_verify_cli.py::test_plain_args_agrees_with_argparse"]),
+    # the argv fast path takes any word as the campaign
+    ("src/hallq/cli.py", 'if command == "verify" and values["campaign"] not in CAMPAIGNS:',
+     "if False:",
+     ["tests/test_verify_cli.py::test_plain_args_agrees_with_argparse"]),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",

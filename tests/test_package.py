@@ -40,6 +40,31 @@ def test_cli_import_leaves_out_dataclasses_and_the_oracles():
     assert run.stdout.strip() == "[]"
 
 
+def test_plain_launch_leaves_out_argparse_and_help_still_comes_from_it():
+    # a plain command line is read by the argv fast path; argparse, and
+    # the gettext and locale it loads, come in only for help and errors
+    probe = """
+import contextlib, io, sys
+start = set(sys.modules)
+import hallq.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = hallq.cli.main(["stables", "--n", "3", "--seed", "0"])
+print(code, sorted(m for m in ("argparse", "gettext", "locale")
+                   if m in sys.modules and m not in start))
+text = io.StringIO()
+try:
+    with contextlib.redirect_stdout(text):
+        hallq.cli.main(["--help"])
+except SystemExit as exit_:
+    print(exit_.code, text.getvalue().startswith("usage: hallq"), "argparse" in sys.modules)
+"""
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(hallq.__file__).parents[1])))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[:2] == ["0 []", "0 True True"]
+
+
 Q3 = CyclicQuiver(3)
 
 

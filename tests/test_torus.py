@@ -15,7 +15,7 @@ from hallq.exact import (
     rf_eq,
 )
 from hallq.quiver import CyclicQuiver, ModuleIso, multisets_with_budget
-from hallq.stability import StabilityFunction, charge_of, random_discrete
+from hallq.stability import NotDiscreteError, StabilityFunction, charge_of, random_discrete
 from hallq.torus import (
     TorusElement,
     _convolve_reference,
@@ -767,6 +767,43 @@ def test_inverse_and_translate_agree_with_the_torus_at_a_point(seed):
         for k in range(1, n):
             _agrees_at_points(apply_translate(x, k), lambda t0: {
                 d[k:] + d[:k]: v for d, v in x_at(t0).items()})
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_pentagon_residuals_agree_with_the_torus_at_a_point(n):
+    # the pentagon campaign's charges at (n, D) = (n, 6): each full product
+    # times the inverse of the canceled (shared) suffix, and the two
+    # factorizations left and right, against the point torus, which
+    # inverts the canceled product by its own geometric series; the first
+    # discrete pair of charges is the one the campaign uses at n = 3 and 4
+    trunc = 6
+    for attempt in itertools.count():
+        try:
+            dims1, dims2 = (torus.stable_dims(z) for z in _pentagon_candidates(n, attempt))
+            break
+        except NotDiscreteError:
+            pass
+    k = 0
+    while dims1[-1 - k] == dims2[-1 - k]:
+        k += 1
+    canceled = dims1[-k:]
+    assert k and len(dims1) > k and len(dims2) > k
+
+    def product(dims):
+        return ordered_product([dilog(n, trunc, d) for d in dims], n, trunc)
+
+    def residual_at(dims):
+        def at(t0):
+            full = torus_at_point.ordered_product_at(t0, dims, n, trunc)
+            shared_inv = torus_at_point.inverse_at(
+                t0, torus_at_point.ordered_product_at(t0, canceled, n, trunc), n, trunc)
+            return torus_at_point.product_at(t0, full, shared_inv, trunc)
+        return at
+
+    shared_inv = torus_inverse(product(canceled))
+    for dims in (dims1, dims2):
+        _agrees_at_points(product(dims) * shared_inv, residual_at(dims))
+        _agrees_at_points(product(dims[:-k]), residual_at(dims))
 
 
 # ----------------------------------------------------------------------

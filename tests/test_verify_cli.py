@@ -14,11 +14,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hallq
 from hallq import exact
-from hallq.cli import build_parser, main, parse_module
+from hallq.cli import _FLAGS, _plain_args, build_parser, main, parse_module
 from hallq.exact import GaussianRational, LaurentPoly, RF_ONE, RationalFunction
 from hallq.hall import BudgetError
 from hallq.quiver import CyclicQuiver, ModuleIso
@@ -603,6 +603,76 @@ def test_cli_flag_overrides_config_file(capsys, tmp_path):
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+# ----------------------------------------------------------------------
+# The argv fast path against argparse, its oracle
+# ----------------------------------------------------------------------
+
+ARGV_COMMANDS = ["stables", "hn", "ez", "hall", "verify", "frobnicate", "", "-h"]
+INT_FLAGS = [flag for flag, _, type_, _ in _FLAGS if type_ is int]
+STR_FLAGS = [flag for flag, _, type_, _ in _FLAGS if type_ is str] + ["--module"]
+ARGV_INTS = ["0", "3", "17", " 4", " -1", "+5", "3_0", "007", "\u0663"]
+ARGV_WORDS = sorted(CAMPAIGNS) + ["S1", "R1,2", "S1+S2", "cfg.json", "flip-twist",
+                                  "a=b", "cyclic ", "x", "0 ", "3.5"]
+ARGV_ODD = ["--tr", "--mod", "--verb", "--json_out", "--n=3", "--seed=1",
+            "--module=S1", "--Seed", "-n", "-h", "--help", "--", "-", "-1", "",
+            "--verbose", "frobnicate"]
+
+
+@st.composite
+def argv_tokens(draw):
+    """A command word, then flag/value pairs and single words in any order:
+    mostly plain ones, with abbreviations, '=' forms, dashes, negative and
+    bad values and stray words mixed in."""
+    chunk = st.one_of(
+        st.tuples(st.sampled_from(INT_FLAGS), st.sampled_from(ARGV_INTS)),
+        st.tuples(st.sampled_from(STR_FLAGS), st.sampled_from(ARGV_WORDS)),
+        st.tuples(st.sampled_from(ARGV_WORDS)),
+        st.tuples(st.just("--verbose")),
+        st.tuples(st.sampled_from(INT_FLAGS + STR_FLAGS + ARGV_ODD)),
+        st.tuples(st.sampled_from(INT_FLAGS + STR_FLAGS),
+                  st.sampled_from(ARGV_ODD + ARGV_WORDS + ARGV_INTS)))
+    chunks = draw(st.lists(chunk, max_size=5))
+    return [draw(st.sampled_from(ARGV_COMMANDS))] + [w for c in chunks for w in c]
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace, or its error text if it refuses argv."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit as exit_:
+            return f"exit {exit_.code}: {err.getvalue()}"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argv_tokens())
+@example(["verify", "frobnicate", "--n", "3"])
+@example(["hall", "S1", "S2", "--config", "-h"])
+@example(["stables", "--seed", "0", "--sabotage"])
+def test_plain_args_agrees_with_argparse(argv):
+    fast = _plain_args(argv)
+    if fast is not None:
+        assert vars(fast) == _argparse_vars(argv)
+
+
+def test_plain_args_takes_every_benchmark_and_golden_command_line():
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "perfbench" / "workloads.json", encoding="utf-8") as fh:
+        workloads = json.load(fh)["workloads"]
+    argvs = []
+    for workload in workloads.values():
+        for argv in workload["commands"] + workload.get("probes", []):
+            argvs += [[a.replace("{seed}", str(seed)) for a in argv] for seed in range(16)]
+    from test_golden_reports import GOLDEN
+    argvs += [[a if isinstance(a, str) else "cfg.json" for a in argv] for argv, _, _ in GOLDEN]
+    assert len(argvs) > 100
+    for argv in argvs:
+        fast = _plain_args(argv)
+        assert fast is not None, argv
+        assert vars(fast) == _argparse_vars(argv), argv
 
 
 # ----------------------------------------------------------------------

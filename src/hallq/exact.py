@@ -19,7 +19,7 @@ kernel nor over 1).  The torus's sums have cyclotomic denominators, which
 the private kernel ``_cyclo_sum`` cancels by exact division alone, each
 division by Phi_i after a fold test: Phi_i
 divides t^i - 1, so it divides p exactly when it divides p mod (t^i - 1),
-of degree < i; the fold rules divisions out, exact division decides.
+of degree < i.  The fold test decides, and the division is exact.
 The kernel is memoised on its one argument, a tuple of terms each with a
 tuple numerator, which is its only entry: dilogarithm products and
 rotated class sums hand it the same term tuples again and again.
@@ -51,6 +51,11 @@ class PoleError(ZeroDivisionError):
 
 class PhaseDomainError(ValueError):
     """A charge fell outside the closed upper half plane slit at zero."""
+
+
+class BudgetError(ValueError):
+    """An enumeration or a search exceeded its budget; the CLI maps it to
+    exit code 2."""
 
 
 class Immutable:
@@ -285,7 +290,7 @@ class LaurentPoly(Immutable):
     stored integers are nonzero (the zero polynomial stores nothing).
     """
 
-    __slots__ = ("t_low", "_ints", "_den", "_hash")
+    __slots__ = ("t_low", "_ints", "_den")
 
     def __init__(self, t_low: int, ints: Sequence[int], den: int = 1):
         if den == 0:
@@ -459,14 +464,7 @@ class LaurentPoly(Immutable):
                 and self._den == other._den)
 
     def __hash__(self) -> int:
-        # the hash of the field tuple, kept in `_hash` once computed; the
-        # slot stays unfilled until then, so construction pays nothing
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.t_low, self._ints, self._den))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash((self.t_low, self._ints, self._den))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -546,7 +544,7 @@ class RationalFunction(Immutable):
     for a value over another denominator that the kernel did not build.
     """
 
-    __slots__ = ("num", "_den", "_exps", "_hash")
+    __slots__ = ("num", "_den", "_exps")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly = _LP_ONE):
         if den.is_zero:
@@ -665,13 +663,7 @@ class RationalFunction(Immutable):
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        # as LaurentPoly.__hash__: computed once, then read from `_hash`
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.num, self.den))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash((self.num, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -710,9 +702,8 @@ RF_ONE = RationalFunction._trusted(_LP_ONE, _LP_ONE)
 # exact division by the Phi_i alone, with no gcd.
 
 
-@lru_cache(maxsize=None)
 def _cyclotomic(i: int) -> tuple:
-    """Phi_i(t), ascending."""
+    """Phi_i(t), ascending, read from the memo of :func:`_cyclo_den`."""
     return _cyclo_den(((i, 1),))._ints
 
 
@@ -799,15 +790,12 @@ def _fold_divisible(p: Sequence[int], i: int) -> bool:
 def _divide_out(p: tuple, i: int, most: int) -> tuple:
     """(p / Phi_i^e, e) for the largest e <= most with Phi_i^e dividing p.
 
-    Each division of p is tried only after the fold test has not ruled
-    it out; the exact division then decides."""
+    The fold test decides whether Phi_i divides p, so each division it
+    allows is exact; an inexact one raises ArithmeticError."""
     phi = _cyclotomic(i)
     e = 0
     while e < most and len(phi) <= len(p) and _fold_divisible(p, i):
-        try:
-            p = _iexact_div(p, phi)
-        except ArithmeticError:
-            break
+        p = _iexact_div(p, phi)
         e += 1
     return p, e
 

@@ -44,7 +44,7 @@ from functools import lru_cache
 from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exact import Immutable, LaurentPoly, rf_eq
+from .exact import BudgetError, Immutable, LaurentPoly, rf_eq
 from .quiver import CyclicQuiver, DimVector, ModuleIso
 from .torus import convolve, integrate, integrate_modules
 
@@ -53,10 +53,6 @@ Matrix = Tuple[Tuple[int, ...], ...]
 
 class ConfigError(ValueError):
     """Invalid configuration; mapped to exit code 2 by the CLI."""
-
-
-class BudgetError(ValueError):
-    """An oracle call exceeded its enumeration budget."""
 
 
 class InterpolationError(ValueError):
@@ -298,7 +294,6 @@ def iso_class_of(rep: FiniteFieldRep) -> ModuleIso:
 # Subspace and submodule enumeration
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _subspaces(dim: int, k: int, p: int) -> Tuple[Tuple[Matrix, Tuple[int, ...]], ...]:
     """All k-dim subspaces of F_p^dim as (reduced echelon basis, pivots)."""
     if k == 0:
@@ -535,17 +530,11 @@ def _pair_table(n: int, dims: DimVector, comps: tuple
     return {}
 
 
-@lru_cache(maxsize=None)
-def _census_counts(n: int, big: ModuleIso, p: int) -> Dict[Tuple[ModuleIso, ModuleIso], int]:
-    """{(sub type, quotient type): count} of `submodule_census(n, big, p)`,
-    built once per census."""
-    return {(l, m): c for l, m, c in submodule_census(n, big, p)}
-
-
 def hall_count(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso, big: ModuleIso,
                p: int, budget: Budget = DEFAULT_BUDGET) -> int:
     """Number of submodules of `big` over F_p isomorphic to `sub` with
-    quotient isomorphic to `quo`."""
+    quotient isomorphic to `quo`, found by a scan of the memoised
+    `submodule_census`; its `cache_info()` counts every lookup."""
     d_sub, d_quo, d_big = q.dim_of(sub), q.dim_of(quo), q.dim_of(big)
     if tuple(a + b for a, b in zip(d_sub, d_quo)) != d_big:
         raise ValueError("dimension vectors do not add up")
@@ -556,7 +545,10 @@ def hall_count(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso, big: ModuleIso,
             f"p<={budget.hall_prime} (override via {ENV_BUDGET})")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _census_counts(q.n, big, p).get((sub, quo), 0)
+    for l, m, c in submodule_census(q.n, big, p):
+        if l == sub and m == quo:
+            return c
+    return 0
 
 
 # ----------------------------------------------------------------------

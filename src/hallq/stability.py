@@ -23,8 +23,8 @@ from math import lcm
 from operator import itemgetter
 from typing import Callable, List, Sequence, Tuple
 
-from .exact import (GaussianRational, Immutable, PhaseDomainError,
-                    require_phase_domain)
+from .exact import (BudgetError, GaussianRational, Immutable,
+                    PhaseDomainError, require_phase_domain)
 from .quiver import CyclicQuiver, DimVector, Indecomposable, ModuleIso
 
 
@@ -299,7 +299,8 @@ def random_discrete(n: int, seed: int, bound: int = 8,
 
     Real parts in [-bound, bound], imaginary parts in [1, bound], all
     with denominators <= 16; resampled until the stable census has
-    pairwise distinct phases.  Deterministic in (n, seed, bound).
+    pairwise distinct phases.  Deterministic in (n, seed, bound).  Raises
+    :class:`BudgetError` when `max_tries` draws find none.
     """
     rng = random.Random(seed)
     for _ in range(max_tries):
@@ -307,7 +308,12 @@ def random_discrete(n: int, seed: int, bound: int = 8,
         ok, _witness = check_discrete(z)
         if ok:
             return z
-    raise RuntimeError(f"no discrete function found in {max_tries} draws")
+    raise _draws_spent("no discrete function", max_tries)
+
+
+def _draws_spent(what: str, max_tries: int) -> BudgetError:
+    return BudgetError(f"{what} found within the draw budget of {max_tries} draws; "
+                       f"a larger --bound spreads the charges further")
 
 
 def _sample(rng: random.Random, n: int, bound: int) -> StabilityFunction:
@@ -324,7 +330,8 @@ def _sample(rng: random.Random, n: int, bound: int) -> StabilityFunction:
 def random_restricted_discrete(n: int, seed: int, max_length: int,
                                bound: int = 8, max_tries: int = 1000) -> StabilityFunction:
     """Seeded random function whose stables of length <= max_length have
-    pairwise distinct phases (no condition on longer objects)."""
+    pairwise distinct phases (no condition on longer objects).  Raises
+    :class:`BudgetError` when `max_tries` draws find none."""
     rng = random.Random(seed)
     for _ in range(max_tries):
         z = _sample(rng, n, bound)
@@ -333,7 +340,7 @@ def random_restricted_discrete(n: int, seed: int, max_length: int,
         except NotDiscreteError:
             continue
         return z
-    raise RuntimeError(f"no suitable function found in {max_tries} draws")
+    raise _draws_spent("no suitable function", max_tries)
 
 
 def translate_function(z: StabilityFunction) -> StabilityFunction:
@@ -352,6 +359,7 @@ def perturb_to_ambient_discrete(z: StabilityFunction, subcat_max_length: int,
     The input must already have distinct phases on that restricted stable
     set.  Candidate perturbations shrink geometrically and every candidate
     is checked exactly, so the result is trustworthy whenever it returns.
+    Raises :class:`BudgetError` when `max_tries` candidates find none.
     """
     target = stable_indecomposables_up_to(z, subcat_max_length)
     ok, _ = check_discrete(z)
@@ -376,7 +384,7 @@ def perturb_to_ambient_discrete(z: StabilityFunction, subcat_max_length: int,
             return cand
         if attempt % 20 == 19:
             scale /= 2
-    raise RuntimeError("no admissible perturbation found")
+    raise _draws_spent("no admissible perturbation", max_tries)
 
 
 def _restricted_match(z: StabilityFunction, max_length: int,

@@ -232,10 +232,18 @@ def _first(witnesses: Iterable[list]) -> list:
     return next(filter(None, witnesses), [])
 
 
-def _first_mismatch(products: List[TorusElement], cfg: CampaignConfig) -> list:
-    """Witness for the first trial whose product differs from trial 0."""
-    return _first(_mismatch(cfg, products[0], b, trials=[0, i])
-                  for i, b in enumerate(products[1:], 1))
+def _trial_products(cfg: CampaignConfig, payload: dict,
+                    orders: List[List[DimVector]]) -> Tuple[bool, dict]:
+    """The "all products agree" comparison: the ordered dilogarithm
+    product of each trial's dimension vectors `orders`, with the orders
+    and the digest of trial 0's product in the payload, and the witness
+    of the first trial whose product differs from trial 0's."""
+    n, D = cfg.n, cfg.truncation
+    products = [ordered_product([dilog(n, D, d) for d in dims], n, D) for dims in orders]
+    payload["factor_orders"] = [[list(d) for d in dims] for dims in orders]
+    payload["element_sha256"] = _element_digest(products[0])
+    return _finish(payload, _first(_mismatch(cfg, products[0], b, trials=[0, i])
+                                   for i, b in enumerate(products[1:], 1)))
 
 
 def _base(cfg: CampaignConfig, campaign: str) -> dict:
@@ -288,20 +296,12 @@ def campaign_invariance(cfg: CampaignConfig) -> Tuple[bool, dict]:
     if cfg.trials < 2:
         raise ConfigError("invariance needs at least 2 trials")
     payload = _base(cfg, "invariance")
-    products = []
     orders = []
     for i in range(cfg.trials):
-        z = _z_for_trial(cfg, i)
-        dims, factors = ez_factors(
-            z, cfg.truncation,
-            include_delta=(cfg.sabotage == "include-delta" and i == 0))
-        if cfg.sabotage == "reverse-order" and i == 0:
-            dims, factors = dims[::-1], factors[::-1]
-        products.append(ordered_product(factors, cfg.n, cfg.truncation))
-        orders.append([list(d) for d in dims])
-    payload["factor_orders"] = orders
-    payload["element_sha256"] = _element_digest(products[0])
-    return _finish(payload, _first_mismatch(products, cfg))
+        dims = stable_dims(_z_for_trial(cfg, i),
+                           include_delta=(cfg.sabotage == "include-delta" and i == 0))
+        orders.append(dims[::-1] if cfg.sabotage == "reverse-order" and i == 0 else dims)
+    return _trial_products(cfg, payload, orders)
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +406,7 @@ def campaign_pentagon(cfg: CampaignConfig) -> Tuple[bool, dict]:
         z1, z2 = _pentagon_candidates(cfg.n, attempt)
         try:
             dims1, dims2 = stable_dims(z1), stable_dims(z2)
-        except (NotDiscreteError, RuntimeError):
+        except NotDiscreteError:
             continue
         k = 0
         while (k < min(len(dims1), len(dims2))
@@ -462,22 +462,16 @@ def campaign_jacobian(cfg: CampaignConfig) -> Tuple[bool, dict]:
         raise ConfigError("this campaign is specific to n = 3")
     payload = _base(cfg, "jacobian")
     q = CyclicQuiver(cfg.n)
-    products = []
     orders = []
     for i in range(cfg.trials):
         z0 = random_restricted_discrete(cfg.n, cfg.seed + i, max_length=2,
                                         bound=cfg.bound)
         z = perturb_to_ambient_discrete(z0, subcat_max_length=2)
         dims = [q.dim_of_indec(r) for r in stable_indecomposables_up_to(z, 2)]
-        factors = [dilog(cfg.n, cfg.truncation, d) for d in dims]
         if cfg.sabotage == "include-delta" and i == 0:
             dims = [q.delta] + dims
-            factors = [dilog(cfg.n, cfg.truncation, q.delta)] + factors
-        orders.append([list(d) for d in dims])
-        products.append(ordered_product(factors, cfg.n, cfg.truncation))
-    payload["factor_orders"] = orders
-    payload["element_sha256"] = _element_digest(products[0])
-    return _finish(payload, _first_mismatch(products, cfg))
+        orders.append(dims)
+    return _trial_products(cfg, payload, orders)
 
 
 # ----------------------------------------------------------------------

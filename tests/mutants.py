@@ -52,6 +52,13 @@ MUTANTS = [
     # the stable census admits a subobject of equal phase
     ("src/hallq/stability.py", "_cross(top, c) > 0", "_cross(top, c) >= 0",
      ["tests/test_stability.py::test_census_matches_definition"]),
+    # the stable census in (length, socle) order, not by decreasing phase:
+    # the invariance and cyclic identities fail, also in the point torus
+    ("src/hallq/stability.py", "found = sort_by_decreasing_phase(sorted(found), itemgetter(2))",
+     "found = sorted(found)",
+     ["tests/test_torus.py::test_campaign_identities_hold_at_a_point",
+      "tests/test_acceptance.py::test_criterion_03_product_independent_of_z",
+      "tests/test_acceptance.py::test_criterion_04_cyclic_symmetry"]),
     # Hom dimensions over runs without the left multiplicity (the End
     # dimension of a module as the sum of the run table; the |Aut M| step
     # reads single summands)
@@ -175,6 +182,10 @@ MUTANTS = [
      ["tests/test_verify_cli.py::test_mismatch_is_one_witness_with_the_diff_capped_unless_verbose",
       "tests/test_verify_cli.py::test_campaign_cyclic",
       "tests/test_golden_reports.py::test_report_digest_is_pinned"]),
+    # hall_count's scan of the census matches the sub type alone, so the
+    # first quotient listed with that sub answers for every other
+    ("src/hallq/hall.py", "if l == sub and m == quo:", "if l == sub:",
+     ["tests/test_hall.py::test_hall_count_tells_quotients_of_one_sub_type_apart"]),
     # the argv fast path takes a flag's value that starts with a single
     # '-' (an option such as -h, or the stand-in for a missing value)
     ("src/hallq/cli.py", 'if value.startswith("-"):', 'if value.startswith("--"):',

@@ -489,6 +489,17 @@ def test_fold_test_passes_every_multiple_of_phi(i, e, g):
     assert q == p
 
 
+def test_a_fold_test_that_passes_everything_makes_the_kernel_raise(monkeypatch):
+    # the fold test decides and the division is exact: if the test lets
+    # Phi_1 = t - 1 through for 1 + t^2, the inexact division raises
+    # instead of leaving a value that is not in lowest terms
+    term = (((1, 1),), 0, (1, 0, 1), 1)
+    assert exact._cyclo_sum.__wrapped__((term,))._exps == ((1, 1),)
+    monkeypatch.setattr(exact, "_fold_divisible", lambda p, i: True)
+    with pytest.raises(ArithmeticError):
+        exact._cyclo_sum.__wrapped__((term,))
+
+
 @given(st.integers(1, 30),
        st.lists(st.integers(-3, 3), min_size=2, max_size=40).filter(lambda p: p[-1] != 0),
        st.integers(0, 3), st.integers(0, 80), st.sampled_from((-1, 1)))

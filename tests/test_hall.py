@@ -38,6 +38,7 @@ from hallq.hall import (
 from hallq.oracles import check_nilpotent, count_automorphisms, hom_ext_oracle
 from hallq.quiver import CyclicQuiver, ModuleIso
 from hallq.torus import integrate
+from hallq.verify import CampaignConfig, campaign_integration
 
 from census_reference import _submodule_census_reference
 
@@ -398,6 +399,25 @@ def test_shared_census_tables_agree_cold_and_warm():
         assert cold[job] == warm[job] == _submodule_census_reference(*job), job
 
 
+def test_census_memo_counts_every_hall_lookup(monkeypatch):
+    # hall_count asks the one census memo for every count, so over a cold
+    # integration catalog the memo's hits and misses add up to the
+    # hall_count calls, and its misses are the distinct censuses (n, N, p)
+    calls = []
+
+    def counted(q, sub, quo, big, p, budget=DEFAULT_BUDGET):
+        calls.append((q.n, big, p))
+        return hall_count(q, sub, quo, big, p, budget)
+
+    monkeypatch.setattr("hallq.hall.hall_count", counted)
+    _clear_census_tables()
+    ok, payload = campaign_integration(CampaignConfig(n=3))
+    info = submodule_census.cache_info()
+    assert ok and payload["pairs_checked"] == 447
+    assert info.hits + info.misses == len(calls)
+    assert info.misses == len(set(calls))
+
+
 def test_census_respects_arrow_invariance():
     # R(1,2) has a unique proper nonzero submodule, the socle
     rows = submodule_census(3, m_of(Q3, (1, 2)), 5)
@@ -430,6 +450,16 @@ def test_hall_count_anchors():
     assert hall_count(Q3, s2, s1, ModuleIso.of(Q3.simple(1), Q3.simple(2)), 5) == 1
     for p in (2, 3, 5):
         assert hall_count(Q3, s1, s1, m_of(Q3, (1, 1), (1, 1)), p) == p + 1
+
+
+def test_hall_count_tells_quotients_of_one_sub_type_apart():
+    # N = R(1,2) + S1: of the p + 1 lines in its socle, the socle of R(1,2)
+    # leaves S1 + S2, and each of the other p leaves R(1,2)
+    big = m_of(Q3, (1, 2), (1, 1))
+    s1 = m_of(Q3, (1, 1))
+    for p in (2, 3, 5):
+        assert hall_count(Q3, s1, m_of(Q3, (1, 1), (2, 1)), big, p) == 1
+        assert hall_count(Q3, s1, m_of(Q3, (1, 2)), big, p) == p
 
 
 def test_hall_count_uniserial_chain():

@@ -115,8 +115,9 @@ def test_hashes_are_those_of_the_field_tuples():
     assert hash(z) == hash((3, z.charges))
     report = stable_objects(z)
     assert hash(report) == hash((report.stables, report.delta_stable, report.gamma))
-    # the coefficient classes keep their hash once computed; the first and
-    # the kept value are both that of the field tuple
+    # the coefficient classes hash their field tuples; a kernel result,
+    # whose denominator is expanded on first read, hashes as (num, den)
+    # too, and a second hash gives the same value
     p = LaurentPoly(-2, [3, 0, -4], 6)
     built = RationalFunction(LaurentPoly(1, [2, 2]), LaurentPoly(0, [-1, 0, 1]))  # by the gcd
     kernel = exact._cyclo_sum.__wrapped__(((((1, 1), (2, 1)), 1, (1, -2, 3), 2),))
@@ -150,3 +151,9 @@ def test_check_fills_the_truncation_by_construction():
     checked = cfg.check()
     assert checked == CampaignConfig(n=4, truncation=8, trials=3, seed=7, primes=(2, 3))
     assert cfg.truncation is None
+
+
+def test_one_budget_error_class():
+    from hallq import hall, oracles, stability
+    assert (hallq.BudgetError is exact.BudgetError is hall.BudgetError
+            is oracles.BudgetError is stability.BudgetError)

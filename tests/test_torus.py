@@ -806,6 +806,23 @@ def test_pentagon_residuals_agree_with_the_torus_at_a_point(n):
         _agrees_at_points(product(dims[:-k]), residual_at(dims))
 
 
+@pytest.mark.parametrize("t0", [Fraction(2), Fraction(3)])
+def test_campaign_identities_hold_at_a_point(t0):
+    # `verify invariance --seed s` at (n, D) = (4, 8) compares the products
+    # of the stable orders of seeds s and s + 1, and `verify cyclic` each
+    # product with its rotations: both identities hold in the point torus
+    # for s = 0..15, with no code from the polynomial stack
+    n, trunc = 4, 8
+    points = [torus_at_point.ordered_product_at(
+        t0, torus.stable_dims(random_discrete(n, s, trunc)), n, trunc) for s in range(17)]
+    for s, x in enumerate(points):
+        for k in range(1, n):
+            rotated = {d[k:] + d[:k]: v for d, v in x.items()}
+            assert torus_at_point.same_at_point(x, rotated), (s, k)
+    for s in range(16):
+        assert torus_at_point.same_at_point(points[s], points[s + 1]), s
+
+
 # ----------------------------------------------------------------------
 # Unit coefficients, one kernel call per output key, and the twist row
 # ----------------------------------------------------------------------

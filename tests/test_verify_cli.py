@@ -716,6 +716,44 @@ def test_cli_internal_fault_exits_three(capsys, monkeypatch):
     assert err == "internal error: ValueError: dimension vectors do not add up\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["stables", "--n", "24", "--bound", "1", "--seed", "0"],
+    ["hn", "--module", "S1", "--n", "24", "--bound", "1", "--seed", "0"],
+    ["stables", "--n", "32", "--bound", "1", "--seed", "3"],
+])
+def test_cli_spent_draw_budget_exits_two(capsys, argv):
+    # 1,000 draws of charges with |re| <= 1 and im = 1 find no discrete
+    # function at these n: a budget spent, not an internal fault
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 10
+    assert code == 2 and out == ""
+    assert err == ("error: no discrete function found within the draw budget of 1000 "
+                   "draws; a larger --bound spreads the charges further\n")
+
+
+def test_cli_broken_stable_census_exits_three(capsys, monkeypatch):
+    # stable_objects' own consistency check stays an internal fault
+    monkeypatch.setattr("hallq.stability.stable_indecomposables_up_to", lambda z, l: [])
+    code, out, err = run_cli(capsys, "stables", "--n", "3", "--seed", "0")
+    assert code == 3 and out == ""
+    assert err == ("internal error: RuntimeError: internal inconsistency: "
+                   "0 stable objects of dimension delta\n")
+
+
+def test_cli_pentagon_with_a_faulting_census_exits_three(capsys, monkeypatch):
+    # the pentagon skips charges that are not discrete, but a broken
+    # census in every attempt is not "no valid charge arrangement"
+    def broken(z, include_delta=False):
+        raise RuntimeError("internal inconsistency: 2 stable objects of dimension delta")
+
+    monkeypatch.setattr("hallq.verify.stable_dims", broken)
+    code, out, err = run_cli(capsys, "verify", "pentagon", "--n", "3")
+    assert code == 3 and out == ""
+    assert err == ("internal error: RuntimeError: internal inconsistency: "
+                   "2 stable objects of dimension delta\n")
+
+
 def test_campaigns_call_no_polynomial_gcd(monkeypatch):
     # every Q(t) coefficient these commands compute goes through the
     # cyclotomic kernel; the general gcd serves only the public API

@@ -6,8 +6,9 @@ half-integer powers of q are both plain powers of t.  Layers:
 
 * big rationals -- stdlib :class:`fractions.Fraction`
 * Gaussian rationals -- exact complex numbers used as central charges
-* Laurent polynomials in t with rational coefficients
-* the fraction field Q(t), kept in canonical reduced form
+* Laurent polynomials in t with integer coefficients
+* the fraction field Q(t), kept in canonical reduced form with integer
+  numerator and denominator, so a rational scalar lives in the denominator
 
 Reduction to canonical form needs polynomial gcds over Z.  There is one,
 the primitive pseudo-remainder gcd ``_ipoly_gcd``; ``_icofactors`` divides
@@ -15,20 +16,21 @@ it out of both inputs in the ``RationalFunction`` constructor and ``+``.
 No CLI command reaches them: only the public API does (the tests' oracles
 use it), and the torus fallback ``_convolve_reference``, which a product
 takes only for a coefficient with no Phi-exponents (built neither by the
-kernel nor over 1).  The torus's sums have cyclotomic denominators, which
-the private kernel ``_cyclo_sum`` cancels by exact division alone, each
-division by Phi_i after a fold test: Phi_i
-divides t^i - 1, so it divides p exactly when it divides p mod (t^i - 1),
-of degree < i.  The fold test decides, and the division is exact.
-The kernel is memoised on its one argument, a tuple of terms each with a
-tuple numerator, which is its only entry: dilogarithm products and
-rotated class sums hand it the same term tuples again and again.
+kernel nor over 1, such as 1/2).  The torus's sums have cyclotomic
+denominators, which the private kernel ``_cyclo_sum`` cancels by exact
+division alone, each division by Phi_i after a fold test: Phi_i divides
+t^i - 1, so it divides p exactly when it divides p mod (t^i - 1), of
+degree < i.  The fold test decides, and the division is exact.
+The kernel is memoised on its one argument, a tuple of terms (exps, s,
+ints) with a tuple numerator, which is its only entry: dilogarithm
+products and rotated class sums hand it the same term tuples again and
+again.
 Sharing a result is exact, since the reduction is a pure function of its
 terms and the result is immutable.
-A kernel result keeps its denominator as the exponent vector of its
-factors Phi_i, which the next product reads directly; the polynomial is
-expanded (``_cyclo_den``, one pass per binomial t^d - 1 of the product) only
-when something reads it, such as the JSON output or a hash.
+A kernel result holds its denominator only as the exponent vector of its
+factors Phi_i, which the next product reads directly; reading ``den``, as
+the JSON output or a hash does, takes the polynomial from the memo of
+``_cyclo_den`` (one pass per binomial t^d - 1 of the product).
 
 No floating point is used anywhere; phase comparisons between Gaussian
 rationals are decided by exact cross products.  All values are immutable.
@@ -38,8 +40,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
-from operator import add, sub
+from math import gcd
+from operator import add, index, sub
 from typing import Iterable, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -59,9 +61,8 @@ class BudgetError(ValueError):
 
 
 class Immutable:
-    """Base of the value classes: each sets its `__slots__` once, in
-    `__init__`, through `object.__setattr__`, except for private caches
-    filled on first use; assignment afterwards raises.
+    """Base of the value classes: each sets its `__slots__` once, when it
+    is built, through `object.__setattr__`; assignment afterwards raises.
     Equality and hash compare the tuple `_astuple()` within one class; a
     class on a hot path overrides them with direct field comparisons."""
 
@@ -69,7 +70,8 @@ class Immutable:
 
     def _astuple(self) -> tuple:
         """The public slots in slot order; a slot named with a leading `_`
-        holds a cache derived from them and is left out."""
+        is private (a cache derived from them, or a form of them) and is
+        left out."""
         return tuple([getattr(self, k) for k in self.__slots__ if not k.startswith("_")])
 
     def __eq__(self, other: object) -> bool:
@@ -198,6 +200,13 @@ def _iconv(a: Sequence[int], b: Sequence[int]) -> tuple:
     return _itrim(out)
 
 
+def _iadd_at(acc: list, off: int, a: Sequence[int]) -> None:
+    end = off + len(a)
+    if len(acc) < end:
+        acc.extend([0] * (end - len(acc)))
+    acc[off:end] = map(add, acc[off:end], a)
+
+
 def _icontent(a: Sequence[int]) -> int:
     g = 0
     for x in a:
@@ -278,23 +287,21 @@ def _icofactors(a: tuple, b: tuple) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# Laurent polynomials in t over Q
+# Laurent polynomials in t over Z
 # ----------------------------------------------------------------------
 
 class LaurentPoly(Immutable):
-    """A Laurent polynomial in t with rational coefficients.
+    """A Laurent polynomial in t with integer coefficients.
 
-    Stored as an integer coefficient vector with a single positive
-    denominator, content-reduced, so equality is structural.  ``t_low``
-    is the exponent of the first stored coefficient; the first and last
-    stored integers are nonzero (the zero polynomial stores nothing).
+    ``t_low`` is the exponent of the first stored coefficient; the first
+    and last stored integers are nonzero (the zero polynomial stores
+    nothing), so equality is structural.  Rational scalars of Q(t) live in
+    the denominator of a :class:`RationalFunction`.
     """
 
-    __slots__ = ("t_low", "_ints", "_den")
+    __slots__ = ("t_low", "_ints")
 
-    def __init__(self, t_low: int, ints: Sequence[int], den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
+    def __init__(self, t_low: int, ints: Sequence[int]):
         ints = list(ints)
         lead = 0
         while ints and ints[0] == 0:
@@ -302,21 +309,8 @@ class LaurentPoly(Immutable):
             lead += 1
         while ints and ints[-1] == 0:
             ints.pop()
-        if not ints:
-            object.__setattr__(self, "t_low", 0)
-            object.__setattr__(self, "_ints", ())
-            object.__setattr__(self, "_den", 1)
-            return
-        if den < 0:
-            den = -den
-            ints = [-x for x in ints]
-        g = gcd(_icontent(ints), den)
-        if g > 1:
-            ints = [x // g for x in ints]
-            den //= g
-        object.__setattr__(self, "t_low", t_low + lead)
+        object.__setattr__(self, "t_low", t_low + lead if ints else 0)
         object.__setattr__(self, "_ints", tuple(ints))
-        object.__setattr__(self, "_den", den)
 
     # -- constructors --------------------------------------------------
 
@@ -338,9 +332,8 @@ class LaurentPoly(Immutable):
         return LaurentPoly(2 * k, (1,))
 
     @staticmethod
-    def constant(c: Rat) -> "LaurentPoly":
-        f = Fraction(c)
-        return LaurentPoly(0, (f.numerator,), f.denominator)
+    def constant(c: int) -> "LaurentPoly":
+        return LaurentPoly(0, (index(c),))
 
     @staticmethod
     def from_q_coeffs(coeffs: Iterable[int]) -> "LaurentPoly":
@@ -367,15 +360,14 @@ class LaurentPoly(Immutable):
 
     @property
     def coefficients(self) -> tuple:
-        """Coefficients as Fractions, ascending from t_low."""
-        d = self._den
-        return tuple(Fraction(x, d) for x in self._ints)
+        """Coefficients as ints, ascending from t_low."""
+        return self._ints
 
-    def coefficient(self, k: int) -> Fraction:
+    def coefficient(self, k: int) -> int:
         i = k - self.t_low
         if 0 <= i < len(self._ints):
-            return Fraction(self._ints[i], self._den)
-        return Fraction(0)
+            return self._ints[i]
+        return 0
 
     # -- arithmetic -----------------------------------------------------
 
@@ -385,22 +377,15 @@ class LaurentPoly(Immutable):
         if other.is_zero:
             return self
         lo = min(self.t_low, other.t_low)
-        hi = max(self.t_high, other.t_high)
-        da, db = self._den, other._den
-        g = gcd(da, db)
-        l = da // g * db
-        ma, mb = l // da, l // db
-        out = [0] * (hi - lo + 1)
-        for i, x in enumerate(self._ints):
-            out[self.t_low - lo + i] += x * ma
-        for i, x in enumerate(other._ints):
-            out[other.t_low - lo + i] += x * mb
-        return LaurentPoly(lo, out, l)
+        out = [0] * (max(self.t_high, other.t_high) - lo + 1)
+        _iadd_at(out, self.t_low - lo, self._ints)
+        _iadd_at(out, other.t_low - lo, other._ints)
+        return LaurentPoly(lo, out)
 
     def __neg__(self) -> "LaurentPoly":
         if self.is_zero:
             return self
-        return LaurentPoly(self.t_low, [-x for x in self._ints], self._den)
+        return LaurentPoly(self.t_low, [-x for x in self._ints])
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -408,14 +393,12 @@ class LaurentPoly(Immutable):
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.is_zero or other.is_zero:
             return _LP_ZERO
-        return LaurentPoly(self.t_low + other.t_low,
-                           _iconv(self._ints, other._ints),
-                           self._den * other._den)
+        return LaurentPoly(self.t_low + other.t_low, _iconv(self._ints, other._ints))
 
     def shifted(self, k: int) -> "LaurentPoly":
         if self.is_zero or k == 0:
             return self
-        return LaurentPoly(self.t_low + k, self._ints, self._den)
+        return LaurentPoly(self.t_low + k, self._ints)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -436,11 +419,11 @@ class LaurentPoly(Immutable):
         if t0 == 0:
             if self.t_low < 0:
                 raise PoleError("negative power of t evaluated at t = 0")
-            return Fraction(self._ints[0], self._den) if self.t_low == 0 else Fraction(0)
+            return Fraction(self._ints[0]) if self.t_low == 0 else Fraction(0)
         acc = Fraction(0)
         for x in reversed(self._ints):
             acc = acc * t0 + x
-        return acc / self._den * t0 ** self.t_low
+        return acc * t0 ** self.t_low
 
     def eval_even_at_q(self, q0: Rat) -> Fraction:
         """Evaluate a polynomial supported on even powers of t at t**2 = q0."""
@@ -453,18 +436,17 @@ class LaurentPoly(Immutable):
             if e % 2 != 0:
                 raise ValueError("odd power of t; not a polynomial in q")
             acc += x * q0 ** (e // 2)
-        return acc / self._den
+        return acc
 
     # -- comparisons & misc ----------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return (self.t_low == other.t_low and self._ints == other._ints
-                and self._den == other._den)
+        return self.t_low == other.t_low and self._ints == other._ints
 
     def __hash__(self) -> int:
-        return hash((self.t_low, self._ints, self._den))
+        return hash((self.t_low, self._ints))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -476,12 +458,11 @@ class LaurentPoly(Immutable):
         for i, x in enumerate(self._ints):
             if x == 0:
                 continue
-            c = Fraction(x, self._den)
             e = self.t_low + i
             if e == 0:
-                parts.append(frac_str(c))
+                parts.append(str(x))
             else:
-                head = "" if c == 1 else ("-" if c == -1 else f"{frac_str(c)}*")
+                head = "" if x == 1 else ("-" if x == -1 else f"{x}*")
                 parts.append(f"{head}t^{e}" if e != 1 else f"{head}t")
         return " + ".join(parts).replace("+ -", "- ")
 
@@ -489,27 +470,22 @@ class LaurentPoly(Immutable):
         return f"LaurentPoly({self})"
 
     def to_json(self) -> dict:
-        return {"t_low": self.t_low, "coeffs": list(_coeff_strs(self._ints, self._den))}
+        return {"t_low": self.t_low, "coeffs": list(map(str, self._ints))}
 
     @staticmethod
     def from_json(data: dict) -> "LaurentPoly":
-        fracs = [Fraction(c) for c in data["coeffs"]]
-        den = lcm(*(f.denominator for f in fracs))
-        return LaurentPoly(int(data["t_low"]),
-                           [f.numerator * (den // f.denominator) for f in fracs], den)
+        """The inverse of to_json; a coefficient that is not an integer
+        raises ValueError."""
+        return LaurentPoly(int(data["t_low"]), [int(c) for c in data["coeffs"]])
 
 
-def _coeff_strs(ints: tuple, den: int) -> tuple:
-    """The coefficients ints / den as frac_str renders them; integers need
-    no Fraction."""
-    if den == 1:
-        return tuple(map(str, ints))
-    return tuple(frac_str(Fraction(x, den)) for x in ints)
+@lru_cache(maxsize=4096)
+def _den_strs(ints: tuple) -> tuple:
+    """A denominator's coefficients as strings.  Denominators repeat across
+    the terms of an element (227 distinct among the 18,564 of ez(6, 12)),
+    so RationalFunction.to_json renders each once."""
+    return tuple(map(str, ints))
 
-
-# Denominators repeat across the terms of an element (227 distinct among
-# the 18,564 of ez(6, 12)), so RationalFunction.to_json renders each once.
-_den_strs = lru_cache(maxsize=4096)(_coeff_strs)
 
 _LP_ZERO = LaurentPoly(0, ())
 _LP_ONE = LaurentPoly(0, (1,))
@@ -519,29 +495,35 @@ _LP_ONE = LaurentPoly(0, (1,))
 # Rational functions in t
 # ----------------------------------------------------------------------
 
-def _normal_form(shift: int, a: tuple, da: int, b: tuple, db: int) -> tuple:
-    """(num, den) of t^shift (a/da) / (b/db), a and b coprime, as
-    [a*db / (da*b_lead)] t^shift / monic(b); LaurentPoly fixes the sign."""
-    return LaurentPoly(shift, [x * db for x in a], da * b[-1]), LaurentPoly(0, b, b[-1])
+def _normal_form(shift: int, a: tuple, b: tuple) -> tuple:
+    """(num, den) of t^shift a / b for a and b coprime: their common
+    content and the sign of b's leading coefficient divided out of both."""
+    g = gcd(_icontent(a), _icontent(b))
+    if b[-1] < 0:
+        g = -g
+    if g != 1:
+        a, b = [x // g for x in a], [x // g for x in b]
+    return LaurentPoly(shift, a), LaurentPoly(0, b)
 
 
 class RationalFunction(Immutable):
     """An element of Q(t) in canonical form.
 
-    Invariants: den is nonzero with lowest exponent 0 and leading
-    coefficient 1; gcd(num, den) = 1 once powers of t are cleared; the
-    zero element is 0/1.  With this normal form equality is structural;
+    Invariants: num and den have integer coefficients; den is nonzero, with
+    lowest exponent 0 and a positive leading coefficient; num and den are
+    coprime once powers of t are cleared, and so are their contents; the
+    zero element is 0/1.  So a rational scalar such as 1/2 is held as 1 over
+    the constant 2.  With this normal form equality is structural;
     :func:`rf_eq` offers the cross-multiplication test that never relies
     on it.
 
-    A result of the cyclotomic kernel keeps its denominator factored: it
-    carries the exponent vector ``_exps`` of den = prod Phi_i^e_i, and
-    ``den`` is expanded from it (by :func:`_cyclo_den`) only when first
-    read.  Two factored values compare by (num, exponents), which the
-    unique factorisation into the irreducible Phi_i makes the same test as
-    (num, den); the hash is that of (num, den) either way.  A value over 1
-    carries the exponents (), however it is built; ``_exps`` is None only
-    for a value over another denominator that the kernel did not build.
+    The denominator has one home.  A result of the cyclotomic kernel, and
+    any value over 1, holds the exponent vector ``_exps`` of den = prod
+    Phi_i^e_i (() for 1), and ``den`` reads it from the memo of
+    :func:`_cyclo_den`; any other value holds its denominator ``_den``.
+    Two factored values compare by (num, exponents), which the unique
+    factorisation into the irreducible Phi_i makes the same test as (num,
+    den); the hash is that of (num, den) either way.
     """
 
     __slots__ = ("num", "_den", "_exps")
@@ -553,23 +535,26 @@ class RationalFunction(Immutable):
             num, den = _LP_ZERO, _LP_ONE
         else:
             a, b = _icofactors(num._ints, den._ints)
-            num, den = _normal_form(num.t_low - den.t_low, a, num._den, b, den._den)
+            num, den = _normal_form(num.t_low - den.t_low, a, b)
+        self._fill(num, den, None)
+
+    def _fill(self, num: LaurentPoly, den: Optional[LaurentPoly],
+              exps: Optional[tuple]) -> None:
+        """Set the slots from num and one of den and exps; a denominator 1
+        is held as the exponents ()."""
+        if den is not None and den._ints == (1,):
+            den, exps = None, ()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_exps", () if len(den._ints) == 1 else None)
+        object.__setattr__(self, "_exps", exps)
 
     @staticmethod
     def _trusted(num: LaurentPoly, den: Optional[LaurentPoly],
                  exps: Optional[tuple] = None) -> "RationalFunction":
-        """A value known to be canonical, given by its denominator, by the
-        exponent vector of a cyclotomic one (den None: expanded on first
-        read), or by both; a denominator 1 carries the exponents ()."""
-        if exps is None and len(den._ints) == 1:
-            exps = ()
+        """A value known to be canonical, given by its denominator or by
+        the exponent vector of a cyclotomic one (den None)."""
         out = object.__new__(RationalFunction)
-        object.__setattr__(out, "num", num)
-        object.__setattr__(out, "_den", den)
-        object.__setattr__(out, "_exps", exps)
+        out._fill(num, den, exps)
         return out
 
     # -- constructors ----------------------------------------------------
@@ -580,7 +565,9 @@ class RationalFunction(Immutable):
 
     @staticmethod
     def constant(c: Rat) -> "RationalFunction":
-        return RationalFunction(LaurentPoly.constant(c))
+        f = Fraction(c)
+        return RationalFunction(LaurentPoly.constant(f.numerator),
+                                LaurentPoly.constant(f.denominator))
 
     @staticmethod
     def t_power(k: int) -> "RationalFunction":
@@ -590,11 +577,8 @@ class RationalFunction(Immutable):
 
     @property
     def den(self) -> LaurentPoly:
-        den = self._den
-        if den is None:
-            den = _cyclo_den(self._exps)
-            object.__setattr__(self, "_den", den)
-        return den
+        exps = self._exps
+        return self._den if exps is None else _cyclo_den(exps)
 
     @property
     def is_zero(self) -> bool:
@@ -607,14 +591,12 @@ class RationalFunction(Immutable):
             return other
         if other.is_zero:
             return self
-        pa, pb = self.den._ints, other.den._ints
-        qa, qb = _icofactors(pa, pb)
-        # reduced cofactors as monic-free Laurent polys (scalars handled by ctor)
-        red_b = LaurentPoly(0, qb, other.den._den)
-        red_a = LaurentPoly(0, qa, self.den._den)
-        num = self.num * red_b + other.num * red_a
-        den = self.den * red_b
-        return RationalFunction(num, den)
+        da, db = self.den, other.den
+        qa, qb = _icofactors(da._ints, db._ints)
+        # a/da + b/db = (a qb + b qa) / (da qb), with da qb = db qa
+        red_b = LaurentPoly(0, qb)
+        num = self.num * red_b + other.num * LaurentPoly(0, qa)
+        return RationalFunction(num, da * red_b)
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction._trusted(-self.num, self._den, self._exps)
@@ -629,7 +611,7 @@ class RationalFunction(Immutable):
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero rational function")
         n, d = self.num, self.den  # coprime already: no gcd
-        return RationalFunction._trusted(*_normal_form(-n.t_low, d._ints, d._den, n._ints, n._den))
+        return RationalFunction._trusted(*_normal_form(-n.t_low, d._ints, n._ints))
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         return self * other.inv()
@@ -637,7 +619,8 @@ class RationalFunction(Immutable):
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
             return self.inv() ** (-n)
-        # powers of coprime polynomials stay coprime, of a monic one monic
+        # powers of coprime polynomials stay coprime, and so do their
+        # contents; the leading coefficient of den stays positive
         return RationalFunction._trusted(self.num ** n, self.den ** n)
 
     def shifted(self, k: int) -> "RationalFunction":
@@ -669,7 +652,7 @@ class RationalFunction(Immutable):
         return not self.is_zero
 
     def __str__(self) -> str:
-        if self.den == _LP_ONE:
+        if self._exps == ():
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -680,7 +663,7 @@ class RationalFunction(Immutable):
         """The denominator's strings come from a cache, as a fresh list."""
         den = self.den
         return {"num": self.num.to_json(),
-                "den": {"t_low": den.t_low, "coeffs": list(_den_strs(den._ints, den._den))}}
+                "den": {"t_low": den.t_low, "coeffs": list(_den_strs(den._ints))}}
 
     @staticmethod
     def from_json(data: dict) -> "RationalFunction":
@@ -800,18 +783,11 @@ def _divide_out(p: tuple, i: int, most: int) -> tuple:
     return p, e
 
 
-def _iadd_at(acc: list, off: int, a: Sequence[int]) -> None:
-    end = off + len(a)
-    if len(acc) < end:
-        acc.extend([0] * (end - len(acc)))
-    acc[off:end] = map(add, acc[off:end], a)
-
-
 @lru_cache(maxsize=None)
 def _cyclo_sum(terms: tuple) -> RationalFunction:
-    """Canonical sum of the terms (exps, s, ints, den), each meaning
-    t^s * (ints / den) / prod Phi_i^e_i with ints a tuple of ascending
-    integer coefficients.
+    """Canonical sum of the terms (exps, s, ints), each meaning
+    t^s * ints / prod Phi_i^e_i with ints a tuple of ascending integer
+    coefficients.
 
     The tuple of terms is the memo key, so a term tuple reduced before in
     the process costs one lookup.  This is exact: the reduction is a pure
@@ -824,22 +800,17 @@ def _cyclo_sum(terms: tuple) -> RationalFunction:
     division tried only once the fold test of :func:`_divide_out` allows it.
     """
     groups: dict = {}
-    lo, den = None, 1
     for term in terms:
-        exps, s, _, da = term
-        groups.setdefault(exps, []).append(term)
-        if lo is None or s < lo:
-            lo = s
-        if da != den:
-            den = den * da // gcd(den, da)
+        groups.setdefault(term[0], []).append(term)
+    lo = min([s for _, s, _ in terms], default=0)
     top = ()
     for exps in groups:
         top = _exps_merge(top, exps, max)
     total: list = []
     for exps, group in groups.items():
         acc: list = []
-        for _, s, a, da in group:
-            _iadd_at(acc, s - lo, a if da == den else [x * (den // da) for x in a])
+        for _, s, a in group:
+            _iadd_at(acc, s - lo, a)
         lift = _exps_sub(top, exps)
         _iadd_at(total, 0, _iconv(_itrim(acc), _cyclo_den(lift)._ints) if lift else acc)
     num = _itrim(total)
@@ -855,7 +826,7 @@ def _cyclo_sum(terms: tuple) -> RationalFunction:
             if done < e:
                 left.append((i, e - done))
         left = tuple(left)
-    return RationalFunction._trusted(LaurentPoly(lo, num, den), None, left)
+    return RationalFunction._trusted(LaurentPoly(lo, num), None, left)
 
 
 # ----------------------------------------------------------------------

@@ -18,23 +18,24 @@ is a power of t times a product of factors q^k - 1 = t^(2k) - 1, that is
 a product of cyclotomic polynomials Phi_i(t), and sums and products keep
 this form.  So ``convolve``, the integration sums and ``torus_inverse``
 (through ``convolve``) sum every output coefficient in one canonical
-reduction (``exact._cyclo_sum``), with no gcd.  The coefficients stay
-``RationalFunction`` values; one made by the kernel carries the
-Phi-exponents of its denominator, and one over 1 the empty vector, which
-``convolve`` reads as they are, so no denominator is expanded or factored
-between products.  ``convolve`` falls back to the pair-by-pair
-``_convolve_reference`` for an operand with a coefficient that has no
-Phi-exponents (built neither by the kernel nor over 1).  The reduction
-is memoised on its term tuple, which repeats: every E(y^d) has the same
-coefficients, so a chain of products forms the same products of them at
-many keys and steps.  Every output key of ``convolve`` is one kernel
-call, so the memo is the only shortcut past the reduction; a pair with
-the numerator 1 on one side takes the other numerator as it is, with no
-convolution, and lambda(d, e) is d dotted with the row
-``CyclicQuiver.lambda_row(e)``, once per key e.  The class sums of
-dimension vectors related by rotation and reversal of Delta_n are equal,
-so ``integrate_iso_sum`` counts and reduces only one representative per
-orbit and copies its coefficient to the rest.
+reduction (``exact._cyclo_sum``), with no gcd.  A kernel term is
+(exps, s, ints): t^s times the integer polynomial ints over prod
+Phi_i^e_i.  The coefficients stay ``RationalFunction`` values; one made by
+the kernel carries the Phi-exponents of its denominator, and one over 1
+the empty vector, which ``convolve`` reads as they are, so no denominator
+is expanded or factored between products.  ``convolve`` falls back to the
+pair-by-pair ``_convolve_reference`` for an operand with a coefficient
+that has no Phi-exponents (built neither by the kernel nor over 1, such as
+a rational scalar 1/2).  The reduction is memoised on its term tuple,
+which repeats: every E(y^d) has the same coefficients, so a chain of
+products forms the same products of them at many keys and steps.  Every
+output key of ``convolve`` is one kernel call, so the memo is the only
+shortcut past the reduction; a pair with the numerator 1 on one side
+takes the other numerator as it is, with no convolution, and lambda(d, e)
+is d dotted with the row ``CyclicQuiver.lambda_row(e)``, once per key e.
+The class sums of dimension vectors related by rotation and reversal of
+Delta_n are equal, so ``integrate_iso_sum`` counts and reduces only one
+representative per orbit and copies its coefficient to the rest.
 
 The integration map has two entry points.  ``integrate_modules`` takes
 explicit classes, each with an optional q-polynomial weight (the Hall
@@ -190,19 +191,19 @@ def convolve(a: TorusElement, b: TorusElement) -> TorusElement:
     row = CyclicQuiver(n).lambda_row
     b_items = [item + (row(item[0]),) for item in b_items]
     buckets: Dict[DimVector, list] = {}
-    for d, td, ea, sa, na, da in a_items:
-        for e, te, eb, sb, nb, db, r in b_items:
+    for d, td, ea, sa, na in a_items:
+        for e, te, eb, sb, nb, r in b_items:
             if td + te > bound:
                 continue
             buckets.setdefault(tuple(map(add, d, e)), []).append(
                 (_exps_merge(ea, eb), sa + sb + sum(map(mul, d, r)),
-                 nb if na == (1,) else na if nb == (1,) else _iconv(na, nb), da * db))
+                 nb if na == (1,) else na if nb == (1,) else _iconv(na, nb)))
     return TorusElement._trusted(n, bound, {
         f: _cyclo_sum(tuple(terms)) for f, terms in buckets.items()})
 
 
 def _cyclotomic_items(a: TorusElement) -> Optional[list]:
-    """(key, total, exps, t_low, ints, den) per term, the exponents those
+    """(key, total, exps, t_low, ints) per term, the exponents those
     the coefficient carries; None if one has no Phi-exponents (built
     neither by the kernel nor over 1)."""
     out = []
@@ -210,7 +211,7 @@ def _cyclotomic_items(a: TorusElement) -> Optional[list]:
         exps = c._exps
         if exps is None:
             return None
-        out.append((d, sum(d), exps, c.num.t_low, c.num._ints, c.num._den))
+        out.append((d, sum(d), exps, c.num.t_low, c.num._ints))
     return out
 
 
@@ -280,7 +281,7 @@ def apply_translate(a: TorusElement, k: int = 1) -> TorusElement:
 def dilog_coefficient(m: int) -> RationalFunction:
     """Coefficient of y^(m*d) in E(y^d): t^(m^2) / prod_{j<m} (q^m - q^j),
     that is t^m / prod_{k=1..m} (q^k - 1), one term of the kernel."""
-    return _cyclo_sum(((_q_factor_exps(tuple(range(1, m + 1))), m, (1,), 1),))
+    return _cyclo_sum(((_q_factor_exps(tuple(range(1, m + 1))), m, (1,)),))
 
 
 def dilog(n: int, truncation: int, d: DimVector) -> TorusElement:
@@ -311,7 +312,7 @@ def integrate_modules(q: CyclicQuiver, truncation: int, modules: Iterable[Module
         if sum(d) <= truncation and not w.is_zero:
             e, ks = q.aut_factors(m)
             terms.setdefault(d, []).append(
-                (_q_factor_exps(ks), w.t_low - 2 * e, w._ints, w._den))
+                (_q_factor_exps(ks), w.t_low - 2 * e, w._ints))
     return TorusElement._trusted(q.n, truncation, {
         d: _cyclo_sum(tuple(ts)).shifted(q.euler_form(d, d)) for d, ts in terms.items()})
 
@@ -396,7 +397,7 @@ def integrate_multisets(q: CyclicQuiver, parts: Iterable[Indecomposable],
         for e, count in by_e.items():
             ints[2 * (hi - e)] = count
         terms.setdefault(key % top, []).append(
-            (_q_factor_exps(_ks_of(key // top, base)), -2 * hi, tuple(ints), 1))
+            (_q_factor_exps(_ks_of(key // top, base)), -2 * hi, tuple(ints)))
     out = {}
     for code, ts in terms.items():
         members = orbits[code] if dihedral else (_digits(code, n, base),)

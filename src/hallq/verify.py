@@ -237,13 +237,16 @@ def _trial_products(cfg: CampaignConfig, payload: dict,
     """The "all products agree" comparison: the ordered dilogarithm
     product of each trial's dimension vectors `orders`, with the orders
     and the digest of trial 0's product in the payload, and the witness
-    of the first trial whose product differs from trial 0's."""
+    of the first trial whose product differs from trial 0's.  Only trial
+    0's product is kept: each later one is compared as soon as it is
+    built, and dropped."""
     n, D = cfg.n, cfg.truncation
-    products = [ordered_product([dilog(n, D, d) for d in dims], n, D) for dims in orders]
+    products = (ordered_product([dilog(n, D, d) for d in dims], n, D) for dims in orders)
+    first = next(products)
     payload["factor_orders"] = [[list(d) for d in dims] for dims in orders]
-    payload["element_sha256"] = _element_digest(products[0])
-    return _finish(payload, _first(_mismatch(cfg, products[0], b, trials=[0, i])
-                                   for i, b in enumerate(products[1:], 1)))
+    payload["element_sha256"] = _element_digest(first)
+    return _finish(payload, _first(_mismatch(cfg, first, b, trials=[0, i])
+                                   for i, b in enumerate(products, 1)))
 
 
 def _base(cfg: CampaignConfig, campaign: str) -> dict:

@@ -76,7 +76,7 @@ MUTANTS = [
      ["tests/test_torus.py::test_integrate_iso_sum_matches_per_class_sum",
       "tests/test_torus.py::test_semistable_phase_factors_match_per_class_sum"]),
     # integrate_modules ignores its weights
-    ("src/hallq/torus.py", "w.t_low - 2 * e, w._ints, w._den", "-2 * e, (1,), 1",
+    ("src/hallq/torus.py", "w.t_low - 2 * e, w._ints)", "-2 * e, (1,))",
      ["tests/test_hall.py::test_integration_lhs_equals_the_per_class_sum",
       "tests/test_acceptance.py::test_criterion_08_integration_catalog"]),
     # the gcd-free inverse keeps the t-shift of the numerator
@@ -113,8 +113,8 @@ MUTANTS = [
      ["tests/test_hall.py::test_census_matches_reference"]),
     # RationalFunction.to_json hands out the cached denominator rendering
     # itself, not a fresh list of it
-    ("src/hallq/exact.py", '"coeffs": list(_den_strs(den._ints, den._den))',
-     '"coeffs": _den_strs(den._ints, den._den)',
+    ("src/hallq/exact.py", '"coeffs": list(_den_strs(den._ints))',
+     '"coeffs": _den_strs(den._ints)',
      ["tests/test_exact.py::test_rf_to_json_hands_out_fresh_renderings"]),
     # the element digest's frame with a separator json.dumps does not write
     ("src/hallq/verify.py", '"dim": [', '"dim":[',
@@ -162,13 +162,19 @@ MUTANTS = [
      ["tests/test_exact.py::test_factored_results_agree_with_the_constructor",
       "tests/test_verify_cli.py::test_sabotage_pentagon_reverse_residual",
       "tests/test_torus.py::test_torus_diff_reports_mismatches"]),
-    # a value over 1 built past the constructor (inv, **, t_power, the
-    # constants) carries no Phi-exponents, so its products go pair by pair
-    ("src/hallq/exact.py", "if exps is None and len(den._ints) == 1:", "if False:",
+    # a value over 1 (from the constructor, inv, **, t_power, the
+    # constants) holds the denominator 1, not the Phi-exponents (), so its
+    # products go pair by pair
+    ("src/hallq/exact.py", "if den is not None and den._ints == (1,):", "if False:",
      ["tests/test_exact.py::test_values_over_one_carry_the_empty_exponents",
       "tests/test_torus.py::test_benchmark_commands_never_take_the_reference_path",
       "tests/test_torus.py::test_ez_agrees_with_the_torus_at_a_point",
       "tests/test_torus.py::test_pentagon_residuals_agree_with_the_torus_at_a_point"]),
+    # the constructor's normal form without the content gcd: 2/4 and
+    # 2t/(2t^2 - 2) keep their common integer factor
+    ("src/hallq/exact.py", "g = gcd(_icontent(a), _icontent(b))", "g = 1",
+     ["tests/test_exact.py::test_constructor_gives_the_canonical_form",
+      "tests/test_exact.py::test_rf_canonical_form_is_unique"]),
     # the pentagon compares residual2 with the left factorization first
     ("src/hallq/verify.py",
      "or _mismatch(cfg, residual1, left, comparison=residual)\n"

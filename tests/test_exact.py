@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -141,10 +142,11 @@ def test_laurent_normalizes_and_trims():
     assert LaurentPoly(3, [0, 0]).is_zero
 
 
-def test_laurent_zero_denominator_raises_for_every_vector():
+def test_zero_denominator_raises_for_every_numerator():
     for ints in ([1], [], [0, 0], [0, 3, 0]):
-        with pytest.raises(ZeroDivisionError):
-            LaurentPoly(0, ints, 0)
+        for zero in ([], [0, 0]):
+            with pytest.raises(ZeroDivisionError):
+                RationalFunction(LaurentPoly(0, ints), LaurentPoly(2, zero))
 
 
 def test_laurent_arithmetic():
@@ -181,13 +183,15 @@ def test_laurent_eval_even_at_q():
 
 
 def test_laurent_json_round_trip():
-    p = LaurentPoly(-2, [1, 0, -6], 2)
-    assert p.to_json() == {"t_low": -2, "coeffs": ["1/2", "0", "-3"]}
+    p = LaurentPoly(-2, [1, 0, -6])
+    assert p.to_json() == {"t_low": -2, "coeffs": ["1", "0", "-6"]}
     assert LaurentPoly.from_json(p.to_json()) == p
-    # coefficients over different denominators meet at their lcm
-    q = LaurentPoly.from_json({"t_low": 1, "coeffs": ["1/4", "-2/3", "5"]})
-    assert q == LaurentPoly(1, [3, -8, 60], 12)
     assert LaurentPoly.from_json({"t_low": 3, "coeffs": []}).is_zero
+    # the coefficients are integers: a rational one is refused
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json({"t_low": 1, "coeffs": ["1/4", "5"]})
+    with pytest.raises(TypeError):
+        LaurentPoly.constant(Fraction(1, 2))
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +246,7 @@ def test_rf_to_json_hands_out_fresh_renderings():
     # the denominator's strings come from a shared cache: changing what
     # one call returned must not reach the renderings of later calls
     a = rf(-1, [1, 2], 0, [3, 0, 1])
-    b = RationalFunction(LaurentPoly(1, [1], 3), LaurentPoly(0, [1, 2]))
+    b = RationalFunction(LaurentPoly(1, [1]), LaurentPoly(0, [3, 6]))  # t / (3 (1 + 2t))
     for x in (a, b, RF_ONE):
         want = x.to_json()
         assert want == {"num": x.num.to_json(), "den": x.den.to_json()}
@@ -254,7 +258,7 @@ def test_rf_to_json_hands_out_fresh_renderings():
         del got["den"]
         assert x.to_json() == want
         assert type(x.to_json()["den"]["coeffs"]) is list
-    assert b.to_json()["den"] == {"t_low": 0, "coeffs": ["1/2", "1"]}
+    assert b.to_json()["den"] == {"t_low": 0, "coeffs": ["3", "6"]}
 
 
 def test_rf_division_and_powers():
@@ -299,34 +303,60 @@ def test_rf_multiplicative_inverse(a):
     assert rf_eq(a * a.inv(), RF_ONE)
 
 
-# numerators with rational content, so inv must carry the integer
-# denominators across
+# polynomials with an integer content of either sign, so that the
+# constructor and inv must divide out a common content and a sign
 content_poly = st.builds(
-    LaurentPoly,
-    st.integers(min_value=-3, max_value=3),
-    st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=4),
-    st.integers(min_value=1, max_value=6),
-).filter(lambda p: not p.is_zero)
+    lambda p, c: p * LaurentPoly.constant(c),
+    small_poly,
+    st.integers(min_value=-6, max_value=6).filter(bool),
+)
+nonzero_content_poly = content_poly.filter(lambda p: not p.is_zero)
 
 
-@given(content_poly, content_poly)
-@example(LaurentPoly(2, [3, -2], 4), LaurentPoly(-1, [5, 0, -3], 6))
-@example(LaurentPoly(-3, [-1], 5), LaurentPoly(0, [2, 1], 3))
+@given(nonzero_content_poly, nonzero_content_poly)
+@example(LaurentPoly(2, [9, -6]), LaurentPoly(-1, [-10, 0, 6]))
+@example(LaurentPoly(-3, [-5]), LaurentPoly(0, [6, 3]))
 def test_rf_inverse_equals_the_swapped_construction(num, den):
     # inv skips the gcd: t-shifts, negative leading coefficients and
-    # rational content must still come out in the constructor's form
+    # integer content must still come out in the constructor's form
     a = RationalFunction(num, den)
     assert a.inv() == RationalFunction(a.den, a.num)
 
 
+def _check_canonical(x):
+    # den of lowest exponent 0 with a positive leading coefficient; num and
+    # den coprime, and so are their contents
+    den = x.den
+    assert den.t_low == 0 and den.coefficient(den.t_high) > 0
+    assert exact._ipoly_gcd(x.num._ints, den._ints) == (1,)
+    assert gcd(exact._icontent(x.num._ints), exact._icontent(den._ints)) == 1
+
+
 @given(rationals_fn, nonzero_fn, st.integers(-3, 3), st.integers(-3, 3))
 def test_rf_operations_return_the_canonical_form(a, b, k, s):
-    # every result is a fixed point of the constructor, with a monic
-    # denominator of lowest exponent 0; rf_eq alone would not see this
+    # every result is a fixed point of the constructor, in its canonical
+    # form; rf_eq alone would not see this
     for r in (a + b, a - b, a * b, b.inv(), a / b, b ** k, a ** abs(k), a.shifted(s)):
         assert r == RationalFunction(r.num, r.den)
-        assert r.den.t_low == 0
-        assert r.den.coefficient(r.den.t_high) == 1
+        _check_canonical(r)
+
+
+@given(content_poly, nonzero_content_poly, nonzero_content_poly, content_poly, st.booleans())
+@example(LaurentPoly(0, [-6, 4]), LaurentPoly(1, [-4, 0, -2]), LaurentPoly(0, [-3]),
+         LaurentPoly.zero(), True)
+@example(LaurentPoly(0, [2]), LaurentPoly(0, [4]), LaurentPoly(0, [3, 3]),
+         LaurentPoly(0, [1]), False)
+def test_constructor_gives_the_canonical_form(a, b, m, c, same):
+    # x = a / b; y is x's value over another denominator when `same`, else
+    # another value over it; the constructor brings both to one form
+    x = RationalFunction(a, b)
+    y = RationalFunction(a * m if same else c, b * m)
+    for z in (x, y):
+        _check_canonical(z)
+        assert RationalFunction.from_json(z.to_json()) == z
+    assert (x == y) == rf_eq(x, y)
+    if same:
+        assert x == y and hash(x) == hash(y)
 
 
 def _random_rf(rng):
@@ -406,10 +436,9 @@ def test_igcd_cofactors_coprime_and_negative_leading():
     assert _check_cofactors(a, b) == ((-1, 0, 1), (1, 1, 1), (2, -3))
 
 
-@given(st.integers(-3, 3), st.lists(st.integers(-60, 60), min_size=1, max_size=6),
-       st.integers(1, 36))
-def test_laurent_to_json_matches_frac_str(t_low, ints, den):
-    p = LaurentPoly(t_low, ints, den)
+@given(st.integers(-3, 3), st.lists(st.integers(-60, 60), min_size=1, max_size=6))
+def test_laurent_to_json_matches_frac_str(t_low, ints):
+    p = LaurentPoly(t_low, ints)
     assert p.to_json() == {"t_low": p.t_low,
                            "coeffs": [frac_str(c) for c in p.coefficients]}
 
@@ -431,12 +460,11 @@ def test_cyclotomic_polynomials_multiply_to_t_power_minus_one():
 cyclo_exps = st.dictionaries(st.sampled_from((1, 2, 3, 4, 6, 8, 12)), st.integers(1, 2),
                              max_size=3).map(lambda d: tuple(sorted(d.items())))
 cyclo_term = st.tuples(cyclo_exps, st.integers(-4, 4),
-                       st.lists(st.integers(-6, 6), min_size=1, max_size=5).map(tuple),
-                       st.integers(1, 4))
+                       st.lists(st.integers(-6, 6), min_size=1, max_size=5).map(tuple))
 
 
-def _rf_of_term(exps, s, a, da):
-    return RationalFunction(LaurentPoly(s, a, da), exact._cyclo_den(exps))
+def _rf_of_term(exps, s, a):
+    return RationalFunction(LaurentPoly(s, a), exact._cyclo_den(exps))
 
 
 def _rf_sum(terms):
@@ -454,12 +482,11 @@ def test_cyclo_sum_matches_rational_function_sum(terms):
 @given(cyclo_term, cyclo_term)
 def test_cyclo_sum_cancels_to_canonical_form(x, y):
     # x * phi / phi and x + y - y must both come back as x, canonically
-    exps, s, a, da = x
+    exps, s, a = x
     lifted = exact._exps_merge(exps, ((3, 1), (4, 2)))
     a_lift = exact._iconv(a, exact._cyclo_den(((3, 1), (4, 2)))._ints)
-    assert exact._cyclo_sum(((lifted, s, a_lift, da),)) == _rf_of_term(*x)
-    ey, sy, ay, dy = y
-    terms = (x, y, (ey, sy, tuple(-c for c in ay), dy))
+    assert exact._cyclo_sum(((lifted, s, a_lift),)) == _rf_of_term(*x)
+    terms = (x, y, _negated(y))
     assert exact._cyclo_sum(terms) == _rf_of_term(*x)
 
 
@@ -493,7 +520,7 @@ def test_a_fold_test_that_passes_everything_makes_the_kernel_raise(monkeypatch):
     # the fold test decides and the division is exact: if the test lets
     # Phi_1 = t - 1 through for 1 + t^2, the inexact division raises
     # instead of leaving a value that is not in lowest terms
-    term = (((1, 1),), 0, (1, 0, 1), 1)
+    term = (((1, 1),), 0, (1, 0, 1))
     assert exact._cyclo_sum.__wrapped__((term,))._exps == ((1, 1),)
     monkeypatch.setattr(exact, "_fold_divisible", lambda p, i: True)
     with pytest.raises(ArithmeticError):
@@ -538,13 +565,12 @@ def test_fold_test_agrees_on_near_multiples():
 def test_cyclo_sum_memo_tells_every_key_field_apart():
     # each variant differs from `first` in one field of one term; with all
     # of them memoised, each must still come back as its own sum
-    other = (((3, 1),), 0, (2, 1), 1)
-    first = ((((1, 1), (2, 1)), 1, (1, -2, 3), 2), other)
+    other = (((3, 1),), 0, (2, 1))
+    first = ((((1, 1), (2, 1)), 1, (1, -2, 3)), other)
     variants = [
-        ((((1, 1), (2, 1)), 2, (1, -2, 3), 2), other),  # the shift s
-        ((((1, 1), (2, 1)), 1, (1, -2, 4), 2), other),  # one numerator entry
-        ((((1, 1), (2, 1)), 1, (1, -2, 3), 3), other),  # the integer denominator da
-        ((((1, 1), (4, 1)), 1, (1, -2, 3), 2), other),  # the exponents exps
+        ((((1, 1), (2, 1)), 2, (1, -2, 3)), other),  # the shift s
+        ((((1, 1), (2, 1)), 1, (1, -2, 4)), other),  # one numerator entry
+        ((((1, 1), (4, 1)), 1, (1, -2, 3)), other),  # the exponents exps
     ]
     exact._cyclo_sum.cache_clear()
     for terms in [first] + variants:
@@ -587,14 +613,13 @@ def test_cyclo_den_matches_the_product_of_phis(exps):
 
 
 def _factored(terms):
-    """The kernel's reduction of `terms`, made afresh (past the memo), so its
-    denominator has not been read yet, unless it is zero (RF_ZERO)."""
+    """The kernel's reduction of `terms`, made afresh (past the memo)."""
     return exact._cyclo_sum.__wrapped__(tuple(terms))
 
 
 def _negated(term):
-    exps, s, a, da = term
-    return exps, s, tuple(-c for c in a), da
+    exps, s, a = term
+    return exps, s, tuple(-c for c in a)
 
 
 @given(st.lists(cyclo_term, min_size=1, max_size=4), st.lists(cyclo_term, max_size=3),
@@ -604,13 +629,12 @@ def test_factored_results_agree_with_the_constructor(xs, extra, same):
     ys = xs[::-1] + extra + [_negated(t) for t in extra] if same else extra or xs[:1]
     x, y = _factored(xs), _factored(ys)
     rx, ry = _rf_sum(xs), _rf_sum(ys)  # by the constructor and +, with the gcd
-    unread = [z for z in (x, y) if not z.is_zero]
+    # a kernel value holds its denominator as exponents alone
     assert x._exps is not None and y._exps is not None
-    assert all(z._den is None for z in unread)
-    # both factored: equality by exponents, before any denominator is read
+    assert x._den is None and y._den is None
+    # both factored: equality by exponents
     assert (x == y) == (y == x) == (rx == ry)
     assert (x != y) == (rx != ry)
-    assert all(z._den is None for z in unread)
     # one factored, one not: equality by the expanded denominators
     assert x == rx and rx == x and y == ry and ry == y
     assert hash(x) == hash(rx) and hash(y) == hash(ry)
@@ -629,8 +653,10 @@ def test_reading_den_changes_neither_equality_nor_hash(terms):
     exps = a._exps
     assert a is not b and a == b
     den = a.den
+    # den is read from the memo of the exponents, and no slot is written
     assert den == exact._cyclo_den(exps) and a.den is den and a._exps == exps
-    assert a == b and b == a and b._den is None
+    assert a._den is None and b._den is None
+    assert a == b and b == a
     assert hash(b) == hash(a) == hash((a.num, den))
     c = _factored(terms)
     assert hash(c) == hash(a) and c == _rf_sum(terms)
@@ -638,17 +664,24 @@ def test_reading_den_changes_neither_equality_nor_hash(terms):
 
 def test_values_over_one_carry_the_empty_exponents():
     # the torus reads `_exps` alone: a value over 1 carries (), however it
-    # is built; one over another denominator not built by the kernel, None
-    x = RationalFunction(LaurentPoly(-2, [3, 0, -1], 4))
+    # is built; one over another denominator not built by the kernel, a
+    # rational scalar included, holds that denominator and None
+    x = RationalFunction(LaurentPoly(-2, [3, 0, -1]))
     t3 = RationalFunction.t_power(3)
-    over_one = [x, RationalFunction(LaurentPoly(1, [2]), LaurentPoly(0, [5])), t3,
-                RationalFunction.constant(Fraction(-7, 3)), RationalFunction.constant(0),
-                t3.inv(), rf(2, [3], 0, [2]).inv(), rf(0, [1], 0, [1, 1, 1]).inv(),
+    over_one = [x, RationalFunction(LaurentPoly(1, [10]), LaurentPoly(0, [5])), t3,
+                RationalFunction.constant(-7), RationalFunction.constant(Fraction(6, 3)),
+                RationalFunction.constant(0), t3.inv(), rf(2, [3], 0, [3]).inv(),
+                rf(0, [1], 0, [1, 1, 1]).inv(), rf(0, [1], 0, [-1]).inv(),
                 x ** 3, t3 ** -2, x * x, x + t3, x - x, -x, x.shifted(2), RF_ZERO, RF_ONE,
                 RationalFunction.from_json(x.to_json())]
     for c in over_one:
-        assert c.den == LaurentPoly.one() and c._exps == ()
+        assert c.den == LaurentPoly.one() and c._exps == () and c._den is None
+    assert RationalFunction.constant(5)._exps == ()
     over_phi3 = rf(1, [2, -1], 0, [1, 1, 1])
+    half = RationalFunction.constant(Fraction(1, 2))
     for c in (over_phi3, over_phi3 * x, over_phi3 ** 2, over_phi3 + t3,
-              RationalFunction.from_json(over_phi3.to_json())):
-        assert c._exps is None
+              RationalFunction.from_json(over_phi3.to_json()), half, half * x, -half,
+              RationalFunction(LaurentPoly(1, [2]), LaurentPoly(0, [5])),
+              RationalFunction.constant(Fraction(-7, 3)), rf(2, [3], 0, [2]).inv()):
+        assert c._exps is None and c._den is not None and c.den != LaurentPoly.one()
+    assert half.num == LaurentPoly.one() and half.den == LaurentPoly.constant(2)

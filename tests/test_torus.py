@@ -646,7 +646,7 @@ def _random_cyclotomic_element(rng, n, trunc):
         if sum(d) <= trunc:
             exps = tuple((i, rng.randint(1, 2)) for i in (1, 2, 3, 4, 6) if rng.random() < 0.4)
             num = LaurentPoly(rng.randint(-2, 2), [rng.randint(-2, 2) for _ in range(3)])
-            terms[d] = exact._cyclo_sum(((exps, num.t_low, num._ints, num._den),))
+            terms[d] = exact._cyclo_sum(((exps, num.t_low, num._ints),))
     return TorusElement(n, trunc, terms)
 
 
@@ -677,7 +677,7 @@ def test_convolve_falls_back_on_non_cyclotomic_denominators(monkeypatch):
 def test_coefficients_without_exponents_take_the_reference_path(monkeypatch):
     # a value over Phi_3 from the constructor carries no exponents, so a
     # product with it goes pair by pair, to the values of the kernel path
-    over_phi3 = exact._cyclo_sum(((((3, 1),), 1, (2, -1), 1),))
+    over_phi3 = exact._cyclo_sum(((((3, 1),), 1, (2, -1)),))
     rebuilt = RationalFunction(LaurentPoly(1, (2, -1)), LaurentPoly(0, (1, 1, 1)))
     assert over_phi3._exps == ((3, 1),) and rebuilt._exps is None and rebuilt == over_phi3
     b = dilog(3, 4, (0, 1, 0)) * dilog(3, 4, (1, 1, 0))
@@ -691,6 +691,21 @@ def test_coefficients_without_exponents_take_the_reference_path(monkeypatch):
     assert calls == []
     got = [convolve(foreign, b), convolve(b, foreign), convolve(foreign, foreign)]
     assert len(calls) == 3 and got == want
+    # rational scalars hold their denominators, not exponents: products
+    # with 1/2 and (1 + t) / (3 (t^2 - 1)) go pair by pair too, to the
+    # values of the torus at a point
+    half = RationalFunction.constant(Fraction(1, 2))
+    third = RationalFunction(LaurentPoly(0, (1, 1)), LaurentPoly(0, (-3, 0, 3)))
+    assert half._exps is None and third._exps is None
+    scalar = TorusElement(3, 4, {(0, 0, 0): half, (1, 0, 0): third, (0, 1, 1): half * third})
+    for x, y in ((scalar, b), (b, scalar), (scalar, scalar), (scalar, kernel)):
+        calls.clear()
+        got = convolve(x, y)
+        assert len(calls) == 1 and got == _convolve_reference(x, y)
+        for t0 in (Fraction(2), Fraction(3)):
+            want_at = torus_at_point.product_at(t0, torus_at_point.element_at(t0, x),
+                                                torus_at_point.element_at(t0, y), 4)
+            assert torus_at_point.same_at_point(torus_at_point.element_at(t0, got), want_at)
 
 
 # the commands of each benchmark workload that multiply in the torus: the

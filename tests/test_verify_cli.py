@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +24,8 @@ from hallq.exact import GaussianRational, LaurentPoly, RF_ONE, RationalFunction
 from hallq.hall import BudgetError
 from hallq.quiver import CyclicQuiver, ModuleIso
 from hallq.stability import StabilityFunction, random_discrete
-from hallq.torus import TorusElement, convolve, ez, ordered_product, torus_diff
+from hallq.torus import (TorusElement, convolve, dilog, ez, ordered_product, stable_dims,
+                         torus_diff)
 from hallq.verify import (
     CAMPAIGNS,
     CampaignConfig,
@@ -46,6 +48,7 @@ from hallq.verify import (
     _element_digest,
     _integration_pair_count,
     _mismatch,
+    _trial_products,
 )
 
 Q3 = CyclicQuiver(3)
@@ -134,18 +137,42 @@ def test_campaign_invariance():
     assert payload["element_sha256"]
 
 
+def test_trial_products_hold_at_most_about_two_products():
+    # trial 0's product is kept and each later one dropped once compared:
+    # with the memos warm, 8 trials at (4, 8) peak less than one product
+    # above 2 trials, where holding every product would add six
+    cfg = CampaignConfig(n=4, truncation=8, trials=8).check("invariance")
+    orders = [stable_dims(random_discrete(4, seed, 8)) for seed in range(8)]
+
+    def traced(run):
+        """(current, peak) traced bytes, with the result of run() alive."""
+        tracemalloc.start()
+        try:
+            kept = run()  # alive while measured
+            return tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
+    ok, _ = _trial_products(cfg, {}, orders)
+    assert ok
+    size, _ = traced(lambda: ordered_product([dilog(4, 8, d) for d in orders[0]], 4, 8))
+    _, two = traced(lambda: _trial_products(cfg, {}, orders[:2]))
+    _, eight = traced(lambda: _trial_products(cfg, {}, orders))
+    assert size > 0 and eight < two + size
+
+
 def _nested_digest(a):
     return hashlib.sha256(json.dumps(a.to_json(), sort_keys=True).encode()).hexdigest()
 
 
 def _random_element(rng, n, trunc):
-    # repeated coefficients, numerators with an integer denominator and
-    # negative t_low, cyclotomic and non-cyclotomic denominators
+    # repeated coefficients, numerators with negative t_low over an
+    # integer scalar times a cyclotomic or non-cyclotomic denominator
     pool = [RationalFunction(LaurentPoly(rng.randint(-4, 3),
-                                         [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))],
-                                         rng.randint(1, 6)),
-                             LaurentPoly(0, rng.choice([(1,), (-1, 0, 1), (1, 2), (2, -3, 1),
-                                                        (1, 1, 1)])))
+                                         [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]),
+                             LaurentPoly.constant(rng.randint(1, 6))
+                             * LaurentPoly(0, rng.choice([(1,), (-1, 0, 1), (1, 2), (2, -3, 1),
+                                                          (1, 1, 1)])))
             for _ in range(5)]
     terms = {}
     for _ in range(rng.randint(1, 12)):
@@ -165,9 +192,9 @@ def test_element_digest_matches_the_nested_dump():
         elements += [ez(random_discrete(n, seed, 8), trunc) for seed in range(2)]
         elements += [TorusElement.zero(n, trunc), TorusElement.one(n, 0),
                      TorusElement.monomial(n, trunc, (0,) * n, RationalFunction(
-                         LaurentPoly(-3, [1, -2, 5], 4), LaurentPoly(0, [1, 2])))]
-    frac = RationalFunction(LaurentPoly(-2, [1, 3], 4))
-    assert frac.num._den > 1 and frac.num.t_low < 0
+                         LaurentPoly(-3, [1, -2, 5]), LaurentPoly(0, [4, 8])))]
+    frac = RationalFunction(LaurentPoly(-2, [1, 3]), LaurentPoly.constant(4))
+    assert frac.den == LaurentPoly.constant(4) and frac.num.t_low < 0
     elements.append(TorusElement(3, 4, {(1, 0, 2): frac, (0, 2, 0): -frac, (0, 0, 0): RF_ONE}))
     assert any(e.terms and len(set(e.terms.values())) < len(e.terms) for e in elements)
     for a in elements:

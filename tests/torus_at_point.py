@@ -7,7 +7,8 @@ t0^lambda.  This module computes in that torus with no code from the
 polynomial stack: an element is a dict of dimension vector -> Fraction,
 lambda comes from the Euler form written out here, and a coefficient of
 the torus layer is evaluated from the integers of its numerator and its
-Phi-exponents alone, never from its expanded denominator.
+Phi-exponents alone, never from its expanded denominator (a value with no
+Phi-exponents, such as 1/2, from the integers of the denominator it holds).
 """
 
 from fractions import Fraction
@@ -96,11 +97,18 @@ def phi_at(t0: Fraction, i: int) -> Fraction:
     return out
 
 
+def poly_at(t0: Fraction, p) -> Fraction:
+    """A Laurent polynomial at t0, from its integers."""
+    return sum(Fraction(x) * t0 ** (p.t_low + k) for k, x in enumerate(p._ints))
+
+
 def coefficient_at(t0: Fraction, c) -> Fraction:
     """A coefficient of the torus layer at t0: num(t0) from the integers of
-    its numerator, over prod Phi_i(t0)^e_i from its exponents `_exps`."""
-    num = c.num
-    value = sum(Fraction(x) * t0 ** (num.t_low + k) for k, x in enumerate(num._ints)) / num._den
+    its numerator, over prod Phi_i(t0)^e_i from its exponents `_exps`, or,
+    for a value without them, over the integers of its denominator `_den`."""
+    value = poly_at(t0, c.num)
+    if c._exps is None:
+        return value / poly_at(t0, c._den)
     for i, e in c._exps:
         value /= phi_at(t0, i) ** e
     return value

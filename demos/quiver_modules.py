@@ -1,24 +1,24 @@
 """The category of nilpotent cyclic-quiver representations, by hand.
 
 Indecomposables are uniserial: pick a socle vertex and a length.  The
-script prints subobject chains, the Euler and commutator forms, and
-automorphism-group sizes as polynomials in the field size q.
+script reads the subobject chain of a uniserial off the submodule census
+over F_2, prints the Euler and commutator forms, automorphism-group sizes
+as polynomials in the field size q, and the translation tau on the image
+of a module in the quantum torus.
 """
 
-from hallq import CyclicQuiver, ModuleIso
+from hallq import CyclicQuiver, ModuleIso, apply_translate, integrate, submodule_census
 
 
 def main():
     q = CyclicQuiver(3)
 
-    print("== uniserials and their chains ==")
+    print("== a uniserial and its chain, from the census over F_2 ==")
     r = q.R(3, 3)
     print(f"module {r}, dimension vector {q.dim_of_indec(r)}")
-    print(f"socle {r.socle}, top vertex {q.top(r)}")
-    for sub in q.subobjects(r):
-        if sub.length < r.length:
-            quo = q.chain_quotient(r, sub.length)
-            print(f"  0 -> {sub} -> {r} -> {quo} -> 0")
+    for sub, quo, count in submodule_census(q.n, ModuleIso.of(r), 2):
+        if not sub.is_zero and not quo.is_zero:
+            print(f"  0 -> {sub} -> {r} -> {quo} -> 0   ({count} such submodule)")
 
     print()
     print("== bilinear forms on dimension vectors ==")
@@ -37,16 +37,15 @@ def main():
         ModuleIso.of(q.R(1, 2), q.simple(1)),
     ]:
         poly = q.aut_poly(m)
-        print(f"|Aut({m})| = {poly}   at q=2: {q.aut_value(m, 2)}")
+        print(f"|Aut({m})| = {poly}   at q=2: {poly.eval_even_at_q(2)}")
 
     print()
-    print("== translation ==")
+    print("== translation on the image in the quantum torus ==")
     m = ModuleIso.of(q.R(2, 1), q.R(1, 3))
-    print(f"tau({m}) = {q.translate_module(m)}")
-    d = (1, 1, 0)
-    once = q.translate_dim(d)
-    thrice = q.translate_dim(q.translate_dim(once))
-    print(f"on dimension vectors: tau{d} = {once}, tau^3{d} = {thrice}")
+    image = integrate(q, m, 4)
+    print(f"[{m}] = {image}")
+    print(f"tau [{m}] = {apply_translate(image)}")
+    print(f"tau^3 [{m}] == [{m}]: {apply_translate(image, 3) == image}")
 
     print()
     total = sum(1 for _ in q.enumerate_iso_classes(4))

@@ -6,8 +6,7 @@ combinatorics of uniserial modules (`quiver`), stability functions and
 filtrations (`stability`), the truncated quantum torus (`torus`),
 finite-field counting (`hall`), and verification campaigns with a CLI
 (`verify`, `cli`).  The brute-force Hom/Ext and automorphism oracles
-(`oracles`) are off the CLI's import path: `hallq.hom_ext_oracle` and
-`hallq.count_automorphisms` load them on first use.
+are not imported here: tests import them from `hallq.oracles`.
 """
 
 from .exact import (GaussianRational, LaurentPoly, PhaseDomainError,
@@ -18,9 +17,9 @@ from .hall import (Budget, BudgetError, FiniteFieldRep, HallPolynomial,
                    submodule_census)
 from .quiver import CyclicQuiver, DimVector, Indecomposable, ModuleIso
 from .stability import (NotDiscreteError, StabilityFunction, ZeroChargeError,
-                        charge_of, charge_of_indec, charge_of_module,
-                        check_discrete, delta_stable_via_ci, hn_filtration,
-                        is_semistable, is_stable, perturb_to_ambient_discrete,
+                        charge_of, charge_of_indec, check_discrete,
+                        delta_stable_via_ci, hn_filtration, is_semistable,
+                        is_stable, perturb_to_ambient_discrete,
                         random_discrete, random_restricted_discrete,
                         stable_indecomposables_up_to, stable_objects,
                         translate_function)
@@ -37,26 +36,13 @@ __all__ = [
     "InterpolationError", "LaurentPoly", "ModuleIso", "NotDiscreteError",
     "PhaseDomainError", "PoleError", "RationalFunction",
     "StabilityFunction", "TorusElement", "ZeroChargeError",
-    "apply_translate", "charge_of", "charge_of_indec", "charge_of_module",
-    "check_discrete", "check_integration_homomorphism", "convolve",
-    "count_automorphisms", "delta_stable_via_ci", "dilog",
-    "dilog_coefficient", "ez", "ez_delta", "ez_factors", "hall_count",
-    "hn_filtration", "hom_ext_oracle", "integrate", "integrate_iso_sum",
-    "integrate_modules", "interpolate_hall",
-    "is_semistable", "is_stable", "iso_class_of", "ordered_product",
-    "perturb_to_ambient_discrete", "phase_cmp", "random_discrete",
-    "random_restricted_discrete", "realize", "rf_eq",
-    "stable_indecomposables_up_to", "stable_objects", "submodule_census",
-    "torus_diff", "torus_inverse", "translate_function",
+    "apply_translate", "charge_of", "charge_of_indec", "check_discrete",
+    "check_integration_homomorphism", "convolve", "delta_stable_via_ci",
+    "dilog", "dilog_coefficient", "ez", "ez_delta", "ez_factors",
+    "hall_count", "hn_filtration", "integrate", "integrate_iso_sum",
+    "integrate_modules", "interpolate_hall", "is_semistable", "is_stable",
+    "iso_class_of", "ordered_product", "perturb_to_ambient_discrete",
+    "phase_cmp", "random_discrete", "random_restricted_discrete", "realize",
+    "rf_eq", "stable_indecomposables_up_to", "stable_objects",
+    "submodule_census", "torus_diff", "torus_inverse", "translate_function",
 ]
-
-
-def __getattr__(name: str):
-    if name in ("count_automorphisms", "hom_ext_oracle"):
-        from . import oracles
-        return getattr(oracles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

@@ -302,7 +302,7 @@ class LaurentPoly(Immutable):
     __slots__ = ("t_low", "_ints")
 
     def __init__(self, t_low: int, ints: Sequence[int]):
-        ints = list(ints)
+        ints = list(map(index, ints))
         lead = 0
         while ints and ints[0] == 0:
             ints.pop(0)
@@ -333,7 +333,7 @@ class LaurentPoly(Immutable):
 
     @staticmethod
     def constant(c: int) -> "LaurentPoly":
-        return LaurentPoly(0, (index(c),))
+        return LaurentPoly(0, (c,))
 
     @staticmethod
     def from_q_coeffs(coeffs: Iterable[int]) -> "LaurentPoly":

@@ -197,9 +197,6 @@ class FiniteFieldRep(Immutable):
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "maps", maps)
 
-    def target(self, v: int) -> int:
-        return (v - 1) % self.n
-
 
 def realize(q: CyclicQuiver, m: ModuleIso, p: int) -> FiniteFieldRep:
     """Block-diagonal matrix model: one basis vector per composition

@@ -1,13 +1,11 @@
-"""Brute-force oracles of the Hom/Ext dimensions and of |Aut M|, and a
-nilpotency check of matrix realizations.
+"""Brute-force oracles of the Hom/Ext dimensions and of |Aut M|.
 
 The oracles solve the intertwiner system of two matrix realizations:
 over Q by fraction-free elimination, or over F_p, where the
 automorphisms are also counted by sweeping the endomorphism space.
-Tests check the closed forms of `quiver` (Euler form, Hom/End
-dimensions, |Aut M|(q)) against them.  The CLI never imports this
-module; `hallq.hom_ext_oracle` and `hallq.count_automorphisms` load it
-on first use.
+Tests check the closed forms of `quiver` (Euler form, the Hom table
+under |Aut M|, |Aut M|(q)) against them.  Neither `import hallq` nor the
+CLI imports this module; import it as `hallq.oracles`.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import List, Optional, Sequence, Tuple
 
-from .hall import (DEFAULT_BUDGET, Budget, BudgetError, FiniteFieldRep, _mat_mul,
+from .hall import (DEFAULT_BUDGET, Budget, BudgetError, FiniteFieldRep,
                    _nullspace_mod, _rank_mod, is_prime, realize)
 from .quiver import CyclicQuiver, ModuleIso
 
@@ -42,22 +40,6 @@ def _int_rank(rows: Sequence[Sequence[int]]) -> int:
         if rank == len(m):
             break
     return rank
-
-
-def check_nilpotent(rep: FiniteFieldRep) -> bool:
-    """Whether the composite of sum(dims) consecutive arrow maps of `rep`,
-    from every vertex, is zero."""
-    total = sum(rep.dims)
-    for start in range(rep.n):
-        d = rep.dims[start]
-        comp = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        v = start
-        for _ in range(total):
-            comp = _mat_mul(rep.maps[v], comp, d, rep.p)
-            v = rep.target(v)
-        if any(any(row) for row in comp):
-            return False
-    return True
 
 
 def _intertwiner_system(ra: FiniteFieldRep, rb: FiniteFieldRep) -> Tuple[List[List[int]], int]:

@@ -4,7 +4,9 @@ The quiver has vertices 1..n arranged in a cycle.  Every indecomposable
 nilpotent representation is uniserial and is written R(i, l): socle the
 simple S_i, length l, composition series S_i, S_{i+1}, ..., S_{i+l-1}
 read from the bottom up (indices mod n).  Subobjects of R(i, l) form the
-chain R(i, k) for k <= l, with quotient R(i+k, l-k).
+chain R(i, k) for k <= l, with quotient R(i+k, l-k), as
+`hall.submodule_census` lists them; the translation tau R(i, l) =
+R(i-1, l) rotates dimension vectors, as `torus.apply_translate` does.
 
 Dimension vectors are plain tuples of n nonnegative integers.  The Euler
 form here is chi(e_i, e_j) = [i = j] - [j = i - 1 mod n]; its
@@ -13,9 +15,8 @@ antisymmetrisation lambda vanishes against the cyclic vector delta.
 
 from __future__ import annotations
 
-from math import prod
 from operator import mul, sub
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .exact import Immutable, LaurentPoly
 
@@ -87,12 +88,6 @@ class ModuleIso(Immutable):
     def __add__(self, other: "ModuleIso") -> "ModuleIso":
         return ModuleIso.of(*(self.summands + other.summands))
 
-    def counts(self) -> Dict[Indecomposable, int]:
-        out: Dict[Indecomposable, int] = {}
-        for r in self.summands:
-            out[r] = out.get(r, 0) + 1
-        return out
-
     def __str__(self) -> str:
         if not self.summands:
             return "0"
@@ -148,21 +143,6 @@ class CyclicQuiver(Immutable):
                 v[(r.socle - 1 + j) % self.n] += 1
         return tuple(v)
 
-    def top(self, r: Indecomposable) -> int:
-        return self.vertex(r.socle + r.length - 1)
-
-    # -- subobject chain --------------------------------------------------
-
-    def subobjects(self, r: Indecomposable) -> List[Indecomposable]:
-        """Proper and improper nonzero subobjects R(i, k), k = 1..length."""
-        return [Indecomposable(r.socle, k) for k in range(1, r.length + 1)]
-
-    def chain_quotient(self, r: Indecomposable, k: int) -> Indecomposable:
-        """R(i, l) / R(i, k) = R(i+k, l-k); requires 0 < k < l."""
-        if not 0 < k < r.length:
-            raise ValueError("quotient needs a proper nonzero subobject")
-        return self.R(r.socle + k, r.length - k)
-
     # -- bilinear forms ---------------------------------------------------
 
     def euler_form(self, d: DimVector, e: DimVector) -> int:
@@ -177,10 +157,6 @@ class CyclicQuiver(Immutable):
         return tuple(map(sub, e[1:] + e[:1], e[-1:] + e[:-1]))
 
     # -- hom spaces ---------------------------------------------------------
-
-    def hom_dim(self, a: Indecomposable, b: Indecomposable) -> int:
-        """dim Hom(R(i,l), R(j,m)) = #{1 <= s <= min(l,m) : s = i+l-j mod n}."""
-        return self._hom_table([(a.socle, a.length, 1)], [(b.socle, b.length, 1)])[0][0]
 
     def _hom_table(self, ra: list, rb: list) -> List[List[int]]:
         """m_r m_s dim Hom(R_r, R_s), one row per run r of ra and one entry
@@ -249,27 +225,6 @@ class CyclicQuiver(Immutable):
         for k in ks:
             out = out * (LaurentPoly.q_power(k) - LaurentPoly.one())
         return out
-
-    def aut_value(self, m: ModuleIso, p: int) -> int:
-        e, ks = self.aut_factors(m)
-        return p ** e * prod(p ** k - 1 for k in ks)
-
-    # -- Auslander-Reiten translation -----------------------------------------
-
-    def translate(self, r: Indecomposable) -> Indecomposable:
-        """tau R(i, l) = R(i-1, l)."""
-        return self.R(r.socle - 1, r.length)
-
-    def translate_inv(self, r: Indecomposable) -> Indecomposable:
-        return self.R(r.socle + 1, r.length)
-
-    def translate_module(self, m: ModuleIso) -> ModuleIso:
-        return ModuleIso.of(*(self.translate(r) for r in m.summands))
-
-    def translate_dim(self, d: DimVector) -> DimVector:
-        """(tau d)_j = d_{j+1 mod n}; dim(tau M) = tau(dim M)."""
-        n = self.n
-        return tuple(d[(j + 1) % n] for j in range(n))
 
     # -- enumeration ------------------------------------------------------------
 

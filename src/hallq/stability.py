@@ -104,10 +104,6 @@ def charge_of_indec(z: StabilityFunction, r: Indecomposable) -> GaussianRational
     return charge_of(z, z.quiver.dim_of_indec(r))
 
 
-def charge_of_module(z: StabilityFunction, m: ModuleIso) -> GaussianRational:
-    return charge_of(z, z.quiver.dim_of(m))
-
-
 def _cross(a: Tuple[int, int], b: Tuple[int, int]) -> int:
     """Positive exactly when arg(a) < arg(b), zero when the phases agree."""
     return a[0] * b[1] - a[1] * b[0]
@@ -293,26 +289,30 @@ def hn_filtration(z: StabilityFunction, m: ModuleIso) -> List[Tuple[ModuleIso, G
 # Random generation and perturbation
 # ----------------------------------------------------------------------
 
-def random_discrete(n: int, seed: int, bound: int = 8,
-                    max_tries: int = 1000) -> StabilityFunction:
+# draw budgets: seeded draws of a random function, candidate perturbations
+_DRAWS = 1000
+_PERTURBATIONS = 400
+
+
+def random_discrete(n: int, seed: int, bound: int = 8) -> StabilityFunction:
     """Seeded random discrete stability function.
 
     Real parts in [-bound, bound], imaginary parts in [1, bound], all
     with denominators <= 16; resampled until the stable census has
     pairwise distinct phases.  Deterministic in (n, seed, bound).  Raises
-    :class:`BudgetError` when `max_tries` draws find none.
+    :class:`BudgetError` when `_DRAWS` draws find none.
     """
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_DRAWS):
         z = _sample(rng, n, bound)
         ok, _witness = check_discrete(z)
         if ok:
             return z
-    raise _draws_spent("no discrete function", max_tries)
+    raise _draws_spent("no discrete function", _DRAWS)
 
 
-def _draws_spent(what: str, max_tries: int) -> BudgetError:
-    return BudgetError(f"{what} found within the draw budget of {max_tries} draws; "
+def _draws_spent(what: str, draws: int) -> BudgetError:
+    return BudgetError(f"{what} found within the draw budget of {draws} draws; "
                        f"a larger --bound spreads the charges further")
 
 
@@ -328,19 +328,19 @@ def _sample(rng: random.Random, n: int, bound: int) -> StabilityFunction:
 
 
 def random_restricted_discrete(n: int, seed: int, max_length: int,
-                               bound: int = 8, max_tries: int = 1000) -> StabilityFunction:
+                               bound: int = 8) -> StabilityFunction:
     """Seeded random function whose stables of length <= max_length have
     pairwise distinct phases (no condition on longer objects).  Raises
-    :class:`BudgetError` when `max_tries` draws find none."""
+    :class:`BudgetError` when `_DRAWS` draws find none."""
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_DRAWS):
         z = _sample(rng, n, bound)
         try:
             stable_indecomposables_up_to(z, max_length)
         except NotDiscreteError:
             continue
         return z
-    raise _draws_spent("no suitable function", max_tries)
+    raise _draws_spent("no suitable function", _DRAWS)
 
 
 def translate_function(z: StabilityFunction) -> StabilityFunction:
@@ -350,8 +350,8 @@ def translate_function(z: StabilityFunction) -> StabilityFunction:
     return StabilityFunction(z.n, charges)
 
 
-def perturb_to_ambient_discrete(z: StabilityFunction, subcat_max_length: int,
-                                max_tries: int = 400) -> StabilityFunction:
+def perturb_to_ambient_discrete(z: StabilityFunction, subcat_max_length: int
+                                ) -> StabilityFunction:
     """Nudge charges until the function is discrete on the whole category
     while the stables of length <= subcat_max_length survive unchanged and
     in the same phase order.
@@ -359,7 +359,7 @@ def perturb_to_ambient_discrete(z: StabilityFunction, subcat_max_length: int,
     The input must already have distinct phases on that restricted stable
     set.  Candidate perturbations shrink geometrically and every candidate
     is checked exactly, so the result is trustworthy whenever it returns.
-    Raises :class:`BudgetError` when `max_tries` candidates find none.
+    Raises :class:`BudgetError` when `_PERTURBATIONS` candidates find none.
     """
     target = stable_indecomposables_up_to(z, subcat_max_length)
     ok, _ = check_discrete(z)
@@ -367,7 +367,7 @@ def perturb_to_ambient_discrete(z: StabilityFunction, subcat_max_length: int,
         return z
     rng = random.Random(0xD15C)
     scale = Fraction(1, 64)
-    for attempt in range(max_tries):
+    for attempt in range(_PERTURBATIONS):
         charges = []
         for zi in z.charges:
             dre = Fraction(rng.randint(-8, 8), 64)
@@ -384,7 +384,7 @@ def perturb_to_ambient_discrete(z: StabilityFunction, subcat_max_length: int,
             return cand
         if attempt % 20 == 19:
             scale /= 2
-    raise _draws_spent("no admissible perturbation", max_tries)
+    raise _draws_spent("no admissible perturbation", _PERTURBATIONS)
 
 
 def _restricted_match(z: StabilityFunction, max_length: int,

@@ -460,11 +460,11 @@ def stable_dims(z: StabilityFunction, include_delta: bool = False) -> List[DimVe
             if include_delta or r != report.delta_stable]
 
 
-def ez_factors(z: StabilityFunction, truncation: int, include_delta: bool = False
+def ez_factors(z: StabilityFunction, truncation: int
                ) -> Tuple[List[DimVector], List[TorusElement]]:
     """Dimension vectors and dilogarithms of the stable objects, as
     :func:`stable_dims` orders them."""
-    dims = stable_dims(z, include_delta)
+    dims = stable_dims(z)
     return dims, [dilog(z.n, truncation, d) for d in dims]
 
 

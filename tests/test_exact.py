@@ -192,6 +192,11 @@ def test_laurent_json_round_trip():
         LaurentPoly.from_json({"t_low": 1, "coeffs": ["1/4", "5"]})
     with pytest.raises(TypeError):
         LaurentPoly.constant(Fraction(1, 2))
+    # ... and so is one handed to the constructor, when it is built
+    with pytest.raises(TypeError):
+        LaurentPoly(0, [Fraction(1, 2)])
+    with pytest.raises(TypeError):
+        LaurentPoly(-1, [1, 0, 2.0])
 
 
 # ----------------------------------------------------------------------

@@ -2,14 +2,18 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hallq.exact import LaurentPoly
+from hallq.hall import submodule_census
 from hallq.quiver import (CyclicQuiver, Indecomposable, ModuleIso, _runs, multiset_walk,
                           multisets_with_budget)
+from hallq.torus import apply_translate, integrate
 
 Q2 = CyclicQuiver(2)
 Q3 = CyclicQuiver(3)
@@ -40,14 +44,17 @@ def test_dim_of_indec():
 
 
 def test_top_vertex():
-    assert Q3.top(Q3.R(1, 2)) == 2
-    assert Q3.top(Q3.R(3, 3)) == 2
-    assert Q3.top(Q3.simple(2)) == 2
+    # the top S_(i+l-1) of R(i, l) is its one simple quotient, as the
+    # census over F_2 lists it
+    for r, top in ((Q3.R(1, 2), 2), (Q3.R(3, 3), 2), (Q3.simple(2), 2)):
+        quotients = [quo for _, quo, _ in submodule_census(3, ModuleIso.of(r), 2)
+                     if len(quo) == 1 and quo.summands[0].length == 1]
+        assert quotients == [ModuleIso.of(Q3.simple(top))]
 
 
 def test_module_iso_sum_and_counts():
     m = ModuleIso.of(Q3.simple(1), Q3.simple(1), Q3.R(1, 2))
-    assert m.counts() == {Q3.simple(1): 2, Q3.R(1, 2): 1}
+    assert Counter(m.summands) == {Q3.simple(1): 2, Q3.R(1, 2): 1}
     assert Q3.dim_of(m) == (3, 1, 0)
     assert (m + ModuleIso.zero()) == m
     assert Q3.dim_of(ModuleIso.zero()) == (0, 0, 0)
@@ -64,35 +71,42 @@ def test_indecomposable_validation():
 
 
 # ----------------------------------------------------------------------
-# Subobject chain
+# Subobject chain, read off the submodule census
 # ----------------------------------------------------------------------
 
+def chain(r, p=2):
+    """(submodule, quotient) pairs of the uniserial r over F_p, with count 1."""
+    rows = submodule_census(3, ModuleIso.of(r), p)
+    assert all(count == 1 for _, _, count in rows)
+    return {(sub, quo) for sub, quo, _ in rows}
+
+
 def test_subobjects_of_uniserial():
-    assert Q3.subobjects(Q3.R(3, 3)) == [Q3.R(3, 1), Q3.R(3, 2), Q3.R(3, 3)]
+    subs = sorted((sub for sub, _ in chain(Q3.R(3, 3))), key=lambda m: sum(Q3.dim_of(m)))
+    assert subs == [ModuleIso.zero()] + [ModuleIso.of(Q3.R(3, k)) for k in (1, 2, 3)]
 
 
 def test_chain_quotients():
     r = Q3.R(3, 3)
-    assert Q3.chain_quotient(r, 1) == Q3.R(1, 2)
-    assert Q3.chain_quotient(r, 2) == Q3.R(2, 1)
-    with pytest.raises(ValueError):
-        Q3.chain_quotient(r, 3)
-    with pytest.raises(ValueError):
-        Q3.chain_quotient(r, 0)
+    pairs = chain(r, 3)
+    assert (ModuleIso.of(Q3.R(3, 1)), ModuleIso.of(Q3.R(1, 2))) in pairs
+    assert (ModuleIso.of(Q3.R(3, 2)), ModuleIso.of(Q3.R(2, 1))) in pairs
+    assert len(pairs) == 4
 
 
 def test_chain_quotient_long_module():
-    assert Q3.chain_quotient(Q3.R(1, 4), 1) == Q3.R(2, 3)
+    assert (ModuleIso.of(Q3.R(1, 1)), ModuleIso.of(Q3.R(2, 3))) in chain(Q3.R(1, 4))
 
 
 @given(st.integers(2, 5), st.integers(1, 8), st.integers(1, 10))
 def test_subquotient_dims_add_up(n, socle, length):
+    # R(i, l) / R(i, k) = R(i+k, l-k), the rows submodule_census lists
     q = CyclicQuiver(n)
     r = q.R(socle, length)
     whole = q.dim_of_indec(r)
     for k in range(1, length):
         sub = q.dim_of_indec(q.R(r.socle, k))
-        quo = q.dim_of_indec(q.chain_quotient(r, k))
+        quo = q.dim_of_indec(q.R(r.socle + k, length - k))
         assert tuple(s + t for s, t in zip(sub, quo)) == whole
 
 
@@ -149,25 +163,31 @@ def test_lambda_is_antisymmetrized_euler(d, e):
 # Hom dimensions
 # ----------------------------------------------------------------------
 
+def hom_dim(q, a, b):
+    """dim Hom(R(i,l), R(j,m)) = #{1 <= s <= min(l,m) : s = i+l-j mod n},
+    the one-entry table of the one-summand runs of a and b."""
+    return q._hom_table([(a.socle, a.length, 1)], [(b.socle, b.length, 1)])[0][0]
+
+
 def test_hom_dim_anchors():
-    assert Q3.hom_dim(Q3.R(3, 3), Q3.R(1, 2)) == 1
-    assert Q3.hom_dim(Q3.R(1, 3), Q3.R(1, 3)) == 1
-    assert Q2.hom_dim(Q2.R(1, 2), Q2.R(1, 2)) == 1
+    assert hom_dim(Q3, Q3.R(3, 3), Q3.R(1, 2)) == 1
+    assert hom_dim(Q3, Q3.R(1, 3), Q3.R(1, 3)) == 1
+    assert hom_dim(Q2, Q2.R(1, 2), Q2.R(1, 2)) == 1
     # no quotient of R(1,2) embeds into R(3,3)
-    assert Q3.hom_dim(Q3.R(1, 2), Q3.R(3, 3)) == 0
+    assert hom_dim(Q3, Q3.R(1, 2), Q3.R(3, 3)) == 0
 
 
 def test_hom_dim_simples():
     for i in range(1, 4):
         for j in range(1, 4):
-            assert Q3.hom_dim(Q3.simple(i), Q3.simple(j)) == (1 if i == j else 0)
+            assert hom_dim(Q3, Q3.simple(i), Q3.simple(j)) == (1 if i == j else 0)
 
 
 def test_hom_dim_long_modules():
     # maps factor through shared composition-series windows
-    assert Q2.hom_dim(Q2.R(1, 4), Q2.R(1, 4)) == 2
-    assert Q2.hom_dim(Q2.R(1, 4), Q2.R(1, 2)) == 1
-    assert Q2.hom_dim(Q2.R(1, 2), Q2.R(1, 4)) == 1
+    assert hom_dim(Q2, Q2.R(1, 4), Q2.R(1, 4)) == 2
+    assert hom_dim(Q2, Q2.R(1, 4), Q2.R(1, 2)) == 1
+    assert hom_dim(Q2, Q2.R(1, 2), Q2.R(1, 4)) == 1
 
 
 def hom_runs(q, a, b):
@@ -179,7 +199,7 @@ def test_hom_dim_modules_additive():
     a = ModuleIso.of(Q3.simple(1), Q3.R(1, 2))
     b = ModuleIso.of(Q3.simple(1), Q3.simple(2))
     total = sum(
-        Q3.hom_dim(x, y) for x in a.summands for y in b.summands
+        hom_dim(Q3, x, y) for x in a.summands for y in b.summands
     )
     assert hom_runs(Q3, a, b) == total
 
@@ -207,8 +227,8 @@ def test_aut_poly_square_of_simple():
     # |GL_2(F_q)| = (q^2 - 1)(q^2 - q)
     m = ModuleIso.of(Q3.simple(1), Q3.simple(1))
     assert Q3.aut_poly(m) == LaurentPoly.from_q_coeffs([0, 1, -1, -1, 1])
-    assert Q3.aut_value(m, 2) == 6
-    assert Q3.aut_value(m, 3) == 48
+    assert Q3.aut_poly(m).eval_even_at_q(2) == 6
+    assert Q3.aut_poly(m).eval_even_at_q(3) == 48
 
 
 def test_aut_poly_uniserial_length_two():
@@ -227,8 +247,8 @@ def _aut_factors_by_counts(q, m):
     """|Aut M| = q^e prod (q^k - 1) from the multiplicities m_r of the
     distinct summands R_r: e = sum m_r m_s dim Hom(R_r, R_s) - sum
     m_r (m_r + 1) / 2, and ks lists 1..m_r for every r."""
-    mults = m.counts()
-    end = sum(ma * mb * q.hom_dim(x, y)
+    mults = Counter(m.summands)
+    end = sum(ma * mb * hom_dim(q, x, y)
               for x, ma in mults.items() for y, mb in mults.items())
     e = end - sum(k * (k + 1) // 2 for k in mults.values())
     return e, tuple(sorted(k for mult in mults.values() for k in range(1, mult + 1)))
@@ -242,9 +262,9 @@ def test_aut_factors_match_the_counts_formula(n):
         assert q.aut_factors(m) == _aut_factors_by_counts(q, m), m
     sample = classes[::max(1, len(classes) // 60)]
     for a, b in itertools.product(sample, repeat=2):
-        ca, cb = a.counts(), b.counts()
+        ca, cb = Counter(a.summands), Counter(b.summands)
         assert hom_runs(q, a, b) == sum(
-            ma * mb * q.hom_dim(x, y) for x, ma in ca.items() for y, mb in cb.items())
+            ma * mb * hom_dim(q, x, y) for x, ma in ca.items() for y, mb in cb.items())
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -316,53 +336,59 @@ def test_multisets_with_budget_keeps_the_recursive_order():
 
 
 def test_aut_value_matches_poly_eval():
+    # |Aut M|(q) at q = p against q^e prod (q^k - 1) evaluated in integers
     for m in Q3.enumerate_iso_classes(3):
         if m.is_zero:
             continue
         poly = Q3.aut_poly(m)
+        e, ks = Q3.aut_factors(m)
         for p in (2, 3, 5):
-            assert poly.eval_even_at_q(p) == Q3.aut_value(m, p)
+            assert poly.eval_even_at_q(p) == p ** e * prod(p ** k - 1 for k in ks)
 
 
 # ----------------------------------------------------------------------
-# Translation
+# Translation: tau R(i, l) = R(i-1, l), on the torus image of a module
 # ----------------------------------------------------------------------
+
+def image(*parts, trunc=6):
+    return integrate(Q3, ModuleIso.of(*parts), trunc)
+
 
 def test_translate_anchors():
-    assert Q3.translate(Q3.R(2, 1)) == Q3.R(1, 1)
-    assert Q3.translate(Q3.R(1, 2)) == Q3.R(3, 2)
-    assert Q3.translate_dim((1, 1, 0)) == (1, 0, 1)
+    assert apply_translate(image(Q3.R(2, 1))) == image(Q3.R(1, 1))
+    assert apply_translate(image(Q3.R(1, 2))) == image(Q3.R(3, 2))
+    assert list(apply_translate(image(Q3.simple(1), Q3.simple(2))).terms) == [(1, 0, 1)]
 
 
 def test_translate_round_trip():
-    r = Q3.R(2, 4)
-    assert Q3.translate_inv(Q3.translate(r)) == r
-    out = r
+    x = image(Q3.R(2, 4))
+    assert apply_translate(apply_translate(x), -1) == x
+    out = x
     for _ in range(3):
-        out = Q3.translate(out)
-    assert out == r
+        out = apply_translate(out)
+    assert out == x
 
 
 def test_translate_dim_consistent_with_modules():
     for r in Q3.enumerate_indecomposables(6):
-        assert Q3.dim_of_indec(Q3.translate(r)) == Q3.translate_dim(
-            Q3.dim_of_indec(r)
-        )
+        assert apply_translate(image(r)) == image(Q3.R(r.socle - 1, r.length)), r
 
 
 def test_translate_module():
-    m = ModuleIso.of(Q3.R(2, 1), Q3.R(1, 3))
-    assert Q3.translate_module(m) == ModuleIso.of(Q3.R(1, 1), Q3.R(3, 3))
+    assert apply_translate(image(Q3.R(2, 1), Q3.R(1, 3))) == image(Q3.R(1, 1), Q3.R(3, 3))
 
 
 def test_translate_preserves_forms_and_hom():
+    # tau R(i, l) = R(i-1, l) turns dimension vectors by (tau d)_j = d_(j+1)
     pairs = list(itertools.product(Q3.enumerate_indecomposables(4), repeat=2))
     for a, b in pairs:
-        ta, tb = Q3.translate(a), Q3.translate(b)
-        assert Q3.hom_dim(ta, tb) == Q3.hom_dim(a, b)
+        ta, tb = Q3.R(a.socle - 1, a.length), Q3.R(b.socle - 1, b.length)
+        assert hom_dim(Q3, ta, tb) == hom_dim(Q3, a, b)
         da, db = Q3.dim_of_indec(a), Q3.dim_of_indec(b)
-        assert Q3.euler_form(Q3.translate_dim(da), Q3.translate_dim(db)) == Q3.euler_form(da, db)
-        assert Q3.lambda_form(Q3.translate_dim(da), Q3.translate_dim(db)) == Q3.lambda_form(da, db)
+        tda, tdb = da[1:] + da[:1], db[1:] + db[:1]
+        assert (Q3.dim_of_indec(ta), Q3.dim_of_indec(tb)) == (tda, tdb)
+        assert Q3.euler_form(tda, tdb) == Q3.euler_form(da, db)
+        assert Q3.lambda_form(tda, tdb) == Q3.lambda_form(da, db)
 
 
 @pytest.mark.parametrize("n,classes", [(2, 139), (3, 415), (4, 990), (5, 2052)])

@@ -29,10 +29,13 @@ that has no Phi-exponents (built neither by the kernel nor over 1, such as
 a rational scalar 1/2).  The reduction is memoised on its term tuple,
 which repeats: every E(y^d) has the same coefficients, so a chain of
 products forms the same products of them at many keys and steps.  Every
-output key of ``convolve`` is one kernel call, so the memo is the only
-shortcut past the reduction; a pair with the numerator 1 on one side
-takes the other numerator as it is, with no convolution, and lambda(d, e)
-is d dotted with the row ``CyclicQuiver.lambda_row(e)``, once per key e.
+factor of such a chain has the constant term 1, so ``convolve`` splits a
+constant term equal to 1 off either operand: a key reached only by 1 * c
+keeps the coefficient object c, with no kernel call, and every other
+output key is one kernel call, past which the memo is the only shortcut.
+A pair with the numerator 1 on one side takes the other numerator as it
+is, with no convolution, and lambda(d, e) is d dotted with the row
+``CyclicQuiver.lambda_row(e)``, once per key e.
 The class sums of dimension vectors related by rotation and reversal of
 Delta_n are equal, so ``integrate_iso_sum`` counts and reduces only one
 representative per orbit and copies its coefficient to the rest.
@@ -177,42 +180,71 @@ def convolve(a: TorusElement, b: TorusElement) -> TorusElement:
 
     The term pairs are bucketed by output key and each bucket, as a
     tuple of terms, is summed in one canonical reduction by the cyclotomic
-    kernel; an operand with a coefficient that has no Phi-exponents (built
-    neither by the kernel nor over 1) takes the pair-by-pair path of
-    :func:`_convolve_reference`.  The twist is one dot product per pair
-    with the right key's row lambda(., e).
+    kernel.  A constant term equal to 1 on either side is split off from
+    the pair loop: each key of the other operand gets its product with
+    that 1 as one term of its bucket, and a bucket that no other term
+    joins is not reduced, its key keeping the operand's coefficient
+    object.  An operand with a coefficient that has no Phi-exponents
+    (built neither by the kernel nor over 1) takes the pair-by-pair path
+    of :func:`_convolve_reference`.  The twist is one dot product per
+    pair with the right key's row lambda(., e).
     """
     a._check_compatible(b)
-    a_items = _cyclotomic_items(a)
-    b_items = _cyclotomic_items(b)
-    if a_items is None or b_items is None:
+    a_split = _cyclotomic_items(a)
+    b_split = _cyclotomic_items(b)
+    if a_split is None or b_split is None:
         return _convolve_reference(a, b)
+    (a_items, a_unit), (b_items, b_unit) = a_split, b_split
     n, bound = a.n, a.truncation
     row = CyclicQuiver(n).lambda_row
-    b_items = [item + (row(item[0]),) for item in b_items]
+    b_rows = [item + (row(item[0]),) for item in b_items]
+    # a product 1 * c at key f (lambda(0, f) = lambda(f, 0) = 0) enters
+    # the bucket of f where the pair loop would have met it, so the term
+    # tuples and the key order are those of the full loop; passed[f]
+    # keeps c, the output at f if no other term joins it
     buckets: Dict[DimVector, list] = {}
+    passed: Dict[DimVector, RationalFunction] = {}
+    if a_unit and b_unit:
+        zero = (0,) * n
+        buckets[zero], passed[zero] = [((), 0, (1,))], RF_ONE
+    if a_unit:
+        for e, _, eb, sb, nb in b_items:
+            buckets[e], passed[e] = [(eb, sb, nb)], b.terms[e]
     for d, td, ea, sa, na in a_items:
-        for e, te, eb, sb, nb, r in b_items:
+        if b_unit:
+            bucket = buckets.get(d)
+            if bucket is None:
+                buckets[d], passed[d] = [(ea, sa, na)], a.terms[d]
+            else:
+                bucket.append((ea, sa, na))
+        for e, te, eb, sb, nb, r in b_rows:
             if td + te > bound:
                 continue
             buckets.setdefault(tuple(map(add, d, e)), []).append(
                 (_exps_merge(ea, eb), sa + sb + sum(map(mul, d, r)),
                  nb if na == (1,) else na if nb == (1,) else _iconv(na, nb)))
-    return TorusElement._trusted(n, bound, {
-        f: _cyclo_sum(tuple(terms)) for f, terms in buckets.items()})
+    out = {f: passed[f] if len(terms) == 1 and f in passed else _cyclo_sum(tuple(terms))
+           for f, terms in buckets.items()}
+    return TorusElement._trusted(n, bound, out)
 
 
-def _cyclotomic_items(a: TorusElement) -> Optional[list]:
-    """(key, total, exps, t_low, ints) per term, the exponents those
-    the coefficient carries; None if one has no Phi-exponents (built
-    neither by the kernel nor over 1)."""
+def _cyclotomic_items(a: TorusElement) -> Optional[tuple]:
+    """(items, unit): items holds (key, total, exps, t_low, ints) per
+    term, the exponents those the coefficient carries, except a constant
+    term equal to 1, which sets unit; None if a coefficient has no
+    Phi-exponents (built neither by the kernel nor over 1)."""
     out = []
+    unit = False
     for d, c in a.terms.items():
         exps = c._exps
         if exps is None:
             return None
-        out.append((d, sum(d), exps, c.num.t_low, c.num._ints))
-    return out
+        td = sum(d)
+        if not td and c == RF_ONE:
+            unit = True
+            continue
+        out.append((d, td, exps, c.num.t_low, c.num._ints))
+    return out, unit
 
 
 def _convolve_reference(a: TorusElement, b: TorusElement) -> TorusElement:

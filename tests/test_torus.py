@@ -847,7 +847,7 @@ def test_campaign_identities_hold_at_a_point(t0):
 
 
 # ----------------------------------------------------------------------
-# Unit coefficients, one kernel call per output key, and the twist row
+# Unit coefficients, kernel calls and pass-throughs, and the twist row
 # ----------------------------------------------------------------------
 
 def _with_unit(x, key):
@@ -885,28 +885,82 @@ def test_convolve_products_with_unit_coefficients_match_the_reference(n):
             assert convolve(x, y) == _convolve_reference(x, y)
 
 
-def test_convolve_reduces_every_output_key_in_the_kernel(monkeypatch):
-    # every key that some pair reaches is one kernel call, those reached
-    # only by a pair with a coefficient 1 on one side included: each step
-    # of ez at (4, 8), seed 0, whose factors all have the constant term 1,
-    # and products with the unit constant term on either side
+def _with_constant(x, c):
+    terms = dict(x.terms)
+    terms[(0,) * x.n] = c
+    return TorusElement(x.n, x.truncation, terms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_convolve_with_unit_constant_terms_matches_the_reference(n):
+    # the constant term 1 split off on the left, on the right and on both
+    # sides, as RF_ONE and as a kernel-made 1 that is another object
+    made_one = dilog_coefficient(0)
+    assert made_one == RF_ONE and made_one is not RF_ONE
+    trunc = 4
+    rng = random.Random(60 + n)
+    for _ in range(30):
+        a = _random_cyclotomic_element(rng, n, trunc)
+        b = _random_cyclotomic_element(rng, n, trunc)
+        for one in (RF_ONE, made_one):
+            ua, ub = _with_constant(a, one), _with_constant(b, one)
+            for x, y in ((ua, b), (a, ub), (ua, ub), (ub, ua)):
+                assert convolve(x, y) == _convolve_reference(x, y)
+    # a key reached by two pass-throughs, 1 * c1 and c2 * 1, alone and
+    # with a pair term too; and the unit alone on either side
+    q = CyclicQuiver(n)
+    c1, c2 = dilog_coefficient(1), dilog_coefficient(2).shifted(1)
+    e1, e2 = q.e(1), q.e(2)
+    both = tuple(x + y for x, y in zip(e1, e2))
+    x = TorusElement(n, trunc, {(0,) * n: made_one, e1: c1, e2: c2})
+    y = TorusElement(n, trunc, {(0,) * n: RF_ONE, e1: c2, both: c1})
+    for u, v in ((x, y), (y, x), (x, x), (TorusElement.one(n, trunc), x),
+                 (y, TorusElement.one(n, trunc)), (_with_constant(x, c1), y)):
+        assert convolve(u, v) == _convolve_reference(u, v)
+    assert convolve(x, y).coefficient(e1) == c1 + c2
+
+
+def _pass_through_keys(a, b):
+    # the reached keys, and those reached by one pair only, that pair
+    # having the constant term 1 on one side
+    unit_a, unit_b = a.constant_term == RF_ONE, b.constant_term == RF_ONE
+    reach = Counter(tuple(x + y for x, y in zip(d, e)) for d in a.terms for e in b.terms
+                    if sum(d) + sum(e) <= a.truncation)
+    through = {f for f, k in reach.items()
+               if k == 1 and (unit_a and f in b.terms or unit_b and f in a.terms)}
+    return through, set(reach)
+
+
+def test_convolve_reduces_each_key_in_the_kernel_or_passes_its_coefficient_through(
+        monkeypatch):
+    # a key reached only by 1 * c keeps c itself, with no kernel call, and
+    # every other reached key is one kernel call: each step of ez at
+    # (4, 8), seed 0, whose factors all have the constant term 1, and
+    # products with the unit constant term on either side
     calls = []
     kernel = torus._cyclo_sum
     monkeypatch.setattr(torus, "_cyclo_sum", lambda terms: calls.append(1) or kernel(terms))
 
     def check(a, b):
-        keys = {tuple(x + y for x, y in zip(d, e)) for d in a.terms for e in b.terms
-                if sum(d) + sum(e) <= a.truncation}
+        through, keys = _pass_through_keys(a, b)
         calls.clear()
         out = convolve(a, b)
-        assert len(calls) == len(keys) and set(out.terms) <= keys
-        return out
+        assert len(calls) + len(through) == len(keys) and set(out.terms) <= keys
+        unit_a, unit_b = a.constant_term == RF_ONE, b.constant_term == RF_ONE
+        for f in through:
+            if not any(f) and unit_a and unit_b:
+                assert out.terms[f] is RF_ONE
+            else:
+                assert out.terms[f] is (b.terms[f] if unit_a and f in b.terms else a.terms[f])
+        return out, len(through)
 
     z = random_discrete(4, 0, 8)
     acc = TorusElement.one(4, 8)
+    passed = 0
     for f in ez_factors(z, 8)[1]:
-        acc = check(acc, f)
-    assert acc == ez(z, 8)
+        acc, k = check(acc, f)
+        passed += k
+    assert acc == ez(z, 8) and passed > 0
     rng = random.Random(7)
     for n in (2, 3, 4):
         a, b = (_with_unit(_random_cyclotomic_element(rng, n, 4), (0,) * n) for _ in range(2))

@@ -20,7 +20,15 @@ kernel nor over 1, such as 1/2).  The torus's sums have cyclotomic
 denominators, which the private kernel ``_cyclo_sum`` cancels by exact
 division alone, each division by Phi_i after a fold test: Phi_i divides
 t^i - 1, so it divides p exactly when it divides p mod (t^i - 1), of
-degree < i.  The fold test decides, and the division is exact.
+degree < i.  The fold test decides, and the division is exact.  Ahead of
+it, one integer rules most Phi_i out: the value p(X) at X = 2^64, the
+point of the heuristic gcd of Char, Geddes and Gonnet.  Phi_i is monic,
+so Phi_i | p gives Phi_i(X) | p(X), and a nonzero p(X) mod Phi_i(X)
+proves that Phi_i does not divide p.  The certificate only ever says
+"does not divide".  When the remainder r of p by Phi_i is nonzero with
+coefficients far below X, 0 < |r(X)| < Phi_i(X) and Phi_i is ruled out.
+So the dilogarithm products and iso-class sums of the benchmark's
+commands run no fold test, and each one the integration sums run divides.
 The kernel is memoised on its one argument, a tuple of terms (exps, s,
 ints) with a tuple numerator, which is its only entry: dilogarithm
 products and rotated class sums hand it the same term tuples again and
@@ -770,17 +778,33 @@ def _fold_divisible(p: Sequence[int], i: int) -> bool:
     return True
 
 
-def _divide_out(p: tuple, i: int, most: int) -> tuple:
-    """(p / Phi_i^e, e) for the largest e <= most with Phi_i^e dividing p.
+def _at_x(p: Sequence[int]) -> int:
+    """p(X) at the certificate's point X = 2^64, by Horner with shifts."""
+    v = 0
+    for c in reversed(p):
+        v = (v << 64) + c
+    return v
 
-    The fold test decides whether Phi_i divides p, so each division it
-    allows is exact; an inexact one raises ArithmeticError."""
+
+def _divide_out(p: tuple, v: int, i: int, most: int) -> tuple:
+    """(p / Phi_i^e, its value at X, e) for the largest e <= most with
+    Phi_i^e dividing p, given v = p(X) at X = 2^64.
+
+    The value is a certificate of non-divisibility: Phi_i is monic, so
+    Phi_i | p in Z[t] gives Phi_i(X) | p(X), and a nonzero p(X) mod
+    Phi_i(X) proves that Phi_i does not divide p, with no fold test.  It
+    never says "divides": when the remainder is 0, the fold test decides,
+    so each division it allows is exact; an inexact one raises
+    ArithmeticError.  After each division the value is divided by
+    Phi_i(X) too."""
     phi = _cyclotomic(i)
+    phi_x = _at_x(phi)
     e = 0
-    while e < most and len(phi) <= len(p) and _fold_divisible(p, i):
+    while e < most and len(phi) <= len(p) and v % phi_x == 0 and _fold_divisible(p, i):
         p = _iexact_div(p, phi)
+        v //= phi_x
         e += 1
-    return p, e
+    return p, v, e
 
 
 @lru_cache(maxsize=None)
@@ -798,6 +822,11 @@ def _cyclo_sum(terms: tuple) -> RationalFunction:
     to the exponent-wise maximum of all denominators, and every Phi_i is
     then cancelled from the integer numerator by exact division, each
     division tried only once the fold test of :func:`_divide_out` allows it.
+    A group of one term (most groups of a torus sum) is lifted and added at
+    its shift directly, with no sum of its own; no group is lifted whose
+    denominator is the maximum.  The numerator's value at X = 2^64 is
+    taken once, and :func:`_divide_out` rules out each Phi_i that leaves
+    a nonzero remainder there without a fold test.
     """
     groups: dict = {}
     for term in terms:
@@ -808,21 +837,27 @@ def _cyclo_sum(terms: tuple) -> RationalFunction:
         top = _exps_merge(top, exps, max)
     total: list = []
     for exps, group in groups.items():
-        acc: list = []
-        for _, s, a in group:
-            _iadd_at(acc, s - lo, a)
-        lift = _exps_sub(top, exps)
-        _iadd_at(total, 0, _iconv(_itrim(acc), _cyclo_den(lift)._ints) if lift else acc)
+        if len(group) == 1:
+            _, s, a = group[0]
+            at = s - lo
+        else:
+            a, at = [], 0
+            for _, s, b in group:
+                _iadd_at(a, s - lo, b)
+        if exps != top:
+            a = _iconv(a, _cyclo_den(_exps_sub(top, exps))._ints)
+        _iadd_at(total, at, a)
     num = _itrim(total)
     if not num:
         return RF_ZERO
     k = next(j for j, x in enumerate(num) if x)
     num, lo = num[k:], lo + k
     left = top
-    if len(num) > 1:  # no Phi_i divides a monomial
+    if len(num) > 1 and top:  # no Phi_i divides a monomial
+        v = _at_x(num)
         left = []
         for i, e in top:
-            num, done = _divide_out(num, i, e)
+            num, v, done = _divide_out(num, v, i, e)
             if done < e:
                 left.append((i, e - done))
         left = tuple(left)

@@ -10,7 +10,6 @@ comparisons are provably not vacuous.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from fractions import Fraction
@@ -18,7 +17,17 @@ from math import gcd
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .exact import GaussianRational, Immutable, RationalFunction
+# sha256 from the interpreter's built-in module, as random.py takes its
+# sha512: hashlib would load the OpenSSL binding _hashlib at each launch
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
+from .exact import GaussianRational, Immutable
 from .hall import (CATALOG_BUDGET, ENV_BUDGET, BudgetError, ConfigError,
                    budget_from_env, check_integration_homomorphism,
                    hall_polynomials, is_prime, next_prime)
@@ -200,17 +209,21 @@ def _element_digest(a: TorusElement) -> str:
     once by ``json.dumps``, and the fixed frame around the renderings and
     the dimension vectors has the keys in sorted order and the default
     separators.  A product has far fewer distinct coefficients than keys
-    (92 for the 495 of an ez(4, 8) product)."""
-    coeffs: Dict[RationalFunction, str] = {}
+    (92 for the 495 of an ez(4, 8) product).  The renderings are keyed on
+    (t_low, numerator ints, exponents) of a factored coefficient, which
+    determine its value, and on the value itself otherwise, so no key
+    hashes a denominator polynomial."""
+    coeffs: Dict[object, str] = {}
     parts = []
     for d in sorted(a.terms):
         c = a.terms[d]
-        s = coeffs.get(c)
+        key = c if c._exps is None else (c.num.t_low, c.num._ints, c._exps)
+        s = coeffs.get(key)
         if s is None:
-            s = coeffs[c] = json.dumps(c.to_json(), sort_keys=True)
+            s = coeffs[key] = json.dumps(c.to_json(), sort_keys=True)
         parts.append(f'{{"coeff": {s}, "dim": [{", ".join(map(str, d))}]}}')
     blob = f'{{"n": {a.n}, "terms": [{", ".join(parts)}], "truncation": {a.truncation}}}'
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 def _finish(payload: dict, witness: list) -> Tuple[bool, dict]:

@@ -35,6 +35,28 @@ MUTANTS = [
      ["tests/test_exact.py::test_fold_test_passes_every_multiple_of_phi",
       "tests/test_exact.py::test_fold_test_agrees_with_exact_division",
       "tests/test_exact.py::test_fold_test_agrees_on_near_multiples"]),
+    # the certificate always answers "does not divide": no Phi_i is ever
+    # divided out, so cancelling sums are left out of lowest terms
+    ("src/hallq/exact.py", "v % phi_x == 0", "False",
+     ["tests/test_exact.py::test_fold_test_passes_every_multiple_of_phi",
+      "tests/test_exact.py::test_certificate_rejects_only_what_the_fold_test_rejects",
+      "tests/test_exact.py::test_cancelling_sums_test_each_factor_that_divides_and_no_other",
+      "tests/test_exact.py::test_cyclo_sum_cancels_to_canonical_form"]),
+    # the value at X is not divided after a division: still exact, since
+    # a stale value only rules out less, but a squared Phi_i that cancels
+    # once gets a second fold test
+    ("src/hallq/exact.py", "v //= phi_x", "v = v",
+     ["tests/test_exact.py::test_fold_test_passes_every_multiple_of_phi",
+      "tests/test_exact.py::test_cancelling_sums_test_each_factor_that_divides_and_no_other"]),
+    # a single-term group of the kernel added without its shift s - lo
+    ("src/hallq/exact.py", "at = s - lo", "at = 0",
+     ["tests/test_exact.py::test_cyclo_sum_matches_rational_function_sum",
+      "tests/test_exact.py::test_cancelling_sums_test_each_factor_that_divides_and_no_other",
+      "tests/test_exact.py::test_factored_results_agree_with_the_constructor"]),
+    # the element digest keys a factored coefficient's rendering on its
+    # numerator alone, so values over other denominators share it
+    ("src/hallq/verify.py", "(c.num.t_low, c.num._ints, c._exps)", "(c.num.t_low, c.num._ints)",
+     ["tests/test_verify_cli.py::test_element_digest_matches_the_nested_dump"]),
     # the kernel term of convolve without its twist t^lambda
     ("src/hallq/torus.py", "sa + sb + sum(map(mul, d, r)),", "sa + sb,",
      ["tests/test_torus.py::test_convolve_matches_reference_on_random_cyclotomic_elements",

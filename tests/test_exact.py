@@ -1,5 +1,7 @@
 """Tests for exact Gaussian-rational phases and Laurent rational functions."""
 
+import contextlib
+import io
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -8,7 +10,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from hallq import exact
+from hallq import cli, exact, hall, quiver, stability, torus, verify
 from hallq.exact import (
     GaussianRational,
     LaurentPoly,
@@ -514,8 +516,8 @@ def test_fold_test_passes_every_multiple_of_phi(i, e, g):
     for _ in range(e):
         p = exact._iconv(p, exact._cyclotomic(i))
     assert exact._fold_divisible(p, i)
-    q, done = exact._divide_out(p, i, e)
-    assert done == e
+    q, v, done = exact._divide_out(p, exact._at_x(p), i, e)
+    assert done == e and v == exact._at_x(q)
     for _ in range(e):
         q = exact._iconv(q, exact._cyclotomic(i))
     assert q == p
@@ -523,9 +525,14 @@ def test_fold_test_passes_every_multiple_of_phi(i, e, g):
 
 def test_a_fold_test_that_passes_everything_makes_the_kernel_raise(monkeypatch):
     # the fold test decides and the division is exact: if the test lets
-    # Phi_1 = t - 1 through for 1 + t^2, the inexact division raises
-    # instead of leaving a value that is not in lowest terms
-    term = (((1, 1),), 0, (1, 0, 1))
+    # Phi_1 = t - 1 through for p = (X - 2) + t^2, the inexact division
+    # raises instead of leaving a value that is not in lowest terms.  p(X)
+    # = X^2 + X - 2 is a multiple of Phi_1(X) = X - 1 although Phi_1 does
+    # not divide p (p(1) = X - 1), so the certificate lets Phi_1 through
+    # to the fold test
+    p = (X - 2, 0, 1)
+    assert exact._at_x(p) % exact._at_x(exact._cyclotomic(1)) == 0
+    term = (((1, 1),), 0, p)
     assert exact._cyclo_sum.__wrapped__((term,))._exps == ((1, 1),)
     monkeypatch.setattr(exact, "_fold_divisible", lambda p, i: True)
     with pytest.raises(ArithmeticError):
@@ -561,6 +568,124 @@ def test_fold_test_agrees_on_near_multiples():
         p = exact._itrim(p)
         if p:
             assert exact._fold_divisible(p, i) == _divides(p, i)
+
+
+# ----------------------------------------------------------------------
+# The certificate ahead of the fold test: p(X) mod Phi_i(X) at X = 2^64
+# ----------------------------------------------------------------------
+
+X = 2 ** 64
+near_x = st.one_of(st.integers(-9, 9), st.integers(X - 9, X + 9), st.integers(-X - 9, -X + 9),
+                   st.integers(-2 ** 70, 2 ** 70))
+
+
+def _certificate_rejects(p, i):
+    return exact._at_x(p) % exact._at_x(exact._cyclotomic(i)) != 0
+
+
+@given(st.integers(1, 30), st.lists(near_x, min_size=1, max_size=10).filter(any),
+       st.integers(0, 3), st.integers(0, 2), st.integers(0, 40), st.sampled_from((-1, 1)))
+@example(1, [1, 0, 1], 0, 0, 0, 1)
+@example(1, [X - 2, 0, 1], 0, 0, 0, 1)
+@example(3, [1, 1], 3, 2, 1, -1)
+def test_certificate_rejects_only_what_the_fold_test_rejects(i, g, kind, e, at, sign):
+    # kind 0: g itself; 1: g * Phi_i^e; 2: that with one coefficient moved
+    # by sign; 3: that plus sign * (X - t) t^at, which leaves the value at
+    # X unchanged, so only the fold test can reject it
+    p = list(g)
+    if kind >= 1:
+        for _ in range(e):
+            p = list(exact._iconv(p, exact._cyclotomic(i)))
+    if kind == 2:
+        p[at % len(p)] += sign
+    if kind == 3:
+        p += [0] * (at + 2 - len(p))
+        p[at] += sign * X
+        p[at + 1] -= sign
+    p = exact._itrim(p)
+    assume(p)
+    if _certificate_rejects(p, i):
+        assert not exact._fold_divisible(p, i)
+    # the whole path, certificate then fold test, decides as exact division
+    q, v, done = exact._divide_out(p, exact._at_x(p), i, 1)
+    assert done == _divides(p, i) and v == exact._at_x(q)
+
+
+def _split_sum(top, num, part, shift):
+    """Terms whose sum is num / prod Phi^top: `part` t^shift over `exps`,
+    a proper factor of top, and the rest over top itself; two single-term
+    groups, one lifted and one not."""
+    exps, a = part
+    lifted = exact._iconv(a, exact._cyclo_den(exact._exps_sub(top, exps))._ints)
+    rest = list(num) + [0] * (shift + len(lifted))
+    for j, c in enumerate(lifted):
+        rest[shift + j] -= c
+    return ((top, 0, exact._itrim(rest)), (exps, shift, a))
+
+
+def _phis(*idx):
+    out = (1,)
+    for i in idx:
+        out = exact._iconv(out, exact._cyclotomic(i))
+    return out
+
+
+@pytest.mark.parametrize("top, num, part", [
+    # Phi_4 cancels; at shift 0, 1/((t - 1)(t^2 + 1)) + t/((t + 1)(t^2 + 1)) = 1/(t^2 - 1)
+    (((1, 1), (2, 1), (4, 1)), _phis(4), (((1, 1), (4, 1)), (1,))),
+    (((1, 1), (2, 1), (4, 1)), exact._iconv(_phis(4), (2, 1)), (((1, 1), (2, 1)), (1, -1, 3))),
+    # Phi_3 Phi_6 cancels
+    (((1, 1), (3, 1), (6, 1)), exact._iconv(_phis(3, 6), (1, -2)), (((3, 1),), (4, 1))),
+    # a squared Phi_2: both factors cancel, or one does and the certificate
+    # rules out the second
+    (((2, 2), (3, 1)), exact._iconv(_phis(2, 2), (3, 0, 1)), (((2, 1),), (1, 5))),
+    (((2, 2), (3, 1)), exact._iconv(_phis(2), (3, 0, 1)), (((3, 1),), (-2, 1, 1))),
+    (((1, 3), (4, 2)), exact._iconv(_phis(1, 1, 4), (1, 1, 1)), (((4, 1),), (7,))),
+])
+@pytest.mark.parametrize("shift", [0, 2])
+def test_cancelling_sums_test_each_factor_that_divides_and_no_other(monkeypatch, top, num,
+                                                                    part, shift):
+    terms = _split_sum(top, num, part, shift)
+    calls = []
+    fold = exact._fold_divisible
+    monkeypatch.setattr(exact, "_fold_divisible",
+                        lambda p, i: calls.append(i) or fold(p, i))
+    got = _factored(terms)
+    assert got == _rf_sum(terms) == _rf_of_term(top, 0, num)
+    divided = sum(e for _, e in top) - sum(e for _, e in got._exps)
+    assert divided > 0
+    # the small cofactors leave a nonzero remainder at X for every Phi_i
+    # that does not divide, so each fold test is a division
+    assert len(calls) == divided
+
+
+def _run_cold(argv):
+    """Run a CLI command with every memo of the package cleared first."""
+    for mod in (exact, hall, quiver, stability, torus, verify):
+        for fn in vars(mod).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("argv, divides", [
+    (["verify", "invariance", "--n", "4", "--trunc", "8", "--trials", "2"], False),
+    (["verify", "hn-identity", "--n", "4", "--trunc", "7", "--trials", "1"], False),
+    (["verify", "integration", "--n", "3"], True),
+])
+def test_the_certificate_leaves_a_fold_test_only_where_a_factor_divides(monkeypatch, argv,
+                                                                        divides):
+    # no Phi_i cancels from any sum of a dilogarithm product or an
+    # iso-class sum, and the certificate rules each one out alone; the
+    # integration sums do cancel, and each fold test there is a division
+    calls = []
+    fold = exact._fold_divisible
+    monkeypatch.setattr(exact, "_fold_divisible",
+                        lambda p, i: calls.append(fold(p, i)) or calls[-1])
+    _run_cold(argv)
+    assert exact._cyclo_sum.cache_info().misses > 0
+    assert all(calls) and bool(calls) == divides
 
 
 # ----------------------------------------------------------------------

@@ -40,6 +40,22 @@ def test_cli_import_leaves_out_dataclasses_and_the_oracles():
     assert run.stdout.strip() == "False []"
 
 
+def test_cli_import_leaves_out_hashlib_and_the_element_digest_still_matches_it():
+    # the digest's sha256 comes from the built-in module, so a launch does
+    # not load hashlib and the OpenSSL binding _hashlib behind it
+    probe = ("import sys, hallq.cli; "
+             "print(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))")
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(hallq.__file__).parents[1])))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+    import hashlib
+    from hallq import verify
+    blob = b'{"n": 2}'
+    assert verify.sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()
+
+
 def test_plain_launch_leaves_out_argparse_and_help_still_comes_from_it():
     # a plain command line is read by the argv fast path; argparse, and
     # the gettext and locale it loads, come in only for help and errors

@@ -196,7 +196,20 @@ def test_element_digest_matches_the_nested_dump():
     frac = RationalFunction(LaurentPoly(-2, [1, 3]), LaurentPoly.constant(4))
     assert frac.den == LaurentPoly.constant(4) and frac.num.t_low < 0
     elements.append(TorusElement(3, 4, {(1, 0, 2): frac, (0, 2, 0): -frac, (0, 0, 0): RF_ONE}))
+    # the renderings are keyed on (t_low, ints, exps) of a factored value
+    # and on the value of one that holds `_den`; one value held both ways
+    # must render the same
+    over_phi3 = exact._cyclo_sum(((((3, 1),), 1, (2, -1)),))
+    same = RationalFunction(over_phi3.num, over_phi3.den)
+    assert same == over_phi3 and same._den is not None and over_phi3._den is None
+    half = RationalFunction.constant(Fraction(1, 2))
+    elements.append(TorusElement(2, 3, {(1, 0): over_phi3, (0, 1): same, (1, 1): -same,
+                                        (2, 0): over_phi3.shifted(1), (0, 2): half,
+                                        (2, 1): half * same, (0, 0): -over_phi3}))
     assert any(e.terms and len(set(e.terms.values())) < len(e.terms) for e in elements)
+    coeffs = [c for e in elements for c in e.terms.values()]
+    assert any(c._den is not None for c in coeffs)
+    assert any(c._exps for c in coeffs)
     for a in elements:
         assert _element_digest(a) == _nested_digest(a)
 

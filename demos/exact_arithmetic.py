@@ -27,7 +27,7 @@ def main():
     # phase_cmp is -1, 0 or +1 as arg z <, =, > arg w
     print(f"phase_cmp(z, w) = {phase_cmp(z, w)}  (cross product {z.cross(w)})")
     # scaling never changes a phase
-    print(f"phase_cmp(3z, z) = {phase_cmp(z.scale(3), z)}")
+    print(f"phase_cmp(3z, z) = {phase_cmp(GaussianRational.of(3 * z.re, 3 * z.im), z)}")
 
     print()
     print("== Laurent polynomials ==")
@@ -35,7 +35,8 @@ def main():
     q = LaurentPoly.q_power(1)  # q = t^2
     print(f"t * t = {t * t}")
     print(f"q - 1 = {q - LaurentPoly.one()}")
-    print(f"(t + t^-1)^2 = {(t + LaurentPoly.t_power(-1)) ** 2}")
+    s = t + LaurentPoly.t_power(-1)
+    print(f"(t + t^-1)^2 = {s * s}")
 
     print()
     print("== rational functions in canonical form ==")

@@ -44,6 +44,13 @@ _MODULE_TOKEN = re.compile(r"^(?:[Ss](\d+)|[Rr](\d+),(\d+))$")
 # the dimension vectors grows with it.
 MAX_MODULE_LENGTH = 100_000
 
+# Cap on the bits of all numerators and denominators of the explicit
+# charges together, about 1,000 decimal digits.  It keeps every charge the
+# reports render (the lcm of the denominators, each uniserial's sum) far
+# below the 4,300 digits Python converts between int and str; bits, unlike
+# digits, are counted without that conversion.
+MAX_CHARGE_BITS = 3_400
+
 # Exceptions that mean the input is at fault (exit 2); NotDiscreteError
 # is raised for explicit charges with two stable objects of equal phase.
 INPUT_ERRORS = (ConfigError, BudgetError, InterpolationError, PhaseDomainError,
@@ -86,6 +93,11 @@ def _parse_charges(raw) -> StabilityFunction:
         pairs = [(Fraction(re_), Fraction(im)) for re_, im in raw]
     except (TypeError, ValueError, ArithmeticError) as err:
         raise ConfigError(f"bad charges entry: {err}")
+    bits = sum(x.numerator.bit_length() + x.denominator.bit_length()
+               for pair in pairs for x in pair)
+    if bits > MAX_CHARGE_BITS:
+        raise ConfigError(f"charges have {bits} bits in their numerators and denominators; "
+                          f"the cap is {MAX_CHARGE_BITS}, about 1,000 decimal digits")
     if len(pairs) < 2:
         raise ConfigError(f"charges need one entry per vertex, n >= 2; got {len(pairs)}")
     return StabilityFunction.of(pairs)
@@ -195,6 +207,8 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config: {err}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}")
+    except ValueError as err:  # not UTF-8, or an integer past the str limit
+        raise ConfigError(f"cannot read config: {err}")
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     return data
@@ -207,35 +221,28 @@ def _build_config(args, require_z_or_seed: bool = False) -> CampaignConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    def pick(flag, key, default):
-        return flag if flag is not None else file_cfg.get(key, default)
-
-    explicit_z: Optional[StabilityFunction] = None
+    # only what a flag or the file gives; CampaignConfig defaults the rest,
+    # and a key given as null is refused there
+    given = {key: file_cfg[key] for key in ("n", "truncation", "trials", "seed", "bound",
+                                            "max_total", "sabotage") if key in file_cfg}
+    for key, flag in (("n", args.n), ("truncation", args.trunc), ("trials", args.trials),
+                      ("seed", args.seed), ("bound", args.bound),
+                      ("sabotage", args.sabotage)):
+        if flag is not None:
+            given[key] = flag
     if "charges" in file_cfg:
-        explicit_z = _parse_charges(file_cfg["charges"])
-    seed = pick(args.seed, "seed", None)
-    if require_z_or_seed and explicit_z is None and seed is None:
+        given["explicit_z"] = _parse_charges(file_cfg["charges"])
+        given.setdefault("n", given["explicit_z"].n)
+    if require_z_or_seed and "explicit_z" not in given and given.get("seed") is None:
         raise ConfigError("provide either charges in --config or a --seed")
-    n = pick(args.n, "n", explicit_z.n if explicit_z else 3)
-    primes = file_cfg.get("primes", (2, 3, 5, 7, 11))
     if args.primes is not None:
-        primes = _parse_primes(args.primes)
-    try:
-        primes = tuple(primes)
-    except TypeError:
-        raise ConfigError(f"primes must be a list of integers, got {primes!r}")
-    return CampaignConfig(
-        n=n,
-        truncation=pick(args.trunc, "truncation", None),
-        trials=pick(args.trials, "trials", 10),
-        seed=seed if seed is not None else 0,
-        bound=pick(args.bound, "bound", 8),
-        explicit_z=explicit_z,
-        primes=primes,
-        max_total=file_cfg.get("max_total", 4),
-        sabotage=pick(args.sabotage, "sabotage", None),
-        verbose=args.verbose,
-    )
+        given["primes"] = _parse_primes(args.primes)
+    elif "primes" in file_cfg:
+        try:
+            given["primes"] = tuple(file_cfg["primes"])
+        except TypeError:
+            raise ConfigError(f"primes must be a list of integers, got {file_cfg['primes']!r}")
+    return CampaignConfig(verbose=args.verbose, **given)
 
 
 def _dispatch(args) -> Tuple[bool, dict]:

@@ -18,17 +18,16 @@ use it), and the torus fallback ``_convolve_reference``, which a product
 takes only for a coefficient with no Phi-exponents (built neither by the
 kernel nor over 1, such as 1/2).  The torus's sums have cyclotomic
 denominators, which the private kernel ``_cyclo_sum`` cancels by exact
-division alone, each division by Phi_i after a fold test: Phi_i divides
-t^i - 1, so it divides p exactly when it divides p mod (t^i - 1), of
-degree < i.  The fold test decides, and the division is exact.  Ahead of
-it, one integer rules most Phi_i out: the value p(X) at X = 2^64, the
-point of the heuristic gcd of Char, Geddes and Gonnet.  Phi_i is monic,
-so Phi_i | p gives Phi_i(X) | p(X), and a nonzero p(X) mod Phi_i(X)
-proves that Phi_i does not divide p.  The certificate only ever says
-"does not divide".  When the remainder r of p by Phi_i is nonzero with
+division by the Phi_i alone.  Ahead of each division, one integer rules
+most Phi_i out: the value p(X) at X = 2^64, the point of the heuristic
+gcd of Char, Geddes and Gonnet.  Phi_i is monic, so Phi_i | p gives
+Phi_i(X) | p(X), and a nonzero p(X) mod Phi_i(X) proves that Phi_i does
+not divide p.  The certificate only ever says "does not divide"; where
+it does not, the division decides, and one that leaves a remainder is
+refused.  When the remainder r of p by Phi_i is nonzero with
 coefficients far below X, 0 < |r(X)| < Phi_i(X) and Phi_i is ruled out.
 So the dilogarithm products and iso-class sums of the benchmark's
-commands run no fold test, and each one the integration sums run divides.
+commands try no division, and each one the integration sums try divides.
 The kernel is memoised on its one argument, a tuple of terms (exps, s,
 ints) with a tuple numerator, which is its only entry: dilogarithm
 products and rotated class sums hand it the same term tuples again and
@@ -124,35 +123,12 @@ class GaussianRational(Immutable):
     def of(re: Rat, im: Rat = 0) -> "GaussianRational":
         return GaussianRational(Fraction(re), Fraction(im))
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def scale(self, k: Rat) -> "GaussianRational":
-        f = Fraction(k)
-        return GaussianRational(self.re * f, self.im * f)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def cross(self, other: "GaussianRational") -> Fraction:
         """re(self)*im(other) - im(self)*re(other), exact."""
         return self.re * other.im - self.im * other.re
 
     def to_json(self) -> list:
         return [frac_str(self.re), frac_str(self.im)]
-
-    @staticmethod
-    def from_json(data: Sequence[str]) -> "GaussianRational":
-        if len(data) != 2:
-            raise ValueError("gaussian rational must be a [re, im] pair")
-        return GaussianRational(Fraction(data[0]), Fraction(data[1]))
 
     def __str__(self) -> str:
         return f"({frac_str(self.re)}) + ({frac_str(self.im)})*i"
@@ -408,18 +384,6 @@ class LaurentPoly(Immutable):
             return self
         return LaurentPoly(self.t_low + k, self._ints)
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        out = _LP_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def eval(self, t0: Rat) -> Fraction:
         t0 = Fraction(t0)
         if self.is_zero:
@@ -479,12 +443,6 @@ class LaurentPoly(Immutable):
 
     def to_json(self) -> dict:
         return {"t_low": self.t_low, "coeffs": list(map(str, self._ints))}
-
-    @staticmethod
-    def from_json(data: dict) -> "LaurentPoly":
-        """The inverse of to_json; a coefficient that is not an integer
-        raises ValueError."""
-        return LaurentPoly(int(data["t_low"]), [int(c) for c in data["coeffs"]])
 
 
 @lru_cache(maxsize=4096)
@@ -621,16 +579,6 @@ class RationalFunction(Immutable):
         n, d = self.num, self.den  # coprime already: no gcd
         return RationalFunction._trusted(*_normal_form(-n.t_low, d._ints, n._ints))
 
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        return self * other.inv()
-
-    def __pow__(self, n: int) -> "RationalFunction":
-        if n < 0:
-            return self.inv() ** (-n)
-        # powers of coprime polynomials stay coprime, and so do their
-        # contents; the leading coefficient of den stays positive
-        return RationalFunction._trusted(self.num ** n, self.den ** n)
-
     def shifted(self, k: int) -> "RationalFunction":
         """Multiply by t**k (cheap; canonical form is preserved)."""
         if k == 0 or self.is_zero:
@@ -672,11 +620,6 @@ class RationalFunction(Immutable):
         den = self.den
         return {"num": self.num.to_json(),
                 "den": {"t_low": den.t_low, "coeffs": list(_den_strs(den._ints))}}
-
-    @staticmethod
-    def from_json(data: dict) -> "RationalFunction":
-        return RationalFunction(LaurentPoly.from_json(data["num"]),
-                                LaurentPoly.from_json(data["den"]))
 
 
 RF_ZERO = RationalFunction._trusted(_LP_ZERO, _LP_ONE)
@@ -763,21 +706,6 @@ def _q_factor_exps(ks: tuple) -> tuple:
     return out
 
 
-def _fold_divisible(p: Sequence[int], i: int) -> bool:
-    """Whether Phi_i divides p, decided on the fold r_j = sum_k p[j + k*i],
-    the remainder of p by t^i - 1: Phi_i divides t^i - 1, so it divides p
-    exactly when it divides r, of degree < i."""
-    r = _itrim([sum(p[j::i]) for j in range(min(i, len(p)))])
-    phi = _cyclotomic(i)
-    if len(r) < len(phi):
-        return not r
-    try:
-        _iexact_div(r, phi)
-    except ArithmeticError:
-        return False
-    return True
-
-
 def _at_x(p: Sequence[int]) -> int:
     """p(X) at the certificate's point X = 2^64, by Horner with shifts."""
     v = 0
@@ -792,16 +720,18 @@ def _divide_out(p: tuple, v: int, i: int, most: int) -> tuple:
 
     The value is a certificate of non-divisibility: Phi_i is monic, so
     Phi_i | p in Z[t] gives Phi_i(X) | p(X), and a nonzero p(X) mod
-    Phi_i(X) proves that Phi_i does not divide p, with no fold test.  It
-    never says "divides": when the remainder is 0, the fold test decides,
-    so each division it allows is exact; an inexact one raises
-    ArithmeticError.  After each division the value is divided by
-    Phi_i(X) too."""
+    Phi_i(X) proves that Phi_i does not divide p, with no division.  It
+    never says "divides": when the remainder is 0, the exact division
+    decides, and a nonzero polynomial remainder (ArithmeticError) stops
+    it.  After each division the value is divided by Phi_i(X) too."""
     phi = _cyclotomic(i)
     phi_x = _at_x(phi)
     e = 0
-    while e < most and len(phi) <= len(p) and v % phi_x == 0 and _fold_divisible(p, i):
-        p = _iexact_div(p, phi)
+    while e < most and len(phi) <= len(p) and v % phi_x == 0:
+        try:
+            p = _iexact_div(p, phi)
+        except ArithmeticError:
+            break
         v //= phi_x
         e += 1
     return p, v, e
@@ -820,13 +750,13 @@ def _cyclo_sum(terms: tuple) -> RationalFunction:
 
     Terms over one denominator are added first; each such group is lifted
     to the exponent-wise maximum of all denominators, and every Phi_i is
-    then cancelled from the integer numerator by exact division, each
-    division tried only once the fold test of :func:`_divide_out` allows it.
+    then cancelled from the integer numerator by exact division in
+    :func:`_divide_out`, which refuses a division that leaves a remainder.
     A group of one term (most groups of a torus sum) is lifted and added at
     its shift directly, with no sum of its own; no group is lifted whose
     denominator is the maximum.  The numerator's value at X = 2^64 is
     taken once, and :func:`_divide_out` rules out each Phi_i that leaves
-    a nonzero remainder there without a fold test.
+    a nonzero remainder there without a division.
     """
     groups: dict = {}
     for term in terms:

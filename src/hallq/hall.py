@@ -60,22 +60,16 @@ class InterpolationError(ValueError):
 
 
 class Budget(Immutable):
-    """Caps on brute-force enumeration sizes."""
+    """Caps on the Hall enumeration: total length |L| + |M| and prime."""
 
-    __slots__ = ("hall_total", "hall_prime", "aut_total", "aut_prime", "aut_space")
+    __slots__ = ("hall_total", "hall_prime")
 
-    def __init__(self, hall_total: int = 4, hall_prime: int = 5, aut_total: int = 4,
-                 aut_prime: int = 3, aut_space: int = 1 << 20):
+    def __init__(self, hall_total: int = 4, hall_prime: int = 5):
         object.__setattr__(self, "hall_total", hall_total)
         object.__setattr__(self, "hall_prime", hall_prime)
-        object.__setattr__(self, "aut_total", aut_total)
-        object.__setattr__(self, "aut_prime", aut_prime)
-        object.__setattr__(self, "aut_space", aut_space)
 
     def widened(self, total: int, prime: int) -> "Budget":
-        return Budget(max(self.hall_total, total), max(self.hall_prime, prime),
-                      max(self.aut_total, total), max(self.aut_prime, prime),
-                      self.aut_space)
+        return Budget(max(self.hall_total, total), max(self.hall_prime, prime))
 
 
 DEFAULT_BUDGET = Budget()

@@ -13,9 +13,15 @@ from __future__ import annotations
 import itertools
 from typing import List, Optional, Sequence, Tuple
 
-from .hall import (DEFAULT_BUDGET, Budget, BudgetError, FiniteFieldRep,
-                   _nullspace_mod, _rank_mod, is_prime, realize)
+from .hall import (BudgetError, FiniteFieldRep, _nullspace_mod, _rank_mod,
+                   is_prime, realize)
 from .quiver import CyclicQuiver, ModuleIso
+
+# Caps of count_automorphisms: total length, prime, and the size p^k of
+# the endomorphism space it sweeps.
+AUT_TOTAL = 4
+AUT_PRIME = 3
+AUT_SPACE = 1 << 20
 
 
 def _int_rank(rows: Sequence[Sequence[int]]) -> int:
@@ -90,20 +96,19 @@ def hom_ext_oracle(q: CyclicQuiver, a: ModuleIso, b: ModuleIso,
     return ncols - rank, nrows - rank
 
 
-def count_automorphisms(q: CyclicQuiver, m: ModuleIso, p: int,
-                        budget: Budget = DEFAULT_BUDGET) -> int:
+def count_automorphisms(q: CyclicQuiver, m: ModuleIso, p: int) -> int:
     """Exhaustive count of invertible self-intertwiners over F_p."""
     total = sum(p_.length for p_ in m)
-    if total > budget.aut_total or p > budget.aut_prime:
+    if total > AUT_TOTAL or p > AUT_PRIME:
         raise BudgetError(
-            f"count_automorphisms budget is total<={budget.aut_total}, "
-            f"p<={budget.aut_prime}; use aut_poly for larger inputs")
+            f"count_automorphisms budget is total<={AUT_TOTAL}, "
+            f"p<={AUT_PRIME}; use aut_poly for larger inputs")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     rep = realize(q, m, p)
     rows, ncols = _intertwiner_system(rep, rep)
     basis = _nullspace_mod(rows, ncols, p)
-    if p ** len(basis) > budget.aut_space:
+    if p ** len(basis) > AUT_SPACE:
         raise BudgetError(
             f"endomorphism space F_{p}^{len(basis)} too large to sweep; "
             "use aut_poly instead")

@@ -85,9 +85,6 @@ class ModuleIso(Immutable):
     def __len__(self) -> int:
         return len(self.summands)
 
-    def __add__(self, other: "ModuleIso") -> "ModuleIso":
-        return ModuleIso.of(*(self.summands + other.summands))
-
     def __str__(self) -> str:
         if not self.summands:
             return "0"
@@ -95,10 +92,6 @@ class ModuleIso(Immutable):
 
     def to_json(self) -> list:
         return [[r.socle, r.length] for r in self.summands]
-
-    @staticmethod
-    def from_json(data: Sequence[Sequence[int]]) -> "ModuleIso":
-        return ModuleIso.of(*(Indecomposable(int(a), int(b)) for a, b in data))
 
 
 class CyclicQuiver(Immutable):

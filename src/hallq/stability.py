@@ -82,11 +82,6 @@ class StabilityFunction(Immutable):
     def to_json(self) -> dict:
         return {"n": self.n, "charges": [z.to_json() for z in self.charges]}
 
-    @staticmethod
-    def from_json(data: dict) -> "StabilityFunction":
-        charges = tuple(GaussianRational.from_json(c) for c in data["charges"])
-        return StabilityFunction(int(data["n"]), charges)
-
 
 def charge_of(z: StabilityFunction, d: DimVector) -> GaussianRational:
     """Additive extension of the charges; rejects the zero vector."""

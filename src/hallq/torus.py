@@ -102,10 +102,6 @@ class TorusElement(Immutable):
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(n: int, truncation: int) -> "TorusElement":
-        return TorusElement(n, truncation, {})
-
-    @staticmethod
     def one(n: int, truncation: int) -> "TorusElement":
         return TorusElement(n, truncation, {(0,) * n: RF_ONE})
 
@@ -127,9 +123,6 @@ class TorusElement(Immutable):
     def __neg__(self) -> "TorusElement":
         return TorusElement._trusted(self.n, self.truncation,
                                      {d: -c for d, c in self.terms.items()})
-
-    def __sub__(self, other: "TorusElement") -> "TorusElement":
-        return self + (-other)
 
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         return convolve(self, other)
@@ -167,12 +160,6 @@ class TorusElement(Immutable):
             "terms": [{"dim": list(d), "coeff": self.terms[d].to_json()}
                       for d in sorted(self.terms)],
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "TorusElement":
-        terms = {tuple(item["dim"]): RationalFunction.from_json(item["coeff"])
-                 for item in data["terms"]}
-        return TorusElement(int(data["n"]), int(data["truncation"]), terms)
 
 
 def convolve(a: TorusElement, b: TorusElement) -> TorusElement:

@@ -106,15 +106,6 @@ def test_phase_cmp_antisymmetric(z, w):
 # Gaussian rational arithmetic
 # ----------------------------------------------------------------------
 
-def test_gaussian_ops():
-    assert g(2, 1) + g(-2, 1) == g(0, 2)
-    assert g(2, 1) - g(2, 1) == g(0, 0)
-    assert -g(2, 1) == g(-2, -1)
-    assert g(2, 1).scale(3) == g(6, 3)
-    assert g(0, 0).is_zero
-    assert not g(1, 0).is_zero
-
-
 def test_gaussian_cross():
     assert g(2, 1).cross(g(1, 2)) == 3
     assert g(1, 2).cross(g(2, 4)) == 0
@@ -122,7 +113,6 @@ def test_gaussian_cross():
 
 def test_gaussian_json_round_trip():
     z = GaussianRational(Fraction(-3, 2), Fraction(5, 7))
-    assert GaussianRational.from_json(z.to_json()) == z
     assert z.to_json() == ["-3/2", "5/7"]
 
 
@@ -158,7 +148,6 @@ def test_laurent_arithmetic():
     assert t + t == LaurentPoly(1, [2])
     assert t - t == LaurentPoly.zero()
     assert (t + one) * (t - one) == LaurentPoly(0, [-1, 0, 1])
-    assert t ** 0 == one
     assert t.shifted(-3) == LaurentPoly.t_power(-2)
 
 
@@ -187,11 +176,8 @@ def test_laurent_eval_even_at_q():
 def test_laurent_json_round_trip():
     p = LaurentPoly(-2, [1, 0, -6])
     assert p.to_json() == {"t_low": -2, "coeffs": ["1", "0", "-6"]}
-    assert LaurentPoly.from_json(p.to_json()) == p
-    assert LaurentPoly.from_json({"t_low": 3, "coeffs": []}).is_zero
+    assert LaurentPoly(3, []).to_json() == {"t_low": 0, "coeffs": []}
     # the coefficients are integers: a rational one is refused
-    with pytest.raises(ValueError):
-        LaurentPoly.from_json({"t_low": 1, "coeffs": ["1/4", "5"]})
     with pytest.raises(TypeError):
         LaurentPoly.constant(Fraction(1, 2))
     # ... and so is one handed to the constructor, when it is built
@@ -246,7 +232,8 @@ def test_rf_canonical_form_is_unique():
 
 def test_rf_json_round_trip():
     a = rf(-1, [1, 2], 0, [3, 0, 1])
-    assert RationalFunction.from_json(a.to_json()) == a
+    assert a.to_json() == {"num": {"t_low": -1, "coeffs": ["1", "2"]},
+                           "den": {"t_low": 0, "coeffs": ["3", "0", "1"]}}
 
 
 def test_rf_to_json_hands_out_fresh_renderings():
@@ -266,14 +253,6 @@ def test_rf_to_json_hands_out_fresh_renderings():
         assert x.to_json() == want
         assert type(x.to_json()["den"]["coeffs"]) is list
     assert b.to_json()["den"] == {"t_low": 0, "coeffs": ["3", "6"]}
-
-
-def test_rf_division_and_powers():
-    a = RF_EX
-    assert a / a == RF_ONE
-    assert a ** 2 == a * a
-    assert a ** -1 == a.inv()
-    assert a ** 0 == RF_ONE
 
 
 def test_rf_shifted():
@@ -339,11 +318,11 @@ def _check_canonical(x):
     assert gcd(exact._icontent(x.num._ints), exact._icontent(den._ints)) == 1
 
 
-@given(rationals_fn, nonzero_fn, st.integers(-3, 3), st.integers(-3, 3))
-def test_rf_operations_return_the_canonical_form(a, b, k, s):
+@given(rationals_fn, nonzero_fn, st.integers(-3, 3))
+def test_rf_operations_return_the_canonical_form(a, b, s):
     # every result is a fixed point of the constructor, in its canonical
     # form; rf_eq alone would not see this
-    for r in (a + b, a - b, a * b, b.inv(), a / b, b ** k, a ** abs(k), a.shifted(s)):
+    for r in (a + b, a - b, a * b, b.inv(), a * b.inv(), b * b * b, a.shifted(s)):
         assert r == RationalFunction(r.num, r.den)
         _check_canonical(r)
 
@@ -360,7 +339,7 @@ def test_constructor_gives_the_canonical_form(a, b, m, c, same):
     y = RationalFunction(a * m if same else c, b * m)
     for z in (x, y):
         _check_canonical(z)
-        assert RationalFunction.from_json(z.to_json()) == z
+        assert RationalFunction(z.num, z.den) == z
     assert (x == y) == rf_eq(x, y)
     if same:
         assert x == y and hash(x) == hash(y)
@@ -498,7 +477,8 @@ def test_cyclo_sum_cancels_to_canonical_form(x, y):
 
 
 # ----------------------------------------------------------------------
-# The fold test ahead of each Phi_i trial division
+# Exact division by each Phi_i, behind the certificate p(X) mod Phi_i(X)
+# at X = 2^64
 # ----------------------------------------------------------------------
 
 def _divides(p, i):
@@ -509,13 +489,31 @@ def _divides(p, i):
     return True
 
 
+def _count_divisions(monkeypatch):
+    """A list that gets, for each exact division tried from now on,
+    whether it divided."""
+    tried = []
+    div = exact._iexact_div
+
+    def counted(a, b):
+        try:
+            out = div(a, b)
+        except ArithmeticError:
+            tried.append(False)
+            raise
+        tried.append(True)
+        return out
+
+    monkeypatch.setattr(exact, "_iexact_div", counted)
+    return tried
+
+
 @given(st.integers(1, 30), st.integers(1, 3),
        st.lists(st.integers(-9, 9), min_size=1, max_size=8).filter(any))
-def test_fold_test_passes_every_multiple_of_phi(i, e, g):
+def test_divide_out_removes_every_multiple_of_phi(i, e, g):
     p = exact._itrim(list(g))
     for _ in range(e):
         p = exact._iconv(p, exact._cyclotomic(i))
-    assert exact._fold_divisible(p, i)
     q, v, done = exact._divide_out(p, exact._at_x(p), i, e)
     assert done == e and v == exact._at_x(q)
     for _ in range(e):
@@ -523,60 +521,22 @@ def test_fold_test_passes_every_multiple_of_phi(i, e, g):
     assert q == p
 
 
-def test_a_fold_test_that_passes_everything_makes_the_kernel_raise(monkeypatch):
-    # the fold test decides and the division is exact: if the test lets
-    # Phi_1 = t - 1 through for p = (X - 2) + t^2, the inexact division
-    # raises instead of leaving a value that is not in lowest terms.  p(X)
-    # = X^2 + X - 2 is a multiple of Phi_1(X) = X - 1 although Phi_1 does
-    # not divide p (p(1) = X - 1), so the certificate lets Phi_1 through
-    # to the fold test
-    p = (X - 2, 0, 1)
-    assert exact._at_x(p) % exact._at_x(exact._cyclotomic(1)) == 0
-    term = (((1, 1),), 0, p)
-    assert exact._cyclo_sum.__wrapped__((term,))._exps == ((1, 1),)
-    monkeypatch.setattr(exact, "_fold_divisible", lambda p, i: True)
-    with pytest.raises(ArithmeticError):
-        exact._cyclo_sum.__wrapped__((term,))
-
-
-@given(st.integers(1, 30),
-       st.lists(st.integers(-3, 3), min_size=2, max_size=40).filter(lambda p: p[-1] != 0),
-       st.integers(0, 3), st.integers(0, 80), st.sampled_from((-1, 1)))
-def test_fold_test_agrees_with_exact_division(i, p, kind, at, sign):
-    # random polynomials are almost never multiples of Phi_i, so half the
-    # cases are p * Phi_i (kind 2) or p * Phi_i with one coefficient moved
-    # by sign (kind 3)
-    if kind >= 2:
-        p = list(exact._iconv(p, exact._cyclotomic(i)))
-        if kind == 3:
-            p[at % len(p)] += sign
-    p = exact._itrim(p)
-    assume(p)
-    assert exact._fold_divisible(p, i) == _divides(p, i)
-
-
-def test_fold_test_agrees_on_near_multiples():
-    # random polynomials of high degree are almost never multiples of Phi_i,
-    # so also try multiples plus a small perturbation, each way round
-    rng = random.Random(11)
-    for _ in range(400):
-        i = rng.randint(2, 30)
-        g = [rng.randint(-4, 4) for _ in range(rng.randint(1, 12))] + [1]
-        p = list(exact._iconv(g, exact._cyclotomic(i)))
-        if rng.random() < 0.5:
-            p[rng.randrange(len(p))] += rng.choice((-1, 1))
-        p = exact._itrim(p)
-        if p:
-            assert exact._fold_divisible(p, i) == _divides(p, i)
-
-
-# ----------------------------------------------------------------------
-# The certificate ahead of the fold test: p(X) mod Phi_i(X) at X = 2^64
-# ----------------------------------------------------------------------
-
 X = 2 ** 64
 near_x = st.one_of(st.integers(-9, 9), st.integers(X - 9, X + 9), st.integers(-X - 9, -X + 9),
                    st.integers(-2 ** 70, 2 ** 70))
+
+
+def test_a_division_the_certificate_lets_through_can_be_refused(monkeypatch):
+    # p = (X - 2) + t^2 has p(X) = X^2 + X - 2, a multiple of Phi_1(X) =
+    # X - 1, although Phi_1 does not divide p (p(1) = X - 1): the
+    # certificate lets Phi_1 through, the one division tried is refused,
+    # and Phi_1 stays in the denominator
+    p = (X - 2, 0, 1)
+    assert exact._at_x(p) % exact._at_x(exact._cyclotomic(1)) == 0
+    tried = _count_divisions(monkeypatch)
+    got = exact._cyclo_sum.__wrapped__(((((1, 1),), 0, p),))
+    assert got._exps == ((1, 1),) and got.num == LaurentPoly(0, p)
+    assert tried == [False]
 
 
 def _certificate_rejects(p, i):
@@ -588,10 +548,10 @@ def _certificate_rejects(p, i):
 @example(1, [1, 0, 1], 0, 0, 0, 1)
 @example(1, [X - 2, 0, 1], 0, 0, 0, 1)
 @example(3, [1, 1], 3, 2, 1, -1)
-def test_certificate_rejects_only_what_the_fold_test_rejects(i, g, kind, e, at, sign):
+def test_certificate_rejects_only_what_exact_division_rejects(i, g, kind, e, at, sign):
     # kind 0: g itself; 1: g * Phi_i^e; 2: that with one coefficient moved
     # by sign; 3: that plus sign * (X - t) t^at, which leaves the value at
-    # X unchanged, so only the fold test can reject it
+    # X unchanged, so only the division can refuse it
     p = list(g)
     if kind >= 1:
         for _ in range(e):
@@ -605,8 +565,8 @@ def test_certificate_rejects_only_what_the_fold_test_rejects(i, g, kind, e, at, 
     p = exact._itrim(p)
     assume(p)
     if _certificate_rejects(p, i):
-        assert not exact._fold_divisible(p, i)
-    # the whole path, certificate then fold test, decides as exact division
+        assert not _divides(p, i)
+    # the whole path, certificate then division, decides as exact division
     q, v, done = exact._divide_out(p, exact._at_x(p), i, 1)
     assert done == _divides(p, i) and v == exact._at_x(q)
 
@@ -646,17 +606,16 @@ def _phis(*idx):
 def test_cancelling_sums_test_each_factor_that_divides_and_no_other(monkeypatch, top, num,
                                                                     part, shift):
     terms = _split_sum(top, num, part, shift)
-    calls = []
-    fold = exact._fold_divisible
-    monkeypatch.setattr(exact, "_fold_divisible",
-                        lambda p, i: calls.append(i) or fold(p, i))
+    want = _rf_sum(terms)
+    assert want == _rf_of_term(top, 0, num)
+    tried = _count_divisions(monkeypatch)
     got = _factored(terms)
-    assert got == _rf_sum(terms) == _rf_of_term(top, 0, num)
+    assert got == want
     divided = sum(e for _, e in top) - sum(e for _, e in got._exps)
     assert divided > 0
     # the small cofactors leave a nonzero remainder at X for every Phi_i
-    # that does not divide, so each fold test is a division
-    assert len(calls) == divided
+    # that does not divide, so each division tried divides
+    assert tried == [True] * divided
 
 
 def _run_cold(argv):
@@ -676,16 +635,24 @@ def _run_cold(argv):
 ])
 def test_the_certificate_leaves_a_fold_test_only_where_a_factor_divides(monkeypatch, argv,
                                                                         divides):
-    # no Phi_i cancels from any sum of a dilogarithm product or an
-    # iso-class sum, and the certificate rules each one out alone; the
-    # integration sums do cancel, and each fold test there is a division
-    calls = []
-    fold = exact._fold_divisible
-    monkeypatch.setattr(exact, "_fold_divisible",
-                        lambda p, i: calls.append(fold(p, i)) or calls[-1])
+    # the certificate is the kernel's only test ahead of a division: no
+    # Phi_i cancels from any sum of a dilogarithm product or an iso-class
+    # sum, and the certificate rules each one out alone; the integration
+    # sums do cancel, and each division tried there divides, so no
+    # division is refused
+    tried = _count_divisions(monkeypatch)
+    done = []
+    divide_out = exact._divide_out
+
+    def counted(*args):
+        out = divide_out(*args)
+        done.append(out[2])
+        return out
+
+    monkeypatch.setattr(exact, "_divide_out", counted)
     _run_cold(argv)
     assert exact._cyclo_sum.cache_info().misses > 0
-    assert all(calls) and bool(calls) == divides
+    assert False not in tried and (sum(done) > 0) == divides
 
 
 # ----------------------------------------------------------------------
@@ -802,15 +769,15 @@ def test_values_over_one_carry_the_empty_exponents():
                 RationalFunction.constant(-7), RationalFunction.constant(Fraction(6, 3)),
                 RationalFunction.constant(0), t3.inv(), rf(2, [3], 0, [3]).inv(),
                 rf(0, [1], 0, [1, 1, 1]).inv(), rf(0, [1], 0, [-1]).inv(),
-                x ** 3, t3 ** -2, x * x, x + t3, x - x, -x, x.shifted(2), RF_ZERO, RF_ONE,
-                RationalFunction.from_json(x.to_json())]
+                x * x * x, t3.inv() * t3.inv(), x + t3, x - x, -x, x.shifted(2), RF_ZERO,
+                RF_ONE, RationalFunction(x.num, x.den)]
     for c in over_one:
         assert c.den == LaurentPoly.one() and c._exps == () and c._den is None
     assert RationalFunction.constant(5)._exps == ()
     over_phi3 = rf(1, [2, -1], 0, [1, 1, 1])
     half = RationalFunction.constant(Fraction(1, 2))
-    for c in (over_phi3, over_phi3 * x, over_phi3 ** 2, over_phi3 + t3,
-              RationalFunction.from_json(over_phi3.to_json()), half, half * x, -half,
+    for c in (over_phi3, over_phi3 * x, over_phi3 * over_phi3, over_phi3 + t3,
+              RationalFunction(over_phi3.num, over_phi3.den), half, half * x, -half,
               RationalFunction(LaurentPoly(1, [2]), LaurentPoly(0, [5])),
               RationalFunction.constant(Fraction(-7, 3)), rf(2, [3], 0, [2]).inv()):
         assert c._exps is None and c._den is not None and c.den != LaurentPoly.one()

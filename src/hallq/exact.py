@@ -17,23 +17,16 @@ No CLI command reaches them: only the public API does (the tests' oracles
 use it), and the torus fallback ``_convolve_reference``, which a product
 takes only for a coefficient with no Phi-exponents (built neither by the
 kernel nor over 1, such as 1/2).  The torus's sums have cyclotomic
-denominators, which the private kernel ``_cyclo_sum`` cancels by exact
-division by the Phi_i alone.  Ahead of each division, one integer rules
-most Phi_i out: the value p(X) at X = 2^64, the point of the heuristic
-gcd of Char, Geddes and Gonnet.  Phi_i is monic, so Phi_i | p gives
-Phi_i(X) | p(X), and a nonzero p(X) mod Phi_i(X) proves that Phi_i does
-not divide p.  The certificate only ever says "does not divide"; where
-it does not, the division decides, and one that leaves a remainder is
-refused.  When the remainder r of p by Phi_i is nonzero with
-coefficients far below X, 0 < |r(X)| < Phi_i(X) and Phi_i is ruled out.
-So the dilogarithm products and iso-class sums of the benchmark's
-commands try no division, and each one the integration sums try divides.
-The kernel is memoised on its one argument, a tuple of terms (exps, s,
+denominators, which the private kernel ``_cyclo_sum`` adds on integers,
+each polynomial p as its value p(X) at X = 2^64, and cancels by exact
+division by the Phi_i alone.  The sum's value rules out each Phi_i with
+p(X) mod Phi_i(X) nonzero; so the dilogarithm products and iso-class sums
+of the benchmark's commands try no division, and each one the integration
+sums try divides.
+The kernel is memoised on its term tuple, a tuple of terms (exps, s,
 ints) with a tuple numerator, which is its only entry: dilogarithm
 products and rotated class sums hand it the same term tuples again and
 again.
-Sharing a result is exact, since the reduction is a pure function of its
-terms and the result is immutable.
 A kernel result holds its denominator only as the exponent vector of its
 factors Phi_i, which the next product reads directly; reading ``den``, as
 the JSON output or a hash does, takes the polynomial from the memo of
@@ -45,6 +38,7 @@ rationals are decided by exact cross products.  All values are immutable.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -182,13 +176,6 @@ def _iconv(a: Sequence[int], b: Sequence[int]) -> tuple:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return _itrim(out)
-
-
-def _iadd_at(acc: list, off: int, a: Sequence[int]) -> None:
-    end = off + len(a)
-    if len(acc) < end:
-        acc.extend([0] * (end - len(acc)))
-    acc[off:end] = map(add, acc[off:end], a)
 
 
 def _icontent(a: Sequence[int]) -> int:
@@ -362,8 +349,9 @@ class LaurentPoly(Immutable):
             return self
         lo = min(self.t_low, other.t_low)
         out = [0] * (max(self.t_high, other.t_high) - lo + 1)
-        _iadd_at(out, self.t_low - lo, self._ints)
-        _iadd_at(out, other.t_low - lo, other._ints)
+        for p in (self, other):
+            at, end = p.t_low - lo, p.t_high - lo + 1
+            out[at:end] = map(add, out[at:end], p._ints)
         return LaurentPoly(lo, out)
 
     def __neg__(self) -> "LaurentPoly":
@@ -641,17 +629,18 @@ def _cyclotomic(i: int) -> tuple:
     return _cyclo_den(((i, 1),))._ints
 
 
-def _moebius(m: int) -> int:
-    """The Moebius function mu(m) of m >= 1."""
-    out, p = 1, 2
-    while p * p <= m:
+@lru_cache(maxsize=None)
+def _binomials(i: int) -> tuple:
+    """(d, mu(i/d)) for the d | i with i/d a product of distinct primes,
+    mu(i/d) = -1 to their number: Phi_i = prod (t^d - 1)^mu(i/d)."""
+    out, m, p = [(i, 1)], i, 2
+    while m > 1:
         if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            out = -out
+            out += [(d // p, -mu) for d, mu in out]
+            while m % p == 0:
+                m //= p
         p += 1
-    return -out if m > 1 else out
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -665,9 +654,8 @@ def _cyclo_den(exps: tuple) -> LaurentPoly:
     The multiplications come first, so each division is exact."""
     a: dict = {}
     for i, e in exps:
-        for d in range(1, i + 1):
-            if i % d == 0:
-                a[d] = a.get(d, 0) + _moebius(i // d) * e
+        for d, mu in _binomials(i):
+            a[d] = a.get(d, 0) + mu * e
     p = [1]
     for d, k in a.items():
         for _ in range(k):
@@ -706,58 +694,63 @@ def _q_factor_exps(ks: tuple) -> tuple:
     return out
 
 
-def _at_x(p: Sequence[int]) -> int:
-    """p(X) at the certificate's point X = 2^64, by Horner with shifts."""
-    v = 0
-    for c in reversed(p):
-        v = (v << 64) + c
-    return v
+def _pack(ints: Sequence[int], b: int) -> int:
+    """ints(X) at X = 2^b in linear time: c as b/8 signed bytes is c mod X,
+    c + X/2 with its top bit flipped.  Entries of X/2 or more in size,
+    where the bound of :func:`_cyclo_sum` fails anyway, add by shifts."""
+    k = b >> 3
+    try:
+        raw = (struct.pack(f"<{len(ints)}q", *ints) if k == 8 else
+               b"".join([c.to_bytes(k, "little", signed=True) for c in ints]))
+    except (OverflowError, struct.error):
+        return sum(c << b * j for j, c in enumerate(ints))
+    half = int.from_bytes((bytes(k - 1) + b"\x80") * len(ints), "little")
+    return (int.from_bytes(raw, "little") ^ half) - half
 
 
-def _divide_out(p: tuple, v: int, i: int, most: int) -> tuple:
-    """(p / Phi_i^e, its value at X, e) for the largest e <= most with
-    Phi_i^e dividing p, given v = p(X) at X = 2^64.
-
-    The value is a certificate of non-divisibility: Phi_i is monic, so
-    Phi_i | p in Z[t] gives Phi_i(X) | p(X), and a nonzero p(X) mod
-    Phi_i(X) proves that Phi_i does not divide p, with no division.  It
-    never says "divides": when the remainder is 0, the exact division
-    decides, and a nonzero polynomial remainder (ArithmeticError) stops
-    it.  After each division the value is divided by Phi_i(X) too."""
-    phi = _cyclotomic(i)
-    phi_x = _at_x(phi)
-    e = 0
-    while e < most and len(phi) <= len(p) and v % phi_x == 0:
-        try:
-            p = _iexact_div(p, phi)
-        except ArithmeticError:
-            break
-        v //= phi_x
-        e += 1
-    return p, v, e
+def _unpack(v: int, b: int) -> list:
+    """The digits c_j of v = sum c_j X^j at X = 2^b, each below 2^(b-2) in
+    size, in linear time: v + sum (X/2) X^j has the digits c_j + X/2 in
+    [0, X), which read c_j as signed bytes with their top bits flipped."""
+    k = b >> 3
+    n = v.bit_length() // b + 1
+    half = int.from_bytes((bytes(k - 1) + b"\x80") * n, "little")
+    raw = ((v + half) ^ half).to_bytes(n * k, "little")
+    if k == 8:
+        return list(struct.unpack(f"<{n}q", raw))
+    return [int.from_bytes(raw[j:j + k], "little", signed=True) for j in range(0, n * k, k)]
 
 
 @lru_cache(maxsize=None)
-def _cyclo_sum(terms: tuple) -> RationalFunction:
+def _den_at(exps: tuple, b: int) -> tuple:
+    """(d(X), the l1 norm of d's coefficients) for d = prod Phi_i^e_i at
+    X = 2^b: a lift's cofactor, or Phi_i itself for the certificate."""
+    ints = _cyclo_den(exps)._ints
+    return _pack(ints, b), sum(map(abs, ints))
+
+
+@lru_cache(maxsize=None)
+def _cyclo_sum(terms: tuple, b: int = 64) -> RationalFunction:
     """Canonical sum of the terms (exps, s, ints), each meaning
     t^s * ints / prod Phi_i^e_i with ints a tuple of ascending integer
-    coefficients.
+    coefficients; the term tuple is the memo key, and sharing a result is
+    exact, as the reduction is pure and its result immutable.
 
-    The tuple of terms is the memo key, so a term tuple reduced before in
-    the process costs one lookup.  This is exact: the reduction is a pure
-    function of its terms, and a RationalFunction is immutable, so one
-    result can be shared.
+    The sum is made in Kronecker form, each polynomial p as the integer
+    p(X) at X = 2^b.  Each term's numerator is packed once (a one-entry
+    numerator is its own value), each group of terms over one denominator
+    is lifted to the exponent-wise maximum of all by one product with its
+    cofactor's value from :func:`_den_at`, and the groups are added.  The
+    sum over the groups of (sum of ||ints||_inf) * ||cofactor||_1 bounds
+    the coefficients; where it is not below 2^(b-2), the function reruns
+    once at the width it asks for, so that the digits are the coefficients.
 
-    Terms over one denominator are added first; each such group is lifted
-    to the exponent-wise maximum of all denominators, and every Phi_i is
-    then cancelled from the integer numerator by exact division in
-    :func:`_divide_out`, which refuses a division that leaves a remainder.
-    A group of one term (most groups of a torus sum) is lifted and added at
-    its shift directly, with no sum of its own; no group is lifted whose
-    denominator is the maximum.  The numerator's value at X = 2^64 is
-    taken once, and :func:`_divide_out` rules out each Phi_i that leaves
-    a nonzero remainder there without a division.
-    """
+    The sum's value is the certificate of the heuristic gcd of Char, Geddes
+    and Gonnet: Phi_i is monic, so Phi_i | p gives Phi_i(X) | p(X), and a
+    nonzero p(X) mod Phi_i(X) proves that Phi_i does not divide p.  Where
+    it is 0, exact division decides, and one that leaves a remainder is
+    refused.  The sum is unpacked once; one digit is a monomial, which no
+    Phi_i divides."""
     groups: dict = {}
     for term in terms:
         groups.setdefault(term[0], []).append(term)
@@ -765,33 +758,43 @@ def _cyclo_sum(terms: tuple) -> RationalFunction:
     top = ()
     for exps in groups:
         top = _exps_merge(top, exps, max)
-    total: list = []
+    v = bound = 0
     for exps, group in groups.items():
-        if len(group) == 1:
-            _, s, a = group[0]
-            at = s - lo
-        else:
-            a, at = [], 0
-            for _, s, b in group:
-                _iadd_at(a, s - lo, b)
+        g = norm = 0
+        for _, s, a in group:
+            if len(a) == 1:
+                g += a[0] << (s - lo) * b
+                norm += abs(a[0])
+            elif a:
+                g += _pack(a, b) << (s - lo) * b
+                norm += max(map(abs, a))
         if exps != top:
-            a = _iconv(a, _cyclo_den(_exps_sub(top, exps))._ints)
-        _iadd_at(total, at, a)
-    num = _itrim(total)
-    if not num:
+            lift, l1 = _den_at(_exps_sub(top, exps), b)
+            g, norm = g * lift, norm * l1
+        v += g
+        bound += norm
+    if bound >> (b - 2):
+        return _cyclo_sum(terms, (bound.bit_length() + 9) // 8 * 8)  # in whole bytes
+    if not v:
         return RF_ZERO
-    k = next(j for j, x in enumerate(num) if x)
-    num, lo = num[k:], lo + k
-    left = top
-    if len(num) > 1 and top:  # no Phi_i divides a monomial
-        v = _at_x(num)
-        left = []
-        for i, e in top:
-            num, v, done = _divide_out(num, v, i, e)
-            if done < e:
-                left.append((i, e - done))
-        left = tuple(left)
-    return RationalFunction._trusted(LaurentPoly(lo, num), None, left)
+    k = ((v & -v).bit_length() - 1) // b  # the digits 0 below the lowest term
+    v, lo = v >> k * b, lo + k
+    if v.bit_length() < b:
+        return RationalFunction._trusted(LaurentPoly(lo, (v,)), None, top)
+    num = _unpack(v, b)
+    left = []
+    for i, e in top:
+        phi_x = _den_at(((i, 1),), b)[0]
+        while e and v % phi_x == 0:
+            try:
+                num = _iexact_div(num, _cyclotomic(i))
+            except ArithmeticError:
+                break
+            v //= phi_x
+            e -= 1
+        if e:
+            left.append((i, e))
+    return RationalFunction._trusted(LaurentPoly(lo, num), None, tuple(left))
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ is a power of t times a product of factors q^k - 1 = t^(2k) - 1, that is
 a product of cyclotomic polynomials Phi_i(t), and sums and products keep
 this form.  So ``convolve``, the integration sums and ``torus_inverse``
 (through ``convolve``) sum every output coefficient in one canonical
-reduction (``exact._cyclo_sum``), with no gcd.  A kernel term is
+reduction (``exact._cyclo_sum``, on integers), with no gcd.  A kernel term is
 (exps, s, ints): t^s times the integer polynomial ints over prod
 Phi_i^e_i.  The coefficients stay ``RationalFunction`` values; one made by
 the kernel carries the Phi-exponents of its denominator, and one over 1
@@ -92,11 +92,11 @@ class TorusElement(Immutable):
         """An element whose keys are known to have n nonnegative entries
         and total <= truncation, as sums of such keys checked against the
         bound or rotations of such keys; only zero coefficients, as a
-        cancelled bucket, drop out."""
+        cancelled bucket, drop out, told by their empty numerator."""
         out = object.__new__(TorusElement)
         object.__setattr__(out, "n", n)
         object.__setattr__(out, "truncation", truncation)
-        object.__setattr__(out, "terms", {d: c for d, c in terms.items() if not c.is_zero})
+        object.__setattr__(out, "terms", {d: c for d, c in terms.items() if c.num._ints})
         return out
 
     # -- constructors ------------------------------------------------------

@@ -27,8 +27,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = [
     # a division the certificate let through and exact division refused
     # is counted as done: Phi_i leaves the denominator, p stays undivided
-    ("src/hallq/exact.py", "except ArithmeticError:\n            break",
-     "except ArithmeticError:\n            e += 1\n            break",
+    ("src/hallq/exact.py", "except ArithmeticError:\n                break",
+     "except ArithmeticError:\n                e -= 1\n                break",
      ["tests/test_exact.py::test_a_division_the_certificate_lets_through_can_be_refused",
       "tests/test_exact.py::test_certificate_rejects_only_what_exact_division_rejects"]),
     # the certificate always answers "does not divide": no Phi_i is ever
@@ -38,17 +38,28 @@ MUTANTS = [
       "tests/test_exact.py::test_certificate_rejects_only_what_exact_division_rejects",
       "tests/test_exact.py::test_cancelling_sums_test_each_factor_that_divides_and_no_other",
       "tests/test_exact.py::test_cyclo_sum_cancels_to_canonical_form"]),
-    # the value at X is not divided after a division: still exact, since
-    # a stale value only rules out less, but a squared Phi_i that cancels
-    # once gets a second division, which is refused
+    # the value is not divided after a division: still exact, since a
+    # stale value only rules out less, but a Phi_i that cancels fewer
+    # times than its exponent gets one more division, which is refused
     ("src/hallq/exact.py", "v //= phi_x", "v = v",
      ["tests/test_exact.py::test_divide_out_removes_every_multiple_of_phi",
       "tests/test_exact.py::test_cancelling_sums_test_each_factor_that_divides_and_no_other"]),
-    # a single-term group of the kernel added without its shift s - lo
-    ("src/hallq/exact.py", "at = s - lo", "at = 0",
+    # a one-entry numerator of the kernel added without its shift s - lo
+    ("src/hallq/exact.py", "a[0] << (s - lo) * b", "a[0]",
      ["tests/test_exact.py::test_cyclo_sum_matches_rational_function_sum",
       "tests/test_exact.py::test_cancelling_sums_test_each_factor_that_divides_and_no_other",
       "tests/test_exact.py::test_factored_results_agree_with_the_constructor"]),
+    # the sum unpacked at X = 2^64 whatever its bound says: coefficients
+    # of 2^62 and more come back as wrong digits
+    ("src/hallq/exact.py", "if bound >> (b - 2):", "if False:",
+     ["tests/test_exact.py::test_cyclo_sum_matches_the_gcd_sum_at_any_coefficient_size",
+      "tests/test_exact.py::test_a_sum_past_the_bound_reruns_once_at_the_width_it_asks_for"]),
+    # the certificate taken as "divides": the quotient read off the value
+    # divided by Phi_i(X), with no polynomial division to refuse it
+    ("src/hallq/exact.py", "num = _iexact_div(num, _cyclotomic(i))",
+     "num = _unpack(v // phi_x, b)",
+     ["tests/test_exact.py::test_a_division_the_certificate_lets_through_can_be_refused",
+      "tests/test_exact.py::test_certificate_rejects_only_what_exact_division_rejects"]),
     # the element digest keys a factored coefficient's rendering on its
     # numerator alone, so values over other denominators share it
     ("src/hallq/verify.py", "(c.num.t_low, c.num._ints, c._exps)", "(c.num.t_low, c.num._ints)",
@@ -216,6 +227,10 @@ MUTANTS = [
     # first quotient listed with that sub answers for every other
     ("src/hallq/hall.py", "if l == sub and m == quo:", "if l == sub:",
      ["tests/test_hall.py::test_hall_count_tells_quotients_of_one_sub_type_apart"]),
+    # a charge text is handed to Fraction whatever its exponent, which
+    # builds 10^(10^9) for "1e1000000000" before the bit cap can refuse it
+    ("src/hallq/cli.py", "if least > MAX_CHARGE_BITS:", "if False:",
+     ["tests/test_verify_cli.py::test_cli_charge_with_an_exponent_of_a_billion_exits_two_at_once"]),
     # the argv fast path takes a flag's value that starts with a single
     # '-' (an option such as -h, or the stand-in for a missing value)
     ("src/hallq/cli.py", 'if value.startswith("-"):', 'if value.startswith("--"):',

@@ -47,6 +47,7 @@ ROLES = {
 KEPT = {
     "cli._parse_primes": "input",  # --primes
     "cli._parse_charges": "input",  # charges in --config
+    "cli._parse_charge": "input",  # each charge text of _parse_charges
     "cli._add_common": "argparse",
     "cli.build_parser": "argparse",
     "exact.Immutable._astuple": "value",

@@ -477,8 +477,85 @@ def test_cyclo_sum_cancels_to_canonical_form(x, y):
 
 
 # ----------------------------------------------------------------------
+# Kronecker form: polynomials as their values at X = 2^b
+# ----------------------------------------------------------------------
+
+X = 2 ** 64
+near_x = st.one_of(st.integers(-9, 9), st.integers(X - 9, X + 9), st.integers(-X - 9, -X + 9),
+                   st.integers(-2 ** 70, 2 ** 70))
+
+
+def _at(ints, b):
+    """ints(X) at X = 2^b, by the definition."""
+    return sum(c << b * j for j, c in enumerate(ints))
+
+
+@pytest.mark.parametrize("b", [64, 128])
+@given(data=st.data())
+def test_pack_and_unpack_round_trip(b, data):
+    # entries below 2^(b-2) in size, negative and zero ones included; the
+    # top one nonzero
+    entry = st.one_of(st.integers(-3, 3), st.integers(-2 ** (b - 2) + 1, 2 ** (b - 2) - 1))
+    ints = data.draw(st.lists(entry, min_size=1, max_size=12).filter(lambda a: a[-1]))
+    v = exact._pack(ints, b)
+    assert v == _at(ints, b)
+    assert exact._unpack(v, b) == ints
+
+
+@given(st.lists(near_x, max_size=8), st.sampled_from((64, 128)))
+@example([X // 2 - 1, -X // 2], 64)
+@example([-1, X // 2], 64)
+def test_pack_is_the_value_at_x_for_entries_of_any_size(ints, b):
+    assert exact._pack(ints, b) == _at(ints, b)
+
+
+wide_entry = st.one_of(st.integers(-6, 6), st.integers(2 ** 62 - 9, 2 ** 62 + 9),
+                       st.integers(-2 ** 62 - 9, -2 ** 62 + 9), st.integers(-2 ** 80, 2 ** 80))
+wide_term = st.tuples(cyclo_exps, st.integers(-4, 4), st.lists(wide_entry, max_size=5).map(tuple))
+
+
+@given(st.lists(wide_term, min_size=1, max_size=5), st.booleans())
+def test_cyclo_sum_matches_the_gcd_sum_at_any_coefficient_size(terms, cancel):
+    # the oracle is the constructor and + of RationalFunction, with the
+    # gcd, which shares no packing code with the kernel; zero terms (empty
+    # or all-zero numerators) are drawn, and with `cancel` the negated
+    # terms follow, so that the sum is 0
+    if cancel:
+        terms = terms + [_negated(t) for t in terms[::-1]]
+    got = _factored(terms)
+    assert got == _rf_sum(terms)
+    assert got.is_zero or not cancel
+
+
+def _count_reruns(mp):
+    """A list that gets the width of each kernel call from now on that
+    reruns wider: the rerun calls the kernel by its name in `exact`, which
+    the torus does not use."""
+    kernel = exact._cyclo_sum
+    widths = []
+    mp.setattr(exact, "_cyclo_sum", lambda terms, b: widths.append(b) or kernel(terms, b))
+    return widths
+
+
+@pytest.mark.parametrize("top, widths", [
+    (2 ** 62 - 1, []),  # the bound 2^62 - 1 is below 2^(64-2)
+    (2 ** 62, [72]),  # 63 bits, and 63 + 2 rounded up to whole bytes
+    (2 ** 70 + 1, [80]),
+])
+def test_a_sum_past_the_bound_reruns_once_at_the_width_it_asks_for(monkeypatch, top, widths):
+    # the bound is sum ||a||_inf ||cofactor||_1 over the groups: top * 1
+    # for the group over the common denominator Phi_1 Phi_2, 0 for the
+    # zero numerator over Phi_2, whose cofactor Phi_1 has norm 2
+    terms = ((((1, 1), (2, 1)), 0, (top, 0, -1)), (((2, 1),), 3, (0,)))
+    kernel = exact._cyclo_sum
+    got_widths = _count_reruns(monkeypatch)
+    got = kernel.__wrapped__(terms)
+    assert got == _rf_sum(terms)
+    assert got_widths == widths
+
+
+# ----------------------------------------------------------------------
 # Exact division by each Phi_i, behind the certificate p(X) mod Phi_i(X)
-# at X = 2^64
 # ----------------------------------------------------------------------
 
 def _divides(p, i):
@@ -489,7 +566,7 @@ def _divides(p, i):
     return True
 
 
-def _count_divisions(monkeypatch):
+def _count_divisions(mp):
     """A list that gets, for each exact division tried from now on,
     whether it divided."""
     tried = []
@@ -504,54 +581,61 @@ def _count_divisions(monkeypatch):
         tried.append(True)
         return out
 
-    monkeypatch.setattr(exact, "_iexact_div", counted)
+    mp.setattr(exact, "_iexact_div", counted)
     return tried
+
+
+def _certificate_rejects(p, i):
+    """p(X) mod Phi_i(X) != 0 at X = 2^64, by the definition of the value."""
+    return _at(p, 64) % _at(exact._cyclotomic(i), 64) != 0
 
 
 @given(st.integers(1, 30), st.integers(1, 3),
        st.lists(st.integers(-9, 9), min_size=1, max_size=8).filter(any))
 def test_divide_out_removes_every_multiple_of_phi(i, e, g):
+    # g Phi_i^e over Phi_i^(e+1): each of the e copies is divided out, and
+    # one more where Phi_i divides g; the value follows each division, so
+    # each division tried divides
     p = exact._itrim(list(g))
     for _ in range(e):
         p = exact._iconv(p, exact._cyclotomic(i))
-    q, v, done = exact._divide_out(p, exact._at_x(p), i, e)
-    assert done == e and v == exact._at_x(q)
-    for _ in range(e):
-        q = exact._iconv(q, exact._cyclotomic(i))
-    assert q == p
+    with pytest.MonkeyPatch.context() as mp:
+        tried = _count_divisions(mp)
+        got = _factored([(((i, e + 1),), 0, p)])
+    assert got == _rf_of_term(((i, 1),), 0, g)
+    assert tried == [True] * (e + 1 - dict(got._exps).get(i, 0))
 
 
-X = 2 ** 64
-near_x = st.one_of(st.integers(-9, 9), st.integers(X - 9, X + 9), st.integers(-X - 9, -X + 9),
-                   st.integers(-2 ** 70, 2 ** 70))
+# 5 C = X - 1 with C below 2^62: the polynomial C (1 + t + t^2 + t^3 + t^4)
+# has the value C Phi_5(X), a multiple of Phi_1(X) = X - 1, since
+# Phi_5(X) = 5 mod X - 1; but Phi_1 does not divide it (its value at 1 is
+# X - 1)
+C5 = (X - 1) // 5
 
 
 def test_a_division_the_certificate_lets_through_can_be_refused(monkeypatch):
-    # p = (X - 2) + t^2 has p(X) = X^2 + X - 2, a multiple of Phi_1(X) =
-    # X - 1, although Phi_1 does not divide p (p(1) = X - 1): the
-    # certificate lets Phi_1 through, the one division tried is refused,
-    # and Phi_1 stays in the denominator
-    p = (X - 2, 0, 1)
-    assert exact._at_x(p) % exact._at_x(exact._cyclotomic(1)) == 0
+    # the coefficients are below the bound, so the sum stays at X = 2^64:
+    # the certificate lets Phi_1 through, the one division tried is
+    # refused, and Phi_1 stays in the denominator
+    p = (C5,) * 5
+    assert 5 * C5 == X - 1 and C5 < 2 ** 62
+    assert not _certificate_rejects(p, 1)
     tried = _count_divisions(monkeypatch)
-    got = exact._cyclo_sum.__wrapped__(((((1, 1),), 0, p),))
+    got = _factored([(((1, 1),), 0, p)])
     assert got._exps == ((1, 1),) and got.num == LaurentPoly(0, p)
     assert tried == [False]
-
-
-def _certificate_rejects(p, i):
-    return exact._at_x(p) % exact._at_x(exact._cyclotomic(i)) != 0
 
 
 @given(st.integers(1, 30), st.lists(near_x, min_size=1, max_size=10).filter(any),
        st.integers(0, 3), st.integers(0, 2), st.integers(0, 40), st.sampled_from((-1, 1)))
 @example(1, [1, 0, 1], 0, 0, 0, 1)
 @example(1, [X - 2, 0, 1], 0, 0, 0, 1)
+@example(1, [C5] * 5, 0, 0, 0, 1)
 @example(3, [1, 1], 3, 2, 1, -1)
 def test_certificate_rejects_only_what_exact_division_rejects(i, g, kind, e, at, sign):
     # kind 0: g itself; 1: g * Phi_i^e; 2: that with one coefficient moved
     # by sign; 3: that plus sign * (X - t) t^at, which leaves the value at
-    # X unchanged, so only the division can refuse it
+    # X = 2^64 unchanged
     p = list(g)
     if kind >= 1:
         for _ in range(e):
@@ -566,9 +650,11 @@ def test_certificate_rejects_only_what_exact_division_rejects(i, g, kind, e, at,
     assume(p)
     if _certificate_rejects(p, i):
         assert not _divides(p, i)
-    # the whole path, certificate then division, decides as exact division
-    q, v, done = exact._divide_out(p, exact._at_x(p), i, 1)
-    assert done == _divides(p, i) and v == exact._at_x(q)
+    # the whole path, at the width the sum asks for, certificate then
+    # division, decides as exact division
+    got = _factored([(((i, 1),), 0, p)])
+    assert (got._exps == ()) == _divides(p, i)
+    assert got == _rf_of_term(((i, 1),), 0, p)
 
 
 def _split_sum(top, num, part, shift):
@@ -639,20 +725,14 @@ def test_the_certificate_leaves_a_fold_test_only_where_a_factor_divides(monkeypa
     # Phi_i cancels from any sum of a dilogarithm product or an iso-class
     # sum, and the certificate rules each one out alone; the integration
     # sums do cancel, and each division tried there divides, so no
-    # division is refused
+    # division is refused; no sum needs digits wider than 64 bits
+    kernel = exact._cyclo_sum
     tried = _count_divisions(monkeypatch)
-    done = []
-    divide_out = exact._divide_out
-
-    def counted(*args):
-        out = divide_out(*args)
-        done.append(out[2])
-        return out
-
-    monkeypatch.setattr(exact, "_divide_out", counted)
+    widths = _count_reruns(monkeypatch)
     _run_cold(argv)
-    assert exact._cyclo_sum.cache_info().misses > 0
-    assert False not in tried and (sum(done) > 0) == divides
+    assert kernel.cache_info().misses > 0
+    assert False not in tried and (True in tried) == divides
+    assert widths == []
 
 
 # ----------------------------------------------------------------------

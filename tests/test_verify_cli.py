@@ -19,8 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import hallq
 from hallq import exact
-from hallq.cli import (MAX_CHARGE_BITS, _FLAGS, _build_config, _plain_args, build_parser,
-                       main, parse_module)
+from hallq.cli import (MAX_CHARGE_BITS, _FLAGS, _build_config, _parse_charge, _parse_charges,
+                       _plain_args, build_parser, main, parse_module)
 from hallq.exact import GaussianRational, LaurentPoly, RF_ONE, RationalFunction
 from hallq.hall import BudgetError
 from hallq.quiver import CyclicQuiver, ModuleIso
@@ -661,6 +661,63 @@ def test_cli_charges_just_under_the_bit_cap_are_rendered(capsys, tmp_path):
         code, out, err = run_cli(capsys, *command, "--config", cfg)
         assert code in (0, 1) and err == ""
         assert json.loads(out)["report"]
+
+
+def test_cli_charge_with_an_exponent_of_a_billion_exits_two_at_once(tmp_path):
+    # Fraction would build 10^(10^9) before the bit cap could refuse it;
+    # the command is timed inside its process and killed after 10 s
+    cfg = write_config(tmp_path, charges=[["1e1000000000", "1"], ["1", "1"]])
+    timed = ("import sys, time\nfrom hallq import cli\nstart = time.perf_counter()\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "sys.exit(code if time.perf_counter() - start < 1 else 9)")
+    run = subprocess.run(
+        [sys.executable, "-c", timed, "stables", "--config", cfg], capture_output=True,
+        text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=str(Path(hallq.__file__).parents[1])))
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("error: ") and "bits" in run.stderr
+
+
+def _charge_by_fraction(text):
+    """The slow path: Fraction(text), None where the bit cap refuses it
+    alone."""
+    x = Fraction(text)
+    return x if x.numerator.bit_length() + x.denominator.bit_length() <= MAX_CHARGE_BITS else None
+
+
+digit_run = st.text("0123456789", max_size=6)
+charge_text = st.builds(
+    lambda sign, zeros, whole, point, frac, tail, e, k, pad:
+        f"{pad}{sign}{zeros}{whole}{point}{frac}{tail}{e}{k}{pad}",
+    st.sampled_from(("", "-", "+")), st.sampled_from(("", "0", "000")), digit_run,
+    st.sampled_from(("", ".")), digit_run, st.sampled_from(("", "0", "00", "_1")),
+    st.sampled_from(("e", "E")),
+    st.one_of(st.integers(-1100, 1100), st.integers(-1040, -1010), st.integers(1010, 1040),
+              st.sampled_from(("+1_020", "-0_1024", "+0"))),
+    st.sampled_from(("", " ")))
+
+
+@given(charge_text)
+@example("1e1023")
+@example("1e1024")
+@example("0.0e99999")
+@example("-000e-5")
+@example("123.4500e-1030")
+@example("1e-1024")
+def test_parse_charge_agrees_with_fraction_near_the_bit_cap(text):
+    # the exponent check refuses only what the bit cap refuses, and every
+    # text it lets through keeps its value
+    try:
+        want = _charge_by_fraction(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _parse_charge(text)
+        return
+    if want is None:
+        with pytest.raises(ConfigError):
+            _parse_charges([[text, "1"], ["1", "1"]])
+    else:
+        assert _parse_charge(text) == want
 
 
 def test_config_defaults_come_from_campaign_config(tmp_path):

@@ -283,6 +283,15 @@ class LaurentPoly(Immutable):
         object.__setattr__(self, "t_low", t_low + lead if ints else 0)
         object.__setattr__(self, "_ints", tuple(ints))
 
+    @staticmethod
+    def _trusted(t_low: int, ints: tuple) -> "LaurentPoly":
+        """A polynomial from a nonempty tuple of ints whose first and last
+        entries are nonzero, taken as they are: no `index`, no trim."""
+        out = object.__new__(LaurentPoly)
+        object.__setattr__(out, "t_low", t_low)
+        object.__setattr__(out, "_ints", ints)
+        return out
+
     # -- constructors --------------------------------------------------
 
     @staticmethod
@@ -750,7 +759,13 @@ def _cyclo_sum(terms: tuple, b: int = 64) -> RationalFunction:
     nonzero p(X) mod Phi_i(X) proves that Phi_i does not divide p.  Where
     it is 0, exact division decides, and one that leaves a remainder is
     refused.  The sum is unpacked once; one digit is a monomial, which no
-    Phi_i divides."""
+    Phi_i divides.
+
+    The digits need no check: the zero digits below the lowest term are
+    shifted off, each digit is below 2^(b-2) in size, so `_unpack` reads
+    no zero digit above the top term, and dividing by Phi_i (constant
+    term +-1) keeps both ends nonzero.  So `LaurentPoly._trusted` builds
+    the numerator."""
     groups: dict = {}
     for term in terms:
         groups.setdefault(term[0], []).append(term)
@@ -780,8 +795,8 @@ def _cyclo_sum(terms: tuple, b: int = 64) -> RationalFunction:
     k = ((v & -v).bit_length() - 1) // b  # the digits 0 below the lowest term
     v, lo = v >> k * b, lo + k
     if v.bit_length() < b:
-        return RationalFunction._trusted(LaurentPoly(lo, (v,)), None, top)
-    num = _unpack(v, b)
+        return RationalFunction._trusted(LaurentPoly._trusted(lo, (v,)), None, top)
+    num = tuple(_unpack(v, b))
     left = []
     for i, e in top:
         phi_x = _den_at(((i, 1),), b)[0]
@@ -794,7 +809,7 @@ def _cyclo_sum(terms: tuple, b: int = 64) -> RationalFunction:
             e -= 1
         if e:
             left.append((i, e))
-    return RationalFunction._trusted(LaurentPoly(lo, num), None, tuple(left))
+    return RationalFunction._trusted(LaurentPoly._trusted(lo, num), None, tuple(left))
 
 
 # ----------------------------------------------------------------------

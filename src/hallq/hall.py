@@ -521,25 +521,43 @@ def _pair_table(n: int, dims: DimVector, comps: tuple
     return {}
 
 
-def hall_count(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso, big: ModuleIso,
-               p: int, budget: Budget = DEFAULT_BUDGET) -> int:
-    """Number of submodules of `big` over F_p isomorphic to `sub` with
-    quotient isomorphic to `quo`, found by a scan of the memoised
-    `submodule_census`; its `cache_info()` counts every lookup."""
+def _check_counts(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso, big: ModuleIso,
+                  primes: Sequence[int], budget: Budget) -> None:
+    """The checks of the counts F_{sub,quo}^big at `primes`, raising as
+    `hall_count` does at the first prime that fails them, in order: the
+    dimension vectors add up, the total and each prime are within
+    `budget`, and each prime is prime."""
     d_sub, d_quo, d_big = q.dim_of(sub), q.dim_of(quo), q.dim_of(big)
     if tuple(a + b for a, b in zip(d_sub, d_quo)) != d_big:
         raise ValueError("dimension vectors do not add up")
     total = sum(d_big)
-    if total > budget.hall_total or p > budget.hall_prime:
-        raise BudgetError(
-            f"hall_count budget is total<={budget.hall_total}, "
-            f"p<={budget.hall_prime} (override via {ENV_BUDGET})")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    for l, m, c in submodule_census(q.n, big, p):
+    for p in primes:
+        if total > budget.hall_total or p > budget.hall_prime:
+            raise BudgetError(
+                f"hall_count budget is total<={budget.hall_total}, "
+                f"p<={budget.hall_prime} (override via {ENV_BUDGET})")
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+
+
+def _census_count(n: int, sub: ModuleIso, quo: ModuleIso, big: ModuleIso, p: int) -> int:
+    """F_{sub,quo}^big over F_p, unchecked: a scan of the memoised
+    `submodule_census`, whose `cache_info()` counts every read."""
+    for l, m, c in submodule_census(n, big, p):
         if l == sub and m == quo:
             return c
     return 0
+
+
+def hall_count(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso, big: ModuleIso,
+               p: int, budget: Budget = DEFAULT_BUDGET) -> int:
+    """Number of submodules of `big` over F_p isomorphic to `sub` with
+    quotient isomorphic to `quo`: the checks of `_check_counts` at p, then
+    the census read of `_census_count`.  Unequal dimension sums and a p
+    that is not prime raise ValueError, a total or p over `budget`
+    BudgetError."""
+    _check_counts(q, sub, quo, big, (p,), budget)
+    return _census_count(q.n, sub, quo, big, p)
 
 
 # ----------------------------------------------------------------------
@@ -633,6 +651,11 @@ def interpolate_hall(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso,
 
     Passing the holdout is equivalent to the fit being stable under
     adding that prime as a node, so one check covers both readings.
+
+    The checks of `hall_count` run once, by `_check_counts` over the nodes
+    and then the holdout, before any count is read; each count is then the
+    census read `_census_count`, so a node equals `hall_count` at its
+    prime and a failing check raises what `hall_count` raises there.
     """
     if len(primes) < 2:
         raise ValueError("need at least two interpolation primes")
@@ -644,12 +667,13 @@ def interpolate_hall(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso,
     # cap stretches to the requested nodes; the total-dimension cap stays.
     budget = budget.widened(budget.hall_total,
                             max(max(primes), validate_prime))
-    nodes = [(p, hall_count(q, sub, quo, big, p, budget)) for p in primes]
+    _check_counts(q, sub, quo, big, (*primes, validate_prime), budget)
+    nodes = [(p, _census_count(q.n, sub, quo, big, p)) for p in primes]
     coeffs = _newton(nodes)
     if coeffs is None:
         raise InterpolationError(
             f"non-integer coefficients {_lagrange(nodes)}; add more primes")
-    held = hall_count(q, sub, quo, big, validate_prime, budget)
+    held = _census_count(q.n, sub, quo, big, validate_prime)
     fitted = HallPolynomial(sub, quo, big, tuple(coeffs),
                             tuple(nodes) + ((validate_prime, held),))
     if fitted.eval_q(validate_prime) != held:
@@ -661,10 +685,19 @@ def interpolate_hall(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso,
 
 def hall_polynomials(q: CyclicQuiver, sub: ModuleIso, quo: ModuleIso, primes: Sequence[int],
                      budget: Budget) -> Tuple[DimVector, List[HallPolynomial]]:
-    """dim L + dim M and phi_{L,M}^N for each class N of that dimension."""
+    """dim L + dim M and phi_{L,M}^N for each class N of that dimension,
+    the classes read from the memo `_classes_with_dim`."""
     d_total = tuple(a + b for a, b in zip(q.dim_of(sub), q.dim_of(quo)))
     return d_total, [interpolate_hall(q, sub, quo, big, primes, budget=budget)
-                     for big in q.enumerate_with_dim(d_total)]
+                     for big in _classes_with_dim(q.n, d_total)]
+
+
+@lru_cache(maxsize=None)
+def _classes_with_dim(n: int, d: DimVector) -> Tuple[ModuleIso, ...]:
+    """`CyclicQuiver(n).enumerate_with_dim(d)`, built once per (n, d): the
+    132 pairs of the integration catalog at n = 3 and total 3 have 20
+    distinct sums dim L + dim M."""
+    return tuple(CyclicQuiver(n).enumerate_with_dim(d))
 
 
 # ----------------------------------------------------------------------

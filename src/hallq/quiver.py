@@ -49,15 +49,19 @@ class Indecomposable(Immutable):
 
 
 class ModuleIso(Immutable):
-    """Isomorphism class of a finite module: a sorted multiset of uniserials."""
+    """Isomorphism class of a finite module: a sorted multiset of uniserials.
 
-    __slots__ = ("summands",)
+    The private `_hash` holds hash((summands,)), taken once when the class
+    is built: the census and its dicts hash each class many times."""
+
+    __slots__ = ("summands", "_hash")
 
     def __init__(self, summands: Tuple[Indecomposable, ...]):
         object.__setattr__(self, "summands", summands)
         key = [(r.socle, r.length) for r in self.summands]
         if key != sorted(key):
             raise ValueError("summands must be sorted by (socle, length)")
+        object.__setattr__(self, "_hash", hash((summands,)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not ModuleIso:
@@ -65,7 +69,7 @@ class ModuleIso(Immutable):
         return self.summands == other.summands
 
     def __hash__(self) -> int:
-        return hash((self.summands,))
+        return self._hash
 
     @staticmethod
     def of(*parts: Indecomposable) -> "ModuleIso":

@@ -223,10 +223,31 @@ MUTANTS = [
      ["tests/test_verify_cli.py::test_mismatch_is_one_witness_with_the_diff_capped_unless_verbose",
       "tests/test_verify_cli.py::test_campaign_cyclic",
       "tests/test_golden_reports.py::test_report_digest_is_pinned"]),
-    # hall_count's scan of the census matches the sub type alone, so the
-    # first quotient listed with that sub answers for every other
+    # the census read of hall_count and of every interpolation node matches
+    # the sub type alone, so the first quotient listed with that sub
+    # answers for every other
     ("src/hallq/hall.py", "if l == sub and m == quo:", "if l == sub:",
      ["tests/test_hall.py::test_hall_count_tells_quotients_of_one_sub_type_apart"]),
+    # the class-list memo asked without the quiver's n: every table reads
+    # the classes of the 2-cycle, and at n = 3 none has the dimension
+    ("src/hallq/hall.py", "_classes_with_dim(q.n, d_total)", "_classes_with_dim(2, d_total)",
+     ["tests/test_hall.py::test_interpolated_nodes_equal_hall_count",
+      "tests/test_hall.py::test_integration_lhs_equals_the_per_class_sum",
+      "tests/test_acceptance.py::test_criterion_08_integration_catalog"]),
+    # the checks test the primality of the first node alone: a later node
+    # that is not prime reaches the census read before it is refused
+    ("src/hallq/hall.py",
+     '        if not is_prime(p):\n            raise ValueError(f"{p} is not prime")',
+     '        if not is_prime(primes[0]):\n            raise ValueError(f"{primes[0]} is not prime")',
+     ["tests/test_hall.py::test_interpolation_raises_what_hall_count_raises"]),
+    # the cached hash of an iso class taken from its first summand alone
+    ("src/hallq/quiver.py", 'object.__setattr__(self, "_hash", hash((summands,)))',
+     'object.__setattr__(self, "_hash", hash((summands[:1],)))',
+     ["tests/test_quiver.py::test_module_iso_cached_hash_is_the_summand_tuple_hash",
+      "tests/test_package.py::test_hashes_are_those_of_the_field_tuples"]),
+    # the kernel's unchecked numerator left as the list _unpack returns
+    ("src/hallq/exact.py", "num = tuple(_unpack(v, b))", "num = _unpack(v, b)",
+     ["tests/test_exact.py::test_kernel_numerators_are_what_the_validating_constructor_builds"]),
     # a charge text is handed to Fraction whatever its exponent, which
     # builds 10^(10^9) for "1e1000000000" before the bit cap can refuse it
     ("src/hallq/cli.py", "if least > MAX_CHARGE_BITS:", "if False:",

@@ -93,6 +93,7 @@ KEPT = {
     "exact.RationalFunction.__repr__": "printed",
     "hall._hom_profile": "oracle part",  # iso_class_of
     "hall.iso_class_of": "traced",
+    "hall.hall_count": "oracle",  # of the nodes interpolate_hall reads
     "hall._lagrange": "oracle",
     "oracles._int_rank": "oracle part",  # hom_ext_oracle
     "oracles._intertwiner_system": "oracle part",  # both oracles

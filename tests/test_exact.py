@@ -527,6 +527,29 @@ def test_cyclo_sum_matches_the_gcd_sum_at_any_coefficient_size(terms, cancel):
     assert got.is_zero or not cancel
 
 
+@given(st.lists(wide_term, min_size=1, max_size=5), st.booleans(), st.integers(0, 2))
+def test_kernel_numerators_are_what_the_validating_constructor_builds(terms, cancel, lift):
+    # the kernel builds its numerator unchecked; rebuilt by the validating
+    # constructor from its t_low and entries it is the same polynomial: a
+    # tuple of ints with nonzero ends, also after a wider rerun, for a
+    # monomial, and after divisions by Phi_i (`lift` multiplies the first
+    # term's numerator and denominator by Phi_3, or by Phi_3 Phi_4, so
+    # that the sum has factors to divide out)
+    if lift:
+        extra = ((3, 1), (4, 1))[:lift]
+        exps, s, a = terms[0]
+        terms = [(exact._exps_merge(exps, extra), s,
+                  exact._iconv(a, exact._cyclo_den(extra)._ints))] + terms[1:]
+    if cancel:
+        terms = terms + [_negated(t) for t in terms[1:]]
+    got = _factored(terms).num
+    ints = got.coefficients
+    assert got == LaurentPoly(got.t_low, ints)
+    assert type(ints) is tuple and all(type(c) is int for c in ints)
+    assert not ints or (ints[0] and ints[-1])
+    assert ints or got.t_low == 0
+
+
 def _count_reruns(mp):
     """A list that gets the width of each kernel call from now on that
     reruns wider: the rerun calls the kernel by its name in `exact`, which

@@ -18,12 +18,14 @@ from hallq.hall import (
     budget_from_env,
     check_integration_homomorphism,
     hall_count,
+    hall_polynomials,
     interpolate_hall,
     iso_class_of,
     next_prime,
     realize,
     submodule_census,
     _arrow_table,
+    _census_count,
     _chain_census,
     _lagrange,
     _mat_mul,
@@ -402,16 +404,17 @@ def test_shared_census_tables_agree_cold_and_warm():
 
 
 def test_census_memo_counts_every_hall_lookup(monkeypatch):
-    # hall_count asks the one census memo for every count, so over a cold
-    # integration catalog the memo's hits and misses add up to the
-    # hall_count calls, and its misses are the distinct censuses (n, N, p)
+    # every node of every polynomial is one read of the one census memo,
+    # so over a cold integration catalog the memo's hits and misses add
+    # up to the node reads, and its misses are the distinct censuses
+    # (n, N, p)
     calls = []
 
-    def counted(q, sub, quo, big, p, budget=DEFAULT_BUDGET):
-        calls.append((q.n, big, p))
-        return hall_count(q, sub, quo, big, p, budget)
+    def counted(n, sub, quo, big, p):
+        calls.append((n, big, p))
+        return _census_count(n, sub, quo, big, p)
 
-    monkeypatch.setattr("hallq.hall.hall_count", counted)
+    monkeypatch.setattr("hallq.hall._census_count", counted)
     _clear_census_tables()
     ok, payload = campaign_integration(CampaignConfig(n=3))
     info = submodule_census.cache_info()
@@ -548,8 +551,8 @@ def test_interpolation_error_messages(monkeypatch):
     s1 = m_of(Q3, (1, 1))
     big = m_of(Q3, (1, 1), (1, 1))
     counts = {2: 0, 3: 1, 5: 0, 7: 0}
-    monkeypatch.setattr("hallq.hall.hall_count",
-                        lambda q, sub, quo, big, p, budget: counts[p])
+    monkeypatch.setattr("hallq.hall._census_count",
+                        lambda n, sub, quo, big, p: counts[p])
     nodes = [(2, 0), (3, 1), (5, 0)]
     with pytest.raises(InterpolationError) as err:
         interpolate_hall(Q3, s1, s1, big, (2, 3, 5))
@@ -560,6 +563,63 @@ def test_interpolation_error_messages(monkeypatch):
     with pytest.raises(InterpolationError,
                        match=r"^holdout mismatch at p=5: poly gives 0, count is 1$"):
         interpolate_hall(Q3, s1, s1, big, (2, 3))
+
+
+def test_interpolated_nodes_equal_hall_count():
+    # each node interpolate_hall reads (the holdout included) is hall_count
+    # at that prime, and the classes N of each table are those of
+    # enumerate_with_dim: every pair of the n = 3 catalog of
+    # campaign_integration and the four Hall tables of the benchmark at n = 2
+    primes = (2, 3, 5, 7, 11)
+    classes = [(m, sum(r.length for r in m)) for m in Q3.enumerate_iso_classes(4)]
+    jobs = [(Q3, l, m) for l, a in classes for m, b in classes if a + b <= 4]
+    assert len(jobs) == 447
+    tables = [([(1, 1), (2, 1)], [(1, 1), (2, 1)]), ([(1, 2)], [(2, 2)]),
+              ([(1, 2)], [(1, 2)]), ([(1, 1)], [(1, 1), (2, 1), (1, 1)])]
+    jobs += [(Q2, m_of(Q2, *sub), m_of(Q2, *quo)) for sub, quo in tables]
+    for q, sub, quo in jobs:
+        d, polys = hall_polynomials(q, sub, quo, primes, CATALOG_BUDGET)
+        assert [phi.big for phi in polys] == q.enumerate_with_dim(d), (sub, quo)
+        for phi in polys:
+            assert [p for p, _ in phi.nodes] == [2, 3, 5, 7, 11, 13]
+            for p, count in phi.nodes:
+                assert count == hall_count(q, sub, quo, phi.big, p, CATALOG_BUDGET), \
+                    (sub, quo, phi.big, p)
+
+
+def test_interpolation_raises_what_hall_count_raises(monkeypatch):
+    # the checks run once, before any count is read, and raise the type
+    # and message hall_count raises at the first node that fails them:
+    # unequal dimension sums first, then the total and each node's
+    # primality in node order
+    s1, s2 = m_of(Q3, (1, 1)), m_of(Q3, (2, 1))
+    r12, r13 = m_of(Q3, (1, 2)), m_of(Q3, (1, 3))
+    big5 = m_of(Q3, (1, 3), (1, 2))
+    monkeypatch.setattr("hallq.hall._census_count",
+                        lambda *args: pytest.fail("count read before the checks"))
+    over = ("hall_count budget is total<=4, p<=7 "
+            f"(override via {ENV_BUDGET})")
+    cases = [
+        ((s1, s2, r12, (2, 4, 5)), {}, ValueError, "4 is not prime"),
+        ((s1, s2, r12, (2, 3, 9, 5, 15)), {}, ValueError, "9 is not prime"),
+        ((s1, s2, r12, (2, 3, 5)), {"validate_prime": 9}, ValueError, "9 is not prime"),
+        ((r13, r12, big5, (2, 3, 5)), {}, BudgetError, over),
+        ((r13, r12, big5, (2, 4, 5)), {}, BudgetError, over),
+        ((s1, s1, r12, (2, 3, 5)), {}, ValueError, "dimension vectors do not add up"),
+        ((s1, s1, big5, (2, 4, 5)), {}, ValueError, "dimension vectors do not add up"),
+    ]
+    for args, kwargs, kind, message in cases:
+        with pytest.raises(kind) as err:
+            interpolate_hall(Q3, *args, **kwargs)
+        assert type(err.value) is kind and str(err.value) == message, args
+    # the same at hall_count's own first failing prime
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        hall_count(Q3, s1, s2, r12, 4)
+    with pytest.raises(BudgetError) as err:
+        hall_count(Q3, r13, r12, big5, 2, Budget(4, 7))
+    assert str(err.value) == over
+    with pytest.raises(ValueError, match="^dimension vectors do not add up$"):
+        hall_count(Q3, s1, s1, big5, 4)
 
 
 NODES = st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), min_size=2, max_size=6,

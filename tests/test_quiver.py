@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hallq.exact import LaurentPoly
-from hallq.hall import submodule_census
+from hallq.hall import _classes_with_dim, submodule_census
 from hallq.quiver import (CyclicQuiver, Indecomposable, ModuleIso, _runs, multiset_walk,
                           multisets_with_budget)
 from hallq.torus import apply_translate, integrate
@@ -63,6 +63,20 @@ def test_module_iso_sum_and_counts():
 def test_module_iso_json_round_trip():
     m = ModuleIso.of(Q3.R(2, 4), Q3.simple(3))
     assert m.to_json() == [[2, 4], [3, 1]]
+
+
+def test_module_iso_cached_hash_is_the_summand_tuple_hash():
+    # the hash taken once at construction is hash((summands,)), for every
+    # class of total <= 4 and for each way of building one; the private
+    # slot stays out of repr and of equality
+    classes = Q3.enumerate_iso_classes(4)
+    for m in classes:
+        assert hash(m) == m._hash == hash((m.summands,))
+        again = ModuleIso.of(*reversed(m.summands))
+        assert again == m and hash(again) == hash(m)
+        assert repr(m) == f"ModuleIso(summands={m.summands!r})"
+    assert repr(ModuleIso.zero()) == "ModuleIso(summands=())"
+    assert hash(ModuleIso.zero()) == hash(((),))
 
 
 def test_indecomposable_validation():
@@ -444,11 +458,15 @@ def test_enumerate_with_dim():
 
 @pytest.mark.parametrize("q", [Q2, Q3, Q4])
 def test_enumerate_with_dim_matches_the_filtered_catalog(q):
+    # and so does the memo of the Hall tables, keyed on (n, d), whatever
+    # quivers asked it before
     catalog = list(q.enumerate_iso_classes(4))
     for total in range(5):
         for d in itertools.product(range(total + 1), repeat=q.n):
             if sum(d) == total:
-                assert q.enumerate_with_dim(d) == [m for m in catalog if q.dim_of(m) == d]
+                want = [m for m in catalog if q.dim_of(m) == d]
+                assert q.enumerate_with_dim(d) == want
+                assert _classes_with_dim(q.n, d) == tuple(want)
 
 
 @pytest.mark.parametrize("q", [Q2, Q3, Q4])

@@ -17,7 +17,7 @@ def main():
     r = q.R(3, 3)
     print(f"module {r}, dimension vector {q.dim_of_indec(r)}")
     for sub, quo, count in submodule_census(q.n, ModuleIso.of(r), 2):
-        if not sub.is_zero and not quo.is_zero:
+        if sub and quo:
             print(f"  0 -> {sub} -> {r} -> {quo} -> 0   ({count} such submodule)")
 
     print()

@@ -44,6 +44,11 @@ _MODULE_TOKEN = re.compile(r"^(?:[Ss](\d+)|[Rr](\d+),(\d+))$")
 # the dimension vectors grows with it.
 MAX_MODULE_LENGTH = 100_000
 
+# Cap on the digits of one integer of a module text: 640, the least
+# limit on int-from-str conversion that Python can be set to, so no
+# setting of it can make the conversion itself fail.
+MAX_MODULE_DIGITS = 640
+
 # Cap on the bits of all numerators and denominators of the explicit
 # charges together, about 1,000 decimal digits.  It keeps every charge the
 # reports render (the lcm of the denominators, each uniserial's sum) far
@@ -68,6 +73,9 @@ def parse_module(text: str, q: CyclicQuiver) -> ModuleIso:
         if m is None:
             raise ConfigError(
                 f"cannot parse module {token!r}; use S<i>, R<i>,<l>, '+', or '0'")
+        if max(len(g or "") for g in m.groups()) > MAX_MODULE_DIGITS:
+            raise ConfigError(f"module {token.strip()[:20]!r}... has an integer of more than "
+                              f"{MAX_MODULE_DIGITS} digits")
         if m.group(1) is not None:
             parts.append(q.simple(int(m.group(1))))
         elif int(m.group(3)) < 1:

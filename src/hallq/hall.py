@@ -339,8 +339,7 @@ def _meet_dim(dim: int, p: int, a: int, b: int) -> int:
 
 def _sorted_census(tally: Dict[Tuple[ModuleIso, ModuleIso], object]
                    ) -> Tuple[Tuple[ModuleIso, ModuleIso, object], ...]:
-    return tuple((l, m, c) for (l, m), c in sorted(
-        tally.items(), key=lambda kv: (kv[0][0].to_json(), kv[0][1].to_json())))
+    return tuple((l, m, c) for (l, m), c in sorted(tally.items()))
 
 
 def _gaussian_binomial(d: int, k: int, p: int) -> int:
@@ -716,7 +715,7 @@ def check_integration_homomorphism(q: CyclicQuiver, left: ModuleIso,
     twist_sign = -1 flips the product twist and exists only so sabotage
     checks can prove this comparison is not vacuous.
     """
-    total = sum(r.length for r in left.summands + right.summands)
+    total = sum(r.length for r in left + right)
     if total > budget.hall_total:
         raise BudgetError(f"pair total {total} exceeds budget {budget.hall_total}")
     d_total, polys = hall_polynomials(q, left, right, primes, budget)

@@ -8,14 +8,19 @@ chain R(i, k) for k <= l, with quotient R(i+k, l-k), as
 `hall.submodule_census` lists them; the translation tau R(i, l) =
 R(i-1, l) rotates dimension vectors, as `torus.apply_translate` does.
 
-Dimension vectors are plain tuples of n nonnegative integers.  The Euler
+A uniserial is the named pair `Indecomposable(socle, length)`, and an
+iso class, `ModuleIso`, is the tuple of its summands sorted as pairs;
+both compare, hash and sort as the plain tuples they are.  Dimension
+vectors are plain tuples of n nonnegative integers.  The Euler
 form here is chi(e_i, e_j) = [i = j] - [j = i - 1 mod n]; its
 antisymmetrisation lambda vanishes against the cyclic vector delta.
 """
 
 from __future__ import annotations
 
-from operator import mul, sub
+from collections import namedtuple
+from itertools import groupby
+from operator import gt, mul, sub
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .exact import Immutable, LaurentPoly
@@ -23,79 +28,57 @@ from .exact import Immutable, LaurentPoly
 DimVector = Tuple[int, ...]
 
 
-class Indecomposable(Immutable):
-    """R(socle, length): the uniserial with the given socle index, 1-based."""
+class Indecomposable(namedtuple("Indecomposable", "socle length")):
+    """R(socle, length): the uniserial with the given socle index, 1-based.
 
-    __slots__ = ("socle", "length")
+    A named tuple, so equality, hash and order are those of the pair
+    (socle, length)."""
 
-    def __init__(self, socle: int, length: int):
-        object.__setattr__(self, "socle", socle)
-        object.__setattr__(self, "length", length)
-        if self.length < 1:
+    __slots__ = ()
+
+    def __new__(cls, socle: int, length: int):
+        if length < 1:
             raise ValueError("length must be positive")
-        if self.socle < 1:
+        if socle < 1:
             raise ValueError("socle index is 1-based")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Indecomposable:
-            return NotImplemented
-        return (self.socle, self.length) == (other.socle, other.length)
-
-    def __hash__(self) -> int:
-        return hash((self.socle, self.length))
+        return tuple.__new__(cls, (socle, length))
 
     def __str__(self) -> str:
         return f"R({self.socle},{self.length})"
 
 
-class ModuleIso(Immutable):
-    """Isomorphism class of a finite module: a sorted multiset of uniserials.
+class ModuleIso(tuple):
+    """Isomorphism class of a finite module: the tuple of its uniserial
+    summands, sorted by (socle, length).
 
-    The private `_hash` holds hash((summands,)), taken once when the class
-    is built: the census and its dicts hash each class many times."""
+    Equality, hash and order are those of the tuple, so sorting classes
+    sorts them as their JSON lists.  Tuple `+` of two classes gives a
+    plain tuple, unsorted: `ModuleIso.of(*a, *b)` is the direct sum."""
 
-    __slots__ = ("summands", "_hash")
+    __slots__ = ()
 
-    def __init__(self, summands: Tuple[Indecomposable, ...]):
-        object.__setattr__(self, "summands", summands)
-        key = [(r.socle, r.length) for r in self.summands]
-        if key != sorted(key):
+    def __new__(cls, summands: Iterable[Indecomposable] = ()):
+        m = tuple.__new__(cls, summands)
+        if any(map(gt, m, m[1:])):
             raise ValueError("summands must be sorted by (socle, length)")
-        object.__setattr__(self, "_hash", hash((summands,)))
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not ModuleIso:
-            return NotImplemented
-        return self.summands == other.summands
-
-    def __hash__(self) -> int:
-        return self._hash
+        return m
 
     @staticmethod
     def of(*parts: Indecomposable) -> "ModuleIso":
-        return ModuleIso(tuple(sorted(parts, key=lambda r: (r.socle, r.length))))
+        return ModuleIso(sorted(parts))
 
     @staticmethod
     def zero() -> "ModuleIso":
-        return ModuleIso(())
+        return ModuleIso()
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.summands
-
-    def __iter__(self) -> Iterator[Indecomposable]:
-        return iter(self.summands)
-
-    def __len__(self) -> int:
-        return len(self.summands)
+    def __repr__(self) -> str:
+        return f"ModuleIso({tuple(self)!r})"
 
     def __str__(self) -> str:
-        if not self.summands:
-            return "0"
-        return " + ".join(str(r) for r in self.summands)
+        return " + ".join(map(str, self)) or "0"
 
     def to_json(self) -> list:
-        return [[r.socle, r.length] for r in self.summands]
+        return [list(r) for r in self]
 
 
 class CyclicQuiver(Immutable):
@@ -177,16 +160,15 @@ class CyclicQuiver(Immutable):
         summands of M, run by run; ks lists 1..m_r for every part R_r of
         multiplicity m_r, ascending.
         """
-        runs = _runs(m)
-        steps, ks = [], []
-        for j, (_, _, mult) in enumerate(runs):
-            for k in range(1, mult + 1):
-                ks.append(k)
-                steps.append((len(ks), j, k))
+        parts, steps = [], []
+        for j, (r, run) in enumerate(groupby(m)):
+            parts.append(r)
+            for k, _ in enumerate(run, 1):
+                steps.append((len(steps) + 1, j, k))
         e = 0
-        for _, _, _, e in self.aut_exponents([(s, l) for s, l, _ in runs], steps):
+        for _, _, _, e in self.aut_exponents(parts, steps):
             pass
-        return e, tuple(sorted(ks))
+        return e, tuple(sorted(k for _, _, k in steps))
 
     def aut_exponents(self, parts: Sequence[Tuple[int, int]],
                       steps: Iterable[Tuple[int, int, int]]) -> Iterator[Tuple[int, int, int, int]]:
@@ -238,7 +220,7 @@ class CyclicQuiver(Immutable):
         summand lists lexicographically.
         """
         found = multisets_with_budget(self.enumerate_indecomposables(max_total), max_total)
-        return sorted(found, key=lambda m: sum(r.length for r in m.summands))
+        return sorted(found, key=lambda m: sum(r.length for r in m))
 
     def enumerate_with_dim(self, d: DimVector) -> List[ModuleIso]:
         """All iso classes with the exact dimension vector d, in the order
@@ -296,22 +278,12 @@ def multisets_with_budget(parts: Iterable[Indecomposable], budget: int) -> List[
     """
     if budget < 0:
         return []
-    parts = sorted(parts, key=lambda r: (r.socle, r.length))
-    out = [ModuleIso(())]
+    parts = sorted(parts)
+    out = [ModuleIso()]
     acc: List[Indecomposable] = []
     for depth, i, _ in multiset_walk([r.length for r in parts], budget):
         del acc[depth - 1:]
         acc.append(parts[i])
-        out.append(ModuleIso(tuple(acc)))
+        out.append(ModuleIso(acc))
     return out
 
-
-def _runs(m: ModuleIso) -> List[List[int]]:
-    """[socle, length, multiplicity] per run of the sorted summand tuple."""
-    runs: List[List[int]] = []
-    for r in m.summands:
-        if runs and runs[-1][0] == r.socle and runs[-1][1] == r.length:
-            runs[-1][2] += 1
-        else:
-            runs.append([r.socle, r.length, 1])
-    return runs

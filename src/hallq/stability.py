@@ -135,7 +135,7 @@ def is_stable(z: StabilityFunction, x) -> bool:
     if isinstance(x, ModuleIso):
         if len(x) != 1:
             return False
-        x = x.summands[0]
+        x = x[0]
     return _prefixes_below(z, x, strict=True)
 
 
@@ -144,12 +144,12 @@ def is_semistable(z: StabilityFunction, x) -> bool:
     semistable of one common phase."""
     if isinstance(x, Indecomposable):
         return _prefixes_below(z, x, strict=False)
-    if x.is_zero:
+    if not x:
         return False
-    mu = z._icharge(x.summands[0].socle, x.summands[0].length)
+    mu = z._icharge(x[0].socle, x[0].length)
     return all(_prefixes_below(z, r, strict=False)
                and _cross(z._icharge(r.socle, r.length), mu) == 0
-               for r in x.summands)
+               for r in x)
 
 
 # ----------------------------------------------------------------------
@@ -259,8 +259,7 @@ def hn_filtration(z: StabilityFunction, m: ModuleIso) -> List[Tuple[ModuleIso, G
     """
     q = z.quiver
     buckets: List[Tuple[Tuple[int, int], List[Indecomposable]]] = []
-    for r in m.summands:
-        socle, length = r.socle, r.length
+    for socle, length in m:
         while length > 0:
             best_k, best = 1, z._icharge(socle, 1)
             for k in range(2, length + 1):

@@ -386,12 +386,12 @@ def integrate_multisets(q: CyclicQuiver, parts: Iterable[Indecomposable],
     the coefficient is copied to the rest of the orbit.  Without it,
     every dimension vector is counted: the oracle of the dihedral sum.
     """
-    parts = sorted(parts, key=lambda r: (r.socle, r.length))
+    parts = sorted(parts)
     n, base = q.n, truncation + 1
     top = base ** n
     codes = [_code(q.dim_of_indec(r), base) for r in parts]
     copies = [0] + [top * base ** k for k in range(truncation)]
-    walk = q.aut_exponents([(r.socle, r.length) for r in parts],
+    walk = q.aut_exponents(parts,
                            multiset_walk([r.length for r in parts], truncation))
     # dim code -> the dimension vectors of its dihedral orbit at the
     # orbit's least code, () at the others

@@ -539,7 +539,7 @@ def hall_table(cfg: CampaignConfig, sub: ModuleIso, quo: ModuleIso) -> Tuple[boo
     cfg = cfg.check()
     q = CyclicQuiver(cfg.n)
     budget = budget_from_env(CATALOG_BUDGET)
-    total = sum(r.length for r in sub.summands + quo.summands)
+    total = sum(r.length for r in sub + quo)
     if total > budget.hall_total:
         raise BudgetError(f"total {total} of L + M exceeds the Hall budget "
                           f"total {budget.hall_total} (override via {ENV_BUDGET})")

@@ -100,8 +100,7 @@ KEPT = {
     "oracles.hom_ext_oracle": "oracle",
     "oracles.count_automorphisms": "oracle",
     "quiver.ModuleIso.zero": "input",  # parse_module("0")
-    "quiver.ModuleIso.is_zero": "value",
-    "quiver.ModuleIso.__len__": "oracle part",  # is_stable
+    "quiver.ModuleIso.__repr__": "printed",
     "quiver.ModuleIso.__str__": "printed",
     "quiver.CyclicQuiver.lambda_form": "oracle",
     "quiver.CyclicQuiver.aut_poly": "traced",

@@ -192,7 +192,7 @@ def test_criterion_09_oracle_agreement():
             if hom - ext != q.euler_form(da, db):
                 failures.append(("euler", n, a, b))
         for m in q.enumerate_iso_classes(3):
-            if m.is_zero:
+            if not m:
                 continue
             for p in (2, 3):
                 if count_automorphisms(q, m, p) != q.aut_poly(m).eval_even_at_q(p):

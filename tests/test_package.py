@@ -118,7 +118,7 @@ def test_hashes_are_those_of_the_field_tuples():
     assert hash(g) == hash((g.re, g.im))
     assert hash(r) == hash((2, 3))
     assert hash(Q3) == hash((3,))
-    assert hash(m) == hash((m.summands,))
+    assert hash(m) == hash(tuple(m))
     assert hash(cfg) == hash((4, None, 10, 0, 8, None, (2, 3, 5, 7, 11), 4, None, False))
     assert hash(Budget(hall_prime=13)) == hash((4, 13))
     rep = realize(Q3, m, 2)
@@ -145,7 +145,7 @@ def test_hashes_are_those_of_the_field_tuples():
 
 
 @pytest.mark.parametrize("obj,field", [
-    (ModuleIso.of(Q3.R(1, 2)), "summands"),
+    (CyclicQuiver(3), "n"),
     (GaussianRational(Fraction(1), Fraction(0)), "re"),
     (CampaignConfig(), "truncation"),
     (Indecomposable(1, 1), "length"),
@@ -160,6 +160,18 @@ def test_fields_cannot_be_assigned_or_deleted(obj, field):
     with pytest.raises(AttributeError):
         obj.extra = 1
     assert getattr(obj, field) == before
+
+
+def test_module_iso_cannot_be_changed():
+    # a class is a tuple of its summands, with no instance dict
+    m = ModuleIso.of(Q3.R(1, 2), Q3.simple(3))
+    with pytest.raises(TypeError):
+        m[0] = Q3.simple(1)
+    with pytest.raises(TypeError):
+        del m[0]
+    with pytest.raises(AttributeError):
+        m.extra = 1
+    assert m == ModuleIso.of(Q3.simple(3), Q3.R(1, 2))
 
 
 def test_check_fills_the_truncation_by_construction():

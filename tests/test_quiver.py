@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from hallq.exact import LaurentPoly
 from hallq.hall import _classes_with_dim, submodule_census
-from hallq.quiver import (CyclicQuiver, Indecomposable, ModuleIso, _runs, multiset_walk,
+from hallq.quiver import (CyclicQuiver, Indecomposable, ModuleIso, multiset_walk,
                           multisets_with_budget)
 from hallq.torus import apply_translate, integrate
 
@@ -48,13 +48,13 @@ def test_top_vertex():
     # census over F_2 lists it
     for r, top in ((Q3.R(1, 2), 2), (Q3.R(3, 3), 2), (Q3.simple(2), 2)):
         quotients = [quo for _, quo, _ in submodule_census(3, ModuleIso.of(r), 2)
-                     if len(quo) == 1 and quo.summands[0].length == 1]
+                     if len(quo) == 1 and quo[0].length == 1]
         assert quotients == [ModuleIso.of(Q3.simple(top))]
 
 
 def test_module_iso_sum_and_counts():
     m = ModuleIso.of(Q3.simple(1), Q3.simple(1), Q3.R(1, 2))
-    assert Counter(m.summands) == {Q3.simple(1): 2, Q3.R(1, 2): 1}
+    assert Counter(m) == {Q3.simple(1): 2, Q3.R(1, 2): 1}
     assert Q3.dim_of(m) == (3, 1, 0)
     assert ModuleIso.of(*m, *ModuleIso.zero()) == m
     assert Q3.dim_of(ModuleIso.zero()) == (0, 0, 0)
@@ -66,22 +66,48 @@ def test_module_iso_json_round_trip():
 
 
 def test_module_iso_cached_hash_is_the_summand_tuple_hash():
-    # the hash taken once at construction is hash((summands,)), for every
-    # class of total <= 4 and for each way of building one; the private
-    # slot stays out of repr and of equality
+    # a class is the tuple of its summands, so its hash is hash(tuple(m)),
+    # for every class of total <= 4 and for each way of building one
     classes = Q3.enumerate_iso_classes(4)
     for m in classes:
-        assert hash(m) == m._hash == hash((m.summands,))
-        again = ModuleIso.of(*reversed(m.summands))
+        assert hash(m) == hash(tuple(m))
+        again = ModuleIso.of(*reversed(m))
         assert again == m and hash(again) == hash(m)
-        assert repr(m) == f"ModuleIso(summands={m.summands!r})"
-    assert repr(ModuleIso.zero()) == "ModuleIso(summands=())"
-    assert hash(ModuleIso.zero()) == hash(((),))
+        assert repr(m) == f"ModuleIso({tuple(m)!r})"
+    assert repr(ModuleIso.zero()) == "ModuleIso(())"
+    assert hash(ModuleIso.zero()) == hash(())
+
+
+def test_module_iso_is_its_sorted_summand_tuple():
+    m = ModuleIso.of(Q3.R(2, 1), Q3.simple(1), Q3.R(1, 2), Q3.simple(1))
+    assert tuple(m) == ((1, 1), (1, 1), (1, 2), (2, 1))
+    assert len(m) == 4 and m[2] == Q3.R(1, 2) and not ModuleIso.zero()
+    assert str(m) == "R(1,1) + R(1,1) + R(1,2) + R(2,1)" and str(ModuleIso.zero()) == "0"
+    # tuple + gives a plain, unsorted tuple; `of` gives the direct sum
+    a, b = ModuleIso.of(Q3.R(2, 1)), ModuleIso.of(Q3.simple(1))
+    assert type(a + b) is tuple and a + b == (Q3.R(2, 1), Q3.simple(1))
+    assert ModuleIso.of(*a, *b) == ModuleIso((Q3.simple(1), Q3.R(2, 1)))
+    # classes sort as their JSON lists
+    classes = Q3.enumerate_iso_classes(4)
+    assert sorted(classes) == sorted(classes, key=ModuleIso.to_json)
+
+
+def test_module_iso_refuses_unsorted_summands():
+    for parts in ((Q3.R(2, 1), Q3.R(1, 2)), (Q3.R(1, 2), Q3.simple(1)),
+                  (Q3.simple(1), Q3.simple(2), Q3.simple(1))):
+        with pytest.raises(ValueError, match="sorted"):
+            ModuleIso(parts)
+        assert list(ModuleIso.of(*parts)) == sorted(parts)
 
 
 def test_indecomposable_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive"):
         Indecomposable(1, 0)
+    with pytest.raises(ValueError, match="1-based"):
+        Indecomposable(0, 1)
+    with pytest.raises(ValueError, match="positive"):
+        Indecomposable(0, 0)
+    assert Indecomposable(1, 1) == (1, 1) and Indecomposable(3, 2).socle == 3
 
 
 # ----------------------------------------------------------------------
@@ -204,6 +230,11 @@ def test_hom_dim_long_modules():
     assert hom_dim(Q2, Q2.R(1, 2), Q2.R(1, 4)) == 1
 
 
+def _runs(m):
+    """(socle, length, multiplicity) per run of the sorted summand tuple."""
+    return [(s, l, len(list(run))) for (s, l), run in itertools.groupby(m)]
+
+
 def hom_runs(q, a, b):
     """dim Hom(A, B) from the table of the runs of A and B."""
     return sum(map(sum, q._hom_table(_runs(a), _runs(b))))
@@ -213,7 +244,7 @@ def test_hom_dim_modules_additive():
     a = ModuleIso.of(Q3.simple(1), Q3.R(1, 2))
     b = ModuleIso.of(Q3.simple(1), Q3.simple(2))
     total = sum(
-        hom_dim(Q3, x, y) for x in a.summands for y in b.summands
+        hom_dim(Q3, x, y) for x in a for y in b
     )
     assert hom_runs(Q3, a, b) == total
 
@@ -261,7 +292,7 @@ def _aut_factors_by_counts(q, m):
     """|Aut M| = q^e prod (q^k - 1) from the multiplicities m_r of the
     distinct summands R_r: e = sum m_r m_s dim Hom(R_r, R_s) - sum
     m_r (m_r + 1) / 2, and ks lists 1..m_r for every r."""
-    mults = Counter(m.summands)
+    mults = Counter(m)
     end = sum(ma * mb * hom_dim(q, x, y)
               for x, ma in mults.items() for y, mb in mults.items())
     e = end - sum(k * (k + 1) // 2 for k in mults.values())
@@ -276,7 +307,7 @@ def test_aut_factors_match_the_counts_formula(n):
         assert q.aut_factors(m) == _aut_factors_by_counts(q, m), m
     sample = classes[::max(1, len(classes) // 60)]
     for a, b in itertools.product(sample, repeat=2):
-        ca, cb = Counter(a.summands), Counter(b.summands)
+        ca, cb = Counter(a), Counter(b)
         assert hom_runs(q, a, b) == sum(
             ma * mb * hom_dim(q, x, y) for x, ma in ca.items() for y, mb in cb.items())
 
@@ -285,8 +316,8 @@ def test_aut_factors_match_the_counts_formula(n):
 def test_aut_exponents_along_the_walk_match_the_counts_formula(n):
     # each step's (e, ks) against the counts formula for the class it reaches
     q = CyclicQuiver(n)
-    parts = sorted(q.enumerate_indecomposables(6), key=lambda r: (r.socle, r.length))
-    walk = q.aut_exponents([(r.socle, r.length) for r in parts],
+    parts = sorted(q.enumerate_indecomposables(6))
+    walk = q.aut_exponents(parts,
                            multiset_walk([r.length for r in parts], 6))
     path, ks, seen = [], [], 0
     for depth, i, m, e in walk:
@@ -302,7 +333,7 @@ def test_aut_exponents_along_the_walk_match_the_counts_formula(n):
 
 def _multisets_by_recursion(parts, budget):
     """The depth-first recursion multisets_with_budget was written as."""
-    parts = sorted(parts, key=lambda r: (r.socle, r.length))
+    parts = sorted(parts)
     out, acc = [], []
 
     def extend(start, left):
@@ -352,7 +383,7 @@ def test_multisets_with_budget_keeps_the_recursive_order():
 def test_aut_value_matches_poly_eval():
     # |Aut M|(q) at q = p against q^e prod (q^k - 1) evaluated in integers
     for m in Q3.enumerate_iso_classes(3):
-        if m.is_zero:
+        if not m:
             continue
         poly = Q3.aut_poly(m)
         e, ks = Q3.aut_factors(m)

@@ -399,9 +399,8 @@ def test_delta_phase_indecomposables():
 def test_multisets_with_budget():
     parts = [Q3.R(3, 3), Q3.R(3, 6)]
     found = multisets_with_budget(parts, 6)
-    as_sets = {tuple(sorted((r.socle, r.length) for r in m)) for m in found}
     # the empty multiset carries the constant term of the series
-    assert as_sets == {(), ((3, 3),), ((3, 3), (3, 3)), ((3, 6),)}
+    assert set(found) == {(), ((3, 3),), ((3, 3), (3, 3)), ((3, 6),)}
 
 
 def test_multisets_with_negative_budget_is_empty():
@@ -468,7 +467,7 @@ def _aut_poly_by_counts(q, m):
     """|Aut M|(q) = q^(dim End M) prod_r prod_{k <= m_r} (1 - q^-k) from the
     multiplicities m_r and the pairwise Hom dimensions, apart from the
     one-summand increment that aut_factors and the iso-class walk share."""
-    mults = Counter(m.summands)
+    mults = Counter(m)
     end = sum(ma * mb * _hom_dim(q, x, y) for x, ma in mults.items() for y, mb in mults.items())
     out = LaurentPoly.q_power(end - sum(k * (k + 1) // 2 for k in mults.values()))
     for mult in mults.values():

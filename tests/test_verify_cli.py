@@ -19,8 +19,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import hallq
 from hallq import exact
-from hallq.cli import (MAX_CHARGE_BITS, _FLAGS, _build_config, _parse_charge, _parse_charges,
-                       _plain_args, build_parser, main, parse_module)
+from hallq.cli import (MAX_CHARGE_BITS, MAX_MODULE_DIGITS, MAX_MODULE_LENGTH, _FLAGS,
+                       _build_config, _parse_charge, _parse_charges, _plain_args, build_parser,
+                       main, parse_module)
 from hallq.exact import GaussianRational, LaurentPoly, RF_ONE, RationalFunction
 from hallq.hall import BudgetError
 from hallq.quiver import CyclicQuiver, ModuleIso
@@ -1030,6 +1031,32 @@ def test_cli_module_length_refused_up_front(capsys, monkeypatch, argv):
     assert "total length" in err and "Traceback" not in err
 
 
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["hn", "--n", "3", "--seed", "0", "--module", f"R{NINES},1"],
+    ["hn", "--n", "3", "--seed", "0", "--module", f"S{NINES}"],
+    ["hn", "--n", "3", "--seed", "0", "--module", f"R1,{NINES}"],
+    ["hall", f"R1,{NINES}", "S1", "--n", "2"],
+], ids=["socle", "simple", "length", "hall"])
+def test_cli_module_integer_past_the_digit_cap_refused(capsys, argv):
+    # 5,000 digits pass Python's 4,300-digit int-from-str limit
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "digits" in err and "Traceback" not in err and "internal error" not in err
+
+
+def test_parse_module_at_the_digit_cap():
+    q = CyclicQuiver(2)
+    at_cap = "9" * MAX_MODULE_DIGITS
+    assert parse_module(f"S{at_cap}", q) == ModuleIso.of(q.simple(1))
+    assert parse_module(f"R{'8' * MAX_MODULE_DIGITS},1", q) == ModuleIso.of(q.simple(2))
+    for text in (f"S{at_cap}9", f"R{at_cap}9,1", f"R1,{at_cap}9", f"S1+R1,0{at_cap}"):
+        with pytest.raises(ConfigError, match="digits"):
+            parse_module(text, q)
+
+
 def test_parse_module_at_the_length_cap():
     q = CyclicQuiver(2)
     assert sum(r.length for r in parse_module("R1,100000", q)) == 100_000
@@ -1178,6 +1205,16 @@ BAD_CHARGES = st.sampled_from([
     [["1", "-1"], ["1", "1"], ["1", "1"]], [["1/0", 1], [1, 1]], [[1e400, 1], [1, 1]],
     "nope"])
 SABOTAGE = st.sampled_from(sorted({m for ms in SABOTAGE_MODES.values() for m in ms}))
+# module tokens: small well-formed ones, lengths at the length cap and one
+# past it, integers of 5,000 digits, and malformed tokens
+MODULE_TOKENS = st.one_of(
+    st.builds("S{}".format, st.integers(0, 7)),
+    st.builds("R{},{}".format, st.integers(0, 7), st.integers(0, 4)),
+    st.sampled_from([f"R1,{MAX_MODULE_LENGTH}", f"R2,{MAX_MODULE_LENGTH + 1}",
+                     f"R{NINES},1", f"S{NINES}", f"R1,{NINES}",
+                     "X9", "R1", "R1,", "S", "R,2", "S1,2", "R1,2,3", "", " ", "S-1", "0"]))
+MODULE_TEXTS = st.one_of(st.just("0"), st.lists(MODULE_TOKENS, min_size=1, max_size=3)
+                         .map("+".join))
 
 
 @st.composite
@@ -1188,12 +1225,17 @@ def fuzz_invocations(draw):
     be refused before any work: n for every command, one time in ten (the
     vertex budget), n in 16..MAX_VERTICES with max_total 3 or 4 for
     integration, one time in three (the pair budget), and truncation for the
-    torus commands (the key budget)."""
+    torus commands (the key budget).  The module texts of `hn` and `hall`
+    are drawn from MODULE_TEXTS."""
 
     def pick(good, bad):
         return draw(bad if draw(st.integers(0, 9)) == 0 else good)
 
-    command = draw(st.sampled_from(FUZZ_COMMANDS))
+    command = list(draw(st.sampled_from(FUZZ_COMMANDS)))
+    if command[0] == "hn":
+        command[-1] = draw(MODULE_TEXTS)
+    elif command[0] == "hall":
+        command[1:] = [draw(MODULE_TEXTS), draw(MODULE_TEXTS)]
     torus = command[0] == "ez" or command[-1] in TORUS_COMMANDS
     huge = HUGE if torus else st.nothing()
     huge_n = draw(st.integers(0, 9)) == 0
@@ -1226,6 +1268,9 @@ def fuzz_invocations(draw):
     return argv, config
 
 
+FUZZ_WALL_SECONDS = 5.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(fuzz_invocations())
 def test_cli_fuzz_exit_codes_and_no_traceback(invocation):
@@ -1235,11 +1280,15 @@ def test_cli_fuzz_exit_codes_and_no_traceback(invocation):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
         out, err = io.StringIO(), io.StringIO()
+        started = time.perf_counter()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv + ["--config", path])
             except SystemExit as exit_:  # argparse rejects a malformed flag
                 code = exit_.code
+        elapsed = time.perf_counter() - started
+    # generous: every drawn invocation is small or refused up front
+    assert elapsed < FUZZ_WALL_SECONDS, (elapsed, argv, config)
     assert code in (0, 1, 2), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert "internal error" not in err.getvalue(), err.getvalue()

@@ -24,12 +24,14 @@ subspace each:
 
 So the census reads every sub and quotient type off per-subspace
 signatures, with no linear algebra per submodule, and classifies each
-tuple of signatures once for all primes.  Subspaces are kept as reduced
-echelon bases, so a meet dimension clears pivots instead of reducing a
-stacked matrix.  The per-vertex tables behind the chain walk (the image
-of each subspace under the arrow map, the subspaces landing inside a
-given one, and the signatures) depend on that vertex's data alone and
-are shared by every census in the process.
+tuple of signatures once for all primes.  The walk treats a subspace as
+the int mask of its projective points: inclusion is an AND, a meet
+dimension is read off the popcount of an AND (a k-space has (p^k - 1)/
+(p - 1) points), and the image of a subspace under an arrow map is the
+OR of its points' images.  The per-vertex tables behind the chain walk
+(the image of each subspace under the arrow map, the subspaces landing
+inside a given one, and the signatures) depend on that vertex's data
+alone and are shared by every census in the process.
 
 A semisimple module has zero arrow maps, so its census is counted, not
 walked: the graded subspaces of dimension k number ∏_v [d_v choose k_v]_p.
@@ -40,8 +42,9 @@ from __future__ import annotations
 import itertools
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import prod
+from operator import mul, or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exact import BudgetError, Immutable, LaurentPoly, rf_eq
@@ -312,29 +315,33 @@ def _subspace_index(dim: int, p: int) -> Tuple[Tuple[Matrix, ...], Dict[Matrix, 
 
 
 @lru_cache(maxsize=None)
-def _meet_dim(dim: int, p: int, a: int, b: int) -> int:
-    """dim(S_a ∩ S_b) for subspaces of F_p^dim numbered by `_subspace_index`.
-
-    Both bases are reduced echelon, so clearing the pivot columns of the
-    larger basis A from each row of the smaller one B leaves residual rows
-    that span (A + B)/A, and dim(A ∩ B) = dim B - their rank.  Only two or
-    more nonzero residual rows need a row reduction.
+def _point_table(dim: int, p: int) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...],
+                                           Dict[Tuple[int, ...], int], Dict[int, int]]:
+    """(masks, members, bit, dim_of): the subspaces of F_p^dim as sets of
+    projective points.  Point i is the line numbered i + 1 by
+    `_subspace_index`, so a point set is an int mask of (p^dim - 1)/(p - 1)
+    bits.  masks[u] is the mask of subspace u and members[u] the bits of
+    its points, bit[x] the bit of the point x (a vector whose first
+    nonzero entry is 1), and dim_of[c] the dimension of a subspace of c
+    points.
     """
     bases = _subspace_index(dim, p)[0]
-    big, small = bases[a], bases[b]
-    if len(big) < len(small):
-        big, small = small, big
-    pivots = [(row.index(1), row) for row in big]
-    residual = []
-    for vec in small:
-        for c, row in pivots:
-            f = vec[c]
-            if f:
-                vec = [(x - f * y) % p for x, y in zip(vec, row)]
-        if any(vec):
-            residual.append(vec)
-    return len(small) - (len(residual) if len(residual) < 2
-                         else _rank_mod(residual, dim, p))
+    bit = {x: 1 << i for i, (x,) in enumerate(bases[1:(p ** dim - 1) // (p - 1) + 1])}
+    members = []
+    for basis in bases:
+        # the points whose first nonzero coefficient is that of row r are
+        # r + span(the rows below r); a span is kept as coordinate columns
+        span, pts = [[0]] * dim, []
+        for r in range(len(basis) - 1, -1, -1):
+            row = basis[r]
+            pts += map(bit.__getitem__, zip(*[[(a + s) % p for s in col]
+                                              for a, col in zip(row, span)]))
+            if r:
+                span = [[(c * a + s) % p for c in range(p) for s in col]
+                        for a, col in zip(row, span)]
+        members.append(tuple(pts))
+    return (tuple(map(sum, members)), tuple(members), bit,
+            {(p ** k - 1) // (p - 1): k for k in range(dim + 1)})
 
 
 def _sorted_census(tally: Dict[Tuple[ModuleIso, ModuleIso], object]
@@ -396,13 +403,15 @@ def _chain_census(n: int, big: ModuleIso, p: int
     """`submodule_census` by walking every chain of subspaces, one per
     vertex, each arrow-invariant into the next.
 
-    Subspaces are numbered per vertex.  The kernels and images of the
-    composites C_{j,m} of `_composites` are numbered too, and a subspace's
-    signature is the tuple of its meet dimensions with the whole space
-    and with each of those (its meet slots).  The image of each subspace
-    under its arrow map, the subspaces whose image lands inside a given
-    one, and the signatures are tables shared by every census in the
-    process (`_arrow_table`, `_signature_table`), filled on first use.
+    Subspaces are numbered per vertex, and each is the point mask of
+    `_point_table`.  The kernels and images of the composites C_{j,m} of
+    `_composites` are numbered too, and a subspace's signature is the
+    tuple of its meet dimensions with the whole space and with each of
+    those (its meet slots), each the popcount of an AND of masks.  The
+    image mask of each subspace under its arrow map, the subspaces whose
+    image lands inside a given one (a mask inside another when their AND
+    gives it back), and the signatures are tables shared by every census
+    in the process (`_arrow_table`, `_signature_table`), filled on first use.
     The identities in the module docstring turn each distinct tuple of
     signatures into the Hom profiles of sub and quotient.  Each tuple is
     classified once per (n, dims, composite data) in `_pair_table`: the
@@ -436,16 +445,14 @@ def _chain_census(n: int, big: ModuleIso, p: int
 
     # arrows[v] = (images, by_image, landing) of A_v: V_v -> V_{v-1}
     arrows = [_arrow_table(dims[v], dims[v - 1], rep.maps[v], p) for v in range(n)]
-
-    def inside(w: int, a: int, b: int) -> bool:
-        return _meet_dim(dims[w], p, a, b) == len(bases[w][a])
+    tables = [_point_table(d, p) for d in dims]
 
     def landing_in(v: int, b: int) -> List[int]:
         """The U_v with A_v(U_v) inside subspace b of V_{v-1}."""
         _, by_image, landing = arrows[v]
         if b not in landing:
-            w = (v - 1) % n
-            landing[b] = [u for a, us in by_image.items() if inside(w, a, b) for u in us]
+            mb = tables[v - 1][0][b]
+            landing[b] = [u for ma, us in by_image.items() if ma & mb == ma for u in us]
         return landing[b]
 
     slots = [tuple(s) for s in meets]
@@ -454,16 +461,19 @@ def _chain_census(n: int, big: ModuleIso, p: int
     def signature(v: int, u: int) -> tuple:
         table = signatures[v]
         if u not in table:
-            table[u] = tuple(_meet_dim(dims[v], p, u, s) for s in slots[v])
+            masks, _, _, dim_of = tables[v]
+            mu = masks[u]
+            table[u] = tuple(dim_of[(mu & masks[s]).bit_count()] for s in slots[v])
         return table[u]
 
     chains = [(u,) for u in range(len(bases[0]))]
     for v in range(1, n):
         chains = [c + (u,) for c in chains for u in landing_in(v, c[-1])]
-    images_0 = arrows[0][0]
+    images_0, last = arrows[0][0], tables[n - 1][0]
     tally: Dict[tuple, int] = {}
     for chain in chains:
-        if inside(n - 1, images_0[chain[0]], chain[-1]):
+        ma = images_0[chain[0]]
+        if ma & last[chain[-1]] == ma:
             key = tuple(signature(v, u) for v, u in enumerate(chain))
             tally[key] = tally.get(key, 0) + 1
 
@@ -487,15 +497,21 @@ def _chain_census(n: int, big: ModuleIso, p: int
 def _arrow_table(dim: int, dim_w: int, amap: Matrix, p: int
                  ) -> Tuple[List[int], Dict[int, List[int]], Dict[int, List[int]]]:
     """(images, by_image, landing) of the arrow map `amap`: F_p^dim ->
-    F_p^dim_w.  images[u] is the number of A(U) for subspace u of F_p^dim,
-    by_image groups the u by it, and landing[b], filled by `_chain_census`
-    on first use, lists the u with A(U) inside subspace b of F_p^dim_w.
-    They depend on the key alone, so every census in the process shares
-    them."""
-    index = _subspace_index(dim_w, p)[1]
-    images = [index[_rref_mod([[sum(a * x for a, x in zip(arow, vec)) % p for arow in amap]
-                               for vec in basis], dim_w, p)[0]]
-              for basis in _subspace_index(dim, p)[0]]
+    F_p^dim_w.  images[u] is the point mask (`_point_table`) of A(U) for
+    subspace u of F_p^dim, the OR of the bits of A x over the points x of
+    U, each point mapped once; by_image groups the u by it, and
+    landing[b], filled by `_chain_census` on first use, lists the u with
+    A(U) inside subspace b of F_p^dim_w.  They depend on the key alone, so
+    every census in the process shares them."""
+    _, members, points, _ = _point_table(dim, p)
+    bit = _point_table(dim_w, p)[2]
+    inverse = [0] + [pow(c, p - 2, p) for c in range(1, p)]
+    point_images = {}
+    for x, b in points.items():
+        y = [sum(map(mul, arow, x)) % p for arow in amap]
+        lead = inverse[next(filter(None, y), 0)]
+        point_images[b] = lead and bit[tuple(lead * a % p for a in y)]
+    images = [reduce(or_, map(point_images.__getitem__, pts), 0) for pts in members]
     by_image: Dict[int, List[int]] = {}
     for u, a in enumerate(images):
         by_image.setdefault(a, []).append(u)

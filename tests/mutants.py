@@ -174,12 +174,34 @@ MUTANTS = [
      "_signature_table(dims[v], p, ())",
      ["tests/test_hall.py::test_shared_census_tables_agree_cold_and_warm",
       "tests/test_hall.py::test_census_matches_reference"]),
-    # the meet dimension without clearing the pivots of the larger basis
-    ("src/hallq/hall.py", "            if f:\n", "            if False:\n",
+    # the point masks built without the span of the rows below each row:
+    # a subspace of dimension 2 or more keeps one point per row, so its
+    # meets with others come out wrong
+    ("src/hallq/hall.py", "            if r:\n", "            if False:\n",
      ["tests/test_hall.py::test_meet_dim_matches_stacked_rank",
       "tests/test_hall.py::test_meet_dim_matches_stacked_rank_on_a_sample",
+      "tests/test_hall.py::test_point_masks_are_the_spans",
       "tests/test_hall.py::test_census_matches_reference",
       "tests/test_hall.py::test_census_counts_every_subrepresentation"]),
+    # inclusion of point masks tested the wrong way round: A(U) lands in b
+    # when it contains b
+    ("src/hallq/hall.py", "if ma & mb == ma", "if ma & mb == mb",
+     ["tests/test_hall.py::test_census_matches_reference",
+      "tests/test_hall.py::test_census_matches_reference_at_large_primes",
+      "tests/test_hall.py::test_census_counts_every_subrepresentation"]),
+    # the point count -> dimension table off by one
+    ("src/hallq/hall.py", "(p ** k - 1) // (p - 1): k for", "(p ** k - 1) // (p - 1): k + 1 for",
+     ["tests/test_hall.py::test_meet_dim_matches_stacked_rank",
+      "tests/test_hall.py::test_point_masks_are_the_spans",
+      "tests/test_hall.py::test_census_matches_reference"]),
+    # the image of a point looked up without scaling its leading entry to 1
+    ("src/hallq/hall.py", "bit[tuple(lead * a % p for a in y)]", "bit[tuple(y)]",
+     ["tests/test_hall.py::test_arrow_images_match_rref_images",
+      "tests/test_hall.py::test_census_matches_reference_at_large_primes"]),
+    # |Aut N| recomputed on every request, not once per (n, class)
+    ("src/hallq/quiver.py", "return _aut_factors(self.n, m)",
+     "return _aut_factors.__wrapped__(self.n, m)",
+     ["tests/test_quiver.py::test_aut_factors_run_once_per_class_of_the_integration_catalog"]),
     # the field tuple of the value classes with their private caches in
     # it: StabilityFunction's `_scaled` holds lists, so hashing fails
     ("src/hallq/exact.py", 'if not k.startswith("_")])', '])',

@@ -91,6 +91,7 @@ KEPT = {
     "exact.RationalFunction.__bool__": "value",
     "exact.RationalFunction.__str__": "printed",
     "exact.RationalFunction.__repr__": "printed",
+    "hall._rank_mod": "oracle part",  # _hom_profile, the oracles, the stacked-rank meets
     "hall._hom_profile": "oracle part",  # iso_class_of
     "hall.iso_class_of": "traced",
     "hall.hall_count": "oracle",  # of the nodes interpolate_hall reads

@@ -32,10 +32,11 @@ from hallq.hall import (
     _chain_census,
     _lagrange,
     _mat_mul,
-    _meet_dim,
     _newton,
     _pair_table,
+    _point_table,
     _rank_mod,
+    _rref_mod,
     _signature_table,
     _subspace_index,
     _subspaces,
@@ -244,27 +245,77 @@ def test_census_of_square_of_simple():
 
 
 def _meet_dim_by_stacking(dim, p, a, b):
-    """dim A + dim B - rank(A + B), the oracle of `_meet_dim`."""
+    """dim A + dim B - rank(A + B), the oracle of the point-mask meets."""
     bases = _subspace_index(dim, p)[0]
     return len(bases[a]) + len(bases[b]) - _rank_mod(bases[a] + bases[b], dim, p)
 
 
-@pytest.mark.parametrize("dim", [0, 1, 2, 3])
-@pytest.mark.parametrize("p", [2, 3])
+def _check_mask_meets(dim, p, pairs):
+    # the meet dimension read off the popcount of the AND of two point
+    # masks, and inclusion as the AND giving back the first mask
+    masks, _, _, dim_of = _point_table(dim, p)
+    bases = _subspace_index(dim, p)[0]
+    for a, b in pairs:
+        meet = _meet_dim_by_stacking(dim, p, a, b)
+        assert dim_of[(masks[a] & masks[b]).bit_count()] == meet, (a, b)
+        assert (masks[a] & masks[b] == masks[a]) == (meet == len(bases[a])), (a, b)
+
+
+@pytest.mark.parametrize("p,dim", [(p, dim) for p in (2, 3, 5, 7, 11, 13) for dim in range(3)]
+                         + [(2, 3), (3, 3)])
 def test_meet_dim_matches_stacked_rank(dim, p):
     # every ordered pair of subspaces of F_p^dim
     count = len(_subspace_index(dim, p)[0])
-    for a, b in itertools.product(range(count), repeat=2):
-        assert _meet_dim(dim, p, a, b) == _meet_dim_by_stacking(dim, p, a, b), (a, b)
+    _check_mask_meets(dim, p, itertools.product(range(count), repeat=2))
 
 
-@pytest.mark.parametrize("dim,p", [(3, 13), (4, 5)])
+@pytest.mark.parametrize("dim,p", [(3, 11), (3, 13), (4, 5)])
 def test_meet_dim_matches_stacked_rank_on_a_sample(dim, p):
     rng = random.Random(dim * 100 + p)
     count = len(_subspace_index(dim, p)[0])
-    for _ in range(3000):
-        a, b = rng.randrange(count), rng.randrange(count)
-        assert _meet_dim(dim, p, a, b) == _meet_dim_by_stacking(dim, p, a, b), (a, b)
+    _check_mask_meets(dim, p, [(rng.randrange(count), rng.randrange(count))
+                               for _ in range(3000)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_point_masks_are_the_spans(p):
+    # each mask has one bit per line of its subspace, and no two
+    # subspaces share a mask
+    for dim in range(4):
+        masks, members, bit, dim_of = _point_table(dim, p)
+        bases = _subspace_index(dim, p)[0]
+        assert len(set(masks)) == len(bases)
+        for basis, mask, pts in zip(bases, masks, members):
+            span = {tuple(sum(c * row[j] for c, row in zip(cs, basis)) % p for j in range(dim))
+                    for cs in itertools.product(range(p), repeat=len(basis))}
+            lines = {x for x in span if next(filter(None, x), 0) == 1}
+            assert len(lines) * (p - 1) + 1 == len(span)
+            assert mask == sum(bit[x] for x in lines) == sum(pts)
+            assert dim_of[mask.bit_count()] == len(basis)
+
+
+def _rref_images(dim, dim_w, amap, p):
+    """The number of A(U) for each subspace U of F_p^dim, by a row
+    reduction of the image of its basis: the oracle of `_arrow_table`."""
+    index = _subspace_index(dim_w, p)[1]
+    return [index[_rref_mod([[sum(a * x for a, x in zip(arow, vec)) % p for arow in amap]
+                             for vec in basis], dim_w, p)[0]]
+            for basis in _subspace_index(dim, p)[0]]
+
+
+def test_arrow_images_match_rref_images():
+    # random maps between spaces of dimension 0..3, not only the 0/1
+    # shifts of `realize`: the OR of the point images is the mask of the
+    # row-reduced image
+    rng = random.Random(34)
+    for p in (2, 3, 5, 7, 11, 13):
+        for dim, dim_w in itertools.product(range(4), repeat=2):
+            amap = tuple(tuple(rng.randrange(p) for _ in range(dim)) for _ in range(dim_w))
+            images, by_image, _ = _arrow_table(dim, dim_w, amap, p)
+            masks = _point_table(dim_w, p)[0]
+            assert images == [masks[a] for a in _rref_images(dim, dim_w, amap, p)], \
+                (dim, dim_w, amap, p)
+            assert sorted(u for us in by_image.values() for u in us) == list(range(len(images)))
 
 
 def _gaussian_binomial(d, k, p):
@@ -424,7 +475,7 @@ def test_semisimple_census_matches_the_chain_walk_at_13(dims):
 
 
 def _clear_census_tables():
-    for table in (submodule_census, _arrow_table, _signature_table, _pair_table):
+    for table in (submodule_census, _arrow_table, _signature_table, _pair_table, _point_table):
         table.cache_clear()
 
 
@@ -496,6 +547,16 @@ def test_census_matches_reference(n, totals, primes):
     for big in bigs:
         for p in primes:
             assert submodule_census(n, big, p) == _submodule_census_reference(n, big, p), (big, p)
+
+
+@pytest.mark.parametrize("parts,dims", [(((1, 3), (1, 1)), (3, 1)),
+                                        (((1, 2), (2, 2)), (2, 2))], ids=["d31", "d22"])
+@pytest.mark.parametrize("p", [11, 13])
+def test_census_matches_reference_at_large_primes(parts, dims, p):
+    # at n = 2, where the point masks are widest: 183 points in F_13^3
+    big = m_of(Q2, *parts)
+    assert Q2.dim_of(big) == dims
+    assert submodule_census(2, big, p) == _submodule_census_reference(2, big, p)
 
 
 def test_hall_count_anchors():

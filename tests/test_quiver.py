@@ -9,6 +9,7 @@ from math import prod
 import pytest
 from hypothesis import given, strategies as st
 
+from hallq import cli, quiver
 from hallq.exact import LaurentPoly
 from hallq.hall import _classes_with_dim, submodule_census
 from hallq.quiver import (CyclicQuiver, Indecomposable, ModuleIso, multiset_walk,
@@ -297,6 +298,25 @@ def _aut_factors_by_counts(q, m):
               for x, ma in mults.items() for y, mb in mults.items())
     e = end - sum(k * (k + 1) // 2 for k in mults.values())
     return e, tuple(sorted(k for mult in mults.values() for k in range(1, mult + 1)))
+
+
+def test_aut_factors_run_once_per_class_of_the_integration_catalog(monkeypatch, capsys, tmp_path):
+    # the integration catalog of the hall-catalog benchmark, at n = 3 and
+    # total 3, asks for |Aut N| 423 times over 35 distinct classes; the
+    # memo runs the walk behind aut_factors once per class
+    runs, asked = [], []
+    walk, factors = CyclicQuiver.aut_exponents, CyclicQuiver.aut_factors
+    monkeypatch.setattr(CyclicQuiver, "aut_exponents",
+                        lambda self, *args: runs.append(1) or walk(self, *args))
+    monkeypatch.setattr(CyclicQuiver, "aut_factors",
+                        lambda self, m: asked.append(m) or factors(self, m))
+    quiver._aut_factors.cache_clear()
+    config = tmp_path / "catalog.json"
+    config.write_text('{"max_total": 3}')
+    assert cli.main(["verify", "integration", "--n", "3", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert len(asked) == 423 and len(set(asked)) == 35
+    assert len(runs) == 35
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -1200,10 +1200,16 @@ GOOD_PRIMES = st.lists(st.sampled_from((2, 3, 5, 7, 11)), min_size=2, max_size=4
 BAD_PRIMES = st.sampled_from([[], [3], [2, 2], [2, 4], [1, 3], [2, 13], ["2", 3],
                               [2, 10 ** 18 + 3], "2,3", "2,x", "2,,3"])
 GOOD_CHARGES = st.just([["2", "1"], ["-2", "1"], ["1", "2"]])
-BAD_CHARGES = st.sampled_from([
+# charges: malformed entries, exponents that would build 10^(10^9) or its
+# inverse, and numerators at the bit cap and one bit past it
+BAD_CHARGE_ENTRIES = [
     [["1", "1"], ["1", "1"], ["1", "1"]], [["1", "1"]], [["a", "1"], ["1", "1"]],
     [["1", "-1"], ["1", "1"], ["1", "1"]], [["1/0", 1], [1, 1]], [[1e400, 1], [1, 1]],
-    "nope"])
+    [["1e1000000000", "1"], ["1", "1"]], [["1e-1000000000", "1"], ["1", "1"]],
+    [[str(2 ** (MAX_CHARGE_BITS - 1)), "1"], ["1", "1"]],
+    [[str(2 ** MAX_CHARGE_BITS), "1"], ["1", "1"]],
+    "nope"]
+BAD_CHARGES = st.sampled_from(BAD_CHARGE_ENTRIES)
 SABOTAGE = st.sampled_from(sorted({m for ms in SABOTAGE_MODES.values() for m in ms}))
 # module tokens: small well-formed ones, lengths at the length cap and one
 # past it, integers of 5,000 digits, and malformed tokens
@@ -1292,6 +1298,17 @@ def test_cli_fuzz_exit_codes_and_no_traceback(invocation):
     assert code in (0, 1, 2), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert "internal error" not in err.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("charges", BAD_CHARGE_ENTRIES,
+                         ids=[f"entry{i}" for i in range(len(BAD_CHARGE_ENTRIES))])
+def test_cli_every_bad_charge_entry_exits_cleanly(capsys, tmp_path, charges):
+    # the fuzz draws each entry rarely, so each is also run once here
+    cfg = write_config(tmp_path, n=2, charges=charges)
+    started = time.perf_counter()
+    code, _, err = run_cli(capsys, "stables", "--config", cfg)
+    assert time.perf_counter() - started < FUZZ_WALL_SECONDS
+    assert code in (0, 1, 2) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", FUZZ_COMMANDS, ids=" ".join)

@@ -6,7 +6,9 @@ quotient isomorphic to M), Newton interpolation of the counting
 polynomials in q, and the check that integration intertwines the
 counting product with the twisted torus product, both of its sides
 summed by the torus's cyclotomic kernel.  The brute-force Hom/Ext and
-automorphism oracles live in `oracles`, off the CLI's import path.
+automorphism oracles, and the matrix route (products and row reduction
+over F_p) behind `iso_class_of`, live in `oracles`, off the CLI's import
+path.
 
 Matrices are tuples of row tuples over F_p; a realization stores, for
 each vertex v, the action map V_v -> V_{v-1 mod n}, so the span of the
@@ -24,14 +26,18 @@ subspace each:
 
 So the census reads every sub and quotient type off per-subspace
 signatures, with no linear algebra per submodule, and classifies each
-tuple of signatures once for all primes.  The walk treats a subspace as
-the int mask of its projective points: inclusion is an AND, a meet
-dimension is read off the popcount of an AND (a k-space has (p^k - 1)/
-(p - 1) points), and the image of a subspace under an arrow map is the
-OR of its points' images.  The per-vertex tables behind the chain walk
-(the image of each subspace under the arrow map, the subspaces landing
-inside a given one, and the signatures) depend on that vertex's data
-alone and are shared by every census in the process.
+tuple of signatures once for all primes.  C shifts each summand's basis
+m steps toward its socle, so ker C and im C are coordinate subspaces,
+with the same echelon bases at every prime: they are read off the
+summands' positions once per module, and no composite is multiplied or
+reduced.  The walk treats a subspace as the int mask of its projective
+points: inclusion is an AND, a meet dimension is read off the popcount
+of an AND (a k-space has (p^k - 1)/(p - 1) points), and the image of a
+subspace under an arrow map is the OR of its points' images.  The
+per-vertex tables behind the chain walk (the image of each subspace
+under the arrow map, the subspaces landing inside a given one, and the
+signatures) depend on that vertex's data alone and are shared by every
+census in the process.
 
 A semisimple module has zero arrow maps, so its census is counted, not
 walked: the graded subspaces of dimension k number ∏_v [d_v choose k_v]_p.
@@ -118,65 +124,6 @@ def next_prime(p: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Matrices over F_p (p prime) or over the integers (p = 0)
-# ----------------------------------------------------------------------
-
-def _mat_mul(a: Matrix, b: Matrix, b_cols: int, p: int) -> Matrix:
-    """Product a·b; b_cols passed explicitly so empty shapes stay exact."""
-    out = []
-    for row in a:
-        acc = [0] * b_cols
-        for s, x in enumerate(row):
-            if x:
-                brow = b[s]
-                for c in range(b_cols):
-                    acc[c] += x * brow[c]
-        out.append(tuple(v % p for v in acc) if p else tuple(acc))
-    return tuple(out)
-
-
-def _rref_mod(rows: Sequence[Sequence[int]], cols: int, p: int
-              ) -> Tuple[Matrix, Tuple[int, ...]]:
-    """Reduced row echelon form over F_p, with pivot columns."""
-    m = [list(r) for r in rows]
-    pivots: List[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] % p), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] % p:
-                f = m[i][c] % p
-                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return tuple(tuple(x % p for x in m[i]) for i in range(r)), tuple(pivots)
-
-
-def _rank_mod(rows: Sequence[Sequence[int]], cols: int, p: int) -> int:
-    return len(_rref_mod(rows, cols, p)[1])
-
-
-def _nullspace_mod(rows: Sequence[Sequence[int]], cols: int, p: int) -> List[Tuple[int, ...]]:
-    rref, pivots = _rref_mod(rows, cols, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * cols
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-rref[i][f]) % p
-        basis.append(tuple(v))
-    return basis
-
-
-# ----------------------------------------------------------------------
 # Realizations
 # ----------------------------------------------------------------------
 
@@ -195,57 +142,36 @@ class FiniteFieldRep(Immutable):
         object.__setattr__(self, "maps", maps)
 
 
+def _layout(n: int, m: ModuleIso) -> Tuple[DimVector, tuple, Tuple[Matrix, ...]]:
+    """(dims, chains, maps) of the realization of `m`, with no prime: the
+    dimension vector; for each summand the (vertex, index) of its basis
+    vector at each position k, the socle at k = 0, indices counting up
+    per vertex in summand order; and the 0/1 arrow maps, each basis
+    vector sent to the one below it."""
+    counter = [0] * n
+    chains = []
+    for part in m:
+        chain = []
+        for k in range(part.length):
+            v = (part.socle - 1 + k) % n
+            chain.append((v, counter[v]))
+            counter[v] += 1
+        chains.append(tuple(chain))
+    dims = tuple(counter)
+    maps = [[[0] * dims[v] for _ in range(dims[v - 1])] for v in range(n)]
+    for chain in chains:
+        for (_, t), (v, s) in zip(chain, chain[1:]):
+            maps[v][t][s] = 1
+    return dims, tuple(chains), tuple(tuple(map(tuple, mat)) for mat in maps)
+
+
 def realize(q: CyclicQuiver, m: ModuleIso, p: int) -> FiniteFieldRep:
     """Block-diagonal matrix model: one basis vector per composition
     factor, arrow maps shifting each chain one step toward its socle."""
     if p and not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    n = q.n
-    counter = [0] * n
-    entries: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    for part in m:
-        i0 = part.socle - 1
-        slots = []
-        for k in range(part.length):
-            v = (i0 + k) % n
-            slots.append((v, counter[v]))
-            counter[v] += 1
-        for k in range(1, part.length):
-            sv, sidx = slots[k]
-            _, tidx = slots[k - 1]
-            entries[sv].append((tidx, sidx))
-    dims = tuple(counter)
-    maps = []
-    for v in range(n):
-        rows = dims[(v - 1) % n]
-        mat = [[0] * dims[v] for _ in range(rows)]
-        for tidx, sidx in entries[v]:
-            mat[tidx][sidx] = 1
-        maps.append(tuple(tuple(r) for r in mat))
-    return FiniteFieldRep(n, p, dims, tuple(maps))
-
-
-def _composites(rep: FiniteFieldRep, max_len: int):
-    """(j0, m, top, C) for the socle index j0 = 0..n-1 of R(j0+1, m),
-    m = 1..max_len, its top vertex index and C, the m-fold arrow composite
-    from the top vertex to vertex j0 - 1."""
-    n, p = rep.n, rep.p
-    for j0 in range(n):
-        comp = rep.maps[j0]
-        for m in range(1, max_len + 1):
-            yield j0, m, (j0 + m - 1) % n, comp
-            nxt = (j0 + m) % n
-            comp = _mat_mul(comp, rep.maps[nxt], rep.dims[nxt], p)
-
-
-def _hom_profile(rep: FiniteFieldRep, max_len: int) -> Dict[Tuple[int, int], int]:
-    """H[(j, m)] = dim Hom(R(j, m), X) for socle j, length m <= max_len.
-
-    A map out of R(j,m) picks the image of the top generator, subject to
-    the m-fold arrow composite from the top vertex vanishing on it.
-    """
-    return {(j0 + 1, m): rep.dims[top] - _rank_mod(comp, rep.dims[top], rep.p)
-            for j0, m, top, comp in _composites(rep, max_len)}
+    dims, _, maps = _layout(q.n, m)
+    return FiniteFieldRep(q.n, p, dims, maps)
 
 
 def _classify(n: int, dims: DimVector, H: Dict[Tuple[int, int], int]) -> ModuleIso:
@@ -277,7 +203,10 @@ def _classify(n: int, dims: DimVector, H: Dict[Tuple[int, int], int]) -> ModuleI
 
 
 def iso_class_of(rep: FiniteFieldRep) -> ModuleIso:
-    """Recover the iso type from Hom dimensions out of the uniserials."""
+    """Recover the iso type from Hom dimensions out of the uniserials,
+    ranks of the matrix route in `oracles` (imported here, so that no
+    launch loads it)."""
+    from .oracles import _hom_profile
     total = sum(rep.dims)
     if total == 0:
         return ModuleIso.zero()
@@ -404,47 +333,28 @@ def _chain_census(n: int, big: ModuleIso, p: int
     vertex, each arrow-invariant into the next.
 
     Subspaces are numbered per vertex, and each is the point mask of
-    `_point_table`.  The kernels and images of the composites C_{j,m} of
-    `_composites` are numbered too, and a subspace's signature is the
-    tuple of its meet dimensions with the whole space and with each of
-    those (its meet slots), each the popcount of an AND of masks.  The
-    image mask of each subspace under its arrow map, the subspaces whose
-    image lands inside a given one (a mask inside another when their AND
-    gives it back), and the signatures are tables shared by every census
-    in the process (`_arrow_table`, `_signature_table`), filled on first use.
+    `_point_table`.  The kernels and images of the composites C_{j,m}
+    come from `_census_frame`, which reads them off the summands'
+    positions once per module, with no prime: they are coordinate
+    subspaces, so each prime only looks up the number of each echelon
+    basis.  A subspace's signature is the tuple of its meet dimensions
+    with the whole space and with each of those (its meet slots), each
+    the popcount of an AND of masks.  The image mask of each subspace
+    under its arrow map, the subspaces whose image lands inside a given
+    one (a mask inside another when their AND gives it back), and the
+    signatures are tables shared by every census in the process
+    (`_arrow_table`, `_signature_table`), filled on first use.
     The identities in the module docstring turn each distinct tuple of
     signatures into the Hom profiles of sub and quotient.  Each tuple is
     classified once per (n, dims, composite data) in `_pair_table`: the
     censuses of one module at several primes mostly meet the same tuples.
     """
-    rep = realize(CyclicQuiver(n), big, p)
-    dims = rep.dims
-    bases = [_subspace_index(d, p)[0] for d in dims]
-
-    def span(v: int, rows) -> int:
-        return _subspace_index(dims[v], p)[1][_rref_mod(rows, dims[v], p)[0]]
-
-    # meets[v]: the subspaces of V_v whose meets with U_v make up U_v's
-    # signature, each with its slot there; the whole space is slot 0
-    meets: List[Dict[int, int]] = [{len(b) - 1: 0} for b in bases]
-
-    def slot(v: int, s: int) -> int:
-        return meets[v].setdefault(s, len(meets[v]))
-
-    # (j, m, top vertex, dim ker C, slot of ker C, vertex j-1, slot of im C)
-    comps = []
-    for j0, m, top, comp in _composites(rep, sum(dims) + 1):
-        target = (j0 - 1) % n
-        if any(any(row) for row in comp):
-            kernel = _nullspace_mod(comp, dims[top], p)
-            image = [[row[c] for row in comp] for c in range(dims[top])]
-            comps.append((j0 + 1, m, top, len(kernel), slot(top, span(top, kernel)),
-                          target, slot(target, span(target, image))))
-        else:
-            comps.append((j0 + 1, m, top, dims[top], 0, target, slot(target, 0)))
+    dims, maps, comps, slot_bases = _census_frame(n, big)
+    slots = [tuple(map(_subspace_index(d, p)[1].__getitem__, b))
+             for d, b in zip(dims, slot_bases)]
 
     # arrows[v] = (images, by_image, landing) of A_v: V_v -> V_{v-1}
-    arrows = [_arrow_table(dims[v], dims[v - 1], rep.maps[v], p) for v in range(n)]
+    arrows = [_arrow_table(dims[v], dims[v - 1], maps[v], p) for v in range(n)]
     tables = [_point_table(d, p) for d in dims]
 
     def landing_in(v: int, b: int) -> List[int]:
@@ -455,7 +365,6 @@ def _chain_census(n: int, big: ModuleIso, p: int
             landing[b] = [u for ma, us in by_image.items() if ma & mb == ma for u in us]
         return landing[b]
 
-    slots = [tuple(s) for s in meets]
     signatures = [_signature_table(dims[v], p, slots[v]) for v in range(n)]
 
     def signature(v: int, u: int) -> tuple:
@@ -466,7 +375,7 @@ def _chain_census(n: int, big: ModuleIso, p: int
             table[u] = tuple(dim_of[(mu & masks[s]).bit_count()] for s in slots[v])
         return table[u]
 
-    chains = [(u,) for u in range(len(bases[0]))]
+    chains = [(u,) for u in range(len(tables[0][0]))]
     for v in range(1, n):
         chains = [c + (u,) for c in chains for u in landing_in(v, c[-1])]
     images_0, last = arrows[0][0], tables[n - 1][0]
@@ -477,7 +386,7 @@ def _chain_census(n: int, big: ModuleIso, p: int
             key = tuple(signature(v, u) for v, u in enumerate(chain))
             tally[key] = tally.get(key, 0) + 1
 
-    pairs = _pair_table(n, dims, tuple(comps))
+    pairs = _pair_table(n, dims, comps)
     census: Dict[Tuple[ModuleIso, ModuleIso], int] = {}
     for key, count in tally.items():
         if key not in pairs:
@@ -491,6 +400,48 @@ def _chain_census(n: int, big: ModuleIso, p: int
         pair = pairs[key]
         census[pair] = census.get(pair, 0) + count
     return _sorted_census(census)
+
+
+@lru_cache(maxsize=None)
+def _census_frame(n: int, big: ModuleIso
+                  ) -> Tuple[DimVector, Tuple[Matrix, ...], tuple, Tuple[Tuple[Matrix, ...], ...]]:
+    """(dims, maps, comps, slot bases) of the realization of `big`, the
+    census data that no prime changes: the dimension vector, the 0/1
+    arrow maps of `realize`, the composite data (j, m, top, dim ker C,
+    slot of ker C, j - 1, slot of im C) of each C = C_{j,m}, m up to
+    sum(dims) + 1, and per vertex the reduced echelon bases of its meet
+    slots, the whole space first.
+
+    C sends the basis vector at position k of a summand to position
+    k - m, or to 0 when m exceeds k.  So ker C is spanned by the basis
+    vectors of the top vertex at the positions below m, and im C by the
+    vectors of vertex j - 1 that the positions from m on reach: both are
+    coordinate subspaces, whose echelon bases are unit rows in index
+    order.  No matrix is multiplied or reduced.
+    """
+    dims, chains, maps = _layout(n, big)
+    units = [tuple(tuple(int(i == c) for i in range(d)) for c in range(d)) for d in dims]
+    # slots[v]: the basis of each meet slot of vertex v, by its slot
+    slots: List[Dict[Matrix, int]] = [{whole: 0} for whole in units]
+
+    def slot(v: int, indices: List[int]) -> int:
+        return slots[v].setdefault(tuple(units[v][i] for i in sorted(indices)), len(slots[v]))
+
+    comps = []
+    for j0 in range(n):
+        target = (j0 - 1) % n
+        for m in range(1, sum(dims) + 2):
+            top = (j0 + m - 1) % n
+            kernel, image = [], []
+            for chain in chains:
+                for k in range((top - chain[0][0]) % n, len(chain), n):
+                    if k < m:
+                        kernel.append(chain[k][1])
+                    else:
+                        image.append(chain[k - m][1])
+            comps.append((j0 + 1, m, top, len(kernel), slot(top, kernel),
+                          target, slot(target, image)))
+    return dims, maps, tuple(comps), tuple(tuple(s) for s in slots)
 
 
 @lru_cache(maxsize=None)

@@ -1,20 +1,25 @@
-"""Brute-force oracles of the Hom/Ext dimensions and of |Aut M|.
+"""Brute-force oracles of the Hom/Ext dimensions and of |Aut M|, and the
+matrix route of the Hall census.
 
 The oracles solve the intertwiner system of two matrix realizations:
 over Q by fraction-free elimination, or over F_p, where the
 automorphisms are also counted by sweeping the endomorphism space.
 Tests check the closed forms of `quiver` (Euler form, the Hom table
-under |Aut M|, |Aut M|(q)) against them.  Neither `import hallq` nor the
-CLI imports this module; import it as `hallq.oracles`.
+under |Aut M|, |Aut M|(q)) against them.  The matrix route multiplies
+the arrow maps of a realization into the composites C_{j,m} and row
+reduces them over F_p: `hall.iso_class_of` reads its Hom profile off
+their ranks, and tests check the census's composite data, which
+`hall._census_frame` reads off positions, against their kernels and
+images.  Neither `import hallq` nor the CLI imports this module; import
+it as `hallq.oracles`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .hall import (BudgetError, FiniteFieldRep, _nullspace_mod, _rank_mod,
-                   is_prime, realize)
+from .hall import BudgetError, FiniteFieldRep, Matrix, is_prime, realize
 from .quiver import CyclicQuiver, ModuleIso
 
 # Caps of count_automorphisms: total length, prime, and the size p^k of
@@ -22,6 +27,84 @@ from .quiver import CyclicQuiver, ModuleIso
 AUT_TOTAL = 4
 AUT_PRIME = 3
 AUT_SPACE = 1 << 20
+
+
+def _mat_mul(a: Matrix, b: Matrix, b_cols: int, p: int) -> Matrix:
+    """Product a·b; b_cols passed explicitly so empty shapes stay exact."""
+    out = []
+    for row in a:
+        acc = [0] * b_cols
+        for s, x in enumerate(row):
+            if x:
+                brow = b[s]
+                for c in range(b_cols):
+                    acc[c] += x * brow[c]
+        out.append(tuple(v % p for v in acc) if p else tuple(acc))
+    return tuple(out)
+
+
+def _rref_mod(rows: Sequence[Sequence[int]], cols: int, p: int
+              ) -> Tuple[Matrix, Tuple[int, ...]]:
+    """Reduced row echelon form over F_p, with pivot columns."""
+    m = [list(r) for r in rows]
+    pivots: List[int] = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] % p), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [(x * inv) % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] % p:
+                f = m[i][c] % p
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return tuple(tuple(x % p for x in m[i]) for i in range(r)), tuple(pivots)
+
+
+def _rank_mod(rows: Sequence[Sequence[int]], cols: int, p: int) -> int:
+    return len(_rref_mod(rows, cols, p)[1])
+
+
+def _nullspace_mod(rows: Sequence[Sequence[int]], cols: int, p: int) -> List[Tuple[int, ...]]:
+    rref, pivots = _rref_mod(rows, cols, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [0] * cols
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = (-rref[i][f]) % p
+        basis.append(tuple(v))
+    return basis
+
+
+def _composites(rep: FiniteFieldRep, max_len: int):
+    """(j0, m, top, C) for the socle index j0 = 0..n-1 of R(j0+1, m),
+    m = 1..max_len, its top vertex index and C, the m-fold arrow composite
+    from the top vertex to vertex j0 - 1."""
+    n, p = rep.n, rep.p
+    for j0 in range(n):
+        comp = rep.maps[j0]
+        for m in range(1, max_len + 1):
+            yield j0, m, (j0 + m - 1) % n, comp
+            nxt = (j0 + m) % n
+            comp = _mat_mul(comp, rep.maps[nxt], rep.dims[nxt], p)
+
+
+def _hom_profile(rep: FiniteFieldRep, max_len: int) -> Dict[Tuple[int, int], int]:
+    """H[(j, m)] = dim Hom(R(j, m), X) for socle j, length m <= max_len.
+
+    A map out of R(j,m) picks the image of the top generator, subject to
+    the m-fold arrow composite from the top vertex vanishing on it.
+    """
+    return {(j0 + 1, m): rep.dims[top] - _rank_mod(comp, rep.dims[top], rep.p)
+            for j0, m, top, comp in _composites(rep, max_len)}
 
 
 def _int_rank(rows: Sequence[Sequence[int]]) -> int:

@@ -144,7 +144,7 @@ MUTANTS = [
       "tests/test_torus.py::test_semistable_phase_factors_match_per_class_sum"]),
     # the census's key table keyed on (n, dims) alone, so that modules of
     # one dimension vector share it
-    ("src/hallq/hall.py", "_pair_table(n, dims, tuple(comps))", "_pair_table(n, dims, ())",
+    ("src/hallq/hall.py", "_pair_table(n, dims, comps)", "_pair_table(n, dims, ())",
      ["tests/test_hall.py::test_census_matches_reference"]),
     # RationalFunction.to_json hands out the cached denominator rendering
     # itself, not a fresh list of it
@@ -164,11 +164,21 @@ MUTANTS = [
     ("src/hallq/hall.py", "p ** (d - i) - 1", "p ** (d - i + 1) - 1",
      ["tests/test_hall.py::test_semisimple_census_matches_the_chain_walk"]),
     # the shared image/landing table built as if the arrow map were zero
-    ("src/hallq/hall.py", "_arrow_table(dims[v], dims[v - 1], rep.maps[v], p)",
+    ("src/hallq/hall.py", "_arrow_table(dims[v], dims[v - 1], maps[v], p)",
      "_arrow_table(dims[v], dims[v - 1], tuple((0,) * dims[v] for _ in range(dims[v - 1])), p)",
      ["tests/test_hall.py::test_shared_census_tables_agree_cold_and_warm",
       "tests/test_hall.py::test_census_matches_reference",
       "tests/test_hall.py::test_census_counts_every_subrepresentation"]),
+    # the census frame puts the basis vector at position m into ker C_{j,m}:
+    # each kernel one too large, so Hom profiles and meet slots come out wrong
+    ("src/hallq/hall.py", "if k < m:", "if k <= m:",
+     ["tests/test_hall.py::test_census_frame_matches_the_matrix_route",
+      "tests/test_hall.py::test_census_matches_reference"]),
+    # the census frame shifts each vector at position k to k - m + 1, one
+    # step short of its image under C_{j,m}
+    ("src/hallq/hall.py", "image.append(chain[k - m][1])", "image.append(chain[k - m + 1][1])",
+     ["tests/test_hall.py::test_census_frame_matches_the_matrix_route",
+      "tests/test_hall.py::test_census_matches_reference"]),
     # the shared signature table keyed without its meet slots
     ("src/hallq/hall.py", "_signature_table(dims[v], p, slots[v])",
      "_signature_table(dims[v], p, ())",

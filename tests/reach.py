@@ -91,11 +91,17 @@ KEPT = {
     "exact.RationalFunction.__bool__": "value",
     "exact.RationalFunction.__str__": "printed",
     "exact.RationalFunction.__repr__": "printed",
-    "hall._rank_mod": "oracle part",  # _hom_profile, the oracles, the stacked-rank meets
-    "hall._hom_profile": "oracle part",  # iso_class_of
+    "hall.FiniteFieldRep.__init__": "oracle part",  # realize
+    "hall.realize": "oracle part",  # the matrix route, both oracles, iso_class_of's inputs
     "hall.iso_class_of": "traced",
     "hall.hall_count": "oracle",  # of the nodes interpolate_hall reads
     "hall._lagrange": "oracle",
+    "oracles._mat_mul": "oracle part",  # _composites
+    "oracles._rref_mod": "oracle part",  # _rank_mod, _nullspace_mod, the census frame's test
+    "oracles._rank_mod": "oracle part",  # _hom_profile, both oracles, the stacked-rank meets
+    "oracles._nullspace_mod": "oracle part",  # count_automorphisms, the census frame's test
+    "oracles._composites": "oracle",  # of the composite data of hall._census_frame
+    "oracles._hom_profile": "oracle part",  # iso_class_of
     "oracles._int_rank": "oracle part",  # hom_ext_oracle
     "oracles._intertwiner_system": "oracle part",  # both oracles
     "oracles.hom_ext_oracle": "oracle",

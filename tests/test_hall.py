@@ -29,21 +29,20 @@ from hallq.hall import (
     submodule_census,
     _arrow_table,
     _census_count,
+    _census_frame,
     _chain_census,
     _lagrange,
-    _mat_mul,
     _newton,
     _pair_table,
     _point_table,
-    _rank_mod,
-    _rref_mod,
     _signature_table,
     _subspace_index,
     _subspaces,
 )
-from hallq import oracles
-from hallq.oracles import count_automorphisms, hom_ext_oracle
-from hallq.quiver import CyclicQuiver, ModuleIso
+from hallq import cli, oracles
+from hallq.oracles import (_composites, _mat_mul, _nullspace_mod, _rank_mod, _rref_mod,
+                           count_automorphisms, hom_ext_oracle)
+from hallq.quiver import CyclicQuiver, Indecomposable, ModuleIso
 from hallq.torus import integrate
 from hallq.verify import CampaignConfig, campaign_integration
 
@@ -475,7 +474,8 @@ def test_semisimple_census_matches_the_chain_walk_at_13(dims):
 
 
 def _clear_census_tables():
-    for table in (submodule_census, _arrow_table, _signature_table, _pair_table, _point_table):
+    for table in (submodule_census, _census_frame, _arrow_table, _signature_table, _pair_table,
+                  _point_table):
         table.cache_clear()
 
 
@@ -511,6 +511,66 @@ def test_census_memo_counts_every_hall_lookup(monkeypatch):
     assert ok and payload["pairs_checked"] == 447
     assert info.hits + info.misses == len(calls)
     assert info.misses == len(set(calls))
+
+
+def _frame_by_matrices(n, big, p):
+    """(dims, maps, composite data, slot bases) of `big` over F_p by the
+    matrix route, the oracle of `_census_frame`: `realize`, the products
+    of `_composites`, then the null space and the row-reduced image of
+    each composite, each span a meet slot numbered at its first use, the
+    whole space first."""
+    rep = realize(CyclicQuiver(n), big, p)
+    dims = rep.dims
+    slots = [{tuple(tuple(int(i == c) for i in range(d)) for c in range(d)): 0} for d in dims]
+
+    def slot(v, rows):
+        return slots[v].setdefault(_rref_mod(rows, dims[v], p)[0], len(slots[v]))
+
+    comps = []
+    for j0, m, top, comp in _composites(rep, sum(dims) + 1):
+        target = (j0 - 1) % n
+        kernel = _nullspace_mod(comp, dims[top], p)
+        image = [[row[c] for row in comp] for c in range(dims[top])]
+        comps.append((j0 + 1, m, top, len(kernel), slot(top, kernel), target, slot(target, image)))
+    return dims, rep.maps, tuple(comps), tuple(tuple(s) for s in slots)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_census_frame_matches_the_matrix_route(n):
+    # every class of total <= 5, the zero class among them, and at n = 2
+    # a summand whose socle index exceeds n: at each prime the frame read
+    # off positions equals the products and reductions of the matrix
+    # route, composite data and slot bases alike, so a census's slot
+    # numbers in `_subspace_index` are the matrix route's too
+    bigs = CyclicQuiver(n).enumerate_iso_classes(5)
+    assert ModuleIso.zero() in bigs
+    if n == 2:
+        bigs = [*bigs, ModuleIso.of(Indecomposable(3, 2))]
+    for big in bigs:
+        frame = _census_frame(n, big)
+        for p in (2, 3, 5, 7, 11, 13):
+            assert frame == _frame_by_matrices(n, big, p), (big, p)
+    assert len(bigs) == {2: 75, 3: 194, 4: 416}[n]
+
+
+def test_census_builds_one_frame_per_module(monkeypatch, capsys, tmp_path):
+    # the integration catalog of the hall-catalog benchmark walks each
+    # non-semisimple N at every node prime and the holdout, and builds its
+    # frame once, with no call of realize
+    walked, realized = [], []
+    monkeypatch.setattr("hallq.hall._chain_census",
+                        lambda n, big, p: walked.append((n, big)) or _chain_census(n, big, p))
+    monkeypatch.setattr("hallq.hall.realize", lambda *args: realized.append(args))
+    _clear_census_tables()
+    config = tmp_path / "catalog.json"
+    config.write_text('{"max_total": 3}')
+    assert cli.main(["verify", "integration", "--n", "3", "--config", str(config)]) == 0
+    capsys.readouterr()
+    info = _census_frame.cache_info()
+    assert all(any(part.length > 1 for part in big) for _, big in walked)
+    assert info.misses == len(set(walked)) and info.hits + info.misses == len(walked)
+    assert len(walked) == 90 and len(set(walked)) == 15
+    assert not realized
 
 
 def test_census_respects_arrow_invariance():

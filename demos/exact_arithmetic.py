@@ -1,9 +1,9 @@
-"""Exact phase comparison and Laurent rational functions.
+"""Exact phase comparison and the coefficient ring Z[t^+-1][1/Phi_i].
 
 Every ordering decision in this package reduces to integer cross
-products, and every series coefficient is a ratio of integer Laurent
-polynomials kept in canonical form.  This script walks through both
-layers.
+products, and every series coefficient is an integer Laurent polynomial
+over a product of cyclotomic polynomials Phi_i(t), kept in canonical
+form.  This script walks through both layers.
 """
 
 from fractions import Fraction
@@ -39,16 +39,18 @@ def main():
     print(f"(t + t^-1)^2 = {s * s}")
 
     print()
-    print("== rational functions in canonical form ==")
-    a = RationalFunction(LaurentPoly(1, [2]), LaurentPoly(0, [-2, 0, 2]))
-    b = RationalFunction(LaurentPoly(1, [1]), LaurentPoly(0, [-1, 0, 1]))
-    print(f"2t/(2t^2-2) prints as {a}")
+    print("== the coefficient ring Z[t^+-1][1/Phi_i] ==")
+    # a value is a numerator over prod Phi_i^e_i, given by its exponents:
+    # t (1 + t) / (Phi_1 Phi_2), where Phi_1 = t - 1 and Phi_2 = t + 1
+    a = RationalFunction(LaurentPoly(1, [1, 1]), [(1, 1), (2, 1)])
+    b = RationalFunction(LaurentPoly(1, [1]), [(1, 1), (2, 1)])
+    print(f"t(1+t)/(t^2-1) prints reduced, Phi_2 cancelled: {a}")
     print(f"t/(t^2-1)  prints as {b}")
     # the canonical form makes == a comparison of values
-    print(f"equal? {a == b}")
+    print(f"equal? {a == b}; a - b = {a - b}")
+    # b's numerator is a monomial, so b is a unit of the ring
     print(f"product with its reciprocal: {b * b.inv()}")
     print(f"value at t = 2: {b.eval(2)}")
-
 
 if __name__ == "__main__":
     main()

@@ -1,11 +1,13 @@
 """Exact verification of quantum dilogarithm identities arising from
 stability functions on nilpotent cyclic-quiver representations.
 
-Layers, bottom up: exact arithmetic over Q(t) with q = t**2 (`exact`),
-combinatorics of uniserial modules (`quiver`), stability functions and
-filtrations (`stability`), the truncated quantum torus (`torus`),
-finite-field counting (`hall`), and verification campaigns with a CLI
-(`verify`, `cli`).  The brute-force Hom/Ext and automorphism oracles
+Layers, bottom up: exact arithmetic in the ring Z[t^+-1][1/Phi_i] of
+integer Laurent polynomials over products of cyclotomic polynomials,
+with q = t**2 (`exact`), combinatorics of uniserial modules (`quiver`),
+stability functions and filtrations (`stability`), the truncated quantum
+torus (`torus`), finite-field counting (`hall`), and verification
+campaigns with a CLI (`verify`, `cli`).  The brute-force Hom/Ext and
+automorphism oracles, the field Q(t) and the pair-by-pair torus product
 are not imported here: tests import them from `hallq.oracles`.
 """
 

@@ -1,36 +1,30 @@
-"""Exact arithmetic tower for the coefficient field Q(t).
+"""Exact arithmetic tower for the coefficient ring Z[t^+-1][1/Phi_i].
 
-Everything downstream works over the field of rational functions in one
-formal variable t, with the convention q = t**2, so integer and
-half-integer powers of q are both plain powers of t.  Layers:
+Everything downstream works with rational functions in one formal
+variable t, with the convention q = t**2, so integer and half-integer
+powers of q are both plain powers of t.  Layers:
 
 * big rationals -- stdlib :class:`fractions.Fraction`
 * Gaussian rationals -- exact complex numbers used as central charges
 * Laurent polynomials in t with integer coefficients
-* the fraction field Q(t), kept in canonical reduced form with integer
-  numerator and denominator, so a rational scalar lives in the denominator
+* the ring Z[t^+-1][1/Phi_i]: an integer Laurent polynomial over a
+  product of cyclotomic polynomials Phi_i(t), in canonical form
 
-Reduction to canonical form needs polynomial gcds over Z.  There is one,
-the primitive pseudo-remainder gcd ``_ipoly_gcd``; ``_icofactors`` divides
-it out of both inputs in the ``RationalFunction`` constructor and ``+``.
-No CLI command reaches them: only the public API does (the tests' oracles
-use it), and the torus fallback ``_convolve_reference``, which a product
-takes only for a coefficient with no Phi-exponents (built neither by the
-kernel nor over 1, such as 1/2).  The torus's sums have cyclotomic
-denominators, which the private kernel ``_cyclo_sum`` adds on integers,
-each polynomial p as its value p(X) at X = 2^64, and cancels by exact
-division by the Phi_i alone.  The sum's value rules out each Phi_i with
-p(X) mod Phi_i(X) nonzero; so the dilogarithm products and iso-class sums
-of the benchmark's commands try no division, and each one the integration
-sums try divides.
-The kernel is memoised on its term tuple, a tuple of terms (exps, s,
-ints) with a tuple numerator, which is its only entry: dilogarithm
-products and rotated class sums hand it the same term tuples again and
-again.
-A kernel result holds its denominator only as the exponent vector of its
-factors Phi_i, which the next product reads directly; reading ``den``, as
-the JSON output or a hash does, takes the polynomial from the memo of
-``_cyclo_den`` (one pass per binomial t^d - 1 of the product).
+Every coefficient of the torus lies in that ring, since q^k - 1 is the
+product of the Phi_i(t) with i | 2k.  A value holds its denominator only
+as the exponent vector of its factors Phi_i.  Its sums and products are
+made by one private kernel, ``_cyclo_sum``, which adds on integers, each
+polynomial p as its value p(X) at X = 2^64, and cancels by exact
+division by the Phi_i alone, with no polynomial gcd.  The sum's value
+rules out each Phi_i with p(X) mod Phi_i(X) nonzero; so the dilogarithm
+products and iso-class sums of the benchmark's commands try no division,
+and each one the integration sums try divides.  The kernel is memoised
+on its term tuple, a tuple of terms (exps, s, ints) with a tuple
+numerator, which is its only entry: dilogarithm products and rotated
+class sums hand it the same term tuples again and again.  Reading
+``den``, as the JSON output does, takes the polynomial from the memo of
+``_cyclo_den`` (one pass per binomial t^d - 1 of the product).  The
+field Q(t), with its gcd, is the oracle ``hallq.oracles.QtFunction``.
 
 No floating point is used anywhere; phase comparisons between Gaussian
 rationals are decided by exact cross products.  All values are immutable.
@@ -41,9 +35,8 @@ from __future__ import annotations
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from operator import add, index, sub
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -178,56 +171,6 @@ def _iconv(a: Sequence[int], b: Sequence[int]) -> tuple:
     return _itrim(out)
 
 
-def _icontent(a: Sequence[int]) -> int:
-    g = 0
-    for x in a:
-        g = gcd(g, abs(x))
-        if g == 1:
-            return 1
-    return g
-
-
-def _iprimitive(a: Sequence[int]) -> tuple:
-    g = _icontent(a)
-    if g <= 1:
-        return tuple(a)
-    return tuple(x // g for x in a)
-
-
-def _ipseudo_rem(u: Sequence[int], v: Sequence[int]) -> tuple:
-    # scaled remainder of u by v; agrees with the true remainder up to a
-    # nonzero rational factor, which is all a gcd chain needs
-    r = list(u)
-    dv = len(v) - 1
-    lv = v[-1]
-    while len(r) - 1 >= dv:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        lead = r[-1]
-        shift = len(r) - 1 - dv
-        for i in range(len(r)):
-            r[i] *= lv
-        for j in range(len(v)):
-            r[shift + j] -= lead * v[j]
-        r.pop()
-    return _itrim(r)
-
-
-def _ipoly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple:
-    """Primitive gcd with positive leading coefficient; () only if both zero."""
-    a = _iprimitive(a)
-    b = _iprimitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _ipseudo_rem(a, b)
-        a, b = b, _iprimitive(r)
-    if a and a[-1] < 0:
-        a = tuple(-x for x in a)
-    return a
-
-
 def _iexact_div(a: Sequence[int], b: Sequence[int]) -> tuple:
     """Quotient a // b assuming exact division in Z[x]."""
     if not a:
@@ -249,14 +192,6 @@ def _iexact_div(a: Sequence[int], b: Sequence[int]) -> tuple:
     return _itrim(out)
 
 
-def _icofactors(a: tuple, b: tuple) -> tuple:
-    """(a / g, b / g) for g = _ipoly_gcd(a, b); content and sign stay on them."""
-    g = _ipoly_gcd(a, b)
-    if g == (1,):
-        return a, b
-    return _iexact_div(a, g), _iexact_div(b, g)
-
-
 # ----------------------------------------------------------------------
 # Laurent polynomials in t over Z
 # ----------------------------------------------------------------------
@@ -266,8 +201,7 @@ class LaurentPoly(Immutable):
 
     ``t_low`` is the exponent of the first stored coefficient; the first
     and last stored integers are nonzero (the zero polynomial stores
-    nothing), so equality is structural.  Rational scalars of Q(t) live in
-    the denominator of a :class:`RationalFunction`.
+    nothing), so equality is structural.
     """
 
     __slots__ = ("t_low", "_ints")
@@ -458,67 +392,40 @@ _LP_ONE = LaurentPoly(0, (1,))
 # Rational functions in t
 # ----------------------------------------------------------------------
 
-def _normal_form(shift: int, a: tuple, b: tuple) -> tuple:
-    """(num, den) of t^shift a / b for a and b coprime: their common
-    content and the sign of b's leading coefficient divided out of both."""
-    g = gcd(_icontent(a), _icontent(b))
-    if b[-1] < 0:
-        g = -g
-    if g != 1:
-        a, b = [x // g for x in a], [x // g for x in b]
-    return LaurentPoly(shift, a), LaurentPoly(0, b)
-
-
 class RationalFunction(Immutable):
-    """An element of Q(t) in canonical form.
-
-    Invariants: num and den have integer coefficients; den is nonzero, with
-    lowest exponent 0 and a positive leading coefficient; num and den are
-    coprime once powers of t are cleared, and so are their contents; the
-    zero element is 0/1.  So a rational scalar such as 1/2 is held as 1 over
-    the constant 2.  With this normal form equality is structural;
-    :func:`rf_eq` offers the cross-multiplication test that never relies
-    on it.
-
-    The denominator has one home.  A result of the cyclotomic kernel, and
-    any value over 1, holds the exponent vector ``_exps`` of den = prod
-    Phi_i^e_i (() for 1), and ``den`` reads it from the memo of
-    :func:`_cyclo_den`; any other value holds its denominator ``_den``.
-    Two factored values compare by (num, exponents), which the unique
-    factorisation into the irreducible Phi_i makes the same test as (num,
-    den); the hash is that of (num, den) either way.
+    """An element of the ring Z[t^+-1][1/Phi_i] in canonical form: an
+    integer Laurent polynomial ``num`` over prod Phi_i^e_i, held as the
+    exponent vector ``_exps`` (i ascending, each e_i > 0; () for 1), with
+    no Phi_i of it dividing num; zero is 0 over ().  Each Phi_i is monic
+    and irreducible, so the form is unique and equality is structural;
+    :func:`rf_eq` is the cross-multiplication test that never relies on
+    it.  A rational scalar such as 1/2 is not a value: the field Q(t) is
+    the oracle ``hallq.oracles.QtFunction``.  ``den`` reads prod
+    Phi_i^e_i from the memo of :func:`_cyclo_den`.
     """
 
-    __slots__ = ("num", "_den", "_exps")
+    __slots__ = ("num", "_exps")
 
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = _LP_ONE):
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            num, den = _LP_ZERO, _LP_ONE
-        else:
-            a, b = _icofactors(num._ints, den._ints)
-            num, den = _normal_form(num.t_low - den.t_low, a, b)
-        self._fill(num, den, None)
-
-    def _fill(self, num: LaurentPoly, den: Optional[LaurentPoly],
-              exps: Optional[tuple]) -> None:
-        """Set the slots from num and one of den and exps; a denominator 1
-        is held as the exponents ()."""
-        if den is not None and den._ints == (1,):
-            den, exps = None, ()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_exps", exps)
+    def __init__(self, num: LaurentPoly, exps: Sequence[tuple] = ()):
+        exps = tuple((index(i), index(e)) for i, e in exps)
+        ids = [i for i, _ in exps]
+        if not all(a < b for a, b in zip([0] + ids, ids)) or any(e < 1 for _, e in exps):
+            raise ValueError(f"exponent vector {exps} needs i ascending from 1 and each e >= 1")
+        c = _cyclo_sum(((exps, num.t_low, num._ints),))
+        object.__setattr__(self, "num", c.num)
+        object.__setattr__(self, "_exps", c._exps)
 
     @staticmethod
-    def _trusted(num: LaurentPoly, den: Optional[LaurentPoly],
-                 exps: Optional[tuple] = None) -> "RationalFunction":
-        """A value known to be canonical, given by its denominator or by
-        the exponent vector of a cyclotomic one (den None)."""
+    def _trusted(num: LaurentPoly, exps: tuple) -> "RationalFunction":
+        """A value known to be canonical."""
         out = object.__new__(RationalFunction)
-        out._fill(num, den, exps)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "_exps", exps)
         return out
+
+    def _term(self) -> tuple:
+        """The kernel term (exps, s, ints) of this value."""
+        return self._exps, self.num.t_low, self.num._ints
 
     # -- constructors ----------------------------------------------------
 
@@ -527,21 +434,18 @@ class RationalFunction(Immutable):
         return RF_ZERO
 
     @staticmethod
-    def constant(c: Rat) -> "RationalFunction":
-        f = Fraction(c)
-        return RationalFunction(LaurentPoly.constant(f.numerator),
-                                LaurentPoly.constant(f.denominator))
+    def constant(c: int) -> "RationalFunction":
+        return RationalFunction._trusted(LaurentPoly.constant(c), ())
 
     @staticmethod
     def t_power(k: int) -> "RationalFunction":
-        return RationalFunction._trusted(LaurentPoly.t_power(k), _LP_ONE)
+        return RationalFunction._trusted(LaurentPoly.t_power(k), ())
 
     # -- inspection -------------------------------------------------------
 
     @property
     def den(self) -> LaurentPoly:
-        exps = self._exps
-        return self._den if exps is None else _cyclo_den(exps)
+        return _cyclo_den(self._exps)
 
     @property
     def is_zero(self) -> bool:
@@ -550,37 +454,38 @@ class RationalFunction(Immutable):
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        da, db = self.den, other.den
-        qa, qb = _icofactors(da._ints, db._ints)
-        # a/da + b/db = (a qb + b qa) / (da qb), with da qb = db qa
-        red_b = LaurentPoly(0, qb)
-        num = self.num * red_b + other.num * LaurentPoly(0, qa)
-        return RationalFunction(num, da * red_b)
+        return _cyclo_sum((self._term(), other._term()))
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction._trusted(-self.num, self._den, self._exps)
+        return RationalFunction._trusted(-self.num, self._exps)
 
     def __sub__(self, other: "RationalFunction") -> "RationalFunction":
         return self + (-other)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        (ea, sa, na), (eb, sb, nb) = self._term(), other._term()
+        return _cyclo_sum(((_exps_merge(ea, eb), sa + sb, _iconv(na, nb)),))
 
     def inv(self) -> "RationalFunction":
+        """The inverse of a unit +-t^k / prod Phi_i^e_i, a value with a
+        monomial numerator: +-t^-k prod Phi_i^e_i over 1.  Any other value
+        raises ArithmeticError: a numerator +-t^k prod Phi_j^f_j would need
+        factoring, and any other has no inverse in the ring."""
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero rational function")
-        n, d = self.num, self.den  # coprime already: no gcd
-        return RationalFunction._trusted(*_normal_form(-n.t_low, d._ints, n._ints))
+        num = self.num
+        if num._ints not in ((1,), (-1,)):
+            raise ArithmeticError(f"inv takes only +-t^k / prod Phi_i^e_i; {self} has "
+                                  "another numerator")
+        den = _cyclo_den(self._exps)
+        ints = den._ints if num._ints == (1,) else tuple(-x for x in den._ints)
+        return RationalFunction._trusted(LaurentPoly._trusted(-num.t_low, ints), ())
 
     def shifted(self, k: int) -> "RationalFunction":
         """Multiply by t**k (cheap; canonical form is preserved)."""
         if k == 0 or self.is_zero:
             return self
-        return RationalFunction._trusted(self.num.shifted(k), self._den, self._exps)
+        return RationalFunction._trusted(self.num.shifted(k), self._exps)
 
     def eval(self, t0: Rat) -> Fraction:
         t0 = Fraction(t0)
@@ -594,18 +499,16 @@ class RationalFunction(Immutable):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        if self._exps is not None and other._exps is not None:
-            return self.num == other.num and self._exps == other._exps
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num and self._exps == other._exps
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((self.num, self._exps))
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __str__(self) -> str:
-        if self._exps == ():
+        if not self._exps:
             return str(self.num)
         return f"({self.num})/({self.den})"
 
@@ -619,8 +522,8 @@ class RationalFunction(Immutable):
                 "den": {"t_low": den.t_low, "coeffs": list(_den_strs(den._ints))}}
 
 
-RF_ZERO = RationalFunction._trusted(_LP_ZERO, _LP_ONE)
-RF_ONE = RationalFunction._trusted(_LP_ONE, _LP_ONE)
+RF_ZERO = RationalFunction._trusted(_LP_ZERO, ())
+RF_ONE = RationalFunction._trusted(_LP_ONE, ())
 
 
 # ----------------------------------------------------------------------
@@ -795,7 +698,7 @@ def _cyclo_sum(terms: tuple, b: int = 64) -> RationalFunction:
     k = ((v & -v).bit_length() - 1) // b  # the digits 0 below the lowest term
     v, lo = v >> k * b, lo + k
     if v.bit_length() < b:
-        return RationalFunction._trusted(LaurentPoly._trusted(lo, (v,)), None, top)
+        return RationalFunction._trusted(LaurentPoly._trusted(lo, (v,)), top)
     num = tuple(_unpack(v, b))
     left = []
     for i, e in top:
@@ -809,7 +712,7 @@ def _cyclo_sum(terms: tuple, b: int = 64) -> RationalFunction:
             e -= 1
         if e:
             left.append((i, e))
-    return RationalFunction._trusted(LaurentPoly._trusted(lo, num), None, tuple(left))
+    return RationalFunction._trusted(LaurentPoly._trusted(lo, num), tuple(left))
 
 
 # ----------------------------------------------------------------------

@@ -10,17 +10,26 @@ the arrow maps of a realization into the composites C_{j,m} and row
 reduces them over F_p: `hall.iso_class_of` reads its Hom profile off
 their ranks, and tests check the census's composite data, which
 `hall._census_frame` reads off positions, against their kernels and
-images.  Neither `import hallq` nor the CLI imports this module; import
-it as `hallq.oracles`.
+images.
+
+The field Q(t), `QtFunction`, over the primitive pseudo-remainder gcd,
+is the oracle of the coefficient ring `exact.RationalFunction`, and the
+pair-by-pair torus product over it, `_convolve_reference`, that of
+`torus.convolve`: they share no arithmetic kernel.  Neither `import
+hallq` nor the CLI imports this module; import it as `hallq.oracles`.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .exact import (Immutable, LaurentPoly, RationalFunction, _LP_ONE, _LP_ZERO, _iexact_div,
+                    _itrim)
 from .hall import BudgetError, FiniteFieldRep, Matrix, is_prime, realize
-from .quiver import CyclicQuiver, ModuleIso
+from .quiver import CyclicQuiver, DimVector, ModuleIso
+from .torus import TorusElement
 
 # Caps of count_automorphisms: total length, prime, and the size p^k of
 # the endomorphism space it sweeps.
@@ -220,3 +229,116 @@ def count_automorphisms(q: CyclicQuiver, m: ModuleIso, p: int) -> int:
         if ok:
             count += 1
     return count
+
+
+# ----------------------------------------------------------------------
+# The field Q(t) over the integer polynomial gcd
+# ----------------------------------------------------------------------
+
+def _iprimitive(a: Sequence[int]) -> tuple:
+    """a divided by its content."""
+    g = gcd(*a)
+    return tuple(x // g for x in a) if g > 1 else tuple(a)
+
+
+def _ipseudo_rem(u: Sequence[int], v: Sequence[int]) -> tuple:
+    """The remainder of u by v, scaled by a power of v's leading
+    coefficient: a nonzero rational factor, which is all a gcd chain needs."""
+    r = list(u)
+    while len(r) >= len(v):
+        lead, shift = r.pop(), len(r) + 1 - len(v)
+        if lead:
+            r = [x * v[-1] for x in r]
+            for j, y in enumerate(v[:-1]):
+                r[shift + j] -= lead * y
+    return _itrim(r)
+
+
+def _ipoly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple:
+    """Primitive gcd with positive leading coefficient; () only if both zero."""
+    a, b = _iprimitive(a), _iprimitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _iprimitive(_ipseudo_rem(a, b))
+    return tuple(-x for x in a) if a and a[-1] < 0 else a
+
+
+def _icofactors(a: tuple, b: tuple) -> tuple:
+    """(a / g, b / g) for g = _ipoly_gcd(a, b); content and sign stay on them."""
+    g = _ipoly_gcd(a, b)
+    return (a, b) if g == (1,) else (_iexact_div(a, g), _iexact_div(b, g))
+
+
+class QtFunction(Immutable):
+    """An element of Q(t) in canonical form: integer num and den, den of
+    lowest exponent 0 with a positive leading coefficient, the two coprime
+    once powers of t are cleared, and so are their contents (1/2 is 1 over
+    the constant 2; 0 is 0/1).  So equality and hash are those of (num,
+    den); `exact.rf_eq` compares these values too."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = _LP_ONE):
+        if den.is_zero:
+            raise ZeroDivisionError("zero denominator")
+        if num.is_zero:
+            num, den = _LP_ZERO, _LP_ONE
+        else:
+            a, b = _icofactors(num._ints, den._ints)
+            g = gcd(*a, *b) * (1 if b[-1] > 0 else -1)
+            num = LaurentPoly(num.t_low - den.t_low, [x // g for x in a])
+            den = LaurentPoly(0, [x // g for x in b])
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def of(c) -> "QtFunction":
+        """A value of the coefficient ring (or of this field) in Q(t)."""
+        return QtFunction(c.num, c.den)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.num.is_zero
+
+    def __add__(self, other: "QtFunction") -> "QtFunction":
+        qa, qb = _icofactors(self.den._ints, other.den._ints)
+        # a/da + b/db = (a qb + b qa) / (da qb), with da qb = db qa
+        red_b = LaurentPoly(0, qb)
+        return QtFunction(self.num * red_b + other.num * LaurentPoly(0, qa), self.den * red_b)
+
+    def __neg__(self) -> "QtFunction":
+        return QtFunction(-self.num, self.den)
+
+    def __sub__(self, other: "QtFunction") -> "QtFunction":
+        return self + (-other)
+
+    def __mul__(self, other: "QtFunction") -> "QtFunction":
+        return QtFunction(self.num * other.num, self.den * other.den)
+
+    def inv(self) -> "QtFunction":
+        if self.is_zero:
+            raise ZeroDivisionError("inverse of zero rational function")
+        return QtFunction(self.den, self.num)
+
+    eval = RationalFunction.eval  # num(t0) / den(t0), read off the two slots
+
+
+def _convolve_reference(a: TorusElement, b: TorusElement) -> TorusElement:
+    """Pair-by-pair product in Q(t), the oracle of `torus.convolve`: the
+    coefficients of either operand may be ring or field values, and those
+    of the result are `QtFunction` values."""
+    a._check_compatible(b)
+    n, bound = a.n, a.truncation
+    lam = CyclicQuiver(n).lambda_form
+    out: Dict[DimVector, QtFunction] = {}
+    b_items = [(e, sum(e), QtFunction.of(c)) for e, c in b.terms.items()]
+    for d, ca in a.terms.items():
+        ca, td = QtFunction.of(ca), sum(d)
+        for e, te, cb in b_items:
+            if td + te > bound:
+                continue
+            c = ca * cb * QtFunction(LaurentPoly.t_power(lam(d, e)))
+            f = tuple(x + y for x, y in zip(d, e))
+            out[f] = out[f] + c if f in out else c
+    return TorusElement(n, bound, out)

@@ -1,10 +1,11 @@
 """Truncated quantum torus and dilogarithm products.
 
-Elements live in the span of symbols y^d, one per dimension vector d with
-total <= D, with coefficients in Q(t).  Multiplication twists by the
-antisymmetrised Euler form: y^d * y^e = t^(lambda(d,e)) * y^(d+e), and
-keys whose total would exceed the truncation bound are dropped.  Since
-lambda vanishes against delta, every y^(k*delta) is central.
+Elements live in the span of symbols y^d, one per dimension vector d
+with total <= D, with coefficients in the ring Z[t^+-1][1/Phi_i] of
+``exact.RationalFunction``.  Multiplication twists by the antisymmetrised
+Euler form: y^d * y^e = t^(lambda(d,e)) * y^(d+e), and keys whose total
+would exceed the truncation bound are dropped.  Since lambda vanishes
+against delta, every y^(k*delta) is central.
 
 The quantum dilogarithm of a single symbol is the truncated series
 
@@ -16,25 +17,21 @@ t^(chi(dim M, dim M)) / |Aut M|(q) * y^(dim M).
 Cyclotomic invariant: both kinds of coefficient have a denominator that
 is a power of t times a product of factors q^k - 1 = t^(2k) - 1, that is
 a product of cyclotomic polynomials Phi_i(t), and sums and products keep
-this form.  So ``convolve``, the integration sums and ``torus_inverse``
+this form.  Each coefficient carries the Phi-exponents of its
+denominator, and ``convolve``, the integration sums and ``torus_inverse``
 (through ``convolve``) sum every output coefficient in one canonical
-reduction (``exact._cyclo_sum``, on integers), with no gcd.  A kernel term is
+reduction (``exact._cyclo_sum``, on integers), with no gcd and no
+denominator expanded or factored between products.  A kernel term is
 (exps, s, ints): t^s times the integer polynomial ints over prod
-Phi_i^e_i.  The coefficients stay ``RationalFunction`` values; one made by
-the kernel carries the Phi-exponents of its denominator, and one over 1
-the empty vector, which ``convolve`` reads as they are, so no denominator
-is expanded or factored between products.  ``convolve`` falls back to the
-pair-by-pair ``_convolve_reference`` for an operand with a coefficient
-that has no Phi-exponents (built neither by the kernel nor over 1, such as
-a rational scalar 1/2).  The reduction is memoised on its term tuple,
-which repeats: every E(y^d) has the same coefficients, so a chain of
-products forms the same products of them at many keys and steps.  Every
-factor of such a chain has the constant term 1, so ``convolve`` splits a
-constant term equal to 1 off either operand: a key reached only by 1 * c
-keeps the coefficient object c, with no kernel call, and every other
-output key is one kernel call, past which the memo is the only shortcut.
-A pair with the numerator 1 on one side takes the other numerator as it
-is, with no convolution, and lambda(d, e) is d dotted with the row
+Phi_i^e_i.  The reduction is memoised on its term tuple, which repeats:
+every E(y^d) has the same coefficients, so a chain of products forms the
+same products of them at many keys and steps.  Every factor of such a
+chain has the constant term 1, so ``convolve`` splits a constant term
+equal to 1 off either operand: a key reached only by 1 * c keeps the
+coefficient object c, with no kernel call, and every other output key is
+one kernel call, past which the memo is the only shortcut.  A pair with
+the numerator 1 on one side takes the other numerator as it is, with no
+convolution, and lambda(d, e) is d dotted with the row
 ``CyclicQuiver.lambda_row(e)``, once per key e.
 The class sums of dimension vectors related by rotation and reversal of
 Delta_n are equal, so ``integrate_iso_sum`` counts and reduces only one
@@ -171,17 +168,11 @@ def convolve(a: TorusElement, b: TorusElement) -> TorusElement:
     the pair loop: each key of the other operand gets its product with
     that 1 as one term of its bucket, and a bucket that no other term
     joins is not reduced, its key keeping the operand's coefficient
-    object.  An operand with a coefficient that has no Phi-exponents
-    (built neither by the kernel nor over 1) takes the pair-by-pair path
-    of :func:`_convolve_reference`.  The twist is one dot product per
-    pair with the right key's row lambda(., e).
+    object.  The twist is one dot product per pair with the right key's
+    row lambda(., e).
     """
     a._check_compatible(b)
-    a_split = _cyclotomic_items(a)
-    b_split = _cyclotomic_items(b)
-    if a_split is None or b_split is None:
-        return _convolve_reference(a, b)
-    (a_items, a_unit), (b_items, b_unit) = a_split, b_split
+    (a_items, a_unit), (b_items, b_unit) = _cyclotomic_items(a), _cyclotomic_items(b)
     n, bound = a.n, a.truncation
     row = CyclicQuiver(n).lambda_row
     b_rows = [item + (row(item[0]),) for item in b_items]
@@ -215,46 +206,18 @@ def convolve(a: TorusElement, b: TorusElement) -> TorusElement:
     return TorusElement._trusted(n, bound, out)
 
 
-def _cyclotomic_items(a: TorusElement) -> Optional[tuple]:
+def _cyclotomic_items(a: TorusElement) -> tuple:
     """(items, unit): items holds (key, total, exps, t_low, ints) per
-    term, the exponents those the coefficient carries, except a constant
-    term equal to 1, which sets unit; None if a coefficient has no
-    Phi-exponents (built neither by the kernel nor over 1)."""
+    term, except a constant term equal to 1, which sets unit."""
     out = []
     unit = False
     for d, c in a.terms.items():
-        exps = c._exps
-        if exps is None:
-            return None
         td = sum(d)
         if not td and c == RF_ONE:
             unit = True
             continue
-        out.append((d, td, exps, c.num.t_low, c.num._ints))
+        out.append((d, td) + c._term())
     return out, unit
-
-
-def _convolve_reference(a: TorusElement, b: TorusElement) -> TorusElement:
-    """Pair-by-pair product in Q(t): the fallback of :func:`convolve` and
-    the oracle its tests compare against."""
-    a._check_compatible(b)
-    n, bound = a.n, a.truncation
-    lam = CyclicQuiver(n).lambda_form
-    out: Dict[DimVector, RationalFunction] = {}
-    b_items = [(e, sum(e), c) for e, c in b.terms.items()]
-    for d, ca in a.terms.items():
-        td = sum(d)
-        for e, te, cb in b_items:
-            if td + te > bound:
-                continue
-            c = ca * cb
-            k = lam(d, e)
-            if k:
-                c = c.shifted(k)
-            f = tuple(x + y for x, y in zip(d, e))
-            s = out.get(f)
-            out[f] = c if s is None else s + c
-    return TorusElement(n, bound, out)
 
 
 def torus_inverse(a: TorusElement) -> TorusElement:
@@ -263,6 +226,9 @@ def torus_inverse(a: TorusElement) -> TorusElement:
     With a = c0 (1 + u), u without constant term, a^-1 is
     (sum_{j <= D} (-u)^j) c0^-1: c0 is central and u^(D+1) vanishes at
     truncation D.  The sum is D steps x <- c0^-1 - u x through `convolve`.
+    c0 must be a unit +-t^k prod Phi_i^e_i of the coefficient ring
+    (`RationalFunction.inv` raises ArithmeticError otherwise); every
+    command's c0 is 1.
     """
     c0 = a.constant_term
     if c0.is_zero:

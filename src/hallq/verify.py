@@ -210,14 +210,13 @@ def _element_digest(a: TorusElement) -> str:
     the dimension vectors has the keys in sorted order and the default
     separators.  A product has far fewer distinct coefficients than keys
     (92 for the 495 of an ez(4, 8) product).  The renderings are keyed on
-    (t_low, numerator ints, exponents) of a factored coefficient, which
-    determine its value, and on the value itself otherwise, so no key
-    hashes a denominator polynomial."""
+    (t_low, numerator ints, exponents) of a coefficient, which determine
+    its value, so no key hashes a denominator polynomial."""
     coeffs: Dict[object, str] = {}
     parts = []
     for d in sorted(a.terms):
         c = a.terms[d]
-        key = c if c._exps is None else (c.num.t_low, c.num._ints, c._exps)
+        key = (c.num.t_low, c.num._ints, c._exps)
         s = coeffs.get(key)
         if s is None:
             s = coeffs[key] = json.dumps(c.to_json(), sort_keys=True)

@@ -114,11 +114,25 @@ MUTANTS = [
     ("src/hallq/torus.py", "w.t_low - 2 * e, w._ints)", "-2 * e, (1,))",
      ["tests/test_hall.py::test_integration_lhs_equals_the_per_class_sum",
       "tests/test_acceptance.py::test_criterion_08_integration_catalog"]),
-    # the gcd-free inverse keeps the t-shift of the numerator
-    ("src/hallq/exact.py", "_normal_form(-n.t_low,", "_normal_form(n.t_low,",
+    # the inverse of a unit keeps the t-shift of the numerator
+    ("src/hallq/exact.py", "LaurentPoly._trusted(-num.t_low, ints)",
+     "LaurentPoly._trusted(num.t_low, ints)",
      ["tests/test_exact.py::test_rf_inverse_equals_the_swapped_construction",
+      "tests/test_exact.py::test_ring_operations_match_the_oracle_field",
       "tests/test_torus.py::test_inverse_with_nontrivial_constant",
       "tests/test_torus.py::test_inverse_and_translate_agree_with_the_torus_at_a_point"]),
+    # the inverse of a unit drops the sign of the numerator: -t^k comes
+    # back as t^-k prod Phi_i^e_i
+    ("src/hallq/exact.py", "ints = den._ints if num._ints == (1,) else tuple(-x for x in den._ints)",
+     "ints = den._ints",
+     ["tests/test_exact.py::test_rf_inverse_equals_the_swapped_construction",
+      "tests/test_exact.py::test_ring_operations_match_the_oracle_field"]),
+    # a product of ring values over the left factor's denominator alone:
+    # the right one's Phi-exponents are not merged in
+    ("src/hallq/exact.py", "_cyclo_sum(((_exps_merge(ea, eb), sa + sb, _iconv(na, nb)),))",
+     "_cyclo_sum(((ea, sa + sb, _iconv(na, nb)),))",
+     ["tests/test_exact.py::test_ring_operations_match_the_oracle_field",
+      "tests/test_torus.py::test_ring_sums_and_products_multiply_through_the_one_path"]),
     # the multiset walk jumps to the next heavier part, not the next
     # lighter one (the per-class sums of test_torus.py enumerate their
     # classes by the same walk; the recursion of test_quiver.py and the
@@ -229,19 +243,11 @@ MUTANTS = [
      ["tests/test_exact.py::test_factored_results_agree_with_the_constructor",
       "tests/test_verify_cli.py::test_sabotage_pentagon_reverse_residual",
       "tests/test_torus.py::test_torus_diff_reports_mismatches"]),
-    # a value over 1 (from the constructor, inv, **, t_power, the
-    # constants) holds the denominator 1, not the Phi-exponents (), so its
-    # products go pair by pair
-    ("src/hallq/exact.py", "if den is not None and den._ints == (1,):", "if False:",
-     ["tests/test_exact.py::test_values_over_one_carry_the_empty_exponents",
-      "tests/test_torus.py::test_benchmark_commands_never_take_the_reference_path",
-      "tests/test_torus.py::test_ez_agrees_with_the_torus_at_a_point",
-      "tests/test_torus.py::test_pentagon_residuals_agree_with_the_torus_at_a_point"]),
-    # the constructor's normal form without the content gcd: 2/4 and
+    # the oracle field's normal form without the content gcd: 2/4 and
     # 2t/(2t^2 - 2) keep their common integer factor
-    ("src/hallq/exact.py", "g = gcd(_icontent(a), _icontent(b))", "g = 1",
+    ("src/hallq/oracles.py", "g = gcd(*a, *b) *", "g = 1 *",
      ["tests/test_exact.py::test_constructor_gives_the_canonical_form",
-      "tests/test_exact.py::test_rf_canonical_form_is_unique"]),
+      "tests/test_exact.py::test_rf_operations_return_the_canonical_form"]),
     # the pentagon compares residual2 with the left factorization first
     ("src/hallq/verify.py",
      "or _mismatch(cfg, residual1, left, comparison=residual)\n"

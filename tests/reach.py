@@ -59,10 +59,6 @@ KEPT = {
     "exact.GaussianRational.cross": "oracle part",  # phase_cmp
     "exact.GaussianRational.__str__": "printed",
     "exact.phase_cmp": "oracle",
-    "exact._iprimitive": "oracle",  # the Q(t) gcd, with the next three
-    "exact._ipseudo_rem": "oracle",
-    "exact._ipoly_gcd": "oracle",
-    "exact._icofactors": "oracle",
     "exact.LaurentPoly.zero": "value",
     "exact.LaurentPoly.one": "oracle part",  # aut_poly
     "exact.LaurentPoly.t_power": "value",
@@ -71,7 +67,7 @@ KEPT = {
     "exact.LaurentPoly.t_high": "oracle part",  # LaurentPoly.__add__
     "exact.LaurentPoly.coefficients": "value",
     "exact.LaurentPoly.coefficient": "value",
-    "exact.LaurentPoly.__add__": "oracle part",  # RationalFunction.__add__
+    "exact.LaurentPoly.__add__": "oracle part",  # QtFunction.__add__
     "exact.LaurentPoly.__sub__": "oracle part",  # aut_poly
     "exact.LaurentPoly.eval": "oracle",
     "exact.LaurentPoly.eval_even_at_q": "oracle",
@@ -106,6 +102,19 @@ KEPT = {
     "oracles._intertwiner_system": "oracle part",  # both oracles
     "oracles.hom_ext_oracle": "oracle",
     "oracles.count_automorphisms": "oracle",
+    "oracles._iprimitive": "oracle",  # the Q(t) gcd, with the next three
+    "oracles._ipseudo_rem": "oracle",
+    "oracles._ipoly_gcd": "oracle",
+    "oracles._icofactors": "oracle",
+    "oracles.QtFunction.__init__": "oracle",  # the field Q(t), the ring's oracle
+    "oracles.QtFunction.of": "oracle part",  # a ring value in the field
+    "oracles.QtFunction.is_zero": "oracle part",  # TorusElement over the field
+    "oracles.QtFunction.__add__": "oracle",
+    "oracles.QtFunction.__neg__": "oracle",
+    "oracles.QtFunction.__sub__": "oracle",
+    "oracles.QtFunction.__mul__": "oracle",
+    "oracles.QtFunction.inv": "oracle",
+    "oracles._convolve_reference": "oracle",
     "quiver.ModuleIso.zero": "input",  # parse_module("0")
     "quiver.ModuleIso.__repr__": "printed",
     "quiver.ModuleIso.__str__": "printed",
@@ -116,7 +125,6 @@ KEPT = {
     "stability.translate_function": "oracle",
     "torus.TorusElement.__bool__": "value",
     "torus.TorusElement.__str__": "printed",
-    "torus._convolve_reference": "oracle",
 }
 
 

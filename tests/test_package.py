@@ -131,16 +131,16 @@ def test_hashes_are_those_of_the_field_tuples():
     assert hash(z) == hash((3, z.charges))
     report = stable_objects(z)
     assert hash(report) == hash((report.stables, report.delta_stable, report.gamma))
-    # the coefficient classes hash their field tuples; a kernel result,
-    # whose denominator is read from the memo of its exponents, hashes as
-    # (num, den) too, and a second hash gives the same value
+    # the coefficient classes hash their field tuples: a ring value, built
+    # by the constructor or by the kernel, as (num, exponents), which fix
+    # its denominator, and a second hash gives the same value
     p = LaurentPoly(-2, [3, 0, -4])
-    built = RationalFunction(LaurentPoly(1, [2, 2]), LaurentPoly(0, [-1, 0, 1]))  # by the gcd
+    built = RationalFunction(LaurentPoly(1, [2, 2]), ((1, 1), (2, 1)))  # 2t / (t - 1)
     kernel = exact._cyclo_sum.__wrapped__(((((1, 1), (2, 1)), 1, (1, -2, 3)),))
-    assert kernel._exps == ((1, 1), (2, 1))
+    assert built._exps == ((1, 1),) and kernel._exps == ((1, 1), (2, 1))
     for x in (p, built, kernel):
         first = hash(x)
-        fields = (x.t_low, x._ints) if x is p else (x.num, x.den)
+        fields = (x.t_low, x._ints) if x is p else (x.num, x._exps)
         assert first == hash(fields) == hash(x)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hallq import cli, exact, torus
+from hallq import exact, torus
 from hallq.exact import (
     LaurentPoly,
     RF_ONE,
@@ -15,11 +15,11 @@ from hallq.exact import (
     RationalFunction,
     rf_eq,
 )
+from hallq.oracles import QtFunction, _convolve_reference
 from hallq.quiver import CyclicQuiver, ModuleIso, multisets_with_budget
 from hallq.stability import NotDiscreteError, StabilityFunction, charge_of, random_discrete
 from hallq.torus import (
     TorusElement,
-    _convolve_reference,
     apply_translate,
     convolve,
     dilog,
@@ -52,6 +52,16 @@ def mono(n, trunc, d, coeff=RF_ONE):
 
 def rf_t(k):
     return RationalFunction.t_power(k)
+
+
+def _field_element(x):
+    """x over the oracle field Q(t), as `_convolve_reference` returns its
+    products.  The ring's canonical form is the field's (its den is
+    monic), so each coefficient must come as the field's (num, den): one
+    the kernel left unreduced fails here."""
+    terms = {d: QtFunction.of(c) for d, c in x.terms.items()}
+    assert all((c.num, c.den) == (terms[d].num, terms[d].den) for d, c in x.terms.items())
+    return TorusElement(x.n, x.truncation, terms)
 
 
 # ----------------------------------------------------------------------
@@ -233,15 +243,19 @@ def test_inverse_is_two_sided_on_ez_products(n):
     assert inv * a == TorusElement.one(n, trunc)
 
 
-def test_inverse_with_constant_outside_the_cyclotomic_invariant():
-    # (1 + 2t)/(3 - t) has a non-cyclotomic denominator, so the geometric
-    # series runs through the pair-by-pair fallback of convolve
-    c0 = RationalFunction(LaurentPoly(0, [1, 2]), LaurentPoly(0, [3, -1]))
+def test_inverse_with_a_unit_constant_term():
+    # c0 = -t / (t^2 - 1) is a unit of the coefficient ring: its inverse
+    # -(t^2 - 1) / t is over 1; the geometric series runs through convolve
+    c0 = RationalFunction(LaurentPoly(1, [-1]), ((1, 1), (2, 1)))
     a = mono(3, 5, (0, 0, 0), c0) + ez(random_discrete(3, 1), 5) + (-TorusElement.one(3, 5))
     inv = torus_inverse(a)
-    assert inv.constant_term == c0.inv()
+    assert inv.constant_term == c0.inv() == RationalFunction(LaurentPoly(-1, [1, 0, -1]))
     assert a * inv == TorusElement.one(3, 5)
     assert inv * a == TorusElement.one(3, 5)
+    # a constant term that is no such unit has no inverse in the ring
+    c0 = RationalFunction(LaurentPoly(0, [1, 2]), ((1, 1),))
+    with pytest.raises(ArithmeticError):
+        torus_inverse(mono(3, 5, (0, 0, 0), c0) + mono(3, 5, (1, 0, 0)))
 
 
 # ----------------------------------------------------------------------
@@ -293,11 +307,11 @@ def test_apply_translate_matches_the_checked_rotation(n):
 def test_dilog_coefficient_values():
     # c_1 = t/(t^2-1)
     c1 = dilog_coefficient(1)
-    assert rf_eq(c1, RationalFunction(LaurentPoly(1, [1]), LaurentPoly(0, [-1, 0, 1])))
+    assert rf_eq(c1, QtFunction(LaurentPoly(1, [1]), LaurentPoly(0, [-1, 0, 1])))
     # c_2 = t^4/((t^4-1)(t^4-t^2))
     c2 = dilog_coefficient(2)
     den = LaurentPoly(0, [-1, 0, 1]) * LaurentPoly(0, [-1, 0, 0, 0, 1])
-    assert rf_eq(c2, RationalFunction(LaurentPoly(2, [1]), den))
+    assert rf_eq(c2, QtFunction(LaurentPoly(2, [1]), den))
     assert dilog_coefficient(0) == RF_ONE
 
 
@@ -306,7 +320,7 @@ def test_dilog_coefficient_is_the_q_pochhammer_quotient():
         den = LaurentPoly.one()
         for j in range(m):
             den = den * (LaurentPoly.q_power(m) - LaurentPoly.q_power(j))
-        assert dilog_coefficient(m) == RationalFunction(LaurentPoly.t_power(m * m), den)
+        assert QtFunction.of(dilog_coefficient(m)) == QtFunction(LaurentPoly.t_power(m * m), den)
 
 
 def test_dilog_series_shape():
@@ -342,7 +356,7 @@ def test_integrate_regular_uniserial():
     # chi(delta, delta) = 0 and End R(1,3) = F_q
     out = integrate(Q3, ModuleIso.of(Q3.R(1, 3)), 6)
     got = out.coefficient((1, 1, 1))
-    assert rf_eq(got, RationalFunction(LaurentPoly.one(), LaurentPoly(0, [-1, 0, 1])))
+    assert rf_eq(got, QtFunction(LaurentPoly.one(), LaurentPoly(0, [-1, 0, 1])))
 
 
 def test_integrate_zero_module():
@@ -450,12 +464,13 @@ def test_ez_products_match_pair_by_pair_reference(n, trunc, seeds):
     for seed in seeds:
         z = random_discrete(n, 100 + seed, 8)
         factors = [dilog(n, trunc, d) for d in stable_dims(z, include_delta=True)]
-        assert ordered_product(factors, n, trunc) == _reference_product(factors, n, trunc)
+        want = _reference_product(factors, n, trunc)
+        assert _field_element(ordered_product(factors, n, trunc)) == want
         # the flip-twist sabotage: each factor multiplied on the left
         flipped = ref = TorusElement.one(n, trunc)
         for f in factors:
             flipped, ref = convolve(f, flipped), _convolve_reference(f, ref)
-        assert flipped == ref
+        assert _field_element(flipped) == ref
 
 
 def _hom_dim(q, a, b):
@@ -481,7 +496,7 @@ def _per_class_sum(q, trunc, modules):
     for m in modules:
         d = q.dim_of(m)
         if sum(d) <= trunc:
-            c = RationalFunction(LaurentPoly.t_power(q.euler_form(d, d)), _aut_poly_by_counts(q, m))
+            c = QtFunction(LaurentPoly.t_power(q.euler_form(d, d)), _aut_poly_by_counts(q, m))
             terms[d] = terms[d] + c if d in terms else c
     return TorusElement(q.n, trunc, terms)
 
@@ -490,7 +505,7 @@ def _per_class_sum(q, trunc, modules):
 def test_integrate_iso_sum_matches_per_class_sum(n, trunc):
     q = CyclicQuiver(n)
     got = integrate_iso_sum(q, trunc)
-    assert got == _per_class_sum(q, trunc, q.enumerate_iso_classes(trunc))
+    assert _field_element(got) == _per_class_sum(q, trunc, q.enumerate_iso_classes(trunc))
     assert len(got.terms) > 1
 
 
@@ -504,7 +519,7 @@ def test_semistable_phase_factors_match_per_class_sum(n, trunc):
         parts = phase_indecomposables(z, trunc, phase)
         want = _per_class_sum(z.quiver, trunc,
                               multisets_with_budget(parts, trunc))
-        assert semistable_phase_factor(z, trunc, phase) == want
+        assert _field_element(semistable_phase_factor(z, trunc, phase)) == want
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -581,7 +596,7 @@ def test_integrate_multisets_ignores_the_order_of_parts(n, trunc):
     exact._cyclo_sum.cache_clear()
     want = integrate_multisets(q, parts, trunc)
     misses = exact._cyclo_sum.cache_info().misses
-    assert want == _per_class_sum(q, trunc, q.enumerate_iso_classes(trunc))
+    assert _field_element(want) == _per_class_sum(q, trunc, q.enumerate_iso_classes(trunc))
     rng = random.Random(n * 100 + trunc)
     for _ in range(3):
         shuffled = rng.sample(parts, len(parts))
@@ -668,78 +683,7 @@ def test_convolve_matches_reference_on_random_cyclotomic_elements():
         n = rng.choice((2, 3))
         a = _random_cyclotomic_element(rng, n, 3)
         b = _random_cyclotomic_element(rng, n, 3)
-        assert convolve(a, b) == _convolve_reference(a, b)
-
-
-def test_convolve_falls_back_on_non_cyclotomic_denominators(monkeypatch):
-    odd = RationalFunction(LaurentPoly(0, (1, 2)), LaurentPoly(0, (3, -1)))  # (1+2t)/(3-t)
-    a = TorusElement(3, 4, {(0, 0, 0): RF_ONE, (1, 0, 0): odd, (0, 1, 1): odd * odd})
-    b = dilog(3, 4, (0, 1, 0)) * dilog(3, 4, (1, 1, 0))
-    calls = []
-    monkeypatch.setattr(torus, "_convolve_reference",
-                        lambda *args: calls.append(1) or _convolve_reference(*args))
-    for x, y in ((a, b), (b, a), (a, a)):
-        assert convolve(x, y) == _convolve_reference(x, y)
-    assert len(calls) == 3
-    assert convolve(b, b) == _convolve_reference(b, b) and len(calls) == 3
-
-
-def test_coefficients_without_exponents_take_the_reference_path(monkeypatch):
-    # a value over Phi_3 from the constructor carries no exponents, so a
-    # product with it goes pair by pair, to the values of the kernel path
-    over_phi3 = exact._cyclo_sum(((((3, 1),), 1, (2, -1)),))
-    rebuilt = RationalFunction(LaurentPoly(1, (2, -1)), LaurentPoly(0, (1, 1, 1)))
-    assert over_phi3._exps == ((3, 1),) and rebuilt._exps is None and rebuilt == over_phi3
-    b = dilog(3, 4, (0, 1, 0)) * dilog(3, 4, (1, 1, 0))
-    kernel, foreign = dict(b.terms), dict(b.terms)
-    kernel[(1, 0, 0)], foreign[(1, 0, 0)] = over_phi3, rebuilt
-    kernel, foreign = TorusElement(3, 4, kernel), TorusElement(3, 4, foreign)
-    calls = []
-    monkeypatch.setattr(torus, "_convolve_reference",
-                        lambda *args: calls.append(1) or _convolve_reference(*args))
-    want = [convolve(kernel, b), convolve(b, kernel), convolve(kernel, kernel)]
-    assert calls == []
-    got = [convolve(foreign, b), convolve(b, foreign), convolve(foreign, foreign)]
-    assert len(calls) == 3 and got == want
-    # rational scalars hold their denominators, not exponents: products
-    # with 1/2 and (1 + t) / (3 (t^2 - 1)) go pair by pair too, to the
-    # values of the torus at a point
-    half = RationalFunction.constant(Fraction(1, 2))
-    third = RationalFunction(LaurentPoly(0, (1, 1)), LaurentPoly(0, (-3, 0, 3)))
-    assert half._exps is None and third._exps is None
-    scalar = TorusElement(3, 4, {(0, 0, 0): half, (1, 0, 0): third, (0, 1, 1): half * third})
-    for x, y in ((scalar, b), (b, scalar), (scalar, scalar), (scalar, kernel)):
-        calls.clear()
-        got = convolve(x, y)
-        assert len(calls) == 1 and got == _convolve_reference(x, y)
-        for t0 in (Fraction(2), Fraction(3)):
-            want_at = torus_at_point.product_at(t0, torus_at_point.element_at(t0, x),
-                                                torus_at_point.element_at(t0, y), 4)
-            assert torus_at_point.same_at_point(torus_at_point.element_at(t0, got), want_at)
-
-
-# the commands of each benchmark workload that multiply in the torus: the
-# pentagon and its reverse-residual probe (whose inverses start from
-# c0.inv() = 1), one invariance and one hn-identity command at seed 0
-BENCHMARK_TORUS_COMMANDS = [
-    ["verify", "pentagon", "--n", "4", "--trunc", "6"],
-    ["verify", "pentagon", "--n", "3", "--sabotage", "reverse-residual"],
-    ["verify", "invariance", "--n", "4", "--trunc", "8", "--trials", "2", "--seed", "0"],
-    ["verify", "hn-identity", "--n", "3", "--trunc", "8", "--trials", "1", "--seed", "0"],
-]
-
-
-@pytest.mark.parametrize("argv", BENCHMARK_TORUS_COMMANDS,
-                         ids=["pentagon", "pentagon-reverse-residual", "invariance",
-                              "hn-identity"])
-def test_benchmark_commands_never_take_the_reference_path(monkeypatch, capsys, argv):
-    calls = []
-    monkeypatch.setattr(torus, "_convolve_reference",
-                        lambda *args: calls.append(1) or _convolve_reference(*args))
-    code = cli.main(argv)
-    capsys.readouterr()
-    assert code == (1 if "--sabotage" in argv else 0)
-    assert calls == []
+        assert _field_element(convolve(a, b)) == _convolve_reference(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -749,7 +693,7 @@ def test_benchmark_commands_never_take_the_reference_path(monkeypatch, capsys, a
 def _agrees_at_points(got, want_at):
     # every coefficient carries its Phi-exponents, which the torus reads
     # and the evaluation uses; the values agree key by key at t0 = 2 and 3
-    assert all(c._exps is not None for c in got.terms.values())
+    assert all(type(c._exps) is tuple for c in got.terms.values())
     for t0 in (Fraction(2), Fraction(3)):
         assert torus_at_point.same_at_point(torus_at_point.element_at(t0, got), want_at(t0))
 
@@ -848,6 +792,31 @@ def test_campaign_identities_hold_at_a_point(t0):
         assert torus_at_point.same_at_point(points[s], points[s + 1]), s
 
 
+def test_ring_sums_and_products_multiply_through_the_one_path():
+    # c * c and c + c of kernel values stay in the ring, with their
+    # Phi-exponents, so elements built from them multiply through
+    # convolve's one path to the values of the pair-by-pair oracle over
+    # Q(t) and of the torus at a point
+    c = dilog_coefficient(1)
+    assert (c * c)._exps == ((1, 2), (2, 2)) and (c + c)._exps == ((1, 1), (2, 1))
+    rng = random.Random(36)
+    b = dilog(3, 4, (0, 1, 0)) * dilog(3, 4, (1, 1, 0))
+    for c in [c, dilog_coefficient(2)] + [
+            RationalFunction(LaurentPoly(rng.randint(-3, 0), [rng.randint(-4, 4), 1]),
+                             ((i, rng.randint(1, 2)), (12, 1))) for i in (3, 5, 8)]:
+        sq, twice = c * c, c + c
+        x = TorusElement(3, 4, {(0, 0, 0): RF_ONE, (1, 0, 0): sq, (0, 1, 1): twice,
+                                (1, 1, 0): sq + twice, (0, 0, 2): sq * twice})
+        assert all(type(v._exps) is tuple for v in x.terms.values())
+        for u, v in ((x, b), (b, x), (x, x)):
+            got = convolve(u, v)
+            assert _field_element(got) == _convolve_reference(u, v)
+            for t0 in (Fraction(2), Fraction(3)):
+                want_at = torus_at_point.product_at(t0, torus_at_point.element_at(t0, u),
+                                                    torus_at_point.element_at(t0, v), 4)
+                assert torus_at_point.same_at_point(torus_at_point.element_at(t0, got), want_at)
+
+
 # ----------------------------------------------------------------------
 # Unit coefficients, kernel calls and pass-throughs, and the twist row
 # ----------------------------------------------------------------------
@@ -884,7 +853,7 @@ def test_convolve_products_with_unit_coefficients_match_the_reference(n):
         ka, kb = _nonzero_key(rng, n), _nonzero_key(rng, n)
         for x, y in ((_with_unit(a, ka), b), (a, _with_unit(b, kb)),
                      (_with_unit(a, ka), _with_unit(b, kb))):
-            assert convolve(x, y) == _convolve_reference(x, y)
+            assert _field_element(convolve(x, y)) == _convolve_reference(x, y)
 
 
 def _with_constant(x, c):
@@ -907,7 +876,7 @@ def test_convolve_with_unit_constant_terms_matches_the_reference(n):
         for one in (RF_ONE, made_one):
             ua, ub = _with_constant(a, one), _with_constant(b, one)
             for x, y in ((ua, b), (a, ub), (ua, ub), (ub, ua)):
-                assert convolve(x, y) == _convolve_reference(x, y)
+                assert _field_element(convolve(x, y)) == _convolve_reference(x, y)
     # a key reached by two pass-throughs, 1 * c1 and c2 * 1, alone and
     # with a pair term too; and the unit alone on either side
     q = CyclicQuiver(n)
@@ -918,7 +887,7 @@ def test_convolve_with_unit_constant_terms_matches_the_reference(n):
     y = TorusElement(n, trunc, {(0,) * n: RF_ONE, e1: c2, both: c1})
     for u, v in ((x, y), (y, x), (x, x), (TorusElement.one(n, trunc), x),
                  (y, TorusElement.one(n, trunc)), (_with_constant(x, c1), y)):
-        assert convolve(u, v) == _convolve_reference(u, v)
+        assert _field_element(convolve(u, v)) == _convolve_reference(u, v)
     assert convolve(x, y).coefficient(e1) == c1 + c2
 
 
@@ -1033,6 +1002,6 @@ def test_kernel_memo_gives_the_cold_results_warm():
     warm = run()
     assert exact._cyclo_sum.cache_info().misses == misses
     assert warm == cold
-    assert warm[0] == _reference_product(ez_factors(z, 6)[1], 4, 6)
-    assert warm[1] == _per_class_sum(Q3, 5, Q3.enumerate_iso_classes(5))
-    assert warm[2] == _reference_product(factors, 3, 6)
+    assert _field_element(warm[0]) == _reference_product(ez_factors(z, 6)[1], 4, 6)
+    assert _field_element(warm[1]) == _per_class_sum(Q3, 5, Q3.enumerate_iso_classes(5))
+    assert _field_element(warm[2]) == _reference_product(factors, 3, 6)

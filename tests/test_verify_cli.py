@@ -18,11 +18,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hallq
-from hallq import exact
 from hallq.cli import (MAX_CHARGE_BITS, MAX_MODULE_DIGITS, MAX_MODULE_LENGTH, _FLAGS,
                        _build_config, _parse_charge, _parse_charges, _plain_args, build_parser,
                        main, parse_module)
-from hallq.exact import GaussianRational, LaurentPoly, RF_ONE, RationalFunction
+from hallq.exact import GaussianRational, LaurentPoly, RationalFunction
 from hallq.hall import BudgetError
 from hallq.quiver import CyclicQuiver, ModuleIso
 from hallq.stability import StabilityFunction, random_discrete
@@ -168,13 +167,11 @@ def _nested_digest(a):
 
 
 def _random_element(rng, n, trunc):
-    # repeated coefficients, numerators with negative t_low over an
-    # integer scalar times a cyclotomic or non-cyclotomic denominator
+    # repeated coefficients, numerators with negative t_low over random
+    # products of Phi_i
     pool = [RationalFunction(LaurentPoly(rng.randint(-4, 3),
                                          [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]),
-                             LaurentPoly.constant(rng.randint(1, 6))
-                             * LaurentPoly(0, rng.choice([(1,), (-1, 0, 1), (1, 2), (2, -3, 1),
-                                                          (1, 1, 1)])))
+                             [(i, rng.randint(1, 3)) for i in range(1, 13) if rng.random() < 0.2])
             for _ in range(5)]
     terms = {}
     for _ in range(rng.randint(1, 12)):
@@ -194,24 +191,17 @@ def test_element_digest_matches_the_nested_dump():
         elements += [ez(random_discrete(n, seed, 8), trunc) for seed in range(2)]
         elements += [TorusElement(n, trunc), TorusElement.one(n, 0),
                      TorusElement.monomial(n, trunc, (0,) * n, RationalFunction(
-                         LaurentPoly(-3, [1, -2, 5]), LaurentPoly(0, [4, 8])))]
-    frac = RationalFunction(LaurentPoly(-2, [1, 3]), LaurentPoly.constant(4))
-    assert frac.den == LaurentPoly.constant(4) and frac.num.t_low < 0
-    elements.append(TorusElement(3, 4, {(1, 0, 2): frac, (0, 2, 0): -frac, (0, 0, 0): RF_ONE}))
-    # the renderings are keyed on (t_low, ints, exps) of a factored value
-    # and on the value of one that holds `_den`; one value held both ways
-    # must render the same
-    over_phi3 = exact._cyclo_sum(((((3, 1),), 1, (2, -1)),))
-    same = RationalFunction(over_phi3.num, over_phi3.den)
-    assert same == over_phi3 and same._den is not None and over_phi3._den is None
-    half = RationalFunction.constant(Fraction(1, 2))
-    elements.append(TorusElement(2, 3, {(1, 0): over_phi3, (0, 1): same, (1, 1): -same,
-                                        (2, 0): over_phi3.shifted(1), (0, 2): half,
-                                        (2, 1): half * same, (0, 0): -over_phi3}))
+                         LaurentPoly(-3, [1, -2, 5]), ((2, 1), (6, 2))))]
+    # the renderings are keyed on (t_low, ints, exps): one numerator over
+    # two denominators must render twice
+    over_phi3 = RationalFunction(LaurentPoly(1, (2, -1)), ((3, 1),))
+    over_phi4 = RationalFunction(over_phi3.num, ((4, 1),))
+    assert over_phi3.num == over_phi4.num and over_phi3 != over_phi4
+    elements.append(TorusElement(2, 3, {(1, 0): over_phi3, (0, 1): over_phi4, (1, 1): -over_phi4,
+                                        (2, 0): over_phi3.shifted(1), (0, 0): -over_phi3}))
     assert any(e.terms and len(set(e.terms.values())) < len(e.terms) for e in elements)
     coeffs = [c for e in elements for c in e.terms.values()]
-    assert any(c._den is not None for c in coeffs)
-    assert any(c._exps for c in coeffs)
+    assert any(c._exps for c in coeffs) and any(c.num.t_low < 0 for c in coeffs)
     for a in elements:
         assert _element_digest(a) == _nested_digest(a)
 
@@ -895,18 +885,6 @@ def test_cli_pentagon_with_a_faulting_census_exits_three(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert err == ("internal error: RuntimeError: internal inconsistency: "
                    "2 stable objects of dimension delta\n")
-
-
-def test_campaigns_call_no_polynomial_gcd(monkeypatch):
-    # every Q(t) coefficient these commands compute goes through the
-    # cyclotomic kernel; the general gcd serves only the public API
-    calls = []
-    gcd = exact._ipoly_gcd
-    monkeypatch.setattr(exact, "_ipoly_gcd", lambda a, b: calls.append((a, b)) or gcd(a, b))
-    assert campaign_pentagon(CampaignConfig(n=4, truncation=6))[0]
-    assert campaign_integration(CampaignConfig(n=3, max_total=2))[0]
-    assert campaign_hn_identity(CampaignConfig(n=3, truncation=6, trials=1))[0]
-    assert calls == []
 
 
 # ----------------------------------------------------------------------
